@@ -4,7 +4,7 @@ Exit codes: 0 on success (for ``optimize``, success means converged;
 for ``certify``, it means every interior vertex is saddle), 1 when
 ``certify`` finds a cutting plane, 2 when ``optimize`` stops without
 converging, 4 for unusable input (parse errors, non-disc topology,
-degenerate geometry, bad configuration).
+degenerate geometry, bad configuration or flag values).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DiscminError
 from .meshio import load_obj, make_tent, save_obj
-from .optimize import OptimizerConfig, minimize
+from .optimize import OptimizerConfig, _check_tolerance, flip_pass, minimize
 from .quad import QuadSpec, alpha_range, area_curve
 from .saddle import certify_saddle
 
@@ -59,6 +59,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    _check_tolerance("--eps", args.eps_saddle)
     disc = load_obj(args.input)
     certificate = certify_saddle(disc, args.eps_saddle)
     if args.output:
@@ -79,8 +80,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_flip_pass(args) -> int:
-    from .optimize import flip_pass
-
+    _check_tolerance("--eps-flip", args.eps_flip)
     disc = load_obj(args.input)
     before = disc.total_area()
     result = flip_pass(disc, args.eps_flip)

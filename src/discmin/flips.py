@@ -21,7 +21,7 @@ plane).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .errors import (
     NotAViolation,
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, build_from_triangles, edge_key
+from .mesh import angle_rows, area_rows, row_norms
 
 
 # =====================================================================
@@ -57,17 +58,13 @@ class HingeMeasurement:
     gain: float
 
 
-def _row_norm(v: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(v, axis=-1)
-
-
-def _angle_rows(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # Numerically stable for tiny and near-pi angles alike.
-    return np.arctan2(_row_norm(np.cross(u, w)), np.einsum("...i,...i->...", u, w))
-
-
-def _area_rows(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    return 0.5 * _row_norm(np.cross(p1 - p0, p2 - p0))
+def _hinge_rows(a, b, x, y):
+    """The four angles (abx, aby, bax, bay) and the flip gain of stacked
+    hinges; the single implementation behind every sigma and gain."""
+    corners = ((a, b, x), (a, b, y), (b, a, x), (b, a, y))  # apex in the middle
+    angles = tuple(angle_rows(u - apex, w - apex) for u, apex, w in corners)
+    gain = area_rows(a, b, x) + area_rows(a, b, y) - area_rows(a, x, y) - area_rows(b, x, y)
+    return angles, gain
 
 
 def bulk_hinges(a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -75,22 +72,10 @@ def bulk_hinges(a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
 
     Each argument is an (n, 3) array; row i holds one hinge [a_i, b_i]
     with opposite vertices x_i, y_i.  Returns (sigma, gain) arrays.
-    No degeneracy checking; intended for statistical sweeps.
+    No degeneracy checking.
     """
-    a, b, x, y = (np.asarray(m, dtype=float) for m in (a, b, x, y))
-    sigma = (
-        _angle_rows(a - b, x - b)
-        + _angle_rows(a - b, y - b)
-        + _angle_rows(b - a, x - a)
-        + _angle_rows(b - a, y - a)
-    )
-    gain = (
-        _area_rows(a, b, x)
-        + _area_rows(a, b, y)
-        - _area_rows(a, x, y)
-        - _area_rows(b, x, y)
-    )
-    return sigma, gain
+    angles, gain = _hinge_rows(*(np.asarray(m, dtype=float) for m in (a, b, x, y)))
+    return sum(angles), gain
 
 
 def hinge_from_points(a, b, x, y) -> HingeMeasurement:
@@ -100,44 +85,36 @@ def hinge_from_points(a, b, x, y) -> HingeMeasurement:
     or the hinge has zero length.  The flipped triangles may be
     degenerate; the gain is still defined.
     """
-    a, b, x, y = (np.asarray(p, dtype=float) for p in (a, b, x, y))
-    if _row_norm(b - a) == 0.0:
+    a, b, x, y = (np.asarray(p, dtype=float).reshape(1, 3) for p in (a, b, x, y))
+    if row_norms(b - a)[0] == 0.0:
         raise DegenerateTriangle("hinge endpoints coincide")
-    if _area_rows(a, b, x) == 0.0 or _area_rows(a, b, y) == 0.0:
+    if area_rows(a, b, x)[0] == 0.0 or area_rows(a, b, y)[0] == 0.0:
         raise DegenerateTriangle("hinge triangle has zero area")
-    angles = (
-        float(_angle_rows(a - b, x - b)),
-        float(_angle_rows(a - b, y - b)),
-        float(_angle_rows(b - a, x - a)),
-        float(_angle_rows(b - a, y - a)),
-    )
-    gain = float(
-        _area_rows(a, b, x)
-        + _area_rows(a, b, y)
-        - _area_rows(a, x, y)
-        - _area_rows(b, x, y)
-    )
+    rows, gain = _hinge_rows(a, b, x, y)
+    angles = tuple(float(t[0]) for t in rows)
     return HingeMeasurement(
         edge=(0, 1),
         opposite=(2, 3),
         angles=angles,
         sigma=float(sum(angles)),
-        gain=gain,
+        gain=float(gain[0]),
     )
 
 
-def _hinge_vertices(disc: PolyhedralDisc, edge) -> tuple[int, int, int, int]:
+def _opposite_vertices(cx: DiscComplex, edge) -> tuple[Edge, tuple[int, ...]]:
+    """The sorted edge and the vertex opposite it in each incident face,
+    in face-index order: one vertex for a boundary edge, two otherwise."""
     e = edge_key(*edge)
-    cx = disc.complex
     if e not in cx.edge_faces:
         raise ValueError(f"{e} is not an edge of the complex")
-    faces = cx.edge_faces[e]
-    if len(faces) == 1:
+    return e, tuple(next(v for v in cx.triangles[f] if v not in e) for f in cx.edge_faces[e])
+
+
+def _hinge_vertices(disc: PolyhedralDisc, edge) -> tuple[int, int, int, int]:
+    e, opposite = _opposite_vertices(disc.complex, edge)
+    if len(opposite) == 1:
         raise BoundaryEdge(f"edge {e} lies on the boundary")
-    a, b = e
-    x = next(v for v in cx.triangles[faces[0]] if v not in e)
-    y = next(v for v in cx.triangles[faces[1]] if v not in e)
-    return a, b, x, y
+    return (*e, *opposite)
 
 
 def measure_hinge(disc: PolyhedralDisc, edge) -> HingeMeasurement:
@@ -149,9 +126,7 @@ def measure_hinge(disc: PolyhedralDisc, edge) -> HingeMeasurement:
     a, b, x, y = _hinge_vertices(disc, edge)
     p = disc.positions
     m = hinge_from_points(p[a], p[b], p[x], p[y])
-    return HingeMeasurement(
-        edge=(a, b), opposite=(x, y), angles=m.angles, sigma=m.sigma, gain=m.gain
-    )
+    return replace(m, edge=(a, b), opposite=(x, y))
 
 
 # =====================================================================
@@ -173,16 +148,10 @@ class FlipCheck:
 def can_flip(disc: PolyhedralDisc, edge) -> FlipCheck:
     """Whether ``edge`` admits a flip: interior, and the opposite
     vertices not already joined by an edge (a flip would double it)."""
-    e = edge_key(*edge)
-    cx = disc.complex
-    if e not in cx.edge_faces:
-        raise ValueError(f"{e} is not an edge of the complex")
-    if len(cx.edge_faces[e]) == 1:
+    e, opposite = _opposite_vertices(disc.complex, edge)
+    if len(opposite) == 1:
         return FlipCheck(False, "BoundaryEdge")
-    a, b = e
-    x = next(v for v in cx.triangles[cx.edge_faces[e][0]] if v not in e)
-    y = next(v for v in cx.triangles[cx.edge_faces[e][1]] if v not in e)
-    if edge_key(x, y) in cx.edge_faces:
+    if edge_key(*opposite) in disc.complex.edge_faces:
         return FlipCheck(False, "OppositeVerticesAdjacent")
     return FlipCheck(True, None)
 
@@ -202,24 +171,15 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
         if check.reason == "BoundaryEdge":
             raise BoundaryEdge(f"cannot flip boundary edge {edge_key(*edge)}")
         raise FlipForbidden(f"flip of {edge_key(*edge)}: {check.reason}")
-    e = edge_key(*edge)
-    a, b = e
     cx = disc.complex
-    i, j = cx.edge_faces[e]
+    (a, b), (x, y) = _opposite_vertices(cx, edge)
+    forward, backward = cx.edge_faces[(a, b)]
     # The face traversing a -> b contributes x, the other one y; that
     # choice makes the replacements (x, a, y), (y, b, x) match the
     # orientation of the surrounding complex.
-    ti = cx.triangles[i]
-
-    def _traverses(t: Triangle) -> bool:
-        return (a, b) in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
-
-    if _traverses(ti):
-        forward, backward = i, j
-    else:
-        forward, backward = j, i
-    x = next(v for v in cx.triangles[forward] if v not in e)
-    y = next(v for v in cx.triangles[backward] if v not in e)
+    t = cx.triangles[forward]
+    if (a, b) not in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+        forward, backward, x, y = backward, forward, y, x
     new_tris = list(cx.triangles)
     new_tris[forward] = (x, a, y)
     new_tris[backward] = (y, b, x)
@@ -239,7 +199,7 @@ def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
     """
     pts = np.array([a, x, b, y], dtype=float)
     diffs = pts[:, None, :] - pts[None, :, :]
-    scale = float(_row_norm(diffs).max())
+    scale = float(row_norms(diffs).max())
     if scale == 0.0:
         return False
     det = float(np.linalg.det(np.stack([pts[2] - pts[0], pts[1] - pts[0], pts[3] - pts[0]])))
@@ -248,14 +208,14 @@ def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
     normal = np.zeros(3)
     for k in range(4):
         normal += np.cross(pts[k], pts[(k + 1) % 4])
-    norm = float(_row_norm(normal))
+    norm = float(row_norms(normal))
     if norm == 0.0:
         return False
     normal /= norm
     for k in range(4):
         u = pts[(k + 1) % 4] - pts[k]
         w = pts[(k + 2) % 4] - pts[(k + 1) % 4]
-        nu, nw = float(_row_norm(u)), float(_row_norm(w))
+        nu, nw = float(row_norms(u)), float(row_norms(w))
         if nu == 0.0 or nw == 0.0:
             return False
         if float(np.cross(u / nu, w / nw) @ normal) < -tol:

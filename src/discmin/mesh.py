@@ -67,13 +67,26 @@ def canonical_triangle(tri: Sequence[int]) -> Triangle:
     return (c, a, b)
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis."""
+    return np.linalg.norm(v, axis=-1)
+
+
+def angle_rows(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Angles between stacked vectors ``u`` and ``w`` (last axis)."""
+    # Numerically stable for tiny and near-pi angles alike.
+    return np.arctan2(row_norms(np.cross(u, w)), np.einsum("...i,...i->...", u, w))
+
+
+def area_rows(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Areas of the stacked triangles with corners ``p0``, ``p1``, ``p2``."""
+    return 0.5 * row_norms(np.cross(p1 - p0, p2 - p0))
+
+
 def triangle_areas(positions: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Areas of the triangles ``triangles`` (integer array of shape (F, 3))
     under the vertex embedding ``positions`` (shape (V, 3))."""
-    a = positions[triangles[:, 0]]
-    b = positions[triangles[:, 1]]
-    c = positions[triangles[:, 2]]
-    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    return area_rows(*(positions[triangles[:, k]] for k in range(3)))
 
 
 def _directed_edges(tri: Triangle):
@@ -388,8 +401,7 @@ class PolyhedralDisc:
         """Area of triangle index ``tri``, or of any vertex id triple."""
         if isinstance(tri, (int, np.integer)):
             return float(self._areas[tri])
-        a, b, c = (self.positions[v] for v in tri)
-        return 0.5 * float(np.linalg.norm(np.cross(b - a, c - a)))
+        return float(area_rows(*(self.positions[v] for v in tri)))
 
     def angle_at(self, tri, v: int) -> float:
         """Interior angle of triangle ``tri`` (index or triple) at vertex ``v``."""
@@ -398,12 +410,10 @@ class PolyhedralDisc:
         if v not in tri:
             raise ValueError(f"vertex {v} not in triangle {tri}")
         p, q = (w for w in tri if w != v)
-        u = self.positions[p] - self.positions[v]
-        w = self.positions[q] - self.positions[v]
-        nu, nw = np.linalg.norm(u), np.linalg.norm(w)
-        if nu == 0.0 or nw == 0.0:
+        sides = self.positions[[p, q]] - self.positions[v]
+        if np.any(row_norms(sides) == 0.0):
             raise DegenerateTriangle(f"zero-length side at vertex {v} in {tri}")
-        return float(np.arctan2(np.linalg.norm(np.cross(u, w)), float(u @ w)))
+        return float(angle_rows(sides[0], sides[1]))
 
     def edge_length(self, u: int, v: int) -> float:
         return float(np.linalg.norm(self.positions[u] - self.positions[v]))

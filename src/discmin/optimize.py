@@ -31,7 +31,9 @@ which the jitter makes vanishingly unlikely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -44,14 +46,30 @@ from .errors import (
     NotAViolation,
     NotCuttable,
 )
-from .flips import FanReduction, can_flip, flip, measure_hinge, reduce_fan
-from .mesh import PolyhedralDisc, edge_key
+from .flips import FanReduction, _opposite_vertices, bulk_hinges, can_flip, flip, reduce_fan
+from .mesh import PolyhedralDisc, area_rows, edge_key
 from .saddle import SaddleCertificate, certify_saddle, cutting_direction
 
 
 # =====================================================================
 # Configuration
 # =====================================================================
+
+
+def _is_number(x, integer: bool = False) -> bool:
+    """A finite real (an integer when ``integer``); bools excluded."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    return isinstance(x, numbers.Integral) or (not integer and math.isfinite(x))
+
+
+def _check(name: str, value, ok: bool, wanted: str) -> None:
+    if not ok:
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+
+
+def _check_tolerance(name: str, value) -> None:
+    _check(name, value, _is_number(value) and value >= 0.0, "a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -62,6 +80,10 @@ class LineSearch:
     initial_step: float = 0.5
     shrink: float = 0.5
     max_backtracks: int = 30
+
+
+# JSON names of the LineSearch fields.
+_LINE_SEARCH_KEYS = {"step": "initial_step", "shrink": "shrink", "max_backtracks": "max_backtracks"}
 
 
 @dataclass(frozen=True)
@@ -84,16 +106,32 @@ class OptimizerConfig:
     enable_flips: bool = True
     enable_reductions: bool = True
 
-    _SCALARS = (
-        "triangle_budget",
-        "eps_flip",
-        "eps_saddle",
-        "eps_area",
-        "max_outer_iterations",
-        "jitter_amplitude",
-        "enable_flips",
-        "enable_reductions",
-    )
+    def __post_init__(self):
+        ls = self.line_search
+        _check("line_search", ls, isinstance(ls, LineSearch), "a LineSearch")
+        for name, value in (
+            ("eps_flip", self.eps_flip),
+            ("eps_saddle", self.eps_saddle),
+            ("eps_area", 0.0 if self.eps_area is None else self.eps_area),
+            ("jitter_amplitude", self.jitter_amplitude),
+        ):
+            _check_tolerance(name, value)
+        budget = 1 if self.triangle_budget is None else self.triangle_budget
+        for name, value, low in (
+            ("triangle_budget", budget, 1),
+            ("max_outer_iterations", self.max_outer_iterations, 1),
+            ("line_search.max_backtracks", ls.max_backtracks, 0),
+            ("seed", self.rng_seed, 0),
+        ):
+            ok = _is_number(value, integer=True) and value >= low
+            _check(name, value, ok, f"an integer >= {low}")
+        step, shrink = ls.initial_step, ls.shrink
+        _check("line_search.step", step, _is_number(step) and step > 0.0, "a finite number > 0")
+        _check("line_search.shrink", shrink, _is_number(shrink) and 0.0 < shrink < 1.0,
+               "strictly between 0 and 1")
+        for name in ("enable_flips", "enable_reductions"):
+            value = getattr(self, name)
+            _check(name, value, isinstance(value, bool), "true or false")
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
@@ -102,44 +140,34 @@ class OptimizerConfig:
         Recognized keys: the scalar field names, ``seed``, and
         ``line_search`` with subkeys step/shrink/max_backtracks.
         """
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         kwargs = {}
+        if "seed" in data:
+            kwargs["rng_seed"] = data.pop("seed")
         ls = data.pop("line_search", None)
         if ls is not None:
-            unknown = set(ls) - {"step", "shrink", "max_backtracks"}
+            if not isinstance(ls, dict):
+                raise ValueError(f"line_search must be a JSON object, got {ls!r}")
+            unknown = set(ls) - _LINE_SEARCH_KEYS.keys()
             if unknown:
                 raise ValueError(f"unknown line_search keys: {sorted(unknown)}")
-            kwargs["line_search"] = LineSearch(
-                initial_step=ls.get("step", LineSearch.initial_step),
-                shrink=ls.get("shrink", LineSearch.shrink),
-                max_backtracks=ls.get("max_backtracks", LineSearch.max_backtracks),
-            )
-        if "seed" in data:
-            kwargs["rng_seed"] = int(data.pop("seed"))
-        for key in cls._SCALARS:
-            if key in data:
-                kwargs[key] = data.pop(key)
+            kwargs["line_search"] = LineSearch(**{_LINE_SEARCH_KEYS[k]: v for k, v in ls.items()})
+        for f in fields(cls):
+            if f.name != "rng_seed" and f.name in data:
+                kwargs[f.name] = data.pop(f.name)
         if data:
             raise ValueError(f"unknown config keys: {sorted(data)}")
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "triangle_budget": self.triangle_budget,
-            "eps_flip": self.eps_flip,
-            "eps_saddle": self.eps_saddle,
-            "eps_area": self.eps_area,
-            "max_outer_iterations": self.max_outer_iterations,
-            "line_search": {
-                "step": self.line_search.initial_step,
-                "shrink": self.line_search.shrink,
-                "max_backtracks": self.line_search.max_backtracks,
-            },
-            "jitter_amplitude": self.jitter_amplitude,
-            "seed": self.rng_seed,
-            "enable_flips": self.enable_flips,
-            "enable_reductions": self.enable_reductions,
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["line_search"] = {
+            key: getattr(self.line_search, name) for key, name in _LINE_SEARCH_KEYS.items()
         }
+        data["seed"] = data.pop("rng_seed")
+        return data
 
 
 # =====================================================================
@@ -230,7 +258,8 @@ def flip_pass(
 ) -> FlipPassResult:
     """Flip hinges with sigma < pi - eps_flip until none remain.
 
-    Scans interior edges in sorted order and restarts after every
+    Measures every interior hinge with one ``bulk_hinges`` call, flips
+    the first eligible edge in sorted order and rescans after every
     flip.  Each flip strictly decreases area, so the pass terminates;
     ``cap`` (default 100 edges' worth) is a safety stop.  Flips whose
     result would degenerate a triangle are skipped.
@@ -243,18 +272,21 @@ def flip_pass(
         if len(records) >= cap:
             cap_exceeded = True
             break
+        cx, p = disc.complex, disc.positions
+        edges = cx.interior_edges()
+        hinges = [(*e, *_opposite_vertices(cx, e)[1]) for e in edges]
+        hinges = np.array(hinges, dtype=np.intp).reshape(-1, 4)
+        sigma, gain = bulk_hinges(*(p[hinges[:, k]] for k in range(4)))
         progressed = False
-        for e in disc.complex.interior_edges():
-            m = measure_hinge(disc, e)
-            if m.sigma >= np.pi - eps_flip:
-                continue
+        for k in np.flatnonzero(sigma < np.pi - eps_flip):
+            e = edges[k]
             if not can_flip(disc, e):
                 continue
             try:
                 disc = flip(disc, e)
             except DegenerateTriangle:
                 continue
-            records.append(FlipRecord(edge=e, sigma=m.sigma, area_decrease=m.gain))
+            records.append(FlipRecord(e, float(sigma[k]), float(gain[k])))
             progressed = True
             break
         if not progressed:
@@ -264,6 +296,43 @@ def flip_pass(
 
 def _star_area(disc: PolyhedralDisc, v: int) -> float:
     return float(sum(disc.triangle_area(i) for i in disc.complex.vertex_faces[v]))
+
+
+def _star_lengths(disc: PolyhedralDisc, v: int, star: list[int]) -> np.ndarray:
+    return np.linalg.norm(disc.positions[star] - disc.positions[v], axis=1)
+
+
+def _line_search(
+    disc: PolyhedralDisc, v: int, star: list[int], direction: np.ndarray, step: float,
+    line_search: LineSearch, floor: float, star_lengths: Optional[np.ndarray] = None,
+) -> Optional[tuple[PolyhedralDisc, float]]:
+    """Backtracking search for vertex ``v`` along ``direction``, from
+    ``step`` down by factors of ``line_search.shrink``.
+
+    A trial is accepted when the star stays nondegenerate, every edge
+    to ``star`` is shorter than ``star_lengths`` (if given), and the
+    star area dropped by more than ``floor``.  Returns (trial,
+    decrease) or None; raises DegenerationBlocked when every trial
+    degenerated the star.
+    """
+    p = disc.positions
+    before = _star_area(disc, v)
+    nondegenerate = False
+    for _ in range(line_search.max_backtracks + 1):
+        try:
+            trial = disc.moved(v, p[v] + step * direction)
+        except DegenerateTriangle:
+            step *= line_search.shrink
+            continue
+        nondegenerate = True
+        if star_lengths is None or not np.any(_star_lengths(trial, v, star) >= star_lengths):
+            decrease = before - _star_area(trial, v)
+            if decrease > floor:
+                return trial, float(decrease)
+        step *= line_search.shrink
+    if not nondegenerate:
+        raise DegenerationBlocked(f"every step at vertex {v} degenerates its star")
+    return None
 
 
 def vertex_descent_step(
@@ -288,36 +357,16 @@ def vertex_descent_step(
     cx = disc.complex
     if cx.is_boundary_vertex(v):
         raise ValueError(f"vertex {v} is on the boundary")
-    floor = 0.0 if eps_area is None else eps_area
     star = list(cx.vertex_star(v))
     p = disc.positions
-    directions = p[star] - p[v]
-    verdict = cutting_direction(directions, eps_saddle)
+    verdict = cutting_direction(p[star] - p[v], eps_saddle)
     if verdict.is_saddle:
         raise NotCuttable(f"vertex {v} admits no cutting plane")
-    normal = verdict.cut_normal
-    lengths = np.linalg.norm(directions, axis=1)
-    t = line_search.initial_step * 0.5 * verdict.margin * float(lengths.min())
-    before = _star_area(disc, v)
-    geometric_ok = 0
-    for _ in range(line_search.max_backtracks + 1):
-        try:
-            trial = disc.moved(v, p[v] + t * normal)
-        except DegenerateTriangle:
-            t *= line_search.shrink
-            continue
-        geometric_ok += 1
-        new_lengths = np.linalg.norm(trial.positions[star] - trial.positions[v], axis=1)
-        if np.any(new_lengths >= lengths):
-            t *= line_search.shrink
-            continue
-        decrease = before - _star_area(trial, v)
-        if decrease > floor:
-            return trial, float(decrease)
-        t *= line_search.shrink
-    if geometric_ok == 0:
-        raise DegenerationBlocked(f"every cut step at vertex {v} degenerates its star")
-    return disc, 0.0
+    lengths = _star_lengths(disc, v, star)
+    step = line_search.initial_step * 0.5 * verdict.margin * float(lengths.min())
+    floor = 0.0 if eps_area is None else eps_area
+    found = _line_search(disc, v, star, verdict.cut_normal, step, line_search, floor, lengths)
+    return found or (disc, 0.0)
 
 
 # =====================================================================
@@ -325,31 +374,17 @@ def vertex_descent_step(
 # =====================================================================
 
 
-def heron_area(a: float, b: float, c: float) -> float:
-    """Triangle area from side lengths, stable for needle triangles."""
-    a, b, c = sorted((float(a), float(b), float(c)), reverse=True)
-    s = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
-    return 0.25 * float(np.sqrt(max(s, 0.0)))
-
-
 def edge_length_area_derivative(disc: PolyhedralDisc, edge) -> float:
     """Derivative of total area with respect to one edge's length,
-    holding every other side length fixed (central difference on the
-    one or two incident triangles)."""
-    e = edge_key(*edge)
-    cx = disc.complex
-    if e not in cx.edge_faces:
-        raise ValueError(f"{e} is not an edge of the complex")
-    u, v = e
-    length = disc.edge_length(u, v)
-    others = [next(w for w in cx.triangles[i] if w not in e) for i in cx.edge_faces[e]]
-    sides = [(disc.edge_length(u, w), disc.edge_length(v, w)) for w in others]
-
-    def total(l: float) -> float:
-        return sum(heron_area(l, b, c) for b, c in sides)
-
-    h = 1e-6 * length
-    return (total(length + h) - total(length - h)) / (2.0 * h)
+    holding every other side length fixed: l/2 times the sum of the
+    cotangents of the angles opposite the edge in its one or two
+    triangles."""
+    (u, v), opposite = _opposite_vertices(disc.complex, edge)
+    p = disc.positions
+    w = p[list(opposite)]
+    # cot of the angle at w is (u - w).(v - w) over twice the area.
+    cot = np.einsum("ij,ij->i", p[u] - w, p[v] - w) / (2.0 * area_rows(p[u], p[v], w))
+    return 0.5 * disc.edge_length(u, v) * float(cot.sum())
 
 
 def edge_length_area_gradient(
@@ -392,30 +427,17 @@ def _gradient_step(
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         return None
-    direction = -g / norm
     star = list(disc.complex.vertex_star(v))
-    p = disc.positions
-    lengths = np.linalg.norm(p[star] - p[v], axis=1)
-    t = line_search.initial_step * float(lengths.min())
-    before = _star_area(disc, v)
-    for _ in range(line_search.max_backtracks + 1):
-        try:
-            trial = disc.moved(v, p[v] + t * direction)
-        except DegenerateTriangle:
-            t *= line_search.shrink
-            continue
-        decrease = before - _star_area(trial, v)
-        if decrease > eps_area:
-            disp = tuple(float(x) for x in (trial.positions[v] - p[v]))
-            record = MoveRecord(
-                vertex=v,
-                displacement=disp,
-                area_decrease=float(decrease),
-                mode="gradient",
-            )
-            return trial, record
-        t *= line_search.shrink
-    return None
+    step = line_search.initial_step * float(_star_lengths(disc, v, star).min())
+    try:
+        found = _line_search(disc, v, star, -g / norm, step, line_search, eps_area)
+    except DegenerationBlocked:
+        return None
+    if found is None:
+        return None
+    trial, decrease = found
+    disp = tuple(float(x) for x in (trial.positions[v] - disc.positions[v]))
+    return trial, MoveRecord(v, disp, decrease, mode="gradient")
 
 
 # =====================================================================

@@ -101,6 +101,19 @@ def alpha_range(spec: QuadSpec) -> tuple[float, float]:
     return lo, hi
 
 
+def _clamped(spec: QuadSpec, alphas: np.ndarray) -> np.ndarray:
+    """``alphas`` clipped to the feasible interval; AlphaOutOfRange for
+    any value (NaN included) outside it by more than the slack."""
+    a_lo, a_hi = alpha_range(spec)
+    slack = _RANGE_SLACK * (a_hi - a_lo)
+    if not np.all((a_lo - slack <= alphas) & (alphas <= a_hi + slack)):
+        raise AlphaOutOfRange(
+            f"alpha {alphas} outside [{a_lo}, {a_hi}] for sides "
+            f"({spec.p}, {spec.q}, {spec.r}, {spec.s})"
+        )
+    return np.clip(alphas, a_lo, a_hi)
+
+
 def _invert_alpha(spec: QuadSpec, alphas: np.ndarray) -> np.ndarray:
     """Diagonals realizing the given angle sums, by vectorized bisection."""
     d_lo = spec.diagonal_min
@@ -129,15 +142,7 @@ def diagonal_from_alpha(spec: QuadSpec, alpha: float) -> HingeState:
         If ``alpha`` lies outside the feasible interval by more than a
         relative 1e-9 slack.  Values inside the slack are clamped.
     """
-    a_lo, a_hi = alpha_range(spec)
-    slack = _RANGE_SLACK * (a_hi - a_lo)
-    if not a_lo - slack <= alpha <= a_hi + slack:
-        raise AlphaOutOfRange(
-            f"alpha={alpha} outside [{a_lo}, {a_hi}] for sides "
-            f"({spec.p}, {spec.q}, {spec.r}, {spec.s})"
-        )
-    alpha = min(max(alpha, a_lo), a_hi)
-    d = float(_invert_alpha(spec, np.array([alpha]))[0])
+    d = float(_invert_alpha(spec, _clamped(spec, np.array([alpha], dtype=float)))[0])
     ax, ay = _angles(spec, np.float64(d))
     return HingeState(
         spec=spec,
@@ -166,28 +171,27 @@ def area_curve(spec: QuadSpec, alphas) -> tuple[np.ndarray, np.ndarray]:
     (diagonals, areas):
         Arrays of the same shape as ``alphas``.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    a_lo, a_hi = alpha_range(spec)
-    slack = _RANGE_SLACK * (a_hi - a_lo)
-    if alphas.size and (alphas.min() < a_lo - slack or alphas.max() > a_hi + slack):
-        raise AlphaOutOfRange(
-            f"alphas extend beyond [{a_lo}, {a_hi}] for sides "
-            f"({spec.p}, {spec.q}, {spec.r}, {spec.s})"
-        )
-    d = _invert_alpha(spec, np.clip(alphas, a_lo, a_hi))
+    d = _invert_alpha(spec, _clamped(spec, np.asarray(alphas, dtype=float)))
     ax, ay = _angles(spec, d)
     areas = 0.5 * (spec.p * spec.q * np.sin(ax) + spec.r * spec.s * np.sin(ay))
     return d, areas
 
 
 def d_area_d_alpha(spec: QuadSpec, alpha: float) -> float:
-    """Central finite-difference slope of the area curve, shrunk to a
-    one-sided difference at the ends of the feasible interval."""
-    a_lo, a_hi = alpha_range(spec)
-    h = 1e-6 * (a_hi - a_lo)
-    lo = max(a_lo, alpha - h)
-    hi = min(a_hi, alpha + h)
-    return (area_of_alpha(spec, hi) - area_of_alpha(spec, lo)) / (hi - lo)
+    """Slope of the area curve, p q r s sin(alpha) / (4 A(alpha)).
+
+    With the diagonal d as intermediate variable, dA/dd is
+    d/2 (cot theta_x + cot theta_y) and dalpha/dd is
+    d/(p q sin theta_x) + d/(r s sin theta_y); their quotient reduces
+    to the form above.  Where both triangles collapse at once (A = 0
+    at an end of the interval) the slope tends to +-sqrt(p q r s)/2.
+    """
+    state = diagonal_from_alpha(spec, alpha)
+    area = state.area()
+    pqrs = spec.p * spec.q * spec.r * spec.s
+    if area == 0.0:
+        return float(np.copysign(0.5 * np.sqrt(pqrs), np.pi - state.alpha))
+    return float(pqrs * np.sin(state.alpha) / (4.0 * area))
 
 
 def embed_planar(state: HingeState) -> np.ndarray:

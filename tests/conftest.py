@@ -119,3 +119,27 @@ def double_interior_disc(lift: float = 0.3) -> PolyhedralDisc:
     positions[7] = (positions[0] + positions[1] + positions[6]) / 3.0
     positions[7, 2] += 0.2
     return PolyhedralDisc(build_from_triangles(tris), positions)
+
+
+def perturbed_grid_disc(n: int = 4, seed: int = 0, noise: float = 0.35) -> PolyhedralDisc:
+    """(n+1) x (n+1) grid on [-1, 1]^2 with (n-1)^2 interior vertices.
+
+    Interior vertices are shifted by up to ``noise`` cells in x and y
+    and lifted by up to one cell, seeded, so many hinges close below pi;
+    the boundary stays on the plane z = 0.
+    """
+    rng = np.random.default_rng(seed)
+    cell = 2.0 / n
+    xs = np.linspace(-1.0, 1.0, n + 1)
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    positions = np.stack([x, y, np.zeros_like(x)], axis=-1)
+    inner = positions[1:-1, 1:-1]
+    inner[..., :2] += rng.uniform(-noise, noise, inner[..., :2].shape) * cell
+    inner[..., 2] = rng.uniform(-1.0, 1.0, inner[..., 2].shape) * cell
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            v00 = i * (n + 1) + j
+            v10 = v00 + n + 1
+            triangles += [(v00, v10, v10 + 1), (v00, v10 + 1, v00 + 1)]
+    return PolyhedralDisc(build_from_triangles(triangles), positions.reshape(-1, 3))

@@ -172,6 +172,28 @@ def test_tent_command(tmp_path, capsys):
     assert "fan area" in capsys.readouterr().out
 
 
+# Refused with exit code 4, not a traceback, a silent no-op or a false
+# verdict.
+BAD_CONFIGS = [
+    {"eps_flip": "x"},
+    [1, 2],
+    {"line_search": 3},
+    {"max_outer_iterations": -3},
+    {"line_search": {"shrink": 1.5}},
+    {"line_search": {"step": 0}},
+    {"line_search": {"max_backtracks": -1}},
+    {"eps_saddle": -1e-7},
+    {"enable_flips": "yes"},
+    {"seed": [1]},
+]
+BAD_FLAGS = [
+    ["certify", "--eps", "nan"],
+    ["certify", "--eps=-1e-7"],
+    ["flip-pass", "--eps-flip", "nan"],
+    ["flip-pass", "--eps-flip=-1"],
+]
+
+
 def test_error_exit_codes(tmp_path, capsys):
     assert main(["optimize", "--in", str(tmp_path / "missing.obj")]) == 4
     bad = tmp_path / "bad.obj"
@@ -189,3 +211,11 @@ def test_error_exit_codes(tmp_path, capsys):
     unknown_cfg.write_text(json.dumps({"wobble": 3}))
     assert main(["optimize", "--in", str(good), "--config", str(unknown_cfg)]) == 4
     assert main(["quad-curve", "--p", "1", "--q", "1", "--r", "1", "--s", "9"]) == 4
+
+    for config in BAD_CONFIGS:
+        cfg = tmp_path / "bad_cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["optimize", "--in", str(good), "--config", str(cfg)]) == 4, config
+    for argv in BAD_FLAGS:
+        assert main([argv[0], "--in", str(good), *argv[1:]]) == 4, argv
+

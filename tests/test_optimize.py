@@ -5,11 +5,11 @@ import pytest
 
 from conftest import (
     angle_between,
-    cross_area,
     double_interior_disc,
     fan_disc,
     hexagon_with_violation,
     hinge_disc,
+    perturbed_grid_disc,
     random_rotation,
     regular_polygon,
     shoelace,
@@ -19,17 +19,19 @@ from discmin import (
     OptimizerConfig,
     PolyhedralDisc,
     build_from_triangles,
+    can_flip,
     certify_saddle,
     edge_length_area_derivative,
     edge_length_area_gradient,
+    flip,
     flip_pass,
-    heron_area,
     measure_hinge,
     minimize,
     position_area_gradient,
+    random_instance,
     vertex_descent_step,
 )
-from discmin.errors import BudgetExceeded, NotCuttable
+from discmin.errors import BudgetExceeded, DegenerateTriangle, NotCuttable
 
 ASYM = dict(a=(0, 0, 0), b=(1, 1, 0), x=(0.6, 0.4, 0.3), y=(0, 1, 0))
 
@@ -47,28 +49,6 @@ def fd_position_gradient(disc, v, h=1e-6):
         minus = disc.moved(v, disc.positions[v] - step).total_area()
         grad[k] = (plus - minus) / (2 * h)
     return grad
-
-
-def test_heron_area_matches_cross_products():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        p = rng.normal(size=(3, 3))
-        sides = (
-            np.linalg.norm(p[0] - p[1]),
-            np.linalg.norm(p[0] - p[2]),
-            np.linalg.norm(p[1] - p[2]),
-        )
-        expected = cross_area(*p)
-        if expected < 1e-6:
-            continue
-        assert abs(heron_area(sides[2], sides[1], sides[0]) - expected) <= 1e-12 * expected
-
-
-def test_heron_area_edge_cases():
-    assert heron_area(1, 1, 3) == 0.0
-    c = 1e-10
-    needle = heron_area(1.0, 1.0, c)
-    assert abs(needle - c * math.sqrt(4 - c * c) / 4) <= 1e-15
 
 
 def test_edge_derivative_matches_cotangent_identity():
@@ -195,6 +175,40 @@ def test_flip_pass_leaves_no_closed_flippable_hinges():
             assert measure_hinge(result.disc, e).sigma >= math.pi - 1e-9
 
 
+def flip_pass_oracle(disc, eps_flip=1e-9):
+    """Reference scan: measure_hinge edge by edge in sorted order,
+    flipping the first eligible hinge and rescanning after each flip."""
+    records = []
+    while True:
+        for e in disc.complex.interior_edges():
+            m = measure_hinge(disc, e)
+            if m.sigma >= math.pi - eps_flip or not can_flip(disc, e):
+                continue
+            try:
+                disc = flip(disc, e)
+            except DegenerateTriangle:
+                continue
+            records.append((e, m.sigma, m.gain))
+            break
+        else:
+            return disc, records
+
+
+@pytest.mark.parametrize(
+    "disc",
+    [perturbed_grid_disc(4 + s % 3, seed=s) for s in range(6)]
+    + [random_instance(8 + s % 9, nonplanarity=0.3, seed=s) for s in range(20)],
+    ids=[f"grid{s}" for s in range(6)] + [f"c4_fan{s}" for s in range(20)],
+)
+def test_flip_pass_matches_per_edge_oracle(disc):
+    expected_disc, expected = flip_pass_oracle(disc)
+    result = flip_pass(disc)
+    # bitwise: the bulk scan must reproduce the scalar sigma and gain
+    assert [(r.edge, r.sigma, r.area_decrease) for r in result.flips] == expected
+    assert result.disc.complex.triangles == expected_disc.complex.triangles
+    assert not result.cap_exceeded
+
+
 def test_flip_pass_cap():
     result = flip_pass(hinge_disc(**ASYM), cap=0)
     assert result.cap_exceeded
@@ -227,6 +241,32 @@ def test_config_rejects_unknown_keys():
         OptimizerConfig.from_dict({"budget": 10})
     with pytest.raises(ValueError):
         OptimizerConfig.from_dict({"line_search": {"stepsize": 0.1}})
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"eps_flip": float("nan")},
+        {"eps_saddle": -1e-7},
+        {"eps_area": float("inf")},
+        {"eps_flip": "x"},
+        {"max_outer_iterations": 0},
+        {"max_outer_iterations": 2.0},
+        {"triangle_budget": True},
+        {"triangle_budget": 0},
+        {"jitter_amplitude": -1.0},
+        {"rng_seed": -1},
+        {"enable_reductions": 1},
+        {"line_search": LineSearch(shrink=1.0)},
+        {"line_search": LineSearch(shrink=0.0)},
+        {"line_search": LineSearch(initial_step=0.0)},
+        {"line_search": LineSearch(max_backtracks=-1)},
+        {"line_search": {"step": 0.5}},
+    ],
+)
+def test_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        OptimizerConfig(**kwargs)
 
 
 def test_minimize_without_interior_vertices_is_a_fixed_point():

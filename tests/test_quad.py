@@ -140,6 +140,41 @@ def test_slope_signs_around_pi():
     assert d_area_d_alpha(UNIT, 3 * math.pi / 2) < -1e-3
 
 
+def central_slope(spec, alpha, h):
+    """Finite-difference oracle for the closed-form slope."""
+    return (area_of_alpha(spec, alpha + h) - area_of_alpha(spec, alpha - h)) / (2 * h)
+
+
+def test_slope_matches_central_difference():
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 60:
+        spec = specs_or_none(*rng.uniform(0.3, 3.0, 4))
+        if spec is None:
+            continue
+        lo, hi = alpha_range(spec)
+        width = hi - lo
+        scale = spec.p * spec.q + spec.r * spec.s
+        # Near both ends the curvature grows, so the difference step
+        # shrinks with the distance to the end.
+        for offset in (1e-2 * width, 1e-3 * width, rng.uniform(0.1, 0.9) * width):
+            for alpha in (lo + offset, hi - offset):
+                h = 1e-3 * min(alpha - lo, hi - alpha)
+                expected = central_slope(spec, alpha, h)
+                assert abs(d_area_d_alpha(spec, alpha) - expected) <= 1e-5 * scale
+        checked += 1
+
+
+def test_slope_limit_where_both_triangles_collapse():
+    # |p - q| = |r - s| and p + q = r + s: both ends collapse both triangles
+    spec = QuadSpec(1.0, 2.0, 1.0, 2.0)
+    lo, hi = alpha_range(spec)
+    assert d_area_d_alpha(spec, lo) == pytest.approx(1.0, rel=1e-12)
+    assert d_area_d_alpha(spec, hi) == pytest.approx(-1.0, rel=1e-12)
+    h = 1e-4 * (hi - lo)
+    assert d_area_d_alpha(spec, lo + h) == pytest.approx(1.0, rel=1e-6)
+
+
 def test_alpha_out_of_range():
     with pytest.raises(AlphaOutOfRange):
         diagonal_from_alpha(UNIT, -0.1)
