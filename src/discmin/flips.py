@@ -33,7 +33,7 @@ from .errors import (
     NotAViolation,
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, build_from_triangles, edge_key
-from .mesh import angle_rows, area_rows, row_norms
+from .mesh import _directed_edges, angle_rows, area_rows, row_norms
 
 
 # =====================================================================
@@ -177,8 +177,7 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
     # The face traversing a -> b contributes x, the other one y; that
     # choice makes the replacements (x, a, y), (y, b, x) match the
     # orientation of the surrounding complex.
-    t = cx.triangles[forward]
-    if (a, b) not in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+    if (a, b) not in _directed_edges(cx.triangles[forward]):
         forward, backward, x, y = backward, forward, y, x
     new_tris = list(cx.triangles)
     new_tris[forward] = (x, a, y)
@@ -255,20 +254,25 @@ class FanReduction:
 def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReduction]:
     """Cut along the empty triangle ``triple``.
 
-    The three cycle edges separate the disc; the bounded domain is the
-    side whose boundary edges (if any) all belong to the cycle itself.
-    It is replaced by the flat triangle on the cycle's vertices.  When
-    the cycle is the entire boundary the bounded domain is the whole
-    disc.  Surviving vertices are renumbered compactly, preserving
-    their relative order.
+    The cycle's interior edges separate the disc.  The faces on the
+    two sides of one interior cycle edge are flooded without crossing
+    the cycle; the bounded domain is the side whose faces carry no
+    boundary edge off the cycle.  (The outside may fall apart into
+    several pieces that meet the cycle only at vertices, but each keeps
+    a boundary edge of its own, and only the flooded one matters.)  The
+    domain is replaced by the flat triangle on the cycle's vertices.
+    When the cycle is the entire boundary the bounded domain is the
+    whole disc.  Surviving vertices are renumbered compactly,
+    preserving their relative order.
 
     Raises
     ------
     NotAViolation
         ``triple`` is not an empty triangle of the complex.
     CycleBoundsBoundary
-        No unique bounded domain exists.  Unreachable for genuine
-        violations of a valid disc; kept as a defensive check.
+        No unique bounded domain exists: the two floods fill the same
+        faces, or not exactly one side qualifies.  Unreachable for
+        genuine violations of a valid disc; kept as a defensive check.
     """
     t = tuple(int(v) for v in triple)
     if len(t) != 3 or len(set(t)) != 3:
@@ -295,43 +299,30 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
         removed_faces = len(cx.triangles)
     else:
         cut = set(cycle_edges) - cycle_boundary
-        adjacency: dict[int, list[int]] = {i: [] for i in range(len(cx.triangles))}
-        for e, faces in cx.edge_faces.items():
-            if len(faces) == 2 and e not in cut:
-                adjacency[faces[0]].append(faces[1])
-                adjacency[faces[1]].append(faces[0])
-        component = [-1] * len(cx.triangles)
-        n_comp = 0
-        for seed in range(len(cx.triangles)):
-            if component[seed] != -1:
-                continue
-            stack = [seed]
-            component[seed] = n_comp
+        inner = []
+        for seed in cx.edge_faces[min(cut)]:
+            side, stack, outer = {seed}, [seed], False
             while stack:
-                f = stack.pop()
-                for g in adjacency[f]:
-                    if component[g] == -1:
-                        component[g] = n_comp
-                        stack.append(g)
-            n_comp += 1
-        # Cutting the interior cycle edges separates the disc.  The
-        # outside may fall apart into several pieces (some meet the
-        # cycle only at vertices), but each keeps a boundary edge that
-        # is not on the cycle; only the bounded domain carries none.
-        carried: list[set[Edge]] = [set() for _ in range(n_comp)]
-        for e, faces in cx.edge_faces.items():
-            if len(faces) == 1:
-                carried[component[faces[0]]].add(e)
-        inner = [c for c in range(n_comp) if carried[c] <= cycle_boundary]
-        if len(inner) != 1 or n_comp == 1:
+                for a, b in _directed_edges(cx.triangles[stack.pop()]):
+                    e = edge_key(a, b)
+                    faces = cx.edge_faces[e]
+                    outer = outer or (len(faces) == 1 and e not in cycle_boundary)
+                    if e in cut:
+                        continue
+                    for g in faces:
+                        if g not in side:
+                            side.add(g)
+                            stack.append(g)
+            if not outer:
+                inner.append(side)
+        # Floods that meet fill the same faces and count twice or not at all.
+        if len(inner) != 1:
             raise CycleBoundsBoundary(
                 f"cycle {t} does not bound a unique sub-disc "
-                f"({len(inner)} candidates among {n_comp} components)"
+                f"({len(inner)} of the two sides of {min(cut)} qualify)"
             )
-        enclosed = inner[0]
-        new_tris = [
-            tri for i, tri in enumerate(cx.triangles) if component[i] != enclosed
-        ]
+        (enclosed,) = inner
+        new_tris = [tri for i, tri in enumerate(cx.triangles) if i not in enclosed]
         removed_faces = len(cx.triangles) - len(new_tris)
         new_tris.append(t)
         keep = sorted({v for tri in new_tris for v in tri})

@@ -16,9 +16,15 @@ raised error names the first property that fails:
    the vertex id range            -> DisconnectedComplex
 4. V - E + F == 1                 -> WrongEuler
 5. boundary edges form one cycle  -> MultipleBoundaryComponents
-6. consistent orientation (BFS from triangle 0, keeping its input
-   orientation; inconsistent input is repaired, which is always
-   possible once the earlier checks pass)
+6. consistent orientation         -> NonManifoldEdge
+
+Step 6 happens inside the step-3 walk: one breadth-first walk from
+triangle 0 keeps that triangle's input orientation and turns every
+other face to run its shared edge against the face that reached it,
+so inconsistent input is repaired.  The walk also records each
+boundary edge in its face's direction, and step 5 is one directed walk
+around them.  An orientation conflict is reported last; it cannot
+occur once steps 1-5 pass.
 
 Together these checks are complete: an edge-connected complex with
 manifold edges, Euler characteristic 1 and a single boundary cycle is a
@@ -236,18 +242,33 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
         if len(faces) > 2:
             raise NonManifoldEdge(f"edge {e} lies in {len(faces)} triangles")
 
-    seen = [False] * len(tris)
-    seen[0] = True
+    # Steps 3 and 6 in one walk (see the module docstring); it also
+    # collects the boundary edges, directed as their oriented face runs them.
+    oriented: list[Triangle | None] = [None] * len(tris)
+    oriented[0] = tris[0]
     queue = deque([0])
+    boundary: list[Edge] = []
+    conflict: Edge | None = None
     while queue:
         i = queue.popleft()
-        for a, b in _directed_edges(tris[i]):
-            for j in edge_faces[edge_key(a, b)]:
-                if not seen[j]:
-                    seen[j] = True
+        for a, b in _directed_edges(oriented[i]):
+            faces = edge_faces[edge_key(a, b)]
+            if len(faces) == 1:
+                boundary.append((a, b))
+            for j in faces:
+                if j == i:
+                    continue
+                if oriented[j] is None:
+                    s = tris[j]
+                    # neighbour must traverse the shared edge backwards
+                    if (a, b) in _directed_edges(s):
+                        s = (s[0], s[2], s[1])
+                    oriented[j] = s
                     queue.append(j)
-    if not all(seen):
-        missing = seen.count(False)
+                elif (a, b) in _directed_edges(oriented[j]):
+                    conflict = conflict or edge_key(a, b)
+    missing = oriented.count(None)
+    if missing:
         raise DisconnectedComplex(f"{missing} triangles unreachable through shared edges")
 
     used = set()
@@ -262,69 +283,25 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     if euler != 1:
         raise WrongEuler(f"V - E + F = {euler}, expected 1")
 
-    boundary = [e for e, faces in edge_faces.items() if len(faces) == 1]
     if not boundary:
         raise MultipleBoundaryComponents("complex has no boundary edges")
-    boundary_adj: dict[int, list[int]] = {}
-    for u, v in boundary:
-        boundary_adj.setdefault(u, []).append(v)
-        boundary_adj.setdefault(v, []).append(u)
-    for v, nbrs in boundary_adj.items():
-        if len(nbrs) != 2:
-            raise MultipleBoundaryComponents(
-                f"boundary vertex {v} lies on {len(nbrs)} boundary edges"
-            )
-    start = min(boundary_adj)
-    prev, cur = None, start
-    visited = {start}
-    while True:
-        a, b = boundary_adj[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        prev, cur = cur, nxt
-        visited.add(cur)
-    if len(visited) != len(boundary_adj):
+    # A single directed cycle through every boundary edge, from the
+    # smallest tail; a repeated tail shrinks ``succ`` and fails the count.
+    succ = dict(boundary)
+    start = cur = min(succ)
+    cycle = []
+    while cur in succ:
+        cycle.append(cur)
+        cur = succ.pop(cur)
+    if cur != start or len(cycle) != len(boundary):
         raise MultipleBoundaryComponents(
-            f"boundary splits into more than one cycle "
-            f"({len(visited)} of {len(boundary_adj)} vertices on the first)"
+            f"boundary edges do not form one cycle (the walk from vertex "
+            f"{start} covers {len(cycle)} of {len(boundary)})"
         )
-
-    oriented: list[Triangle | None] = [None] * len(tris)
-    oriented[0] = tris[0]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for a, b in _directed_edges(oriented[i]):
-            for j in edge_faces[edge_key(a, b)]:
-                if j == i:
-                    continue
-                if oriented[j] is None:
-                    s = tris[j]
-                    # neighbour must traverse the shared edge backwards
-                    if (a, b) in _directed_edges(s):
-                        s = (s[0], s[2], s[1])
-                    oriented[j] = s
-                    queue.append(j)
-                elif (a, b) in _directed_edges(oriented[j]):
-                    raise NonManifoldEdge(f"orientation conflict across edge {edge_key(a, b)}")
+    if conflict is not None:
+        raise NonManifoldEdge(f"orientation conflict across edge {conflict}")
 
     triangles = tuple(canonical_triangle(t) for t in oriented)
-
-    boundary_succ: dict[int, int] = {}
-    for e in boundary:
-        (j,) = edge_faces[e]
-        for a, b in _directed_edges(triangles[j]):
-            if edge_key(a, b) == e:
-                boundary_succ[a] = b
-                break
-    cur = min(boundary_succ)
-    cycle = [cur]
-    while True:
-        cur = boundary_succ[cur]
-        if cur == cycle[0]:
-            break
-        cycle.append(cur)
 
     vertex_faces: dict[int, list[int]] = {v: [] for v in range(vertex_count)}
     for i, t in enumerate(triangles):
@@ -338,7 +315,7 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
         boundary_cycle=tuple(cycle),
         edge_faces={e: tuple(f) for e, f in edge_faces.items()},
         vertex_faces={v: tuple(f) for v, f in vertex_faces.items()},
-        boundary_vertices=frozenset(boundary_adj),
+        boundary_vertices=frozenset(cycle),
     )
 
 

@@ -43,10 +43,11 @@ from .errors import (
     CycleBoundsBoundary,
     DegenerateTriangle,
     DegenerationBlocked,
+    FlipForbidden,
     NotAViolation,
     NotCuttable,
 )
-from .flips import FanReduction, _opposite_vertices, bulk_hinges, can_flip, flip, reduce_fan
+from .flips import FanReduction, _opposite_vertices, bulk_hinges, flip, reduce_fan
 from .mesh import PolyhedralDisc, area_rows, edge_key
 from .saddle import SaddleCertificate, certify_saddle, cutting_direction
 
@@ -261,8 +262,9 @@ def flip_pass(
     Measures every interior hinge with one ``bulk_hinges`` call, flips
     the first eligible edge in sorted order and rescans after every
     flip.  Each flip strictly decreases area, so the pass terminates;
-    ``cap`` (default 100 edges' worth) is a safety stop.  Flips whose
-    result would degenerate a triangle are skipped.
+    ``cap`` (default 100 edges' worth) is a safety stop.  Flips that
+    ``flip`` refuses (opposite vertices already joined, or a triangle
+    that would degenerate) are skipped.
     """
     if cap is None:
         cap = 100 * len(disc.complex.edges)
@@ -280,11 +282,9 @@ def flip_pass(
         progressed = False
         for k in np.flatnonzero(sigma < np.pi - eps_flip):
             e = edges[k]
-            if not can_flip(disc, e):
-                continue
             try:
                 disc = flip(disc, e)
-            except DegenerateTriangle:
+            except (FlipForbidden, DegenerateTriangle):
                 continue
             records.append(FlipRecord(e, float(sigma[k]), float(gain[k])))
             progressed = True
@@ -420,24 +420,21 @@ def position_area_gradient(disc: PolyhedralDisc, v: int) -> np.ndarray:
 
 def _gradient_step(
     disc: PolyhedralDisc, v: int, line_search: LineSearch, eps_area: float
-) -> Optional[tuple[PolyhedralDisc, MoveRecord]]:
-    """Backtracking descent along the negative area gradient; None when
-    no improving step was found."""
+) -> tuple[PolyhedralDisc, float]:
+    """Backtracking descent along the negative area gradient.  Returns
+    (new disc, decrease); (same disc, 0.0) when no improving step was
+    found, including when every trial degenerated the star."""
     g = position_area_gradient(disc, v)
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
-        return None
+        return disc, 0.0
     star = list(disc.complex.vertex_star(v))
     step = line_search.initial_step * float(_star_lengths(disc, v, star).min())
     try:
         found = _line_search(disc, v, star, -g / norm, step, line_search, eps_area)
     except DegenerationBlocked:
-        return None
-    if found is None:
-        return None
-    trial, decrease = found
-    disp = tuple(float(x) for x in (trial.positions[v] - disc.positions[v]))
-    return trial, MoveRecord(v, disp, decrease, mode="gradient")
+        found = None
+    return found or (disc, 0.0)
 
 
 # =====================================================================
@@ -516,6 +513,7 @@ def minimize(
             cap_exceeded = result.cap_exceeded
 
         for v in disc.complex.interior_vertices():
+            mode = "cut"
             try:
                 trial, decrease = vertex_descent_step(
                     disc,
@@ -525,33 +523,15 @@ def minimize(
                     eps_area=eps_area,
                 )
             except NotCuttable:
-                stepped = _gradient_step(disc, v, cfg.line_search, eps_area)
-                if stepped is not None:
-                    disc, record = stepped
-                    moves.append(record)
-                continue
+                mode = "gradient"
+                trial, decrease = _gradient_step(disc, v, cfg.line_search, eps_area)
             except DegenerationBlocked:
-                moves.append(
-                    MoveRecord(
-                        vertex=v,
-                        displacement=(0.0, 0.0, 0.0),
-                        area_decrease=0.0,
-                        mode="cut",
-                        blocked="degeneration",
-                    )
-                )
+                moves.append(MoveRecord(v, (0.0, 0.0, 0.0), 0.0, mode, blocked="degeneration"))
                 continue
             if decrease > 0.0:
                 disp = tuple(float(x) for x in (trial.positions[v] - disc.positions[v]))
+                moves.append(MoveRecord(v, disp, decrease, mode))
                 disc = trial
-                moves.append(
-                    MoveRecord(
-                        vertex=v,
-                        displacement=disp,
-                        area_decrease=decrease,
-                        mode="cut",
-                    )
-                )
 
         area_end = disc.total_area()
         iterations.append(

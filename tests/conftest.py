@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from discmin import PolyhedralDisc, build_from_triangles
+from discmin import PolyhedralDisc, build_from_triangles, edge_key
+from discmin.errors import CycleBoundsBoundary
 
 
 # ---------------------------------------------------------------------
@@ -121,12 +122,19 @@ def double_interior_disc(lift: float = 0.3) -> PolyhedralDisc:
     return PolyhedralDisc(build_from_triangles(tris), positions)
 
 
-def perturbed_grid_disc(n: int = 4, seed: int = 0, noise: float = 0.35) -> PolyhedralDisc:
+def perturbed_grid_disc(
+    n: int = 4, seed: int = 0, noise: float = 0.35, subdivisions: int = 0
+) -> PolyhedralDisc:
     """(n+1) x (n+1) grid on [-1, 1]^2 with (n-1)^2 interior vertices.
 
     Interior vertices are shifted by up to ``noise`` cells in x and y
     and lifted by up to one cell, seeded, so many hinges close below pi;
-    the boundary stays on the plane z = 0.
+    the boundary stays on the plane z = 0.  Each of ``subdivisions``
+    seeded stellar subdivisions puts a new vertex, lifted half a cell
+    to a cell above the centroid, into a triangle drawn from the
+    current list (earlier subdivisions included), so the old triangle
+    becomes an empty triangle, nested in an earlier one or running
+    along the rim.
     """
     rng = np.random.default_rng(seed)
     cell = 2.0 / n
@@ -142,4 +150,62 @@ def perturbed_grid_disc(n: int = 4, seed: int = 0, noise: float = 0.35) -> Polyh
             v00 = i * (n + 1) + j
             v10 = v00 + n + 1
             triangles += [(v00, v10, v10 + 1), (v00, v10 + 1, v00 + 1)]
-    return PolyhedralDisc(build_from_triangles(triangles), positions.reshape(-1, 3))
+    positions = positions.reshape(-1, 3)
+    for _ in range(subdivisions):
+        k = int(rng.integers(len(triangles)))
+        a, b, c = triangles[k]
+        centre = positions[[a, b, c]].mean(axis=0)
+        centre[2] += rng.uniform(0.5, 1.0) * cell
+        m = len(positions)
+        positions = np.vstack([positions, centre])
+        triangles[k] = (a, b, m)
+        triangles += [(b, c, m), (c, a, m)]
+    return PolyhedralDisc(build_from_triangles(triangles), positions)
+
+
+def reduce_fan_by_components(disc: PolyhedralDisc, triple):
+    """Oracle for ``reduce_fan``: label every face component left after
+    cutting the cycle's interior edges, and take the one component whose
+    boundary edges all lie on the cycle.  Returns the reduced triangle
+    list (before validation), the kept positions and the vertex map;
+    raises CycleBoundsBoundary when no unique component qualifies."""
+    t = tuple(sorted(triple))
+    cx = disc.complex
+    cycle_edges = [edge_key(t[0], t[1]), edge_key(t[0], t[2]), edge_key(t[1], t[2])]
+    cycle_boundary = {e for e in cycle_edges if len(cx.edge_faces[e]) == 1}
+    if len(cycle_boundary) == 3:
+        new_tris = [cx.boundary_cycle]
+        keep = list(t)
+    else:
+        cut = set(cycle_edges) - cycle_boundary
+        adjacency = {i: [] for i in range(len(cx.triangles))}
+        for e, faces in cx.edge_faces.items():
+            if len(faces) == 2 and e not in cut:
+                adjacency[faces[0]].append(faces[1])
+                adjacency[faces[1]].append(faces[0])
+        component = [-1] * len(cx.triangles)
+        n_comp = 0
+        for seed in range(len(cx.triangles)):
+            if component[seed] != -1:
+                continue
+            stack = [seed]
+            component[seed] = n_comp
+            while stack:
+                for g in adjacency[stack.pop()]:
+                    if component[g] == -1:
+                        component[g] = n_comp
+                        stack.append(g)
+            n_comp += 1
+        carried = [set() for _ in range(n_comp)]
+        for e, faces in cx.edge_faces.items():
+            if len(faces) == 1:
+                carried[component[faces[0]]].add(e)
+        inner = [c for c in range(n_comp) if carried[c] <= cycle_boundary]
+        if len(inner) != 1 or n_comp == 1:
+            raise CycleBoundsBoundary(f"{len(inner)} of {n_comp} components qualify")
+        new_tris = [tri for i, tri in enumerate(cx.triangles) if component[i] != inner[0]]
+        new_tris.append(t)
+        keep = sorted({v for tri in new_tris for v in tri})
+    vertex_map = {old: new for new, old in enumerate(keep)}
+    renumbered = [tuple(vertex_map[v] for v in tri) for tri in new_tris]
+    return renumbered, disc.positions[keep], vertex_map

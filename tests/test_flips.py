@@ -10,7 +10,9 @@ from conftest import (
     fan_disc,
     hexagon_with_violation,
     hinge_disc,
+    perturbed_grid_disc,
     random_rotation,
+    reduce_fan_by_components,
     regular_polygon,
     tetra_cap,
 )
@@ -317,6 +319,30 @@ def test_reduce_never_grows_the_complex():
         assert len(out.complex.triangles) < len(disc.complex.triangles)
         assert out.complex.vertex_count <= disc.complex.vertex_count
         assert len(out.complex.edges) <= len(disc.complex.edges)
+
+
+def test_reduce_matches_component_labelling_oracle():
+    discs = [hexagon_with_violation(), tetra_cap(), double_interior_disc()]
+    discs += [perturbed_grid_disc(n, seed, subdivisions=8) for n in (3, 4, 5) for seed in range(4)]
+    cases = lobes = 0
+    for disc in discs:
+        for triple in disc.complex.no_triangle_violations():
+            try:
+                expected = reduce_fan_by_components(disc, triple)
+            except CycleBoundsBoundary:
+                with pytest.raises(CycleBoundsBoundary):
+                    reduce_fan(disc, triple)
+                continue
+            tris, positions, vertex_map = expected
+            out, rec = reduce_fan(disc, triple)
+            assert out.complex == build_from_triangles(tris)
+            assert np.array_equal(out.positions, positions)
+            assert rec.vertex_map == vertex_map
+            cases += 1
+            a, b, c = triple
+            lobes += any(len(disc.complex.edge_faces[e]) == 1 for e in ((a, b), (a, c), (b, c)))
+    assert cases == 3 + 12 * 8
+    assert lobes > 10
 
 
 def test_reduce_rejects_non_violations():

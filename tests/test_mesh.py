@@ -9,6 +9,7 @@ from conftest import (
     fan_disc,
     heron,
     hexagon_with_violation,
+    perturbed_grid_disc,
     random_rotation,
     regular_polygon,
     tetra_cap,
@@ -141,6 +142,12 @@ def test_wrong_euler_rejected():
         build_from_triangles([(0, 1, 2), (2, 1, 0)])
 
 
+def test_moebius_band_rejected_by_euler():
+    # five triangles (i, i+1, i+2): non-orientable, V - E + F = 5 - 10 + 5
+    with pytest.raises(WrongEuler):
+        build_from_triangles([(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)])
+
+
 def test_closed_complex_rejected():
     with pytest.raises(MultipleBoundaryComponents):
         build_from_triangles(PROJECTIVE_PLANE)
@@ -157,6 +164,38 @@ def test_orientation_repair_matches_consistent_input():
 
     assert {frozenset(t) for t in a.triangles} == {frozenset(t) for t in b.triangles}
     assert cycle_edges(a) == cycle_edges(b)
+
+
+def face_sets(cx):
+    """Per edge, the vertex sets of its faces (independent of face order)."""
+    return {
+        e: {frozenset(cx.triangles[f]) for f in faces} for e, faces in cx.edge_faces.items()
+    }
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shuffled_and_reversed_input_builds_the_same_disc(seed):
+    rng = np.random.default_rng(seed)
+    for disc in (perturbed_grid_disc(5, seed), double_interior_disc(), hexagon_with_violation()):
+        base = disc.complex
+        order = rng.permutation(len(base.triangles))
+        flipped = rng.random(len(order)) < 0.5
+        tris = [
+            base.triangles[i][::-1] if f else base.triangles[i] for i, f in zip(order, flipped)
+        ]
+        cx = build_from_triangles(tris)
+        assert cx.edges == base.edges
+        assert face_sets(cx) == face_sets(base)
+        assert cx.boundary_vertices == base.boundary_vertices
+        directed = [d for t in cx.triangles for d in zip(t, t[1:] + t[:1])]
+        assert len(set(directed)) == len(directed)
+        for u, v in cx.interior_edges():
+            assert (u, v) in directed and (v, u) in directed
+        # triangle 0 keeps its input orientation and the cycle follows it
+        cycle = base.boundary_cycle
+        reverse = (cycle[0],) + cycle[:0:-1]
+        assert cx.boundary_cycle[0] == min(cx.boundary_cycle)
+        assert cx.boundary_cycle == (reverse if flipped[0] else cycle)
 
 
 def test_boundary_cycle_starts_at_min_vertex():
