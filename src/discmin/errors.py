@@ -2,8 +2,10 @@
 
 Structural problems with a simplicial complex raise subclasses of
 ``TopologyError``; geometric and numerical problems raise the flat
-exception types below.  Everything inherits from ``DiscminError`` so
-callers can catch the whole family at once.
+exception types below, and ``InvariantViolation`` marks a defect in
+this package rather than in its input.  Everything inherits from
+``DiscminError`` so callers can catch the whole family at once; the
+command line reports any of them with exit code 4, not a traceback.
 """
 
 from __future__ import annotations
@@ -99,6 +101,11 @@ class DegenerationBlocked(DiscminError):
 
 class BudgetExceeded(DiscminError):
     """The triangle budget was exhausted before the move could apply."""
+
+
+class InvariantViolation(DiscminError):
+    """A move broke a guarantee it checks for itself: a flip changed the
+    boundary cycle, or a fan reduction increased area."""
 
 
 # =====================================================================

@@ -30,6 +30,7 @@ from .errors import (
     CycleBoundsBoundary,
     DegenerateTriangle,
     FlipForbidden,
+    InvariantViolation,
     NotAViolation,
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, build_from_triangles, edge_key
@@ -164,7 +165,8 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
 
     Raises BoundaryEdge or FlipForbidden when the combinatorial
     precondition fails, DegenerateTriangle when the flipped geometry
-    falls below the area floor.
+    falls below the area floor, and InvariantViolation if the rebuilt
+    complex has another boundary cycle (a defect, never expected).
     """
     check = can_flip(disc, edge)
     if not check:
@@ -184,7 +186,7 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
     new_tris[backward] = (y, b, x)
     new_complex = build_from_triangles(new_tris)
     if new_complex.boundary_cycle != cx.boundary_cycle:
-        raise RuntimeError("flip changed the boundary cycle")
+        raise InvariantViolation(f"flip of {(a, b)} changed the boundary cycle")
     return PolyhedralDisc(new_complex, disc.positions, disc.eps_deg)
 
 
@@ -204,22 +206,17 @@ def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
     det = float(np.linalg.det(np.stack([pts[2] - pts[0], pts[1] - pts[0], pts[3] - pts[0]])))
     if abs(det) > tol * scale**3:
         return False
-    normal = np.zeros(3)
-    for k in range(4):
-        normal += np.cross(pts[k], pts[(k + 1) % 4])
+    normal = np.cross(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
     norm = float(row_norms(normal))
     if norm == 0.0:
         return False
-    normal /= norm
-    for k in range(4):
-        u = pts[(k + 1) % 4] - pts[k]
-        w = pts[(k + 2) % 4] - pts[(k + 1) % 4]
-        nu, nw = float(row_norms(u)), float(row_norms(w))
-        if nu == 0.0 or nw == 0.0:
-            return False
-        if float(np.cross(u / nu, w / nw) @ normal) < -tol:
-            return False
-    return True
+    sides = np.roll(pts, -1, axis=0) - pts
+    lengths = row_norms(sides)
+    if np.any(lengths == 0.0):
+        return False
+    unit = sides / lengths[:, None]
+    turns = np.cross(unit, np.roll(unit, -1, axis=0)) @ (normal / norm)
+    return not np.any(turns < -tol)
 
 
 def flat_convex_check(disc: PolyhedralDisc, edge, tol: float = 1e-6) -> bool:
@@ -273,6 +270,9 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
         No unique bounded domain exists: the two floods fill the same
         faces, or not exactly one side qualifies.  Unreachable for
         genuine violations of a valid disc; kept as a defensive check.
+    InvariantViolation
+        The reduced disc has more area than the input (a defect, never
+        expected).
     """
     t = tuple(int(v) for v in triple)
     if len(t) != 3 or len(set(t)) != 3:
@@ -337,7 +337,7 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
     # Replacing a region by the flat triangle over its boundary cannot
     # raise area (orthogonal projection onto the triangle's plane).
     if decrease < -1e-9 * max(area_before, 1.0):
-        raise RuntimeError(f"fan reduction along {t} increased area by {-decrease}")
+        raise InvariantViolation(f"fan reduction along {t} increased area by {-decrease}")
 
     record = FanReduction(
         triple=t,

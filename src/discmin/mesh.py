@@ -51,6 +51,10 @@ from .errors import (
 # Triangles whose area falls below eps_deg * diameter^2 are refused.
 DEGENERACY_EPS = 1e-12
 
+# Areas square the cross products of coordinate differences, which
+# overflows once coordinates pass about 1e76; larger ones are refused.
+_MAX_COORDINATE = 1e75
+
 Triangle = tuple[int, int, int]
 Edge = tuple[int, int]
 
@@ -345,8 +349,8 @@ class PolyhedralDisc:
             raise ValueError(
                 f"positions shape {pos.shape}, expected ({self.complex.vertex_count}, 3)"
             )
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
+        if not np.all(np.abs(pos) <= _MAX_COORDINATE):
+            raise ValueError(f"positions must be finite and at most {_MAX_COORDINATE:g} in size")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         tri_array = np.array(self.complex.triangles, dtype=np.intp)

@@ -9,7 +9,7 @@ Each outer iteration runs three passes:
    along the cutting plane when one exists, otherwise along the area
    gradient, with backtracking line search in both cases.
 
-The loop exits when an iteration decreases total area by less than
+The loop exits when an iteration decreases total area by no more than
 ``eps_area`` (or the iteration cap is hit); it *converged* when that
 final iteration also performed no combinatorial moves.  An interior
 vertex is jittered once before the first iteration to knock the input
@@ -48,8 +48,8 @@ from .errors import (
     NotCuttable,
 )
 from .flips import FanReduction, _opposite_vertices, bulk_hinges, flip, reduce_fan
-from .mesh import PolyhedralDisc, area_rows, edge_key
-from .saddle import SaddleCertificate, certify_saddle, cutting_direction
+from .mesh import PolyhedralDisc, area_rows, edge_key, row_norms
+from .saddle import SaddleCertificate, _vertex_verdict, certify_saddle
 
 
 # =====================================================================
@@ -298,24 +298,22 @@ def _star_area(disc: PolyhedralDisc, v: int) -> float:
     return float(sum(disc.triangle_area(i) for i in disc.complex.vertex_faces[v]))
 
 
-def _star_lengths(disc: PolyhedralDisc, v: int, star: list[int]) -> np.ndarray:
-    return np.linalg.norm(disc.positions[star] - disc.positions[v], axis=1)
-
-
 def _line_search(
-    disc: PolyhedralDisc, v: int, star: list[int], direction: np.ndarray, step: float,
-    line_search: LineSearch, floor: float, star_lengths: Optional[np.ndarray] = None,
+    disc: PolyhedralDisc, v: int, star: tuple[int, ...], direction: np.ndarray, scale: float,
+    line_search: LineSearch, floor: float, shorten: bool = False,
 ) -> Optional[tuple[PolyhedralDisc, float]]:
     """Backtracking search for vertex ``v`` along ``direction``, from
-    ``step`` down by factors of ``line_search.shrink``.
+    ``initial_step * scale`` times the shortest edge to ``star`` down
+    by factors of ``line_search.shrink``.
 
     A trial is accepted when the star stays nondegenerate, every edge
-    to ``star`` is shorter than ``star_lengths`` (if given), and the
-    star area dropped by more than ``floor``.  Returns (trial,
-    decrease) or None; raises DegenerationBlocked when every trial
-    degenerated the star.
+    to ``star`` got shorter (if ``shorten``), and the star area dropped
+    by more than ``floor``.  Returns (trial, decrease) or None; raises
+    DegenerationBlocked when every trial degenerated the star.
     """
-    p = disc.positions
+    p, star = disc.positions, list(star)
+    lengths = row_norms(p[star] - p[v])
+    step = line_search.initial_step * scale * float(lengths.min())
     before = _star_area(disc, v)
     nondegenerate = False
     for _ in range(line_search.max_backtracks + 1):
@@ -325,7 +323,8 @@ def _line_search(
             step *= line_search.shrink
             continue
         nondegenerate = True
-        if star_lengths is None or not np.any(_star_lengths(trial, v, star) >= star_lengths):
+        q = trial.positions
+        if not shorten or not np.any(row_norms(q[star] - q[v]) >= lengths):
             decrease = before - _star_area(trial, v)
             if decrease > floor:
                 return trial, float(decrease)
@@ -354,18 +353,14 @@ def vertex_descent_step(
     acceptable.  Raises NotCuttable for a saddle vertex and
     DegenerationBlocked when every trial degenerated the star.
     """
-    cx = disc.complex
-    if cx.is_boundary_vertex(v):
+    if disc.complex.is_boundary_vertex(v):
         raise ValueError(f"vertex {v} is on the boundary")
-    star = list(cx.vertex_star(v))
-    p = disc.positions
-    verdict = cutting_direction(p[star] - p[v], eps_saddle)
+    verdict = _vertex_verdict(disc, v, eps_saddle)
     if verdict.is_saddle:
         raise NotCuttable(f"vertex {v} admits no cutting plane")
-    lengths = _star_lengths(disc, v, star)
-    step = line_search.initial_step * 0.5 * verdict.margin * float(lengths.min())
     floor = 0.0 if eps_area is None else eps_area
-    found = _line_search(disc, v, star, verdict.cut_normal, step, line_search, floor, lengths)
+    found = _line_search(disc, v, verdict.star, verdict.cut_normal, 0.5 * verdict.margin,
+                         line_search, floor, shorten=True)
     return found or (disc, 0.0)
 
 
@@ -404,18 +399,15 @@ def position_area_gradient(disc: PolyhedralDisc, v: int) -> np.ndarray:
     """Exact gradient of total area with respect to the position of
     ``v``: sum over incident triangles (v, a, b) of (a - b) x n / 2
     with n the triangle's unit normal."""
-    gradient = np.zeros(3)
-    p = disc.positions
-    for i in disc.complex.vertex_faces[v]:
-        t = disc.complex.triangles[i]
-        k = t.index(v)
-        a, b = p[t[(k + 1) % 3]], p[t[(k + 2) % 3]]
-        n = np.cross(a - p[v], b - p[v])
-        norm = float(np.linalg.norm(n))
-        if norm == 0.0:
-            raise DegenerateTriangle(f"triangle {t} has zero area")
-        gradient += 0.5 * np.cross(a - b, n / norm)
-    return gradient
+    cx, p = disc.complex, disc.positions
+    faces = [cx.triangles[i] for i in cx.vertex_faces[v]]
+    rotated = np.array([t[t.index(v):] + t[:t.index(v)] for t in faces], dtype=np.intp)
+    a, b = p[rotated[:, 1]], p[rotated[:, 2]]
+    n = np.cross(a - p[v], b - p[v])
+    norms = row_norms(n)
+    if np.any(norms == 0.0):
+        raise DegenerateTriangle(f"triangle {faces[int(np.argmin(norms))]} has zero area")
+    return 0.5 * np.cross(a - b, n / norms[:, None]).sum(axis=0)
 
 
 def _gradient_step(
@@ -428,10 +420,9 @@ def _gradient_step(
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         return disc, 0.0
-    star = list(disc.complex.vertex_star(v))
-    step = line_search.initial_step * float(_star_lengths(disc, v, star).min())
+    star = disc.complex.vertex_star(v)
     try:
-        found = _line_search(disc, v, star, -g / norm, step, line_search, eps_area)
+        found = _line_search(disc, v, star, -g / norm, 1.0, line_search, eps_area)
     except DegenerationBlocked:
         found = None
     return found or (disc, 0.0)
@@ -546,7 +537,7 @@ def minimize(
                 unresolved_violations=unresolved,
             )
         )
-        if area_start - area_end < eps_area:
+        if area_start - area_end <= eps_area:
             converged = not flips and not reductions and not cap_exceeded
             break
 

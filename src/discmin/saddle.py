@@ -134,25 +134,22 @@ def cutting_direction(directions, eps_saddle: float = 1e-7) -> StarVerdict:
     unit = e / norms[:, None]
     point, lam = _min_norm_point(unit)
     t = float(np.linalg.norm(point))
-    margin = 0.0
-    if t > 0.0:
-        normal = point / t
-        margin = float((unit @ normal).min())
-        if margin > eps_saddle:
-            return StarVerdict(
-                status=NON_SADDLE,
-                cut_normal=normal,
-                margin=margin,
-                coefficients=None,
-                residual=None,
-            )
-    residual = float(np.linalg.norm(lam @ unit))
+    normal = point / t if t > 0.0 else None
+    margin = 0.0 if normal is None else float((unit @ normal).min())
+    if normal is not None and margin > eps_saddle:
+        return StarVerdict(
+            status=NON_SADDLE,
+            cut_normal=normal,
+            margin=margin,
+            coefficients=None,
+            residual=None,
+        )
     return StarVerdict(
         status=SADDLE,
         cut_normal=None,
         margin=margin,
         coefficients=lam,
-        residual=residual,
+        residual=float(np.linalg.norm(lam @ unit)),
     )
 
 
@@ -176,6 +173,16 @@ def brute_force_cutting_direction(
     margins = (unit @ lattice.T).min(axis=0)
     best = int(np.argmax(margins))
     return lattice[best], float(margins[best])
+
+
+def _vertex_verdict(disc: PolyhedralDisc, v: int, eps_saddle: float) -> VertexVerdict:
+    """The cutting-plane test at vertex ``v`` of ``disc``: the one place
+    a star becomes a verdict, for the certificate and the vertex sweep
+    alike."""
+    star = disc.complex.vertex_star(v)
+    p = disc.positions
+    verdict = cutting_direction(p[list(star)] - p[v], eps_saddle)
+    return VertexVerdict(**vars(verdict), vertex=v, star=star)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,24 +221,10 @@ def certify_saddle(disc: PolyhedralDisc, eps_saddle: float = 1e-7) -> SaddleCert
     with margin above ``eps_saddle``; a disc without interior vertices
     is vacuously saddle.
     """
-    verdicts = []
-    for v in disc.complex.interior_vertices():
-        star = disc.complex.vertex_star(v)
-        directions = disc.positions[list(star)] - disc.positions[v]
-        base = cutting_direction(directions, eps_saddle)
-        verdicts.append(
-            VertexVerdict(
-                status=base.status,
-                cut_normal=base.cut_normal,
-                margin=base.margin,
-                coefficients=base.coefficients,
-                residual=base.residual,
-                vertex=v,
-                star=star,
-            )
-        )
+    interior = disc.complex.interior_vertices()
+    verdicts = tuple(_vertex_verdict(disc, v, eps_saddle) for v in interior)
     return SaddleCertificate(
-        verdicts=tuple(verdicts),
+        verdicts=verdicts,
         saddle=all(v.is_saddle for v in verdicts),
         eps_saddle=eps_saddle,
     )

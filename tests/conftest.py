@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 from discmin import PolyhedralDisc, build_from_triangles, edge_key
-from discmin.errors import CycleBoundsBoundary
+from discmin.errors import CycleBoundsBoundary, DegenerateTriangle
+from discmin.mesh import row_norms
 
 
 # ---------------------------------------------------------------------
@@ -39,6 +40,52 @@ def angle_between(u, w) -> float:
 def cross_area(p0, p1, p2) -> float:
     p0, p1, p2 = (np.asarray(p, dtype=float) for p in (p0, p1, p2))
     return 0.5 * float(np.linalg.norm(np.cross(p1 - p0, p2 - p0)))
+
+
+def position_gradient_by_faces(disc: PolyhedralDisc, v: int) -> np.ndarray:
+    """Oracle for ``position_area_gradient``: one incident face at a
+    time, each adding (a - b) x n / 2 with n its unit normal."""
+    gradient = np.zeros(3)
+    p = disc.positions
+    for i in disc.complex.vertex_faces[v]:
+        t = disc.complex.triangles[i]
+        k = t.index(v)
+        a, b = p[t[(k + 1) % 3]], p[t[(k + 2) % 3]]
+        n = np.cross(a - p[v], b - p[v])
+        norm = float(np.linalg.norm(n))
+        if norm == 0.0:
+            raise DegenerateTriangle(f"triangle {t} has zero area")
+        gradient += 0.5 * np.cross(a - b, n / norm)
+    return gradient
+
+
+def flat_convex_quad_by_corners(a, b, x, y, tol: float = 1e-6) -> bool:
+    """Oracle for ``flat_convex_quad``: the Newell normal summed and the
+    corner turns tested one corner at a time."""
+    pts = np.array([a, x, b, y], dtype=float)
+    diffs = pts[:, None, :] - pts[None, :, :]
+    scale = float(row_norms(diffs).max())
+    if scale == 0.0:
+        return False
+    det = float(np.linalg.det(np.stack([pts[2] - pts[0], pts[1] - pts[0], pts[3] - pts[0]])))
+    if abs(det) > tol * scale**3:
+        return False
+    normal = np.zeros(3)
+    for k in range(4):
+        normal += np.cross(pts[k], pts[(k + 1) % 4])
+    norm = float(row_norms(normal))
+    if norm == 0.0:
+        return False
+    normal /= norm
+    for k in range(4):
+        u = pts[(k + 1) % 4] - pts[k]
+        w = pts[(k + 2) % 4] - pts[(k + 1) % 4]
+        nu, nw = float(row_norms(u)), float(row_norms(w))
+        if nu == 0.0 or nw == 0.0:
+            return False
+        if float(np.cross(u / nu, w / nw) @ normal) < -tol:
+            return False
+    return True
 
 
 def random_rotation(rng) -> np.ndarray:

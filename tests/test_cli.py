@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fan_disc
-from discmin import load_obj, random_instance, save_obj
+from discmin import dumps_obj, load_obj, random_instance, save_obj
 from discmin.cli import main
 
 
@@ -84,6 +86,13 @@ def test_optimize_non_converged_exit_code(tmp_path, instance_path):
     cfg.write_text(json.dumps({"max_outer_iterations": 1}))
     rc = main(["optimize", "--in", str(instance_path), "--config", str(cfg)])
     assert rc == 2
+
+
+def test_optimize_zero_eps_area_converges(tmp_path):
+    obj, cfg = tmp_path / "triangle.obj", tmp_path / "cfg.json"
+    obj.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    cfg.write_text(json.dumps({"eps_area": 0}))
+    assert main(["optimize", "--in", str(obj), "--config", str(cfg)]) == 0
 
 
 def test_certify_exit_codes(tmp_path, capsys):
@@ -218,4 +227,86 @@ def test_error_exit_codes(tmp_path, capsys):
         assert main(["optimize", "--in", str(good), "--config", str(cfg)]) == 4, config
     for argv in BAD_FLAGS:
         assert main([argv[0], "--in", str(good), *argv[1:]]) == 4, argv
+    huge = tmp_path / "huge.obj"
+    huge.write_text(good.read_text().replace("v 1 0 0", "v 1e200 0 0", 1))
+    assert huge.read_text() != good.read_text()
+    assert main(["certify", "--in", str(huge)]) == 4
 
+
+FUZZ_TOKENS = ["nan", "1e400", "-1", "1/2", "0", "7", str(10**30), "1" + "0" * 400,
+               "1e200", "1e-200", "v", "f", "vt", "usemtl", "#", "x"]
+# a saddle and a non-saddle disc
+FUZZ_BASES = [dumps_obj(random_instance(7, nonplanarity=0.3, seed=5)), dumps_obj(fan_disc(7))]
+
+
+@st.composite
+def mutated_obj(draw):
+    """A base OBJ with up to three lines replaced, deleted or
+    duplicated, or a token of a line swapped for a hostile one."""
+    lines = draw(st.sampled_from(FUZZ_BASES)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["replace", "delete", "duplicate", "token"]))
+        if kind == "replace":
+            lines[i] = " ".join(draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=5)))
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split() or [""]
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = draw(st.sampled_from(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.sampled_from(["3", {}, []])
+)
+TOLERANCE = st.floats(0.0, 1e-3)
+PLAUSIBLE_KEYS = {
+    "triangle_budget": st.integers(1, 40),
+    "eps_flip": TOLERANCE,
+    "eps_saddle": TOLERANCE,
+    "eps_area": TOLERANCE,
+    "jitter_amplitude": TOLERANCE,
+    "seed": st.integers(0, 2**40),
+    "enable_flips": st.booleans(),
+    "enable_reductions": st.booleans(),
+    "line_search": st.fixed_dictionaries({}, optional={
+        "step": st.floats(1e-3, 2.0), "shrink": st.floats(0.1, 0.9),
+        "max_backtracks": st.integers(0, 5),
+    }),
+}
+# At most 3 iterations: every other value is refused before the run.
+# Half the configs are plausible, so that runs get past validation.
+FUZZ_CONFIGS = st.one_of(
+    st.fixed_dictionaries({"max_outer_iterations": st.integers(1, 3)}, optional=PLAUSIBLE_KEYS),
+    st.fixed_dictionaries(
+        {"max_outer_iterations": st.one_of(st.integers(-1, 3), FUZZ_VALUES)},
+        optional={key: st.one_of(value, FUZZ_VALUES) for key, value in PLAUSIBLE_KEYS.items()},
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=mutated_obj(),
+    config=FUZZ_CONFIGS,
+    command=st.sampled_from(["certify", "flip-pass", "optimize"]),
+    eps=st.one_of(st.none(), st.floats()),
+)
+def test_cli_survives_mutated_inputs(tmp_path_factory, text, config, command, eps):
+    folder = tmp_path_factory.getbasetemp()
+    obj, cfg = folder / "fuzz.obj", folder / "fuzz.json"
+    obj.write_text(text)
+    cfg.write_text(json.dumps(config))
+    argv = [command, "--in", str(obj)]
+    if command == "optimize":
+        argv += ["--config", str(cfg)]
+    elif eps is not None:
+        argv.append(f"{'--eps' if command == 'certify' else '--eps-flip'}={eps!r}")
+    assert main(argv) in {0, 1, 2, 4}

@@ -8,6 +8,7 @@ from conftest import (
     cross_area,
     double_interior_disc,
     fan_disc,
+    flat_convex_quad_by_corners,
     hexagon_with_violation,
     hinge_disc,
     perturbed_grid_disc,
@@ -29,12 +30,16 @@ from discmin import (
     hinge_from_points,
     measure_hinge,
     reduce_fan,
+    save_obj,
 )
+from discmin import flips
+from discmin.cli import main
 from discmin.errors import (
     BoundaryEdge,
     CycleBoundsBoundary,
     DegenerateTriangle,
     FlipForbidden,
+    InvariantViolation,
     NotAViolation,
 )
 
@@ -235,6 +240,53 @@ def test_flat_convex_quad():
     disc = hinge_disc(**FLAT)
     assert flat_convex_check(disc, (0, 1))
     assert not flat_convex_check(hinge_disc(**LIFTED), (0, 1))
+
+
+def seeded_quads(rng, count):
+    """Quads (a, x, b, y in polygon order) of six kinds: on a circle
+    (convex and planar), 1e-9 and 4e-6 off their plane, with random
+    radii in shuffled order (often not convex), with two corners made
+    to coincide, and with one corner near the line of its neighbours;
+    every second quad moved by a random rotation and translation."""
+    for k in range(count):
+        kind = k % 6
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 4))
+        radii = rng.uniform(0.1, 1.5, 4) if kind == 3 else np.ones(4)
+        pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles), np.zeros(4)])
+        if kind in (1, 2):
+            pts += rng.normal(scale=1e-9 if kind == 1 else 4e-6, size=(4, 3))
+        elif kind == 3:
+            pts = pts[rng.permutation(4)]
+        elif kind == 4:
+            i, j = rng.choice(4, size=2, replace=False)
+            pts[i] = pts[j]
+        elif kind == 5:
+            pts[1] = 0.5 * (pts[0] + pts[2]) + rng.normal(scale=1e-6, size=3) * [1, 1, 0]
+        if k % 2:
+            pts = pts @ random_rotation(rng).T + rng.uniform(-2.0, 2.0, 3)
+        yield pts
+
+
+def test_flat_convex_quad_matches_corner_oracle():
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for a, x, b, y in seeded_quads(rng, 10020):
+        verdict = flat_convex_quad(a, b, x, y)
+        assert verdict == flat_convex_quad_by_corners(a, b, x, y), (a, b, x, y)
+        verdicts.append(verdict)
+    assert 2000 <= sum(verdicts) <= 8000
+
+
+def test_flip_reports_a_changed_boundary_cycle(monkeypatch, tmp_path, capsys):
+    build = flips.build_from_triangles
+    monkeypatch.setattr(flips, "build_from_triangles", lambda tris: build([t[::-1] for t in tris]))
+    disc = hinge_disc(**ASYM)
+    with pytest.raises(InvariantViolation, match="boundary cycle"):
+        flip(disc, (0, 1))
+    path = tmp_path / "hinge.obj"
+    save_obj(disc, path)
+    assert main(["flip-pass", "--in", str(path)]) == 4
+    assert "boundary cycle" in capsys.readouterr().err
 
 
 def test_reduce_hexagon_fan():

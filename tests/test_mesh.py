@@ -290,9 +290,13 @@ def test_position_validation():
     cx = build_from_triangles([(0, 1, 2)])
     with pytest.raises(ValueError):
         PolyhedralDisc(cx, np.zeros((2, 3)))
-    bad = np.array([[0, 0, 0], [1, 0, 0], [0, np.nan, 0]])
-    with pytest.raises(ValueError):
-        PolyhedralDisc(cx, bad)
+    for value in (np.nan, np.inf, 1e80):
+        bad = np.array([[0, 0, 0], [1, 0, 0], [0, value, 0]])
+        with pytest.raises(ValueError):
+            PolyhedralDisc(cx, bad)
+    # the largest accepted coordinates keep lengths and areas finite
+    disc = PolyhedralDisc(cx, np.array([[-1e75, -1e75, 1e75], [1e75, 0, -1e75], [0, 1e75, 0]]))
+    assert np.isfinite(disc.total_area())
 
 
 def test_positions_read_only():

@@ -12,6 +12,7 @@ from conftest import (
     hexagon_with_violation,
     hinge_disc,
     perturbed_grid_disc,
+    position_gradient_by_faces,
     random_rotation,
     regular_polygon,
     shoelace,
@@ -36,6 +37,11 @@ from discmin import (
 from discmin.errors import BudgetExceeded, DegenerateTriangle, NotCuttable
 
 ASYM = dict(a=(0, 0, 0), b=(1, 1, 0), x=(0.6, 0.4, 0.3), y=(0, 1, 0))
+# six seeded perturbed grids and the 20 acceptance-c4 fans
+GRIDS_AND_FANS = [perturbed_grid_disc(4 + s % 3, seed=s) for s in range(6)] + [
+    random_instance(8 + s % 9, nonplanarity=0.3, seed=s) for s in range(20)
+]
+GRIDS_AND_FANS_IDS = [f"grid{s}" for s in range(6)] + [f"c4_fan{s}" for s in range(20)]
 
 
 def cotangent(theta):
@@ -111,6 +117,26 @@ def test_position_gradient_matches_finite_differences():
         )
 
 
+@pytest.mark.parametrize("disc", GRIDS_AND_FANS, ids=GRIDS_AND_FANS_IDS)
+def test_position_gradient_matches_face_loop_oracle(disc):
+    for v in range(disc.complex.vertex_count):
+        expected = position_gradient_by_faces(disc, v)
+        got = position_area_gradient(disc, v)
+        assert np.linalg.norm(got - expected) <= 1e-14 * max(np.linalg.norm(expected), 1.0)
+
+
+def test_position_gradient_zero_area_face():
+    # vertex 4 sits on the rim edge (0, 1), so triangle (0, 1, 4) is flat
+    positions = np.array([[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0], [1, 0, 0]], dtype=float)
+    cx = build_from_triangles([(i, (i + 1) % 4, 4) for i in range(4)])
+    disc = PolyhedralDisc(cx, positions, eps_deg=0.0)
+    for v in (0, 1, 4):
+        with pytest.raises(DegenerateTriangle):
+            position_area_gradient(disc, v)
+        with pytest.raises(DegenerateTriangle):
+            position_gradient_by_faces(disc, v)
+
+
 def test_position_gradient_anchors():
     flat = fan_disc(9, apex=(0.0, 0.0, 0.0))
     assert np.linalg.norm(position_area_gradient(flat, 9)) <= 1e-12
@@ -130,6 +156,23 @@ def test_vertex_descent_step_moves_apex_down():
     for u in range(12):
         assert out.edge_length(12, u) < lengths[u]
     assert np.array_equal(out.positions[:12], disc.positions[:12])
+
+
+def test_vertex_descent_moves_along_the_certified_normal():
+    moved = 0
+    for disc in (perturbed_grid_disc(4, seed=1), perturbed_grid_disc(5, seed=2, subdivisions=3),
+                 fan_disc(9, apex=(0.1, 0.0, 0.4))):
+        for verdict in certify_saddle(disc).verdicts:
+            if verdict.is_saddle:
+                continue
+            v = verdict.vertex
+            out, decrease = vertex_descent_step(disc, v)
+            if decrease > 0.0:
+                step = out.positions[v] - disc.positions[v]
+                direction = step / np.linalg.norm(step)
+                assert np.allclose(direction, verdict.cut_normal, rtol=0, atol=1e-9)
+                moved += 1
+    assert moved >= 3
 
 
 def test_vertex_descent_step_requires_non_saddle():
@@ -196,12 +239,7 @@ def flip_pass_oracle(disc, eps_flip=1e-9):
             return disc, records
 
 
-@pytest.mark.parametrize(
-    "disc",
-    [perturbed_grid_disc(4 + s % 3, seed=s) for s in range(6)]
-    + [random_instance(8 + s % 9, nonplanarity=0.3, seed=s) for s in range(20)],
-    ids=[f"grid{s}" for s in range(6)] + [f"c4_fan{s}" for s in range(20)],
-)
+@pytest.mark.parametrize("disc", GRIDS_AND_FANS, ids=GRIDS_AND_FANS_IDS)
 def test_flip_pass_matches_per_edge_oracle(disc):
     expected_disc, expected = flip_pass_oracle(disc)
     result = flip_pass(disc)
@@ -340,6 +378,19 @@ def test_minimize_converged_output_is_flip_stable_and_saddle():
     assert out.complex.no_triangle_violations() == []
     assert certify_saddle(out).saddle
     assert trace.certificate.saddle
+
+
+def test_zero_eps_area_stops_a_stationary_run():
+    triangle = PolyhedralDisc(
+        build_from_triangles([(0, 1, 2)]), np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+    )
+    traces = [minimize(disc, OptimizerConfig(eps_area=0.0))[1]
+              for disc in (triangle, random_instance(10, seed=3))]
+    for trace in traces:
+        assert trace.converged and trace.certificate.saddle
+        areas = [trace.initial_area] + [rec.area for rec in trace.iterations]
+        assert areas[-1] >= areas[-2]
+    assert len(traces[0].iterations) == 1
 
 
 def test_minimize_iteration_limit():

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fan_disc, hinge_disc, random_rotation
+from conftest import (
+    double_interior_disc,
+    fan_disc,
+    hinge_disc,
+    perturbed_grid_disc,
+    random_rotation,
+)
 from discmin import (
     NON_SADDLE,
     SADDLE,
@@ -160,6 +166,26 @@ def test_certify_cone_apex_non_saddle():
     # the cut must point away from the rim, along -z
     assert verdict.cut_normal[2] < -0.9
     assert verdict.margin > 1e-7
+
+
+def test_certificate_verdicts_are_cutting_direction_verdicts():
+    statuses = set()
+    for disc in (perturbed_grid_disc(4, seed=1), perturbed_grid_disc(5, seed=2, subdivisions=3),
+                 double_interior_disc(), fan_disc(9, apex=(0.1, 0.0, 0.4))):
+        p = disc.positions
+        cert = certify_saddle(disc)
+        assert [v.vertex for v in cert.verdicts] == list(disc.complex.interior_vertices())
+        for verdict in cert.verdicts:
+            star = disc.complex.vertex_star(verdict.vertex)
+            expected = cutting_direction(p[list(star)] - p[verdict.vertex])
+            assert verdict.star == star
+            assert (verdict.status, verdict.margin, verdict.residual) == (
+                expected.status, expected.margin, expected.residual)
+            for got, want in ((verdict.cut_normal, expected.cut_normal),
+                              (verdict.coefficients, expected.coefficients)):
+                assert (got is None and want is None) or np.array_equal(got, want)
+            statuses.add(verdict.status)
+    assert statuses == {SADDLE, NON_SADDLE}
 
 
 def test_certify_no_interior_vertices_vacuous():
