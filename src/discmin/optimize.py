@@ -114,9 +114,12 @@ class OptimizerConfig:
             ("eps_flip", self.eps_flip),
             ("eps_saddle", self.eps_saddle),
             ("eps_area", 0.0 if self.eps_area is None else self.eps_area),
-            ("jitter_amplitude", self.jitter_amplitude),
         ):
             _check_tolerance(name, value)
+        # relative to the disc diameter: above 1 the jitter outgrows the disc
+        jitter = self.jitter_amplitude
+        _check("jitter_amplitude", jitter, _is_number(jitter) and 0.0 <= jitter <= 1.0,
+               "a number between 0 and 1")
         budget = 1 if self.triangle_budget is None else self.triangle_budget
         for name, value, low in (
             ("triangle_budget", budget, 1),
@@ -467,8 +470,8 @@ def minimize(
         jittered[list(interior)] += offsets
         try:
             disc = disc.with_positions(jittered)
-        except DegenerateTriangle:
-            pass  # keep the unjittered input
+        except (DegenerateTriangle, ValueError):
+            pass  # a degenerate triangle or past the coordinate bound: keep the input
 
     iterations: list[IterationRecord] = []
     converged = False

@@ -12,32 +12,39 @@ the unit directions:
 
     max over unit n of (min_i <n, e_i>)  =  |p*|,
 
-with the optimal n equal to p*/|p*| when p* is nonzero.  The hull
-lives in R^3, so by Caratheodory p* is a convex combination of at most
-four of the points; ``cutting_direction`` enumerates every support set
-of size one to four, solves the equality-constrained least-norm system
-on each, and keeps the best feasible candidate.  That is exact up to
-roundoff, cheap for the vertex degrees a disc produces, and avoids an
-external QP dependency.  ``brute_force_cutting_direction`` is the
-independent check: it scans a Fibonacci lattice on the sphere and can
-only undershoot the true margin.
+with the optimal n equal to p*/|p*| when p* is nonzero.
+``cutting_direction`` finds p* with Wolfe's nearest-point algorithm
+(P. Wolfe, "Finding the nearest point in a polytope", Math.
+Programming 11, 1976).  It keeps an active set of at most four
+directions (Caratheodory in R^3) with convex weights.  A major cycle
+adds the direction least aligned with the current point x; a minor
+cycle moves x to the affine min-norm point of the active set and, when
+a weight would turn non-positive, stops at the boundary and drops that
+direction.  Each major cycle strictly shortens x, so no active set
+repeats and the loop is finite; it costs O(k) per cycle instead of a
+solve for each of the C(k, 4) support sets, and needs no external QP
+dependency.  ``brute_force_cutting_direction`` is the independent
+check: it scans a Fibonacci lattice on the sphere and can only
+undershoot the true margin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import EmptyStar
+from .errors import EmptyStar, InvariantViolation
 from .mesh import PolyhedralDisc
 
 SADDLE = "saddle"
 NON_SADDLE = "non_saddle"
 
-_FEASIBILITY_SLACK = -1e-12
-_KKT_RESIDUAL_TOL = 1e-8
+# Wolfe's stopping rule: |x|^2 - min_j <x, u_j> <= _WOLFE_GAP * max_j |u_j|^2.
+_WOLFE_GAP = 1e-12
+# Major cycles allowed per point before the solver gives up; the random,
+# wheel and degenerate stars of the tests need at most 6 in all.
+_MAJOR_CYCLES_PER_POINT = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,47 +79,63 @@ class VertexVerdict(StarVerdict):
     star: tuple[int, ...] = ()
 
 
+def _affine_weights(points: np.ndarray) -> np.ndarray:
+    """Weights, summing to one, of the min-norm point of the affine hull
+    of ``points``: x = p_0 + sum_i a_i (p_i - p_0) with ``a`` the least
+    squares solution.  Working on the differences rather than the Gram
+    matrix keeps the condition number unsquared; ``lstsq`` returns the
+    least-norm ``a`` when repeated points make the differences
+    rank-deficient."""
+    base = points[0]
+    a = np.linalg.lstsq((points[1:] - base).T, -base, rcond=None)[0]
+    return np.concatenate(([1.0 - a.sum()], a))
+
+
 def _min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm point of the convex hull of ``points`` (k x 3) and
-    the convex coefficients realizing it (length k)."""
+    the convex coefficients realizing it (length k), by Wolfe's
+    algorithm.  Ties go to the lowest index."""
     k = len(points)
-    gram = points @ points.T
-    best_sq = np.inf
-    best_lam = None
-    for size in range(1, min(4, k) + 1):
-        subsets = np.array(list(combinations(range(k), size)), dtype=np.intp)
-        g = gram[subsets[:, :, None], subsets[:, None, :]]
-        kkt = np.zeros((len(subsets), size + 1, size + 1))
-        kkt[:, :size, :size] = g
-        kkt[:, size, :size] = 1.0
-        kkt[:, :size, size] = 1.0
-        rhs = np.zeros(size + 1)
-        rhs[size] = 1.0
-        # pinv tolerates the singular systems duplicate directions
-        # produce; inconsistent solutions are filtered by the residual.
-        solutions = np.linalg.pinv(kkt) @ rhs
-        residuals = np.linalg.norm(kkt @ solutions[..., None] - rhs[:, None], axis=(1, 2))
-        lams = solutions[:, :size]
-        feasible = (
-            (residuals <= _KKT_RESIDUAL_TOL)
-            & np.all(lams >= _FEASIBILITY_SLACK, axis=1)
-        )
-        if not np.any(feasible):
-            continue
-        norms_sq = np.einsum("ni,nij,nj->n", lams, g, lams)
-        norms_sq = np.where(feasible, norms_sq, np.inf)
-        i = int(np.argmin(norms_sq))
-        if norms_sq[i] < best_sq:
-            best_sq = norms_sq[i]
-            lam = np.zeros(k)
-            lam[subsets[i]] = lams[i]
-            best_lam = lam
-        if best_sq < 1e-30:
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    tol = _WOLFE_GAP * float(sq_norms.max())
+    active = [int(np.argmin(sq_norms))]
+    weights = np.ones(1)
+    x = points[active[0]]
+    for _ in range(_MAJOR_CYCLES_PER_POINT * k):
+        dots = points @ x
+        j = int(np.argmin(dots))
+        xx = float(x @ x)
+        if xx - dots[j] <= tol or xx <= 1e-30:
             break
-    assert best_lam is not None  # size-1 subsets are always feasible
-    best_lam = np.clip(best_lam, 0.0, None)
-    best_lam /= best_lam.sum()
-    return best_lam @ points, best_lam
+        active.append(j)
+        weights = np.append(weights, 0.0)
+        for _ in range(len(active)):  # each pass but the last drops a point
+            affine = _affine_weights(points[active])
+            if affine.min() > 0.0:
+                weights = affine
+                break
+            # Step from the weights toward the affine point until the
+            # first weight reaches zero, and drop that point.  There
+            # w >= 0 >= a, so w - a vanishes only where the step is 0.
+            blocking = np.flatnonzero(affine <= 0.0)
+            w, a = weights[blocking], affine[blocking]
+            steps = np.divide(w, w - a, out=np.zeros(len(blocking)), where=w > a)
+            i = int(np.argmin(steps))
+            weights = np.maximum(weights + steps[i] * (affine - weights), 0.0)
+            weights = np.delete(weights, blocking[i])
+            del active[blocking[i]]
+        else:
+            raise InvariantViolation("a minor cycle of Wolfe's algorithm dropped no point")
+        x = weights @ points[active]
+    else:
+        raise InvariantViolation(
+            f"Wolfe's algorithm did not converge in {_MAJOR_CYCLES_PER_POINT * k} "
+            f"major cycles on {k} points"
+        )
+    lam = np.zeros(k)
+    np.add.at(lam, active, weights)
+    lam /= lam.sum()
+    return lam @ points, lam
 
 
 def cutting_direction(directions, eps_saddle: float = 1e-7) -> StarVerdict:

@@ -6,6 +6,7 @@ atan2, shoelace vs cross products) so that agreement means something.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -86,6 +87,46 @@ def flat_convex_quad_by_corners(a, b, x, y, tol: float = 1e-6) -> bool:
         if float(np.cross(u / nu, w / nw) @ normal) < -tol:
             return False
     return True
+
+
+def min_norm_point_by_enumeration(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for ``saddle._min_norm_point``: by Caratheodory the
+    min-norm point of the hull is supported on at most four points, so
+    solve the equality-constrained least-norm system on every support
+    set of one to four points and keep the best feasible candidate."""
+    k = len(points)
+    gram = points @ points.T
+    best_sq = np.inf
+    best_lam = None
+    for size in range(1, min(4, k) + 1):
+        subsets = np.array(list(combinations(range(k), size)), dtype=np.intp)
+        g = gram[subsets[:, :, None], subsets[:, None, :]]
+        kkt = np.zeros((len(subsets), size + 1, size + 1))
+        kkt[:, :size, :size] = g
+        kkt[:, size, :size] = 1.0
+        kkt[:, :size, size] = 1.0
+        rhs = np.zeros(size + 1)
+        rhs[size] = 1.0
+        # pinv tolerates the singular systems duplicate directions
+        # produce; inconsistent solutions are filtered by the residual.
+        solutions = np.linalg.pinv(kkt) @ rhs
+        residuals = np.linalg.norm(kkt @ solutions[..., None] - rhs[:, None], axis=(1, 2))
+        lams = solutions[:, :size]
+        feasible = (residuals <= 1e-8) & np.all(lams >= -1e-12, axis=1)
+        if not np.any(feasible):
+            continue
+        norms_sq = np.einsum("ni,nij,nj->n", lams, g, lams)
+        norms_sq = np.where(feasible, norms_sq, np.inf)
+        i = int(np.argmin(norms_sq))
+        if norms_sq[i] < best_sq:
+            best_sq = norms_sq[i]
+            best_lam = np.zeros(k)
+            best_lam[subsets[i]] = lams[i]
+        if best_sq < 1e-30:
+            break
+    best_lam = np.clip(best_lam, 0.0, None)
+    best_lam /= best_lam.sum()
+    return best_lam @ points, best_lam
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -208,6 +249,30 @@ def perturbed_grid_disc(
         triangles[k] = (a, b, m)
         triangles += [(b, c, m), (c, a, m)]
     return PolyhedralDisc(build_from_triangles(triangles), positions)
+
+
+def wheel_disc(degree: int, rng, height: float = 0.3) -> PolyhedralDisc:
+    """The benchmark's certify wheel: centre vertex 0 of the given degree
+    and three rings of ``degree`` vertices at radii 1/3, 2/3 and 1 and
+    seeded heights in [-height, height]; ring r holds ids
+    1 + r*degree ... and is rotated by half a step against ring r - 1."""
+    d = degree
+    points = [(0.0, 0.0, rng.uniform(-height, height))]
+    for r in range(3):
+        theta = 2.0 * np.pi * (np.arange(d) + 0.5 * r) / d
+        radius = (r + 1) / 3.0
+        heights = rng.uniform(-height, height, d)
+        points += zip(radius * np.cos(theta), radius * np.sin(theta), heights)
+
+    def ring(r: int, k: int) -> int:
+        return 1 + r * d + k % d
+
+    triangles = [(0, ring(0, k), ring(0, k + 1)) for k in range(d)]
+    for r in range(2):
+        for k in range(d):
+            triangles.append((ring(r, k), ring(r + 1, k), ring(r, k + 1)))
+            triangles.append((ring(r, k + 1), ring(r + 1, k), ring(r + 1, k + 1)))
+    return PolyhedralDisc(build_from_triangles(triangles), np.array(points))
 
 
 def reduce_fan_by_components(disc: PolyhedralDisc, triple):

@@ -225,6 +225,10 @@ def test_error_exit_codes(tmp_path, capsys):
         cfg = tmp_path / "bad_cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["optimize", "--in", str(good), "--config", str(cfg)]) == 4, config
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"jitter_amplitude": 1e80}))
+    assert main(["optimize", "--in", str(good), "--config", str(cfg)]) == 4
+    assert "jitter_amplitude must be a number between 0 and 1" in capsys.readouterr().err
     for argv in BAD_FLAGS:
         assert main([argv[0], "--in", str(good), *argv[1:]]) == 4, argv
     huge = tmp_path / "huge.obj"

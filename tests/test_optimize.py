@@ -295,6 +295,8 @@ def test_config_rejects_unknown_keys():
         {"triangle_budget": True},
         {"triangle_budget": 0},
         {"jitter_amplitude": -1.0},
+        {"jitter_amplitude": 1.5},
+        {"jitter_amplitude": 1e80},
         {"rng_seed": -1},
         {"enable_reductions": 1},
         {"line_search": LineSearch(shrink=1.0)},
@@ -307,6 +309,14 @@ def test_config_rejects_unknown_keys():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         OptimizerConfig(**kwargs)
+
+
+def test_full_jitter_at_the_coordinate_bound_keeps_the_input():
+    disc = fan_disc(8, apex=(0.1, 0.0, 0.5))
+    disc = disc.with_positions(disc.positions * 0.9e75)
+    out, trace = minimize(disc, OptimizerConfig(jitter_amplitude=1.0, max_outer_iterations=1))
+    assert len(trace.iterations) == 1
+    assert np.array_equal(out.positions[:8], disc.positions[:8])
 
 
 def test_minimize_without_interior_vertices_is_a_fixed_point():

@@ -8,8 +8,11 @@ from conftest import (
     double_interior_disc,
     fan_disc,
     hinge_disc,
+    min_norm_point_by_enumeration,
     perturbed_grid_disc,
     random_rotation,
+    regular_polygon,
+    wheel_disc,
 )
 from discmin import (
     NON_SADDLE,
@@ -17,8 +20,9 @@ from discmin import (
     brute_force_cutting_direction,
     certify_saddle,
     cutting_direction,
+    saddle,
 )
-from discmin.errors import EmptyStar
+from discmin.errors import EmptyStar, InvariantViolation
 
 CONE = np.array([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]], dtype=float)
 CROSS = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=float)
@@ -78,6 +82,66 @@ def test_invalid_stars():
         cutting_direction(np.array([[0.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
         cutting_direction(np.array([1.0, 2.0, 3.0]))
+
+
+def test_wolfe_gives_up_after_its_major_cycle_cap(monkeypatch):
+    monkeypatch.setattr(saddle, "_MAJOR_CYCLES_PER_POINT", 0)
+    with pytest.raises(InvariantViolation, match="did not converge"):
+        cutting_direction(CONE)
+
+
+def c3_stars():
+    """The 1000 random stars of acceptance criterion 3."""
+    rng = np.random.default_rng(3)
+    for _ in range(1000):
+        dirs = rng.normal(size=(int(rng.integers(3, 11)), 3))
+        yield dirs[np.linalg.norm(dirs, axis=1) > 1e-8]
+
+
+def wheel_stars():
+    """Every interior star of one seeded wheel of each degree 12 to 24."""
+    for degree in range(12, 25):
+        disc = wheel_disc(degree, np.random.default_rng([0, degree]))
+        p = disc.positions
+        for v in disc.complex.interior_vertices():
+            yield p[list(disc.complex.vertex_star(v))] - p[v]
+
+
+NEARLY_FLAT_RING = regular_polygon(24)
+NEARLY_FLAT_RING[:, 2] = 1e-9 * np.sin(np.arange(24))
+DEGENERATE_STARS = [
+    regular_polygon(12),
+    regular_polygon(24)[:13],  # a closed half ring: the origin is on the hull's edge
+    np.repeat(CONE + [0.1, 0.2, 0.0], 4, axis=0),
+    np.vstack([CROSS, [[1.0, 1e-9, 0.0]]]),
+    np.vstack([CONE, CONE + 1e-10]),
+    NEARLY_FLAT_RING,
+]
+
+
+def test_min_norm_point_matches_enumeration_oracle(monkeypatch):
+    """Wolfe's algorithm against every support set of at most four
+    directions: same verdict, same |p*|, and a cut at least as good."""
+    stars = [*c3_stars(), *wheel_stars(), *DEGENERATE_STARS]
+    statuses = set()
+    for dirs in stars:
+        unit = unit_rows(dirs)
+        point, lam = saddle._min_norm_point(unit)
+        want_point, _ = min_norm_point_by_enumeration(unit)
+        assert abs(np.linalg.norm(point) - np.linalg.norm(want_point)) <= 1e-12
+        assert np.all(lam >= 0.0) and abs(lam.sum() - 1.0) <= 1e-12
+        assert np.count_nonzero(lam) <= 4
+        got = cutting_direction(dirs)
+        with monkeypatch.context() as m:
+            m.setattr(saddle, "_min_norm_point", min_norm_point_by_enumeration)
+            want = cutting_direction(dirs)
+        assert got.status == want.status
+        # the margin certifies only a cut; at a saddle p* is roundoff
+        # and so is the direction of its normal
+        if not want.is_saddle:
+            assert got.margin >= want.margin - 1e-12
+        statuses.add(got.status)
+    assert len(stars) > 1400 and statuses == {SADDLE, NON_SADDLE}
 
 
 def test_brute_force_bounds_exact():
