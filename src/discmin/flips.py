@@ -168,13 +168,10 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
     falls below the area floor, and InvariantViolation if the rebuilt
     complex has another boundary cycle (a defect, never expected).
     """
-    check = can_flip(disc, edge)
-    if not check:
-        if check.reason == "BoundaryEdge":
-            raise BoundaryEdge(f"cannot flip boundary edge {edge_key(*edge)}")
-        raise FlipForbidden(f"flip of {edge_key(*edge)}: {check.reason}")
     cx = disc.complex
-    (a, b), (x, y) = _opposite_vertices(cx, edge)
+    a, b, x, y = _hinge_vertices(disc, edge)
+    if edge_key(x, y) in cx.edge_faces:
+        raise FlipForbidden(f"flip of {(a, b)}: OppositeVerticesAdjacent")
     forward, backward = cx.edge_faces[(a, b)]
     # The face traversing a -> b contributes x, the other one y; that
     # choice makes the replacements (x, a, y), (y, b, x) match the

@@ -353,12 +353,10 @@ class PolyhedralDisc:
             raise ValueError(f"positions must be finite and at most {_MAX_COORDINATE:g} in size")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-        tri_array = np.array(self.complex.triangles, dtype=np.intp)
-        object.__setattr__(self, "_tri_array", tri_array)
         span = pos.max(axis=0) - pos.min(axis=0)
         diameter = float(np.linalg.norm(span))
         object.__setattr__(self, "_diameter", diameter)
-        areas = triangle_areas(pos, tri_array)
+        areas = triangle_areas(pos, np.array(self.complex.triangles, dtype=np.intp))
         floor = self.eps_deg * diameter * diameter
         if diameter <= 0.0 or np.any(areas < floor):
             worst = int(np.argmin(areas))

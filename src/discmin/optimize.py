@@ -5,9 +5,10 @@ Each outer iteration runs three passes:
 1. fan reductions: cut along empty triangles while any can be cut;
 2. flips: flip hinges whose adjacent angle sum is below pi, first
    eligible edge in sorted order, rescanning after every flip;
-3. vertex sweep: for every interior vertex in ascending order, descend
-   along the cutting plane when one exists, otherwise along the area
-   gradient, with backtracking line search in both cases.
+3. vertex sweep: for every interior vertex in ascending order, the cut
+   move where the shared vertex test finds the star non-saddle, the
+   gradient move otherwise, each by backtracking line search and
+   recorded as blocked when every trial step degenerates the star.
 
 The loop exits when an iteration decreases total area by no more than
 ``eps_area`` (or the iteration cap is hit); it *converged* when that
@@ -297,27 +298,24 @@ def flip_pass(
     return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
 
 
-def _star_area(disc: PolyhedralDisc, v: int) -> float:
-    return float(sum(disc.triangle_area(i) for i in disc.complex.vertex_faces[v]))
-
-
 def _line_search(
     disc: PolyhedralDisc, v: int, star: tuple[int, ...], direction: np.ndarray, scale: float,
     line_search: LineSearch, floor: float, shorten: bool = False,
-) -> Optional[tuple[PolyhedralDisc, float]]:
+) -> tuple[Optional[PolyhedralDisc], float, bool]:
     """Backtracking search for vertex ``v`` along ``direction``, from
     ``initial_step * scale`` times the shortest edge to ``star`` down
     by factors of ``line_search.shrink``.
 
     A trial is accepted when the star stays nondegenerate, every edge
     to ``star`` got shorter (if ``shorten``), and the star area dropped
-    by more than ``floor``.  Returns (trial, decrease) or None; raises
-    DegenerationBlocked when every trial degenerated the star.
+    by more than ``floor``.  Returns (trial or None, decrease, blocked),
+    with ``blocked`` true when every trial degenerated the star.
     """
     p, star = disc.positions, list(star)
+    faces = disc.complex.vertex_faces[v]
     lengths = row_norms(p[star] - p[v])
     step = line_search.initial_step * scale * float(lengths.min())
-    before = _star_area(disc, v)
+    before = sum(disc.triangle_area(f) for f in faces)
     nondegenerate = False
     for _ in range(line_search.max_backtracks + 1):
         try:
@@ -328,13 +326,30 @@ def _line_search(
         nondegenerate = True
         q = trial.positions
         if not shorten or not np.any(row_norms(q[star] - q[v]) >= lengths):
-            decrease = before - _star_area(trial, v)
+            decrease = before - sum(trial.triangle_area(f) for f in faces)
             if decrease > floor:
-                return trial, float(decrease)
+                return trial, decrease, False
         step *= line_search.shrink
-    if not nondegenerate:
-        raise DegenerationBlocked(f"every step at vertex {v} degenerates its star")
-    return None
+    return None, 0.0, not nondegenerate
+
+
+def _vertex_move(
+    disc: PolyhedralDisc, v: int, eps_saddle: float, line_search: LineSearch, floor: float
+) -> tuple[str, Optional[PolyhedralDisc], float, bool]:
+    """Pick and search the move of interior vertex ``v``: along the
+    cutting direction where its star is non-saddle (from half the
+    margin, every star edge shortening), along -grad A otherwise.
+    Returns (mode, trial or None, decrease, blocked), ``mode`` being
+    "cut" or "gradient"."""
+    verdict = _vertex_verdict(disc, v, eps_saddle)
+    if not verdict.is_saddle:
+        return ("cut", *_line_search(disc, v, verdict.star, verdict.cut_normal,
+                                     0.5 * verdict.margin, line_search, floor, shorten=True))
+    g = position_area_gradient(disc, v)
+    norm = float(np.linalg.norm(g))
+    if norm == 0.0:
+        return "gradient", None, 0.0, False
+    return ("gradient", *_line_search(disc, v, verdict.star, -g / norm, 1.0, line_search, floor))
 
 
 def vertex_descent_step(
@@ -358,13 +373,13 @@ def vertex_descent_step(
     """
     if disc.complex.is_boundary_vertex(v):
         raise ValueError(f"vertex {v} is on the boundary")
-    verdict = _vertex_verdict(disc, v, eps_saddle)
-    if verdict.is_saddle:
-        raise NotCuttable(f"vertex {v} admits no cutting plane")
     floor = 0.0 if eps_area is None else eps_area
-    found = _line_search(disc, v, verdict.star, verdict.cut_normal, 0.5 * verdict.margin,
-                         line_search, floor, shorten=True)
-    return found or (disc, 0.0)
+    mode, trial, decrease, blocked = _vertex_move(disc, v, eps_saddle, line_search, floor)
+    if mode != "cut":
+        raise NotCuttable(f"vertex {v} admits no cutting plane")
+    if blocked:
+        raise DegenerationBlocked(f"every step at vertex {v} degenerates its star")
+    return (disc, 0.0) if trial is None else (trial, decrease)
 
 
 # =====================================================================
@@ -411,24 +426,6 @@ def position_area_gradient(disc: PolyhedralDisc, v: int) -> np.ndarray:
     if np.any(norms == 0.0):
         raise DegenerateTriangle(f"triangle {faces[int(np.argmin(norms))]} has zero area")
     return 0.5 * np.cross(a - b, n / norms[:, None]).sum(axis=0)
-
-
-def _gradient_step(
-    disc: PolyhedralDisc, v: int, line_search: LineSearch, eps_area: float
-) -> tuple[PolyhedralDisc, float]:
-    """Backtracking descent along the negative area gradient.  Returns
-    (new disc, decrease); (same disc, 0.0) when no improving step was
-    found, including when every trial degenerated the star."""
-    g = position_area_gradient(disc, v)
-    norm = float(np.linalg.norm(g))
-    if norm == 0.0:
-        return disc, 0.0
-    star = disc.complex.vertex_star(v)
-    try:
-        found = _line_search(disc, v, star, -g / norm, 1.0, line_search, eps_area)
-    except DegenerationBlocked:
-        found = None
-    return found or (disc, 0.0)
 
 
 # =====================================================================
@@ -507,25 +504,15 @@ def minimize(
             cap_exceeded = result.cap_exceeded
 
         for v in disc.complex.interior_vertices():
-            mode = "cut"
-            try:
-                trial, decrease = vertex_descent_step(
-                    disc,
-                    v,
-                    eps_saddle=cfg.eps_saddle,
-                    line_search=cfg.line_search,
-                    eps_area=eps_area,
-                )
-            except NotCuttable:
-                mode = "gradient"
-                trial, decrease = _gradient_step(disc, v, cfg.line_search, eps_area)
-            except DegenerationBlocked:
-                moves.append(MoveRecord(v, (0.0, 0.0, 0.0), 0.0, mode, blocked="degeneration"))
+            mode, trial, decrease, blocked = _vertex_move(
+                disc, v, cfg.eps_saddle, cfg.line_search, eps_area
+            )
+            if trial is None and not blocked:
                 continue
-            if decrease > 0.0:
-                disp = tuple(float(x) for x in (trial.positions[v] - disc.positions[v]))
-                moves.append(MoveRecord(v, disp, decrease, mode))
-                disc = trial
+            moved = disc if trial is None else trial
+            disp = tuple(float(x) for x in moved.positions[v] - disc.positions[v])
+            moves.append(MoveRecord(v, disp, decrease, mode, "degeneration" if blocked else None))
+            disc = moved
 
         area_end = disc.total_area()
         iterations.append(

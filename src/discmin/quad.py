@@ -75,10 +75,12 @@ class HingeState:
     angle_y: float
 
     def area(self) -> float:
-        return 0.5 * (
-            self.spec.p * self.spec.q * np.sin(self.angle_x)
-            + self.spec.r * self.spec.s * np.sin(self.angle_y)
-        )
+        return _area(self.spec, self.angle_x, self.angle_y)
+
+
+def _area(spec: QuadSpec, ax, ay):
+    """(p q sin theta_x + r s sin theta_y) / 2, for scalars or arrays."""
+    return 0.5 * (spec.p * spec.q * np.sin(ax) + spec.r * spec.s * np.sin(ay))
 
 
 def _angles(spec: QuadSpec, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +175,7 @@ def area_curve(spec: QuadSpec, alphas) -> tuple[np.ndarray, np.ndarray]:
     """
     d = _invert_alpha(spec, _clamped(spec, np.asarray(alphas, dtype=float)))
     ax, ay = _angles(spec, d)
-    areas = 0.5 * (spec.p * spec.q * np.sin(ax) + spec.r * spec.s * np.sin(ay))
-    return d, areas
+    return d, _area(spec, ax, ay)
 
 
 def d_area_d_alpha(spec: QuadSpec, alpha: float) -> float:

@@ -34,7 +34,12 @@ from discmin import (
     random_instance,
     vertex_descent_step,
 )
-from discmin.errors import BudgetExceeded, DegenerateTriangle, NotCuttable
+from discmin.errors import (
+    BudgetExceeded,
+    DegenerateTriangle,
+    DegenerationBlocked,
+    NotCuttable,
+)
 
 ASYM = dict(a=(0, 0, 0), b=(1, 1, 0), x=(0.6, 0.4, 0.3), y=(0, 1, 0))
 # six seeded perturbed grids and the 20 acceptance-c4 fans
@@ -181,6 +186,35 @@ def test_vertex_descent_step_requires_non_saddle():
         vertex_descent_step(flat, 8)
     with pytest.raises(ValueError):
         vertex_descent_step(flat, 0)
+
+
+def _refuse_every_move(disc, v, point):
+    raise DegenerateTriangle(f"vertex {v} may not move")
+
+
+def test_vertex_descent_step_reports_a_blocked_cut(monkeypatch):
+    monkeypatch.setattr(PolyhedralDisc, "moved", _refuse_every_move)
+    with pytest.raises(DegenerationBlocked):
+        vertex_descent_step(fan_disc(12, apex=(0.0, 0.0, 0.6)), 12)
+    # a saddle vertex is refused before its degeneration matters
+    with pytest.raises(NotCuttable):
+        vertex_descent_step(fan_disc(8, apex=(0.05, 0.0, 0.0)), 8)
+
+
+def test_blocked_moves_are_recorded_for_both_modes(monkeypatch):
+    monkeypatch.setattr(PolyhedralDisc, "moved", _refuse_every_move)
+    disc = perturbed_grid_disc(4, seed=0)
+    out, trace = minimize(disc, OptimizerConfig(max_outer_iterations=1))
+    (rec,) = trace.iterations
+    # nothing moved, so the final disc is the one the sweep saw
+    expected = {v.vertex: "cut" if not v.is_saddle else "gradient"
+                for v in certify_saddle(out).verdicts}
+    assert {m.vertex: m.mode for m in rec.moves} == expected
+    assert set(expected.values()) == {"cut", "gradient"}
+    for m in rec.moves:
+        assert m.blocked == "degeneration"
+        assert m.displacement == (0.0, 0.0, 0.0) and m.area_decrease == 0.0
+    assert trace.csv_text().splitlines()[1].split(",")[4] == str(len(expected))
 
 
 def test_flip_pass_flat_fan_makes_no_flips():
