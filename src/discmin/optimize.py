@@ -5,9 +5,11 @@ Each outer iteration runs three passes:
 1. fan reductions: cut along empty triangles while any can be cut;
 2. flips: flip hinges whose adjacent angle sum is below pi, first
    eligible edge in sorted order, rescanning after every flip;
-3. vertex sweep: for every interior vertex in ascending order, the cut
-   move where the shared vertex test finds the star non-saddle, the
-   gradient move otherwise, each by backtracking line search and
+3. vertex sweep: for every interior vertex in ascending order, a damped
+   Newton step on the star area, which is convex in the vertex; where
+   no trial of it lowers the area by more than ``eps_area``, the cut
+   move where the shared vertex test finds the star non-saddle and the
+   gradient move otherwise.  Each is searched by backtracking and
    recorded as blocked when every trial step degenerates the star.
 
 The loop exits when an iteration decreases total area by no more than
@@ -22,7 +24,11 @@ Why a stationary sweep certifies as saddle: the derivative of area
 with respect to one star edge length is l/2 (cot t1 + cot t2) with
 t1, t2 the angles opposite the edge, which is nonnegative exactly when
 the hinge sum sigma is at least pi.  Hinges with sigma below pi get
-flipped away (or expose an empty triangle and get cut), and moving a
+flipped away (or expose an empty triangle and get cut).  The position
+gradient of the star area is minus the sum of these derivatives times
+the unit star directions, so where the Newton steps bring it to zero,
+the origin lies in the hull of the star directions and the vertex is
+saddle, unless every incident derivative vanishes.  Likewise, moving a
 non-saddle vertex along its cutting direction shortens every star edge
 at once, so while any incident hinge has sigma strictly above pi the
 move strictly decreases area.  Stalling while non-saddle therefore
@@ -50,7 +56,7 @@ from .errors import (
 )
 from .flips import FanReduction, _opposite_vertices, bulk_hinges, flip, reduce_fan
 from .mesh import PolyhedralDisc, area_rows, edge_key, row_norms
-from .saddle import SaddleCertificate, _vertex_verdict, certify_saddle
+from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdict, certify_saddle
 
 
 # =====================================================================
@@ -189,8 +195,10 @@ class FlipRecord:
 
 @dataclass(frozen=True)
 class MoveRecord:
-    """One vertex update.  ``mode`` is "cut" or "gradient"; ``blocked``
-    is None for an applied move, or the reason it was abandoned."""
+    """One vertex update.  ``mode`` is "cut" for the cutting-plane move
+    or "gradient" for a descent step on the smooth star area: damped
+    Newton, with steepest descent as fallback.  ``blocked`` is None for
+    an applied move, or the reason it was abandoned."""
 
     vertex: int
     displacement: tuple[float, float, float]
@@ -299,27 +307,33 @@ def flip_pass(
 
 
 def _line_search(
-    disc: PolyhedralDisc, v: int, star: tuple[int, ...], direction: np.ndarray, scale: float,
-    line_search: LineSearch, floor: float, shorten: bool = False,
+    disc: PolyhedralDisc, v: int, star: tuple[int, ...], first: np.ndarray,
+    gradient: np.ndarray, line_search: LineSearch, floor: float, shorten: bool = False,
 ) -> tuple[Optional[PolyhedralDisc], float, bool]:
-    """Backtracking search for vertex ``v`` along ``direction``, from
-    ``initial_step * scale`` times the shortest edge to ``star`` down
-    by factors of ``line_search.shrink``.
+    """Backtracking search for vertex ``v``: the displacement ``first``,
+    then shorter ones by factors of ``line_search.shrink``.
 
     A trial is accepted when the star stays nondegenerate, every edge
     to ``star`` got shorter (if ``shorten``), and the star area dropped
-    by more than ``floor``.  Returns (trial or None, decrease, blocked),
-    with ``blocked`` true when every trial degenerated the star.
+    by more than ``floor``.  As the star area is convex, with
+    ``gradient`` g at the start, the trial ``t * first`` lowers it by at
+    most -t g.first, and the search ends once that is no more than
+    ``floor``.  Returns (trial or None, decrease, blocked), with
+    ``blocked`` true when every trial made degenerated the star.
     """
+    slope = -float(gradient @ first)
     p, star = disc.positions, list(star)
     faces = disc.complex.vertex_faces[v]
     lengths = row_norms(p[star] - p[v])
-    step = line_search.initial_step * scale * float(lengths.min())
     before = sum(disc.triangle_area(f) for f in faces)
-    nondegenerate = False
+    tried = nondegenerate = False
+    step = 1.0
     for _ in range(line_search.max_backtracks + 1):
+        if step * slope <= floor:
+            break
+        tried = True
         try:
-            trial = disc.moved(v, p[v] + step * direction)
+            trial = disc.moved(v, p[v] + step * first)
         except DegenerateTriangle:
             step *= line_search.shrink
             continue
@@ -330,26 +344,62 @@ def _line_search(
             if decrease > floor:
                 return trial, decrease, False
         step *= line_search.shrink
-    return None, 0.0, not nondegenerate
+    return None, 0.0, tried and not nondegenerate
+
+
+def _first_step(
+    disc: PolyhedralDisc, verdict: VertexVerdict, direction: np.ndarray, scale: float,
+    line_search: LineSearch,
+) -> np.ndarray:
+    """First trial of a cut or gradient move: ``initial_step * scale``
+    times the shortest star edge, along the unit ``direction``."""
+    p, v = disc.positions, verdict.vertex
+    shortest = float(row_norms(p[list(verdict.star)] - p[v]).min())
+    return line_search.initial_step * scale * shortest * direction
+
+
+def _cut_move(
+    disc: PolyhedralDisc, verdict: VertexVerdict, gradient: np.ndarray,
+    line_search: LineSearch, floor: float,
+) -> tuple[Optional[PolyhedralDisc], float, bool]:
+    """The paper's move of a non-saddle vertex: along its cutting
+    direction from half the margin, every star edge shortening."""
+    first = _first_step(disc, verdict, verdict.cut_normal, 0.5 * verdict.margin, line_search)
+    return _line_search(disc, verdict.vertex, verdict.star, first, gradient, line_search, floor,
+                        shorten=True)
 
 
 def _vertex_move(
     disc: PolyhedralDisc, v: int, eps_saddle: float, line_search: LineSearch, floor: float
 ) -> tuple[str, Optional[PolyhedralDisc], float, bool]:
-    """Pick and search the move of interior vertex ``v``: along the
-    cutting direction where its star is non-saddle (from half the
-    margin, every star edge shortening), along -grad A otherwise.
-    Returns (mode, trial or None, decrease, blocked), ``mode`` being
-    "cut" or "gradient"."""
+    """Pick and search the move of interior vertex ``v``.
+
+    The damped Newton step -(H + 1e-8 tr(H) I)^-1 g on the star area
+    comes first: in full, then shrinking.  Only where no trial of it
+    lowers the star area by more than ``floor`` does the shared vertex
+    test decide: the cut move where the star is non-saddle, the
+    gradient move along -g (from the shortest star edge) otherwise.
+    The gradient move applies where a sliver in the star defeats
+    Newton: every trial pushes it through the degeneracy floor, or
+    across the kink of its area.  Returns (mode, trial or None,
+    decrease, blocked), ``mode`` being "cut" or "gradient", the latter
+    for Newton steps too.
+    """
+    star = disc.complex.vertex_star(v)
+    _, g, h = _star_area(disc, v)
+    if np.any(g):
+        newton = -np.linalg.solve(h + 1e-8 * np.trace(h) * np.eye(3), g)
+        trial, decrease, _ = _line_search(disc, v, star, newton, g, line_search, floor)
+        if trial is not None:
+            return "gradient", trial, decrease, False
     verdict = _vertex_verdict(disc, v, eps_saddle)
     if not verdict.is_saddle:
-        return ("cut", *_line_search(disc, v, verdict.star, verdict.cut_normal,
-                                     0.5 * verdict.margin, line_search, floor, shorten=True))
-    g = position_area_gradient(disc, v)
+        return ("cut", *_cut_move(disc, verdict, g, line_search, floor))
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         return "gradient", None, 0.0, False
-    return ("gradient", *_line_search(disc, v, verdict.star, -g / norm, 1.0, line_search, floor))
+    first = _first_step(disc, verdict, -g / norm, 1.0, line_search)
+    return ("gradient", *_line_search(disc, v, star, first, g, line_search, floor))
 
 
 def vertex_descent_step(
@@ -373,10 +423,12 @@ def vertex_descent_step(
     """
     if disc.complex.is_boundary_vertex(v):
         raise ValueError(f"vertex {v} is on the boundary")
-    floor = 0.0 if eps_area is None else eps_area
-    mode, trial, decrease, blocked = _vertex_move(disc, v, eps_saddle, line_search, floor)
-    if mode != "cut":
+    verdict = _vertex_verdict(disc, v, eps_saddle)
+    if verdict.is_saddle:
         raise NotCuttable(f"vertex {v} admits no cutting plane")
+    floor = 0.0 if eps_area is None else eps_area
+    gradient = position_area_gradient(disc, v)
+    trial, decrease, blocked = _cut_move(disc, verdict, gradient, line_search, floor)
     if blocked:
         raise DegenerationBlocked(f"every step at vertex {v} degenerates its star")
     return (disc, 0.0) if trial is None else (trial, decrease)
@@ -413,10 +465,17 @@ def edge_length_area_gradient(
     ]
 
 
-def position_area_gradient(disc: PolyhedralDisc, v: int) -> np.ndarray:
-    """Exact gradient of total area with respect to the position of
-    ``v``: sum over incident triangles (v, a, b) of (a - b) x n / 2
-    with n the triangle's unit normal."""
+def _star_area(disc: PolyhedralDisc, v: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Area of the star of ``v`` with its gradient and Hessian in the
+    position x of ``v``.
+
+    An incident triangle (v, a, b) has normal n = (a - x) x (b - x)
+    = a x b + x x d with d = a - b, so the star area f = 1/2 sum |n| is
+    convex in x, with gradient 1/2 sum d x n^ (n^ = n / |n|) and Hessian
+    1/2 sum [d]x^T (I - n^ n^T) [d]x / |n|.  As d lies in the triangle's
+    plane, the Hessian term is |d|^2 / |n| n^ n^T: only moves off the
+    plane curve the triangle's area.
+    """
     cx, p = disc.complex, disc.positions
     faces = [cx.triangles[i] for i in cx.vertex_faces[v]]
     rotated = np.array([t[t.index(v):] + t[:t.index(v)] for t in faces], dtype=np.intp)
@@ -425,7 +484,18 @@ def position_area_gradient(disc: PolyhedralDisc, v: int) -> np.ndarray:
     norms = row_norms(n)
     if np.any(norms == 0.0):
         raise DegenerateTriangle(f"triangle {faces[int(np.argmin(norms))]} has zero area")
-    return 0.5 * np.cross(a - b, n / norms[:, None]).sum(axis=0)
+    d = a - b
+    unit = n / norms[:, None]
+    gradient = 0.5 * np.cross(d, unit).sum(axis=0)
+    hessian = 0.5 * (unit.T * (np.einsum("ij,ij->i", d, d) / norms)) @ unit
+    return 0.5 * float(norms.sum()), gradient, hessian
+
+
+def position_area_gradient(disc: PolyhedralDisc, v: int) -> np.ndarray:
+    """Exact gradient of total area with respect to the position of
+    ``v``: sum over incident triangles (v, a, b) of (a - b) x n / 2
+    with n the triangle's unit normal."""
+    return _star_area(disc, v)[1]
 
 
 # =====================================================================

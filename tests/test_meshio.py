@@ -11,6 +11,7 @@ from discmin import (
     loads_obj,
     make_tent,
     minimize,
+    position_area_gradient,
     random_instance,
     save_obj,
     vertex_descent_step,
@@ -166,8 +167,8 @@ def test_tent_gap_and_certificates(tent):
 
 
 def test_tent_regression_areas(tent):
-    # pinned behavior of the default scenario
-    assert abs(tent.fan_area - 1.4098490436200521) <= 1e-9
+    # pinned behavior of the default scenario: the fan apex at its star minimum
+    assert abs(tent.fan_area - 1.3995447658289197) <= 1e-9
     assert abs(tent.chord_area - 1.2688171960026104) <= 1e-9
 
 
@@ -183,6 +184,14 @@ def test_tent_apex_is_stalled(tent):
     out, decrease = vertex_descent_step(tent.fan_optimized, 12)
     assert decrease == 0.0
     assert np.array_equal(out.positions, tent.fan_optimized.positions)
+
+
+def test_tent_apex_rests_at_its_star_minimum(tent):
+    # stationary, yet still pinned non-saddle, and the chord still wins
+    assert np.linalg.norm(position_area_gradient(tent.fan_optimized, 12)) <= 1e-6
+    assert not tent.apex_verdict.is_saddle
+    assert tent.apex_verdict.margin > 0.7
+    assert tent.chord_area < tent.fan_area - 1e-6 * tent.fan_area
 
 
 def test_tent_chord_beats_restarted_fan(tent):

@@ -34,12 +34,14 @@ from discmin import (
     random_instance,
     vertex_descent_step,
 )
+from discmin import optimize
 from discmin.errors import (
     BudgetExceeded,
     DegenerateTriangle,
     DegenerationBlocked,
     NotCuttable,
 )
+from discmin.mesh import row_norms
 
 ASYM = dict(a=(0, 0, 0), b=(1, 1, 0), x=(0.6, 0.4, 0.3), y=(0, 1, 0))
 # six seeded perturbed grids and the 20 acceptance-c4 fans
@@ -130,6 +132,31 @@ def test_position_gradient_matches_face_loop_oracle(disc):
         assert np.linalg.norm(got - expected) <= 1e-14 * max(np.linalg.norm(expected), 1.0)
 
 
+@pytest.mark.parametrize("disc", GRIDS_AND_FANS, ids=GRIDS_AND_FANS_IDS)
+def test_star_hessian_matches_central_differences_of_the_gradient(disc):
+    p = disc.positions
+    for v in disc.complex.interior_vertices():
+        area, gradient, hessian = optimize._star_area(disc, v)
+        star = list(disc.complex.vertex_star(v))
+        h = 1e-5 * float(row_norms(p[star] - p[v]).min())
+        differences = np.empty((3, 3))
+        for k in range(3):
+            step = np.zeros(3)
+            step[k] = h
+            plus = position_area_gradient(disc.moved(v, p[v] + step), v)
+            minus = position_area_gradient(disc.moved(v, p[v] - step), v)
+            differences[:, k] = (plus - minus) / (2 * h)
+        assert np.linalg.norm(differences - hessian) <= 1e-8 * np.linalg.norm(hessian)
+        # convex: symmetric positive semidefinite up to roundoff
+        assert np.allclose(hessian, hessian.T, rtol=0.0, atol=1e-15 * np.abs(hessian).max())
+        eigenvalues = np.linalg.eigvalsh(hessian)
+        assert eigenvalues[0] >= -1e-12 * eigenvalues[-1]
+        # one implementation of the gradient, and the star's area
+        assert np.array_equal(gradient, position_area_gradient(disc, v))
+        faces = disc.complex.vertex_faces[v]
+        assert area == pytest.approx(sum(disc.triangle_area(f) for f in faces), rel=1e-12)
+
+
 def test_position_gradient_zero_area_face():
     # vertex 4 sits on the rim edge (0, 1), so triangle (0, 1, 4) is flat
     positions = np.array([[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0], [1, 0, 0]], dtype=float)
@@ -186,6 +213,28 @@ def test_vertex_descent_step_requires_non_saddle():
         vertex_descent_step(flat, 8)
     with pytest.raises(ValueError):
         vertex_descent_step(flat, 0)
+
+
+def test_vertex_descent_step_refuses_a_saddle_vertex_before_any_trial(monkeypatch):
+    trials = []
+    moved = PolyhedralDisc.moved
+
+    def counted(disc, v, point):
+        trials.append(v)
+        return moved(disc, v, point)
+
+    # a flat star, and a saddle star off its area minimum (nonzero gradient)
+    rim = regular_polygon(8)
+    rim[:, 2] = 0.3 * np.cos(2.0 * np.arctan2(rim[:, 1], rim[:, 0]))
+    saddle = PolyhedralDisc(fan_disc(8).complex, np.vstack([rim, [[0.05, 0.0, 0.1]]]))
+    assert np.linalg.norm(position_area_gradient(saddle, 8)) > 0.1
+    monkeypatch.setattr(PolyhedralDisc, "moved", counted)
+    for disc in (fan_disc(8, apex=(0.05, 0.0, 0.0)), saddle):
+        with pytest.raises(NotCuttable):
+            vertex_descent_step(disc, 8)
+    assert trials == []
+    vertex_descent_step(fan_disc(12, apex=(0.0, 0.0, 0.6)), 12)
+    assert trials
 
 
 def _refuse_every_move(disc, v, point):
@@ -435,6 +484,42 @@ def test_zero_eps_area_stops_a_stationary_run():
         areas = [trace.initial_area] + [rec.area for rec in trace.iterations]
         assert areas[-1] >= areas[-2]
     assert len(traces[0].iterations) == 1
+
+
+@pytest.mark.parametrize(
+    "size,seed,stalled_area",
+    # the areas steepest descent reached after about 2,570 iterations each
+    [(12, 94, 3.3928014833584372), (13, 392, 3.369200938026027)],
+)
+def test_heavy_tail_fans_converge_in_few_iterations(size, seed, stalled_area):
+    disc = random_instance(size, nonplanarity=0.3, seed=seed)
+    out, trace = minimize(disc)
+    assert trace.converged and trace.certificate.saddle
+    assert len(trace.iterations) < 100
+    assert trace.final_area <= stalled_area + 1e-9
+
+
+def test_gradient_fallback_moves_where_newton_trials_degenerate(monkeypatch):
+    # late in this run a star triangle sits at the degeneracy floor and
+    # every Newton trial pushes it below; steepest descent still moves
+    searches = []
+    vertex_move, line_search = optimize._vertex_move, optimize._line_search
+
+    def grouped_move(*args):
+        searches.append([])
+        return vertex_move(*args)
+
+    def logged_search(*args, **kwargs):
+        trial, _, blocked = result = line_search(*args, **kwargs)
+        searches[-1].append((kwargs.get("shorten", False), trial is not None, blocked))
+        return result
+
+    monkeypatch.setattr(optimize, "_vertex_move", grouped_move)
+    monkeypatch.setattr(optimize, "_line_search", logged_search)
+    disc = perturbed_grid_disc(5, seed=8, subdivisions=1)
+    minimize(disc, OptimizerConfig(max_outer_iterations=21, rng_seed=8))
+    # a Newton search whose every trial degenerated, then an applied gradient move
+    assert [(False, False, True), (False, True, False)] in searches
 
 
 def test_minimize_iteration_limit():
