@@ -34,7 +34,7 @@ from .errors import (
     NotAViolation,
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, build_from_triangles, edge_key
-from .mesh import _directed_edges, angle_rows, area_rows, row_norms
+from .mesh import _directed_edges, angle_rows, area_rows, canonical_triangle, cross_rows, row_norms
 
 
 # =====================================================================
@@ -157,6 +157,64 @@ def can_flip(disc: PolyhedralDisc, edge) -> FlipCheck:
     return FlipCheck(True, None)
 
 
+def _flip_edit(
+    triangles: list[Triangle], edge_faces: dict[Edge, tuple[int, ...]], edge: Edge,
+    positions: np.ndarray, floor: float,
+) -> tuple[int, int]:
+    """Flip the interior hinge ``edge`` (a sorted key) in mutable tables.
+
+    The triangles abx, aby become axy, bxy in the same two slots,
+    oriented like the surrounding complex and rotated the way
+    ``build_from_triangles`` stores them.  ``edge_faces`` loses the
+    hinge, gains the diagonal and moves the two quad sides that change
+    face; every face tuple stays ascending.  Returns the opposite
+    vertices (x, y) in face-index order.
+
+    Raises FlipForbidden when x and y are already joined, and
+    DegenerateTriangle when a new triangle's area falls below
+    ``floor``; a refused flip edits nothing.
+    """
+    a, b = edge
+    faces = edge_faces[edge]
+    x, y = (sum(triangles[f]) - a - b for f in faces)  # the third vertex of each face
+    if edge_key(x, y) in edge_faces:
+        raise FlipForbidden(f"flip of {edge}: OppositeVerticesAdjacent")
+    forward, backward = faces
+    p, q = x, y
+    # The face traversing a -> b contributes p, the other one q; that
+    # choice makes the replacements (p, a, q), (q, b, p) match the
+    # orientation of the surrounding complex.
+    if (a, b) not in _directed_edges(triangles[forward]):
+        forward, backward, p, q = backward, forward, y, x
+    new = (canonical_triangle((p, a, q)), canonical_triangle((q, b, p)))
+    corners = positions[np.array(new, dtype=np.intp)]
+    areas = area_rows(corners[:, 0], corners[:, 1], corners[:, 2])
+    if np.any(areas < floor):
+        worst = int(np.argmin(areas))
+        raise DegenerateTriangle(
+            f"flip of {edge}: triangle {new[worst]} has area {areas[worst]:.6e}, "
+            f"below the floor {floor:.6e}"
+        )
+    triangles[forward], triangles[backward] = new
+    del edge_faces[edge]
+    edge_faces[edge_key(x, y)] = faces
+    # (b, p) leaves the forward face for the backward one, (a, q) the reverse.
+    for side, left, joined in ((edge_key(b, p), forward, backward),
+                               (edge_key(a, q), backward, forward)):
+        edge_faces[side] = tuple(sorted(joined if f == left else f for f in edge_faces[side]))
+    return x, y
+
+
+def _rebuilt(disc: PolyhedralDisc, triangles: list[Triangle], what: str) -> PolyhedralDisc:
+    """``disc`` with its triangles replaced by the edited ``triangles``,
+    validated by ``build_from_triangles``; raises InvariantViolation if
+    the complex has another boundary cycle (a defect, never expected)."""
+    new_complex = build_from_triangles(triangles)
+    if new_complex.boundary_cycle != disc.complex.boundary_cycle:
+        raise InvariantViolation(f"{what} changed the boundary cycle")
+    return PolyhedralDisc(new_complex, disc.positions, disc.eps_deg)
+
+
 def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
     """Replace the hinge triangles abx, aby by axy, bxy.
 
@@ -169,22 +227,11 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
     complex has another boundary cycle (a defect, never expected).
     """
     cx = disc.complex
-    a, b, x, y = _hinge_vertices(disc, edge)
-    if edge_key(x, y) in cx.edge_faces:
-        raise FlipForbidden(f"flip of {(a, b)}: OppositeVerticesAdjacent")
-    forward, backward = cx.edge_faces[(a, b)]
-    # The face traversing a -> b contributes x, the other one y; that
-    # choice makes the replacements (x, a, y), (y, b, x) match the
-    # orientation of the surrounding complex.
-    if (a, b) not in _directed_edges(cx.triangles[forward]):
-        forward, backward, x, y = backward, forward, y, x
-    new_tris = list(cx.triangles)
-    new_tris[forward] = (x, a, y)
-    new_tris[backward] = (y, b, x)
-    new_complex = build_from_triangles(new_tris)
-    if new_complex.boundary_cycle != cx.boundary_cycle:
-        raise InvariantViolation(f"flip of {(a, b)} changed the boundary cycle")
-    return PolyhedralDisc(new_complex, disc.positions, disc.eps_deg)
+    a, b, _, _ = _hinge_vertices(disc, edge)
+    triangles = list(cx.triangles)
+    floor = disc.eps_deg * disc.diameter * disc.diameter
+    _flip_edit(triangles, dict(cx.edge_faces), (a, b), disc.positions, floor)
+    return _rebuilt(disc, triangles, f"flip of {(a, b)}")
 
 
 def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
@@ -203,7 +250,7 @@ def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
     det = float(np.linalg.det(np.stack([pts[2] - pts[0], pts[1] - pts[0], pts[3] - pts[0]])))
     if abs(det) > tol * scale**3:
         return False
-    normal = np.cross(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
+    normal = cross_rows(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
     norm = float(row_norms(normal))
     if norm == 0.0:
         return False
@@ -212,7 +259,7 @@ def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
     if np.any(lengths == 0.0):
         return False
     unit = sides / lengths[:, None]
-    turns = np.cross(unit, np.roll(unit, -1, axis=0)) @ (normal / norm)
+    turns = cross_rows(unit, np.roll(unit, -1, axis=0)) @ (normal / norm)
     return not np.any(turns < -tol)
 
 

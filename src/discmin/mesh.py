@@ -82,15 +82,34 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.linalg.norm(v, axis=-1)
 
 
+def cross_rows(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Cross products of stacked float 3-vectors (last axis), broadcast.
+
+    Written out in components with the products and differences
+    ``np.cross`` forms, into a C-ordered array as ``np.cross`` returns,
+    so the two agree bit for bit, sums over rows included; this form
+    takes a dozen numpy calls where ``np.cross`` spends most of its
+    time handling axes.
+    """
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    first = u1 * w2 - u2 * w1
+    out = np.empty(np.shape(first) + (3,))
+    out[..., 0] = first
+    out[..., 1] = u2 * w0 - u0 * w2
+    out[..., 2] = u0 * w1 - u1 * w0
+    return out
+
+
 def angle_rows(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Angles between stacked vectors ``u`` and ``w`` (last axis)."""
     # Numerically stable for tiny and near-pi angles alike.
-    return np.arctan2(row_norms(np.cross(u, w)), np.einsum("...i,...i->...", u, w))
+    return np.arctan2(row_norms(cross_rows(u, w)), np.einsum("...i,...i->...", u, w))
 
 
 def area_rows(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Areas of the stacked triangles with corners ``p0``, ``p1``, ``p2``."""
-    return 0.5 * row_norms(np.cross(p1 - p0, p2 - p0))
+    return 0.5 * row_norms(cross_rows(p1 - p0, p2 - p0))
 
 
 def triangle_areas(positions: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -115,7 +134,8 @@ class DiscComplex:
 
     Do not construct directly; use :func:`build_from_triangles`.
     Triangles are stored in input order, rotated so the smallest vertex
-    comes first, and are consistently oriented.  The boundary cycle is
+    comes first, and are consistently oriented; ``triangle_array`` holds
+    them once more as a read-only (F, 3) index array.  The boundary cycle is
     directed the way the oriented triangles induce it and starts at the
     smallest boundary vertex.
     """
@@ -127,6 +147,7 @@ class DiscComplex:
     edge_faces: dict[Edge, tuple[int, ...]] = field(compare=False, repr=False)
     vertex_faces: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
     boundary_vertices: frozenset[int] = field(compare=False, repr=False)
+    triangle_array: np.ndarray = field(compare=False, repr=False)
 
     # -- basic queries -------------------------------------------------
 
@@ -306,6 +327,8 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
         raise NonManifoldEdge(f"orientation conflict across edge {conflict}")
 
     triangles = tuple(canonical_triangle(t) for t in oriented)
+    triangle_array = np.array(triangles, dtype=np.intp)
+    triangle_array.setflags(write=False)
 
     vertex_faces: dict[int, list[int]] = {v: [] for v in range(vertex_count)}
     for i, t in enumerate(triangles):
@@ -320,6 +343,7 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
         edge_faces={e: tuple(f) for e, f in edge_faces.items()},
         vertex_faces={v: tuple(f) for v, f in vertex_faces.items()},
         boundary_vertices=frozenset(cycle),
+        triangle_array=triangle_array,
     )
 
 
@@ -356,7 +380,7 @@ class PolyhedralDisc:
         span = pos.max(axis=0) - pos.min(axis=0)
         diameter = float(np.linalg.norm(span))
         object.__setattr__(self, "_diameter", diameter)
-        areas = triangle_areas(pos, np.array(self.complex.triangles, dtype=np.intp))
+        areas = triangle_areas(pos, self.complex.triangle_array)
         floor = self.eps_deg * diameter * diameter
         if diameter <= 0.0 or np.any(areas < floor):
             worst = int(np.argmin(areas))

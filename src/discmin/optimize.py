@@ -4,7 +4,9 @@ Each outer iteration runs three passes:
 
 1. fan reductions: cut along empty triangles while any can be cut;
 2. flips: flip hinges whose adjacent angle sum is below pi, first
-   eligible edge in sorted order, rescanning after every flip;
+   eligible edge in sorted order after every flip, on a mutable
+   triangle list and edge -> faces table; each flip re-measures only
+   the hinges it touched, and the disc is validated once per pass;
 3. vertex sweep: for every interior vertex in ascending order, a damped
    Newton step on the star area, which is convex in the vertex; where
    no trial of it lowers the area by more than ``eps_area``, the cut
@@ -54,8 +56,8 @@ from .errors import (
     NotAViolation,
     NotCuttable,
 )
-from .flips import FanReduction, _opposite_vertices, bulk_hinges, flip, reduce_fan
-from .mesh import PolyhedralDisc, area_rows, edge_key, row_norms
+from .flips import FanReduction, _flip_edit, _opposite_vertices, _rebuilt, bulk_hinges, reduce_fan
+from .mesh import PolyhedralDisc, area_rows, cross_rows, edge_key, row_norms
 from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdict, certify_saddle
 
 
@@ -271,38 +273,56 @@ def flip_pass(
 ) -> FlipPassResult:
     """Flip hinges with sigma < pi - eps_flip until none remain.
 
-    Measures every interior hinge with one ``bulk_hinges`` call, flips
-    the first eligible edge in sorted order and rescans after every
-    flip.  Each flip strictly decreases area, so the pass terminates;
-    ``cap`` (default 100 edges' worth) is a safety stop.  Flips that
-    ``flip`` refuses (opposite vertices already joined, or a triangle
-    that would degenerate) are skipped.
+    Works on plain tables: the triangle list, the edge -> faces map and
+    the sigma and gain of every interior hinge, measured with one
+    ``bulk_hinges`` call.  After each flip only the hinges it touched,
+    the new diagonal and the interior quad sides, are re-measured, in
+    one more call.  The first eligible edge in sorted order is flipped
+    each time.  Each flip strictly decreases area, so the pass
+    terminates; ``cap`` (default 100 edges' worth) is a safety stop.
+    Flips that ``flips.flip`` would refuse (opposite vertices already
+    joined, or a new triangle below the area floor) are skipped.  The
+    edited triangles are validated once, at the end, into the returned
+    disc.
     """
+    cx, p = disc.complex, disc.positions
     if cap is None:
-        cap = 100 * len(disc.complex.edges)
+        cap = 100 * len(cx.edges)
+    triangles = list(cx.triangles)
+    edge_faces = dict(cx.edge_faces)
+    floor = disc.eps_deg * disc.diameter * disc.diameter
+    threshold = np.pi - eps_flip
+    hinges: dict[tuple[int, int], tuple[float, float]] = {}
+
+    def measure(edges) -> None:
+        # the opposite vertices in face-index order, as _opposite_vertices gives them
+        rows = [(*e, *(sum(triangles[f]) - sum(e) for f in edge_faces[e]))
+                for e in edges if len(edge_faces[e]) == 2]
+        if rows:
+            stacked = np.array(rows, dtype=np.intp)
+            sigma, gain = bulk_hinges(*(p[stacked[:, k]] for k in range(4)))
+            hinges.update(zip((r[:2] for r in rows), zip(sigma.tolist(), gain.tolist())))
+
+    measure(cx.edges)
     records: list[FlipRecord] = []
     cap_exceeded = False
     while True:
         if len(records) >= cap:
             cap_exceeded = True
             break
-        cx, p = disc.complex, disc.positions
-        edges = cx.interior_edges()
-        hinges = [(*e, *_opposite_vertices(cx, e)[1]) for e in edges]
-        hinges = np.array(hinges, dtype=np.intp).reshape(-1, 4)
-        sigma, gain = bulk_hinges(*(p[hinges[:, k]] for k in range(4)))
-        progressed = False
-        for k in np.flatnonzero(sigma < np.pi - eps_flip):
-            e = edges[k]
+        for e in sorted(h for h, (sigma, _) in hinges.items() if sigma < threshold):
             try:
-                disc = flip(disc, e)
+                x, y = _flip_edit(triangles, edge_faces, e, p, floor)
             except (FlipForbidden, DegenerateTriangle):
                 continue
-            records.append(FlipRecord(e, float(sigma[k]), float(gain[k])))
-            progressed = True
+            records.append(FlipRecord(e, *hinges.pop(e)))
+            a, b = e
+            measure([edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))])
             break
-        if not progressed:
+        else:
             break
+    if records:
+        disc = _rebuilt(disc, triangles, f"flip pass of {len(records)} flips")
     return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
 
 
@@ -480,13 +500,13 @@ def _star_area(disc: PolyhedralDisc, v: int) -> tuple[float, np.ndarray, np.ndar
     faces = [cx.triangles[i] for i in cx.vertex_faces[v]]
     rotated = np.array([t[t.index(v):] + t[:t.index(v)] for t in faces], dtype=np.intp)
     a, b = p[rotated[:, 1]], p[rotated[:, 2]]
-    n = np.cross(a - p[v], b - p[v])
+    n = cross_rows(a - p[v], b - p[v])
     norms = row_norms(n)
     if np.any(norms == 0.0):
         raise DegenerateTriangle(f"triangle {faces[int(np.argmin(norms))]} has zero area")
     d = a - b
     unit = n / norms[:, None]
-    gradient = 0.5 * np.cross(d, unit).sum(axis=0)
+    gradient = 0.5 * cross_rows(d, unit).sum(axis=0)
     hessian = 0.5 * (unit.T * (np.einsum("ij,ij->i", d, d) / norms)) @ unit
     return 0.5 * float(norms.sum()), gradient, hessian
 

@@ -11,8 +11,10 @@ from itertools import combinations
 import numpy as np
 
 from discmin import PolyhedralDisc, build_from_triangles, edge_key
-from discmin.errors import CycleBoundsBoundary, DegenerateTriangle
+from discmin.errors import CycleBoundsBoundary, DegenerateTriangle, FlipForbidden
+from discmin.flips import _opposite_vertices, bulk_hinges, flip
 from discmin.mesh import row_norms
+from discmin.optimize import FlipPassResult, FlipRecord
 
 
 # ---------------------------------------------------------------------
@@ -87,6 +89,38 @@ def flat_convex_quad_by_corners(a, b, x, y, tol: float = 1e-6) -> bool:
         if float(np.cross(u / nu, w / nw) @ normal) < -tol:
             return False
     return True
+
+
+def flip_pass_by_rebuild(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None) -> FlipPassResult:
+    """Oracle for ``flip_pass``: rescan every interior hinge with one
+    ``bulk_hinges`` call and rebuild and validate the whole disc through
+    ``flip`` after each flip, instead of editing tables in place."""
+    if cap is None:
+        cap = 100 * len(disc.complex.edges)
+    records = []
+    cap_exceeded = False
+    while True:
+        if len(records) >= cap:
+            cap_exceeded = True
+            break
+        cx, p = disc.complex, disc.positions
+        edges = cx.interior_edges()
+        hinges = [(*e, *_opposite_vertices(cx, e)[1]) for e in edges]
+        hinges = np.array(hinges, dtype=np.intp).reshape(-1, 4)
+        sigma, gain = bulk_hinges(*(p[hinges[:, k]] for k in range(4)))
+        progressed = False
+        for k in np.flatnonzero(sigma < np.pi - eps_flip):
+            e = edges[k]
+            try:
+                disc = flip(disc, e)
+            except (FlipForbidden, DegenerateTriangle):
+                continue
+            records.append(FlipRecord(e, float(sigma[k]), float(gain[k])))
+            progressed = True
+            break
+        if not progressed:
+            break
+    return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
 
 
 def min_norm_point_by_enumeration(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,6 +283,35 @@ def perturbed_grid_disc(
         triangles[k] = (a, b, m)
         triangles += [(b, c, m), (c, a, m)]
     return PolyhedralDisc(build_from_triangles(triangles), positions)
+
+
+def saddle_grid_disc(n: int, rng) -> PolyhedralDisc:
+    """The benchmark's grid disc: an (n+1) x (n+1) grid on [-1, 1]^2 at
+    height 0.3 (x^2 - y^2), interior heights shifted by up to 0.1, and
+    six seeded triangles stellar-subdivided with a centre lifted half a
+    cell to a cell.  ``rng = np.random.default_rng([0, n])`` gives the
+    grid workload's disc at seed 0."""
+    xs = np.linspace(-1.0, 1.0, n + 1)
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    z = 0.3 * (x * x - y * y)
+    z[1:-1, 1:-1] += rng.uniform(-0.1, 0.1, (n - 1, n - 1))
+    positions = [p for p in np.stack([x, y, z], axis=-1).reshape(-1, 3)]
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            v00 = i * (n + 1) + j
+            v10 = v00 + n + 1
+            triangles += [(v00, v10, v10 + 1), (v00, v10 + 1, v00 + 1)]
+    cell = 2.0 / n
+    for t in sorted(rng.choice(len(triangles), 6, replace=False)):
+        a, b, c = triangles[t]
+        centre = (positions[a] + positions[b] + positions[c]) / 3.0
+        centre[2] += rng.uniform(0.5, 1.0) * cell
+        m = len(positions)
+        positions.append(centre)
+        triangles[t] = (a, b, m)
+        triangles += [(b, c, m), (c, a, m)]
+    return PolyhedralDisc(build_from_triangles(triangles), np.array(positions))
 
 
 def wheel_disc(degree: int, rng, height: float = 0.3) -> PolyhedralDisc:

@@ -20,6 +20,7 @@ from discmin import (
     canonical_triangle,
     edge_key,
 )
+from discmin.mesh import cross_rows
 from discmin.errors import (
     DegenerateTriangle,
     DisconnectedComplex,
@@ -297,6 +298,39 @@ def test_position_validation():
     # the largest accepted coordinates keep lengths and areas finite
     disc = PolyhedralDisc(cx, np.array([[-1e75, -1e75, 1e75], [1e75, 0, -1e75], [0, 1e75, 0]]))
     assert np.isfinite(disc.total_area())
+
+
+def _special_rows(rng, n):
+    """Seeded rows mixing ordinary values with +-0, subnormals and
+    components of size up to 1e75."""
+    rows = rng.normal(size=(n, 3))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e75, -1e75, 3e74])
+    mask = rng.random((n, 3)) < 0.4
+    rows[mask] = rng.choice(special, mask.sum())
+    scale = rng.choice([1.0, 1e-300, 1e70], (n, 1))
+    return rows * scale
+
+
+def test_cross_rows_matches_numpy_cross():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 7, 12, 140):
+        u, w = _special_rows(rng, n), _special_rows(rng, n)
+        for a, b in ((u, w), (u[0], w[0]), (u[0], w), (u, w[-1])):
+            got, want = cross_rows(a, b), np.cross(a, b)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            # bit for bit: the signs of zeros and the subnormals too
+            assert got.tobytes() == want.tobytes()
+            # the same C layout, so sums over rows run in the same order
+            assert got.strides == want.strides
+            assert got.sum(axis=0).tobytes() == want.sum(axis=0).tobytes()
+
+
+def test_triangle_array_is_a_read_only_copy_of_the_triangles():
+    cx = perturbed_grid_disc(4, seed=2, subdivisions=3).complex
+    assert cx.triangle_array.dtype == np.intp
+    assert [tuple(t) for t in cx.triangle_array.tolist()] == list(cx.triangles)
+    with pytest.raises(ValueError):
+        cx.triangle_array[0, 0] = 1
 
 
 def test_positions_read_only():

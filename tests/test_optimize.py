@@ -9,12 +9,14 @@ from conftest import (
     angle_between,
     double_interior_disc,
     fan_disc,
+    flip_pass_by_rebuild,
     hexagon_with_violation,
     hinge_disc,
     perturbed_grid_disc,
     position_gradient_by_faces,
     random_rotation,
     regular_polygon,
+    saddle_grid_disc,
     shoelace,
 )
 from discmin import (
@@ -34,11 +36,12 @@ from discmin import (
     random_instance,
     vertex_descent_step,
 )
-from discmin import optimize
+from discmin import flips, optimize
 from discmin.errors import (
     BudgetExceeded,
     DegenerateTriangle,
     DegenerationBlocked,
+    FlipForbidden,
     NotCuttable,
 )
 from discmin.mesh import row_norms
@@ -336,6 +339,113 @@ def test_flip_pass_cap():
     result = flip_pass(hinge_disc(**ASYM), cap=0)
     assert result.cap_exceeded
     assert result.flips == ()
+
+
+def assert_flip_pass_matches_rebuild(disc, **kwargs):
+    """``flip_pass`` against ``flip_pass_by_rebuild``: the same triangles,
+    boundary cycle and cap flag, and the same records with sigma and
+    gain equal bit for bit."""
+    result, expected = flip_pass(disc, **kwargs), flip_pass_by_rebuild(disc, **kwargs)
+    assert result.disc.complex.triangles == expected.disc.complex.triangles
+    assert result.disc.complex.boundary_cycle == expected.disc.complex.boundary_cycle
+    assert result.cap_exceeded == expected.cap_exceeded
+
+    def bits(records):
+        return [(r.edge, r.sigma.hex(), r.area_decrease.hex()) for r in records]
+
+    assert bits(result.flips) == bits(expected.flips)
+    return result
+
+
+def degenerate_refusal_disc():
+    """Five triangles whose hinge (0, 1) closes (sigma near 0) over the
+    collinear points 0, 2, 3: its flip would make the zero-area triangle
+    (0, 2, 3) and is refused before and after the flip of (4, 5)."""
+    positions = np.array([
+        [0, 0, 0], [3, 0.01, 0], [1, 0, 0], [2, 0, 0],
+        [0.6, 3.7, -2.0], [3.6, -0.8, 0.0], [2.8, -0.1, 0.8],
+    ])
+    triangles = [(0, 1, 2), (1, 0, 3), (1, 3, 4), (1, 4, 5), (4, 6, 5)]
+    return PolyhedralDisc(build_from_triangles(triangles), positions)
+
+
+def _log_flip_edits(monkeypatch):
+    """Log each flip ``flip_pass`` attempts: "f" applied, "F" refused
+    with FlipForbidden, "D" with DegenerateTriangle."""
+    log = []
+
+    def logged(*args):
+        try:
+            out = flips._flip_edit(*args)
+        except FlipForbidden:
+            log.append("F")
+            raise
+        except DegenerateTriangle:
+            log.append("D")
+            raise
+        log.append("f")
+        return out
+
+    monkeypatch.setattr(optimize, "_flip_edit", logged)
+    return log
+
+
+def _check_passes_of_minimize(monkeypatch, disc, config):
+    """Run ``minimize`` checking every flip pass it makes against the
+    oracle; returns the number of flips."""
+    flipped = []
+
+    def checked(d, eps_flip=1e-9, cap=None):
+        result = assert_flip_pass_matches_rebuild(d, eps_flip=eps_flip, cap=cap)
+        flipped.append(len(result.flips))
+        return result
+
+    monkeypatch.setattr(optimize, "flip_pass", checked)
+    minimize(disc, config)
+    monkeypatch.undo()
+    return sum(flipped)
+
+
+C4_FANS = GRIDS_AND_FANS[6:]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["grid-n4", "grid-n6", "grid-n8", "perturbed-grids", "c4-fans", "forbidden-mid-pass",
+     "degenerate-mid-pass", "cap-1", "cap-3"],
+)
+def test_flip_pass_matches_rebuild_oracle(case, monkeypatch):
+    if case.startswith("grid-n"):
+        # the grid workload at seed 0: the disc, then every pass of its run
+        n = int(case[-1])
+        disc = saddle_grid_disc(n, np.random.default_rng([0, n]))
+        assert assert_flip_pass_matches_rebuild(disc).flips
+        flipped = _check_passes_of_minimize(
+            monkeypatch, disc, OptimizerConfig(max_outer_iterations=12))
+        assert flipped >= 20
+    elif case == "perturbed-grids":
+        for s in range(6):
+            disc = perturbed_grid_disc(4 + s % 3, seed=s, subdivisions=s % 4)
+            assert assert_flip_pass_matches_rebuild(disc).flips
+    elif case == "c4-fans":
+        flipped = sum(len(assert_flip_pass_matches_rebuild(d).flips) for d in C4_FANS)
+        flipped += sum(_check_passes_of_minimize(monkeypatch, d, None) for d in C4_FANS)
+        assert flipped >= 100
+    elif case == "forbidden-mid-pass":
+        log = _log_flip_edits(monkeypatch)
+        assert_flip_pass_matches_rebuild(perturbed_grid_disc(4, seed=0, subdivisions=3))
+        assert "Ff" in "".join(log)
+    elif case == "degenerate-mid-pass":
+        log = _log_flip_edits(monkeypatch)
+        result = assert_flip_pass_matches_rebuild(degenerate_refusal_disc())
+        assert "".join(log) == "DfD"
+        assert [r.edge for r in result.flips] == [(4, 5)]
+    else:
+        cap = int(case[-1])
+        for disc in (saddle_grid_disc(8, np.random.default_rng([0, 8])),
+                     perturbed_grid_disc(5, seed=1, subdivisions=2)):
+            result = assert_flip_pass_matches_rebuild(disc, cap=cap)
+            assert result.cap_exceeded and len(result.flips) == cap
 
 
 def test_config_round_trip():
