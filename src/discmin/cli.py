@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DiscminError
+from .flips import flip_pass
 from .meshio import load_obj, make_tent, save_obj
-from .optimize import OptimizerConfig, _check_tolerance, flip_pass, minimize
+from .optimize import OptimizerConfig, _check_tolerance, minimize
 from .quad import QuadSpec, alpha_range, area_curve
 from .saddle import certify_saddle
 

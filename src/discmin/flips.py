@@ -17,6 +17,9 @@ pairwise adjacent vertices spanning no face.  The region the cycle
 encloses is deleted and the flat triangle put in its place, which
 never increases area either (project the region onto the triangle's
 plane).
+
+Every edit of the triangle list lives here: ``flip`` and ``flip_pass``
+share one table edit, and flips and reductions one rebuild check.
 """
 
 from __future__ import annotations
@@ -102,13 +105,18 @@ def hinge_from_points(a, b, x, y) -> HingeMeasurement:
     )
 
 
+def _opposite(triangles, edge_faces, edge: Edge) -> tuple[int, ...]:
+    """The vertex opposite the sorted ``edge`` in each of its faces, in face-index order."""
+    return tuple(sum(triangles[f]) - sum(edge) for f in edge_faces[edge])
+
+
 def _opposite_vertices(cx: DiscComplex, edge) -> tuple[Edge, tuple[int, ...]]:
-    """The sorted edge and the vertex opposite it in each incident face,
-    in face-index order: one vertex for a boundary edge, two otherwise."""
+    """The sorted edge and its opposite vertices: one for a boundary
+    edge, two otherwise."""
     e = edge_key(*edge)
     if e not in cx.edge_faces:
         raise ValueError(f"{e} is not an edge of the complex")
-    return e, tuple(next(v for v in cx.triangles[f] if v not in e) for f in cx.edge_faces[e])
+    return e, _opposite(cx.triangles, cx.edge_faces, e)
 
 
 def _hinge_vertices(disc: PolyhedralDisc, edge) -> tuple[int, int, int, int]:
@@ -176,7 +184,7 @@ def _flip_edit(
     """
     a, b = edge
     faces = edge_faces[edge]
-    x, y = (sum(triangles[f]) - a - b for f in faces)  # the third vertex of each face
+    x, y = _opposite(triangles, edge_faces, edge)
     if edge_key(x, y) in edge_faces:
         raise FlipForbidden(f"flip of {edge}: OppositeVerticesAdjacent")
     forward, backward = faces
@@ -205,14 +213,23 @@ def _flip_edit(
     return x, y
 
 
-def _rebuilt(disc: PolyhedralDisc, triangles: list[Triangle], what: str) -> PolyhedralDisc:
+def _rebuilt(
+    disc: PolyhedralDisc, triangles: list[Triangle], what: str, vertex_map: dict | None = None
+) -> PolyhedralDisc:
     """``disc`` with its triangles replaced by the edited ``triangles``,
-    validated by ``build_from_triangles``; raises InvariantViolation if
-    the complex has another boundary cycle (a defect, never expected)."""
+    renumbered by ``vertex_map`` (kept old ids, ascending, to new ones)
+    if given, and validated by ``build_from_triangles``; raises
+    InvariantViolation if the boundary cycle changed (a defect, never
+    expected).  The one check of every topology edit."""
+    cycle, positions = disc.complex.boundary_cycle, disc.positions
+    if vertex_map is not None:
+        triangles = [tuple(vertex_map[v] for v in t) for t in triangles]
+        cycle = tuple(vertex_map.get(v) for v in cycle)
+        positions = positions[list(vertex_map)]
     new_complex = build_from_triangles(triangles)
-    if new_complex.boundary_cycle != disc.complex.boundary_cycle:
+    if new_complex.boundary_cycle != cycle:
         raise InvariantViolation(f"{what} changed the boundary cycle")
-    return PolyhedralDisc(new_complex, disc.positions, disc.eps_deg)
+    return PolyhedralDisc(new_complex, positions, disc.eps_deg)
 
 
 def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
@@ -232,6 +249,76 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
     floor = disc.eps_deg * disc.diameter * disc.diameter
     _flip_edit(triangles, dict(cx.edge_faces), (a, b), disc.positions, floor)
     return _rebuilt(disc, triangles, f"flip of {(a, b)}")
+
+
+@dataclass(frozen=True)
+class FlipRecord:
+    edge: tuple[int, int]
+    sigma: float
+    area_decrease: float
+
+
+@dataclass(frozen=True, eq=False)
+class FlipPassResult:
+    disc: PolyhedralDisc
+    flips: tuple[FlipRecord, ...]
+    cap_exceeded: bool
+
+
+def flip_pass(
+    disc: PolyhedralDisc, eps_flip: float = 1e-9, cap: int | None = None
+) -> FlipPassResult:
+    """Flip hinges with sigma < pi - eps_flip until none remain.
+
+    Works on plain tables: the triangle list, the edge -> faces map and
+    the sigma and gain of every interior hinge, measured with one
+    ``bulk_hinges`` call.  After each flip only the hinges it touched,
+    the new diagonal and the interior quad sides, are re-measured, in
+    one more call.  The first eligible edge in sorted order is flipped
+    each time.  Each flip strictly decreases area, so the pass
+    terminates; ``cap`` (default 100 edges' worth) is a safety stop.
+    Flips that ``flip`` would refuse (opposite vertices already joined,
+    or a new triangle below the area floor) are skipped.  The edited
+    triangles are validated once, at the end, into the returned disc.
+    """
+    cx, p = disc.complex, disc.positions
+    if cap is None:
+        cap = 100 * len(cx.edges)
+    triangles = list(cx.triangles)
+    edge_faces = dict(cx.edge_faces)
+    floor = disc.eps_deg * disc.diameter * disc.diameter
+    threshold = np.pi - eps_flip
+    hinges: dict[Edge, tuple[float, float]] = {}
+
+    def measure(edges) -> None:
+        rows = [(*e, *_opposite(triangles, edge_faces, e))
+                for e in edges if len(edge_faces[e]) == 2]
+        if rows:
+            stacked = np.array(rows, dtype=np.intp)
+            sigma, gain = bulk_hinges(*(p[stacked[:, k]] for k in range(4)))
+            hinges.update(zip((r[:2] for r in rows), zip(sigma.tolist(), gain.tolist())))
+
+    measure(cx.edges)
+    records: list[FlipRecord] = []
+    cap_exceeded = False
+    while True:
+        if len(records) >= cap:
+            cap_exceeded = True
+            break
+        for e in sorted(h for h, (sigma, _) in hinges.items() if sigma < threshold):
+            try:
+                x, y = _flip_edit(triangles, edge_faces, e, p, floor)
+            except (FlipForbidden, DegenerateTriangle):
+                continue
+            records.append(FlipRecord(e, *hinges.pop(e)))
+            a, b = e
+            measure([edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))])
+            break
+        else:
+            break
+    if records:
+        disc = _rebuilt(disc, triangles, f"flip pass of {len(records)} flips")
+    return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
 
 
 def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
@@ -315,13 +402,12 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
         faces, or not exactly one side qualifies.  Unreachable for
         genuine violations of a valid disc; kept as a defensive check.
     InvariantViolation
-        The reduced disc has more area than the input (a defect, never
-        expected).
+        The reduced disc has another boundary cycle, or more area than
+        the input (a defect, never expected).
     """
-    t = tuple(int(v) for v in triple)
+    t = tuple(sorted(int(v) for v in triple))
     if len(t) != 3 or len(set(t)) != 3:
         raise ValueError(f"{triple!r} is not a triple of distinct vertices")
-    t = tuple(sorted(t))
     cx = disc.complex
     if max(t) >= cx.vertex_count:
         raise NotAViolation(f"{t} contains ids outside the complex")
@@ -339,8 +425,6 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
         # The cycle is the whole boundary; everything gets replaced.
         # Reusing the stored cycle keeps its direction.
         new_tris = [cx.boundary_cycle]
-        keep = sorted(t)
-        removed_faces = len(cx.triangles)
     else:
         cut = set(cycle_edges) - cycle_boundary
         inner = []
@@ -366,15 +450,11 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
                 f"({len(inner)} of the two sides of {min(cut)} qualify)"
             )
         (enclosed,) = inner
-        new_tris = [tri for i, tri in enumerate(cx.triangles) if i not in enclosed]
-        removed_faces = len(cx.triangles) - len(new_tris)
-        new_tris.append(t)
-        keep = sorted({v for tri in new_tris for v in tri})
+        new_tris = [tri for i, tri in enumerate(cx.triangles) if i not in enclosed] + [t]
 
+    keep = sorted({v for tri in new_tris for v in tri})
     vertex_map = {old: new for new, old in enumerate(keep)}
-    renumbered = [tuple(vertex_map[v] for v in tri) for tri in new_tris]
-    new_complex = build_from_triangles(renumbered)
-    new_disc = PolyhedralDisc(new_complex, disc.positions[keep], disc.eps_deg)
+    new_disc = _rebuilt(disc, new_tris, f"fan reduction along {t}", vertex_map)
 
     area_after = new_disc.total_area()
     decrease = area_before - area_after
@@ -385,7 +465,7 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
 
     record = FanReduction(
         triple=t,
-        removed_triangles=removed_faces,
+        removed_triangles=len(cx.triangles) + 1 - len(new_tris),
         removed_vertices=cx.vertex_count - len(keep),
         area_before=area_before,
         area_after=area_after,

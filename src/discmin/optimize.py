@@ -3,10 +3,8 @@
 Each outer iteration runs three passes:
 
 1. fan reductions: cut along empty triangles while any can be cut;
-2. flips: flip hinges whose adjacent angle sum is below pi, first
-   eligible edge in sorted order after every flip, on a mutable
-   triangle list and edge -> faces table; each flip re-measures only
-   the hinges it touched, and the disc is validated once per pass;
+2. flips: ``flips.flip_pass`` flips hinges whose adjacent angle sum is
+   below pi, first eligible edge in sorted order after every flip;
 3. vertex sweep: for every interior vertex in ascending order, a damped
    Newton step on the star area, which is convex in the vertex; where
    no trial of it lowers the area by more than ``eps_area``, the cut
@@ -52,11 +50,11 @@ from .errors import (
     CycleBoundsBoundary,
     DegenerateTriangle,
     DegenerationBlocked,
-    FlipForbidden,
     NotAViolation,
     NotCuttable,
 )
-from .flips import FanReduction, _flip_edit, _opposite_vertices, _rebuilt, bulk_hinges, reduce_fan
+from .flips import FanReduction, FlipPassResult, FlipRecord, _opposite_vertices
+from .flips import flip_pass, reduce_fan
 from .mesh import PolyhedralDisc, area_rows, cross_rows, edge_key, row_norms
 from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdict, certify_saddle
 
@@ -189,13 +187,6 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class FlipRecord:
-    edge: tuple[int, int]
-    sigma: float
-    area_decrease: float
-
-
-@dataclass(frozen=True)
 class MoveRecord:
     """One vertex update.  ``mode`` is "cut" for the cutting-plane move
     or "gradient" for a descent step on the smooth star area: damped
@@ -261,90 +252,27 @@ class OptimizationTrace:
 # =====================================================================
 
 
-@dataclass(frozen=True, eq=False)
-class FlipPassResult:
-    disc: PolyhedralDisc
-    flips: tuple[FlipRecord, ...]
-    cap_exceeded: bool
-
-
-def flip_pass(
-    disc: PolyhedralDisc, eps_flip: float = 1e-9, cap: Optional[int] = None
-) -> FlipPassResult:
-    """Flip hinges with sigma < pi - eps_flip until none remain.
-
-    Works on plain tables: the triangle list, the edge -> faces map and
-    the sigma and gain of every interior hinge, measured with one
-    ``bulk_hinges`` call.  After each flip only the hinges it touched,
-    the new diagonal and the interior quad sides, are re-measured, in
-    one more call.  The first eligible edge in sorted order is flipped
-    each time.  Each flip strictly decreases area, so the pass
-    terminates; ``cap`` (default 100 edges' worth) is a safety stop.
-    Flips that ``flips.flip`` would refuse (opposite vertices already
-    joined, or a new triangle below the area floor) are skipped.  The
-    edited triangles are validated once, at the end, into the returned
-    disc.
-    """
-    cx, p = disc.complex, disc.positions
-    if cap is None:
-        cap = 100 * len(cx.edges)
-    triangles = list(cx.triangles)
-    edge_faces = dict(cx.edge_faces)
-    floor = disc.eps_deg * disc.diameter * disc.diameter
-    threshold = np.pi - eps_flip
-    hinges: dict[tuple[int, int], tuple[float, float]] = {}
-
-    def measure(edges) -> None:
-        # the opposite vertices in face-index order, as _opposite_vertices gives them
-        rows = [(*e, *(sum(triangles[f]) - sum(e) for f in edge_faces[e]))
-                for e in edges if len(edge_faces[e]) == 2]
-        if rows:
-            stacked = np.array(rows, dtype=np.intp)
-            sigma, gain = bulk_hinges(*(p[stacked[:, k]] for k in range(4)))
-            hinges.update(zip((r[:2] for r in rows), zip(sigma.tolist(), gain.tolist())))
-
-    measure(cx.edges)
-    records: list[FlipRecord] = []
-    cap_exceeded = False
-    while True:
-        if len(records) >= cap:
-            cap_exceeded = True
-            break
-        for e in sorted(h for h, (sigma, _) in hinges.items() if sigma < threshold):
-            try:
-                x, y = _flip_edit(triangles, edge_faces, e, p, floor)
-            except (FlipForbidden, DegenerateTriangle):
-                continue
-            records.append(FlipRecord(e, *hinges.pop(e)))
-            a, b = e
-            measure([edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))])
-            break
-        else:
-            break
-    if records:
-        disc = _rebuilt(disc, triangles, f"flip pass of {len(records)} flips")
-    return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
-
-
 def _line_search(
-    disc: PolyhedralDisc, v: int, star: tuple[int, ...], first: np.ndarray,
-    gradient: np.ndarray, line_search: LineSearch, floor: float, shorten: bool = False,
+    disc: PolyhedralDisc, v: int, first: np.ndarray, gradient: np.ndarray,
+    line_search: LineSearch, floor: float, shorten: bool = False,
 ) -> tuple[Optional[PolyhedralDisc], float, bool]:
     """Backtracking search for vertex ``v``: the displacement ``first``,
     then shorter ones by factors of ``line_search.shrink``.
 
-    A trial is accepted when the star stays nondegenerate, every edge
-    to ``star`` got shorter (if ``shorten``), and the star area dropped
-    by more than ``floor``.  As the star area is convex, with
-    ``gradient`` g at the start, the trial ``t * first`` lowers it by at
-    most -t g.first, and the search ends once that is no more than
-    ``floor``.  Returns (trial or None, decrease, blocked), with
-    ``blocked`` true when every trial made degenerated the star.
+    A trial is accepted when the star stays nondegenerate, every star
+    edge got shorter (if ``shorten``), and the star area dropped by more
+    than ``floor``.  As the star area is convex, with ``gradient`` g at
+    the start, the trial ``t * first`` lowers it by at most -t g.first,
+    and the search ends once that is no more than ``floor``.  Returns
+    (trial or None, decrease, blocked), with ``blocked`` true when every
+    trial made degenerated the star.
     """
     slope = -float(gradient @ first)
-    p, star = disc.positions, list(star)
+    p = disc.positions
     faces = disc.complex.vertex_faces[v]
-    lengths = row_norms(p[star] - p[v])
+    if shorten:
+        star = list(disc.complex.vertex_star(v))
+        lengths = row_norms(p[star] - p[v])
     before = sum(disc.triangle_area(f) for f in faces)
     tried = nondegenerate = False
     step = 1.0
@@ -385,8 +313,7 @@ def _cut_move(
     """The paper's move of a non-saddle vertex: along its cutting
     direction from half the margin, every star edge shortening."""
     first = _first_step(disc, verdict, verdict.cut_normal, 0.5 * verdict.margin, line_search)
-    return _line_search(disc, verdict.vertex, verdict.star, first, gradient, line_search, floor,
-                        shorten=True)
+    return _line_search(disc, verdict.vertex, first, gradient, line_search, floor, shorten=True)
 
 
 def _vertex_move(
@@ -405,11 +332,10 @@ def _vertex_move(
     decrease, blocked), ``mode`` being "cut" or "gradient", the latter
     for Newton steps too.
     """
-    star = disc.complex.vertex_star(v)
     _, g, h = _star_area(disc, v)
     if np.any(g):
         newton = -np.linalg.solve(h + 1e-8 * np.trace(h) * np.eye(3), g)
-        trial, decrease, _ = _line_search(disc, v, star, newton, g, line_search, floor)
+        trial, decrease, _ = _line_search(disc, v, newton, g, line_search, floor)
         if trial is not None:
             return "gradient", trial, decrease, False
     verdict = _vertex_verdict(disc, v, eps_saddle)
@@ -419,7 +345,7 @@ def _vertex_move(
     if norm == 0.0:
         return "gradient", None, 0.0, False
     first = _first_step(disc, verdict, -g / norm, 1.0, line_search)
-    return ("gradient", *_line_search(disc, v, star, first, g, line_search, floor))
+    return ("gradient", *_line_search(disc, v, first, g, line_search, floor))
 
 
 def vertex_descent_step(
@@ -564,34 +490,26 @@ def minimize(
     converged = False
     for index in range(1, cfg.max_outer_iterations + 1):
         area_start = disc.total_area()
-        flips: tuple[FlipRecord, ...] = ()
         reductions: list[FanReduction] = []
         moves: list[MoveRecord] = []
-        cap_exceeded = False
         unresolved = 0
 
-        if cfg.enable_reductions:
-            while True:
-                progressed = False
-                failures = 0
-                for triple in disc.complex.no_triangle_violations():
-                    try:
-                        disc, record = reduce_fan(disc, triple)
-                    except (CycleBoundsBoundary, NotAViolation, DegenerateTriangle):
-                        failures += 1
-                        continue
-                    reductions.append(record)
-                    progressed = True
-                    break  # vertex ids changed, rescan
-                if not progressed:
-                    unresolved = failures
-                    break
+        while cfg.enable_reductions:
+            unresolved = 0  # the refusals of the last scan, which cut nothing
+            for triple in disc.complex.no_triangle_violations():
+                try:
+                    disc, record = reduce_fan(disc, triple)
+                except (CycleBoundsBoundary, NotAViolation, DegenerateTriangle):
+                    unresolved += 1
+                    continue
+                reductions.append(record)
+                break  # vertex ids changed, rescan
+            else:
+                break
 
-        if cfg.enable_flips:
-            result = flip_pass(disc, cfg.eps_flip)
-            disc = result.disc
-            flips = result.flips
-            cap_exceeded = result.cap_exceeded
+        flipped = (flip_pass(disc, cfg.eps_flip) if cfg.enable_flips
+                   else FlipPassResult(disc, (), False))
+        disc = flipped.disc
 
         for v in disc.complex.interior_vertices():
             mode, trial, decrease, blocked = _vertex_move(
@@ -609,16 +527,16 @@ def minimize(
             IterationRecord(
                 index=index,
                 area=area_end,
-                flips=flips,
+                flips=flipped.flips,
                 reductions=tuple(reductions),
                 moves=tuple(moves),
                 triangle_count=len(disc.complex.triangles),
-                flip_cap_exceeded=cap_exceeded,
+                flip_cap_exceeded=flipped.cap_exceeded,
                 unresolved_violations=unresolved,
             )
         )
         if area_start - area_end <= eps_area:
-            converged = not flips and not reductions and not cap_exceeded
+            converged = not flipped.flips and not reductions and not flipped.cap_exceeded
             break
 
     certificate = certify_saddle(disc, cfg.eps_saddle)

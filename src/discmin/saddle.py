@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyStar, InvariantViolation
-from .mesh import PolyhedralDisc
+from .mesh import PolyhedralDisc, row_norms
 
 SADDLE = "saddle"
 NON_SADDLE = "non_saddle"
@@ -151,7 +151,7 @@ def cutting_direction(directions, eps_saddle: float = 1e-7) -> StarVerdict:
         raise ValueError(f"expected (k, 3) directions, got shape {e.shape}")
     if len(e) == 0:
         raise EmptyStar("no edge directions")
-    norms = np.linalg.norm(e, axis=1)
+    norms = row_norms(e)
     if np.any(norms == 0.0):
         raise ValueError("zero-length edge direction")
     unit = e / norms[:, None]
@@ -187,7 +187,7 @@ def brute_force_cutting_direction(
     e = np.asarray(directions, dtype=float)
     if len(e) == 0:
         raise EmptyStar("no edge directions")
-    unit = e / np.linalg.norm(e, axis=1)[:, None]
+    unit = e / row_norms(e)[:, None]
     i = np.arange(samples)
     z = 1.0 - 2.0 * (i + 0.5) / samples
     rho = np.sqrt(1.0 - z * z)

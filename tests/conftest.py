@@ -12,9 +12,8 @@ import numpy as np
 
 from discmin import PolyhedralDisc, build_from_triangles, edge_key
 from discmin.errors import CycleBoundsBoundary, DegenerateTriangle, FlipForbidden
-from discmin.flips import _opposite_vertices, bulk_hinges, flip
+from discmin.flips import FlipPassResult, FlipRecord, _opposite_vertices, bulk_hinges, flip
 from discmin.mesh import row_norms
-from discmin.optimize import FlipPassResult, FlipRecord
 
 
 # ---------------------------------------------------------------------

@@ -280,13 +280,18 @@ def test_flat_convex_quad_matches_corner_oracle():
 def test_flip_reports_a_changed_boundary_cycle(monkeypatch, tmp_path, capsys):
     build = flips.build_from_triangles
     monkeypatch.setattr(flips, "build_from_triangles", lambda tris: build([t[::-1] for t in tris]))
-    disc = hinge_disc(**ASYM)
-    with pytest.raises(InvariantViolation, match="boundary cycle"):
-        flip(disc, (0, 1))
-    path = tmp_path / "hinge.obj"
-    save_obj(disc, path)
-    assert main(["flip-pass", "--in", str(path)]) == 4
-    assert "boundary cycle" in capsys.readouterr().err
+    # a flip and a fan reduction, each with the CLI command that makes it
+    cases = [
+        (hinge_disc(**ASYM), lambda d: flip(d, (0, 1)), "flip-pass"),
+        (hexagon_with_violation(), lambda d: reduce_fan(d, (0, 2, 4)), "optimize"),
+    ]
+    for disc, move, command in cases:
+        with pytest.raises(InvariantViolation, match="boundary cycle"):
+            move(disc)
+        path = tmp_path / f"{command}.obj"
+        save_obj(disc, path)
+        assert main([command, "--in", str(path)]) == 4
+        assert "boundary cycle" in capsys.readouterr().err
 
 
 def test_reduce_hexagon_fan():

@@ -20,7 +20,7 @@ from discmin import (
     canonical_triangle,
     edge_key,
 )
-from discmin.mesh import cross_rows
+from discmin.mesh import cross_rows, row_norms
 from discmin.errors import (
     DegenerateTriangle,
     DisconnectedComplex,
@@ -323,6 +323,18 @@ def test_cross_rows_matches_numpy_cross():
             # the same C layout, so sums over rows run in the same order
             assert got.strides == want.strides
             assert got.sum(axis=0).tobytes() == want.sum(axis=0).tobytes()
+
+
+def test_row_norms_matches_numpy_norm():
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 3, 7, 12, 140):
+        u = _special_rows(rng, n)
+        with np.errstate(over="ignore"):
+            # the last input overflows to inf in its squares or its components
+            for v in (u, u[0], u.reshape(1, n, 3), 1e160 * u):
+                got, want = row_norms(v), np.linalg.norm(v, axis=-1)
+                assert np.shape(got) == np.shape(want) and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 def test_triangle_array_is_a_read_only_copy_of_the_triangles():

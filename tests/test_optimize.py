@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -371,12 +372,16 @@ def degenerate_refusal_disc():
 
 def _log_flip_edits(monkeypatch):
     """Log each flip ``flip_pass`` attempts: "f" applied, "F" refused
-    with FlipForbidden, "D" with DegenerateTriangle."""
+    with FlipForbidden, "D" with DegenerateTriangle.  The oracle's
+    ``flip`` goes through the same edit unlogged."""
     log = []
+    flip_edit = flips._flip_edit
 
     def logged(*args):
+        if sys._getframe(1).f_code is not flip_pass.__code__:
+            return flip_edit(*args)
         try:
-            out = flips._flip_edit(*args)
+            out = flip_edit(*args)
         except FlipForbidden:
             log.append("F")
             raise
@@ -386,7 +391,7 @@ def _log_flip_edits(monkeypatch):
         log.append("f")
         return out
 
-    monkeypatch.setattr(optimize, "_flip_edit", logged)
+    monkeypatch.setattr(flips, "_flip_edit", logged)
     return log
 
 
@@ -546,6 +551,17 @@ def test_minimize_reduces_hexagon_violation_to_flat_hexagon():
     assert out.total_area() == pytest.approx(3 * math.sqrt(3) / 2, abs=1e-9)
     assert trace.certificate.saddle
     assert out.complex.no_triangle_violations() == []
+
+
+def test_minimize_counts_a_refused_reduction_as_unresolved(monkeypatch):
+    def refuse(disc, triple):
+        raise DegenerateTriangle(f"refused {triple}")
+
+    monkeypatch.setattr(optimize, "reduce_fan", refuse)
+    _, trace = minimize(hexagon_with_violation(), OptimizerConfig(max_outer_iterations=1))
+    (rec,) = trace.iterations
+    assert rec.unresolved_violations == 1
+    assert rec.reductions == ()
 
 
 def test_minimize_respects_triangle_budget():
