@@ -127,6 +127,7 @@ def min_norm_point_by_enumeration(points: np.ndarray) -> tuple[np.ndarray, np.nd
     min-norm point of the hull is supported on at most four points, so
     solve the equality-constrained least-norm system on every support
     set of one to four points and keep the best feasible candidate."""
+    points = np.asarray(points, dtype=float)
     k = len(points)
     gram = points @ points.T
     best_sq = np.inf
@@ -160,6 +161,58 @@ def min_norm_point_by_enumeration(points: np.ndarray) -> tuple[np.ndarray, np.nd
     best_lam = np.clip(best_lam, 0.0, None)
     best_lam /= best_lam.sum()
     return best_lam @ points, best_lam
+
+
+def affine_weights_by_lstsq(points: np.ndarray) -> np.ndarray:
+    """Oracle for ``saddle._affine_weights``: weights, summing to one, of
+    the min-norm point of the affine hull of ``points``, as x = p_0 +
+    sum_i a_i (p_i - p_0) with ``a`` the least squares solution (the
+    least-norm one when repeated points make it rank-deficient)."""
+    points = np.asarray(points, dtype=float)
+    base = points[0]
+    a = np.linalg.lstsq((points[1:] - base).T, -base, rcond=None)[0]
+    return np.concatenate(([1.0 - a.sum()], a))
+
+
+def min_norm_point_by_lstsq(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for ``saddle._min_norm_point``: Wolfe's algorithm on numpy
+    arrays, with each minor cycle's affine step solved by ``lstsq``."""
+    points = np.asarray(points, dtype=float)
+    k = len(points)
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    tol = 1e-12 * float(sq_norms.max())
+    active = [int(np.argmin(sq_norms))]
+    weights = np.ones(1)
+    x = points[active[0]]
+    for _ in range(10 * k):
+        dots = points @ x
+        j = int(np.argmin(dots))
+        xx = float(x @ x)
+        if xx - dots[j] <= tol or xx <= 1e-30:
+            break
+        active.append(j)
+        weights = np.append(weights, 0.0)
+        for _ in range(len(active)):
+            affine = affine_weights_by_lstsq(points[active])
+            if affine.min() > 0.0:
+                weights = affine
+                break
+            blocking = np.flatnonzero(affine <= 0.0)
+            w, a = weights[blocking], affine[blocking]
+            steps = np.divide(w, w - a, out=np.zeros(len(blocking)), where=w > a)
+            i = int(np.argmin(steps))
+            weights = np.maximum(weights + steps[i] * (affine - weights), 0.0)
+            weights = np.delete(weights, blocking[i])
+            del active[blocking[i]]
+        else:
+            raise AssertionError("a minor cycle dropped no point")
+        x = weights @ points[active]
+    else:
+        raise AssertionError(f"no convergence in {10 * k} major cycles")
+    lam = np.zeros(k)
+    np.add.at(lam, active, weights)
+    lam /= lam.sum()
+    return lam @ points, lam
 
 
 def random_rotation(rng) -> np.ndarray:

@@ -1,14 +1,17 @@
 import json
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from conftest import (
+    affine_weights_by_lstsq,
     double_interior_disc,
     fan_disc,
     hinge_disc,
     min_norm_point_by_enumeration,
+    min_norm_point_by_lstsq,
     perturbed_grid_disc,
     random_rotation,
     regular_polygon,
@@ -142,6 +145,110 @@ def test_min_norm_point_matches_enumeration_oracle(monkeypatch):
             assert got.margin >= want.margin - 1e-12
         statuses.add(got.status)
     assert len(stars) > 1400 and statuses == {SADDLE, NON_SADDLE}
+
+
+def random_stars():
+    """3,000 seeded random stars of degree 3 to 24."""
+    rng = np.random.default_rng(10)
+    for _ in range(3000):
+        yield rng.normal(size=(int(rng.integers(3, 25)), 3))
+
+
+def test_min_norm_point_matches_lstsq_oracle(monkeypatch):
+    """The closed-form affine step against the numpy solver whose minor
+    cycle solves it by lstsq: same verdict, |p*| within 1e-14, and
+    convex coefficients on at most four directions."""
+    stars = [*c3_stars(), *wheel_stars(), *DEGENERATE_STARS, *random_stars()]
+    for dirs in stars:
+        unit = unit_rows(dirs)
+        point, lam = saddle._min_norm_point(unit.tolist())
+        want_point, _ = min_norm_point_by_lstsq(unit)
+        assert abs(np.linalg.norm(point) - np.linalg.norm(want_point)) <= 1e-14
+        assert np.all(lam >= 0.0) and abs(lam.sum() - 1.0) <= 1e-12
+        assert np.count_nonzero(lam) <= 4
+        got = cutting_direction(dirs)
+        with monkeypatch.context() as m:
+            m.setattr(saddle, "_min_norm_point", min_norm_point_by_lstsq)
+            want = cutting_direction(dirs)
+        assert got.status == want.status
+    assert len(stars) == 4487
+
+
+def test_affine_step_matches_lstsq_on_random_simplices():
+    rng = np.random.default_rng(12)
+    for size in (1, 2, 3, 4):
+        for _ in range(200):
+            points = rng.normal(size=(size, 3))
+            got = saddle._affine_weights(points.tolist())
+            want = affine_weights_by_lstsq(points)
+            assert abs(sum(got) - 1.0) <= 1e-12
+            assert np.linalg.norm(np.asarray(got) @ points - want @ points) <= 1e-12
+
+
+def test_affine_step_on_flat_simplices():
+    """A repeated point, three collinear points and four coplanar points,
+    as given and in rotated frames where roundoff leaves them barely
+    non-flat, take the weights of a facet that spans their affine hull:
+    one weight is 0 and the weighted point is the exact projection.  In
+    the last two the smallest facet is flat too and spans less."""
+    rng = np.random.default_rng(13)
+    flat = [
+        ([[0.6, 0.8, 0.0], [0.6, 0.8, 0.0]], [0.6, 0.8, 0.0]),
+        ([[1.0, -1.0, 0.5], [1.0, 0.0, 0.5], [1.0, 2.0, 0.5]], [1.0, 0.0, 0.5]),
+        ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, -2.0, 1.0]], [0.0, 0.0, 1.0]),
+        ([[1.0, -1.0, 0.5], [1.0, -1.0, 0.5], [1.0, 2.0, 0.5]], [1.0, 0.0, 0.5]),
+        ([[1.0, -1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 2.0, 1.0], [-1.0, 0.5, 1.0]], [0.0, 0.0, 1.0]),
+    ]
+    for points, projection in flat:
+        for rotation in [np.eye(3)] + [random_rotation(rng) for _ in range(10)]:
+            rotated = np.asarray(points) @ rotation.T
+            weights = saddle._affine_weights(rotated.tolist())
+            assert len(weights) == len(points) and 0.0 in weights
+            assert abs(sum(weights) - 1.0) <= 1e-12
+            assert np.linalg.norm(np.asarray(weights) @ rotated - rotation @ projection) <= 1e-14
+
+
+def test_rotated_nearly_flat_rings_are_saddle():
+    """A ring 1e-6 or 1e-9 out of its plane, turned so that no axis is
+    normal to it: Wolfe's final simplex is a flat tetrahedron around the
+    origin, whose signed volumes carry roundoff of order 1e-16/h.  Four
+    active points stop the search there; the residual is bounded by the
+    stopping rule."""
+    rng = np.random.default_rng(14)
+    for height in (1e-6, 1e-9):
+        ring = regular_polygon(24)
+        ring[:, 2] = height * np.sin(np.arange(24))
+        for _ in range(20):
+            verdict = cutting_direction(ring @ random_rotation(rng).T)
+            assert verdict.is_saddle and verdict.residual <= 1e-6
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200])
+def test_verdict_survives_extreme_scales(scale):
+    """Lengths are measured without squaring: a star scaled by 1e+-150 or
+    1e+-200 keeps its status, and its margin when non-saddle."""
+    stars = [CONE, CROSS, np.eye(3), *islice(c3_stars(), 100)]
+    for dirs in stars:
+        base, scaled = cutting_direction(dirs), cutting_direction(dirs * scale)
+        assert scaled.status == base.status
+        if base.is_saddle:
+            assert scaled.residual <= 1e-12
+        else:
+            assert abs(scaled.margin - base.margin) <= 1e-12
+    assert abs(cutting_direction(np.eye(3) * scale).margin - 1 / math.sqrt(3)) <= 1e-15
+    _, margin = brute_force_cutting_direction(CONE * scale, samples=2000)
+    assert abs(margin - brute_force_cutting_direction(CONE, samples=2000)[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.0, 1.0], [0.0, np.inf, 1.0], [-np.inf, 0.0, np.nan],
+                                 [1.7e308, 1.7e308, 0.0]])
+def test_non_finite_directions_fail_cleanly(row, capfd):
+    dirs = np.vstack([CONE, [row]])
+    with pytest.raises(ValueError, match="no finite length"):
+        cutting_direction(dirs)
+    with pytest.raises(ValueError, match="no finite length"):
+        brute_force_cutting_direction(dirs)
+    assert capfd.readouterr().err == ""
 
 
 def test_brute_force_bounds_exact():
