@@ -37,7 +37,7 @@ def _cmd_optimize(args) -> int:
     data = json.loads(Path(args.config).read_text()) if args.config else {}
     config = OptimizerConfig.from_dict(data)
     if args.seed is not None:
-        config = replace(config, rng_seed=args.seed)
+        config = replace(config, seed=args.seed)
     result, trace = minimize(disc, config)
     if args.output:
         save_obj(result, args.output)

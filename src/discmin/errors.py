@@ -104,8 +104,10 @@ class BudgetExceeded(DiscminError):
 
 
 class InvariantViolation(DiscminError):
-    """A move broke a guarantee it checks for itself: a flip changed the
-    boundary cycle, or a fan reduction increased area."""
+    """A guarantee the package checks for itself broke: a flip, a flip
+    pass or a fan reduction changed the boundary cycle, a fan reduction
+    increased area, or Wolfe's solver had a minor cycle that dropped no
+    point or hit its major-cycle cap."""
 
 
 # =====================================================================

@@ -460,7 +460,7 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
     decrease = area_before - area_after
     # Replacing a region by the flat triangle over its boundary cannot
     # raise area (orthogonal projection onto the triangle's plane).
-    if decrease < -1e-9 * max(area_before, 1.0):
+    if decrease < -1e-9 * area_before:
         raise InvariantViolation(f"fan reduction along {t} increased area by {-decrease}")
 
     record = FanReduction(

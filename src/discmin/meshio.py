@@ -169,11 +169,9 @@ def make_tent(height: float = 1.25, ridge_skew: float = 0.25, seed: int = 0) -> 
     chord_disc = PolyhedralDisc(build_from_triangles(skirt + cap), rim)
 
     # The fan run keeps its combinatorics: the apex alone moves.
-    fan_config = OptimizerConfig(
-        enable_flips=False, enable_reductions=False, rng_seed=seed
-    )
+    fan_config = OptimizerConfig(enable_flips=False, enable_reductions=False, seed=seed)
     fan_optimized, fan_trace = minimize(fan_disc, fan_config)
-    chord_optimized, chord_trace = minimize(chord_disc, OptimizerConfig(rng_seed=seed))
+    chord_optimized, chord_trace = minimize(chord_disc, OptimizerConfig(seed=seed))
     if not (fan_trace.converged and chord_trace.converged):
         raise DegenerateParameters("tent optimization failed to converge")
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -82,16 +82,21 @@ def _check_tolerance(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class LineSearch:
-    """Backtracking schedule: start at ``initial_step`` times the safe
-    step scale, multiply by ``shrink`` on rejection."""
+    """Backtracking schedule: multiply the trial step by ``shrink`` on
+    rejection, at most ``max_backtracks`` times.  ``step`` scales the
+    first trial of the cut and steepest-descent moves, which start from
+    the shortest star edge; Newton's first trial is the full Newton
+    step."""
 
-    initial_step: float = 0.5
+    step: float = 0.5
     shrink: float = 0.5
     max_backtracks: int = 30
 
 
-# JSON names of the LineSearch fields.
-_LINE_SEARCH_KEYS = {"step": "initial_step", "shrink": "shrink", "max_backtracks": "max_backtracks"}
+def _reject_unknown(what: str, data: dict, cls) -> None:
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ class OptimizerConfig:
     max_outer_iterations: int = 10000
     line_search: LineSearch = LineSearch()
     jitter_amplitude: float = 1e-9
-    rng_seed: int = 0
+    seed: int = 0
     enable_flips: bool = True
     enable_reductions: bool = True
 
@@ -132,11 +137,11 @@ class OptimizerConfig:
             ("triangle_budget", budget, 1),
             ("max_outer_iterations", self.max_outer_iterations, 1),
             ("line_search.max_backtracks", ls.max_backtracks, 0),
-            ("seed", self.rng_seed, 0),
+            ("seed", self.seed, 0),
         ):
             ok = _is_number(value, integer=True) and value >= low
             _check(name, value, ok, f"an integer >= {low}")
-        step, shrink = ls.initial_step, ls.shrink
+        step, shrink = ls.step, ls.shrink
         _check("line_search.step", step, _is_number(step) and step > 0.0, "a finite number > 0")
         _check("line_search.shrink", shrink, _is_number(shrink) and 0.0 < shrink < 1.0,
                "strictly between 0 and 1")
@@ -146,39 +151,23 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
-        """Build from a JSON-style dict; unknown keys are an error.
-
-        Recognized keys: the scalar field names, ``seed``, and
-        ``line_search`` with subkeys step/shrink/max_backtracks.
-        """
+        """Build from a JSON-style dict keyed by the field names, with
+        ``line_search`` a dict keyed by LineSearch's; unknown keys are
+        an error, and a missing or null ``line_search`` the default."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-        data = dict(data)
-        kwargs = {}
-        if "seed" in data:
-            kwargs["rng_seed"] = data.pop("seed")
-        ls = data.pop("line_search", None)
+        kwargs = dict(data)
+        ls = kwargs.pop("line_search", None)
         if ls is not None:
             if not isinstance(ls, dict):
                 raise ValueError(f"line_search must be a JSON object, got {ls!r}")
-            unknown = set(ls) - _LINE_SEARCH_KEYS.keys()
-            if unknown:
-                raise ValueError(f"unknown line_search keys: {sorted(unknown)}")
-            kwargs["line_search"] = LineSearch(**{_LINE_SEARCH_KEYS[k]: v for k, v in ls.items()})
-        for f in fields(cls):
-            if f.name != "rng_seed" and f.name in data:
-                kwargs[f.name] = data.pop(f.name)
-        if data:
-            raise ValueError(f"unknown config keys: {sorted(data)}")
+            _reject_unknown("line_search", ls, LineSearch)
+            kwargs["line_search"] = LineSearch(**ls)
+        _reject_unknown("config", kwargs, cls)
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["line_search"] = {
-            key: getattr(self.line_search, name) for key, name in _LINE_SEARCH_KEYS.items()
-        }
-        data["seed"] = data.pop("rng_seed")
-        return data
+        return asdict(self)
 
 
 # =====================================================================
@@ -299,11 +288,11 @@ def _first_step(
     disc: PolyhedralDisc, verdict: VertexVerdict, direction: np.ndarray, scale: float,
     line_search: LineSearch,
 ) -> np.ndarray:
-    """First trial of a cut or gradient move: ``initial_step * scale``
+    """First trial of a cut or steepest-descent move: ``step * scale``
     times the shortest star edge, along the unit ``direction``."""
     p, v = disc.positions, verdict.vertex
     shortest = float(row_norms(p[list(verdict.star)] - p[v]).min())
-    return line_search.initial_step * scale * shortest * direction
+    return line_search.step * scale * shortest * direction
 
 
 def _cut_move(
@@ -357,8 +346,8 @@ def vertex_descent_step(
 ) -> tuple[PolyhedralDisc, float]:
     """Move vertex ``v`` along its cutting direction.
 
-    The first trial step is initial_step * margin * (shortest star
-    edge) / 2, well inside the range where every star edge strictly
+    The first trial step is line_search.step * margin * (shortest
+    star edge) / 2, well inside the range where every star edge strictly
     shortens.  A trial is accepted when the star stays nondegenerate,
     every star edge got shorter, and the star area dropped by more
     than ``eps_area`` (None means any positive drop).
@@ -466,7 +455,7 @@ def minimize(
             f"{len(disc.complex.triangles)} triangles exceed the budget "
             f"of {cfg.triangle_budget}"
         )
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(cfg.seed)
     eps_area = (
         cfg.eps_area if cfg.eps_area is not None else 1e-12 * disc.diameter**2
     )
@@ -546,7 +535,7 @@ def minimize(
         initial_area=initial_area,
         final_area=disc.total_area(),
         eps_area=eps_area,
-        seed=cfg.rng_seed,
+        seed=cfg.seed,
         certificate=certificate,
     )
     return disc, trace

@@ -55,12 +55,12 @@ from .mesh import PolyhedralDisc
 SADDLE = "saddle"
 NON_SADDLE = "non_saddle"
 
-# Wolfe's stopping rule: |x|^2 - min_j <x, u_j> <= _WOLFE_GAP * max_j |u_j|^2.
+# Wolfe's optimality gap: |x|^2 - min_j <x, u_j> <= _WOLFE_GAP * max_j |u_j|^2.
 _WOLFE_GAP = 1e-12
 # Major cycles allowed per point before the solver gives up; the random,
-# wheel and degenerate stars of the tests, 3,000 random stars of degree
-# 3 to 24 and the certify benchmark's stars at seeds 0-3 need at most 6
-# in all, and at most 1.2 per point.
+# wheel, degenerate and nearly flat ring stars of the tests, 3,000 random
+# stars of degree 3 to 24 and the certify benchmark's stars at seeds 0-3
+# need at most 6 in all, and at most 1.2 per point.
 _MAJOR_CYCLES_PER_POINT = 10
 # A simplex is flat when its length, area or volume is at most this
 # fraction of the product of its edge lengths: an angle lost in roundoff.
@@ -182,10 +182,15 @@ def _affine_weights(simplex) -> list[float]:
     return weights
 
 
-def _min_norm_point(points) -> tuple[tuple[float, float, float], np.ndarray]:
+def _min_norm_point(
+    points, eps_saddle: float = 1e-7
+) -> tuple[tuple[float, float, float], np.ndarray]:
     """Minimum-norm point of the convex hull of ``points`` (k 3-vectors)
     and the convex coefficients realizing it (length k), by Wolfe's
-    algorithm on Python floats.  Ties go to the lowest index."""
+    algorithm on Python floats.  Ties go to the lowest index.  The search
+    stops within the gap ``_WOLFE_GAP`` of optimal once x decides the
+    verdict: |x| <= eps_saddle, or min_j <x, u_j> > eps_saddle |x|, which
+    puts the whole hull farther than eps_saddle from the origin."""
     k = len(points)
     sq_norms = [p0 * p0 + p1 * p1 + p2 * p2 for p0, p1, p2 in points]
     tol = _WOLFE_GAP * max(sq_norms)
@@ -200,7 +205,8 @@ def _min_norm_point(points) -> tuple[tuple[float, float, float], np.ndarray]:
         dots = [x0 * p0 + x1 * p1 + x2 * p2 for p0, p1, p2 in points]
         low = min(dots)
         xx = x0 * x0 + x1 * x1 + x2 * x2
-        if xx - low <= tol or xx <= 1e-30:
+        decided = xx <= eps_saddle * eps_saddle or low > eps_saddle * math.sqrt(xx)
+        if xx <= 1e-30 or (xx - low <= tol and decided):
             break
         active.append(dots.index(low))
         weights.append(0.0)
@@ -264,7 +270,7 @@ def cutting_direction(directions, eps_saddle: float = 1e-7) -> StarVerdict:
     and their residual certify the saddle.
     """
     unit = _unit_directions(directions)
-    point, lam = _min_norm_point(unit)
+    point, lam = _min_norm_point(unit, eps_saddle)
     t = math.hypot(*point)
     margin = 0.0
     if t > 0.0:

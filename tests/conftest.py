@@ -122,11 +122,14 @@ def flip_pass_by_rebuild(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None)
     return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
 
 
-def min_norm_point_by_enumeration(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def min_norm_point_by_enumeration(
+    points: np.ndarray, eps_saddle: float = 1e-7
+) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for ``saddle._min_norm_point``: by Caratheodory the
     min-norm point of the hull is supported on at most four points, so
     solve the equality-constrained least-norm system on every support
-    set of one to four points and keep the best feasible candidate."""
+    set of one to four points and keep the best feasible candidate.
+    The search is exact, so ``eps_saddle`` plays no part."""
     points = np.asarray(points, dtype=float)
     k = len(points)
     gram = points @ points.T
@@ -174,7 +177,9 @@ def affine_weights_by_lstsq(points: np.ndarray) -> np.ndarray:
     return np.concatenate(([1.0 - a.sum()], a))
 
 
-def min_norm_point_by_lstsq(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def min_norm_point_by_lstsq(
+    points: np.ndarray, eps_saddle: float = 1e-7
+) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for ``saddle._min_norm_point``: Wolfe's algorithm on numpy
     arrays, with each minor cycle's affine step solved by ``lstsq``."""
     points = np.asarray(points, dtype=float)
@@ -188,7 +193,9 @@ def min_norm_point_by_lstsq(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         dots = points @ x
         j = int(np.argmin(dots))
         xx = float(x @ x)
-        if xx - dots[j] <= tol or xx <= 1e-30:
+        if xx <= 1e-30 or xx - dots[j] <= tol and (
+            xx <= eps_saddle**2 or dots[j] > eps_saddle * np.sqrt(xx)
+        ):
             break
         active.append(j)
         weights = np.append(weights, 0.0)

@@ -294,6 +294,21 @@ def test_flip_reports_a_changed_boundary_cycle(monkeypatch, tmp_path, capsys):
         assert "boundary cycle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-5])
+def test_reduce_reports_an_area_increase_at_any_scale(monkeypatch, scale):
+    """The area check is relative to the area before the reduction: a
+    rebuild that raises the area by 19% is a defect on a unit hexagon
+    and on one scaled by 1e-5 alike."""
+    rebuilt = flips._rebuilt
+    monkeypatch.setattr(
+        flips, "_rebuilt", lambda *args: (d := rebuilt(*args)).with_positions(1.2 * d.positions)
+    )
+    disc = hexagon_with_violation()
+    disc = disc.with_positions(scale * disc.positions)
+    with pytest.raises(InvariantViolation, match="increased area"):
+        reduce_fan(disc, (0, 2, 4))
+
+
 def test_reduce_hexagon_fan():
     disc = hexagon_with_violation(lift=0.5)
     out, rec = reduce_fan(disc, (0, 2, 4))

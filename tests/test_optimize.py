@@ -1,5 +1,7 @@
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,16 +464,26 @@ def test_config_round_trip():
         max_outer_iterations=123,
         line_search=LineSearch(0.4, 0.6, 12),
         jitter_amplitude=0.0,
-        rng_seed=9,
+        seed=9,
         enable_flips=False,
         enable_reductions=True,
     )
     assert OptimizerConfig.from_dict(cfg.to_dict()) == cfg
     assert OptimizerConfig.from_dict({}) == OptimizerConfig()
-    assert OptimizerConfig.from_dict({"seed": 3}).rng_seed == 3
+    assert OptimizerConfig.from_dict({"seed": 3}).seed == 3
     partial = OptimizerConfig.from_dict({"line_search": {"step": 0.3}})
-    assert partial.line_search.initial_step == 0.3
+    assert partial.line_search.step == 0.3
     assert partial.line_search.shrink == LineSearch.shrink
+
+
+def test_readme_config_block_is_the_default_config():
+    """README's config block names every key with its default, in the
+    names ``from_dict`` reads and ``to_dict`` writes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("Optimizer config is JSON:", 1)[1]
+    block = json.loads(after.split("```json\n", 1)[1].split("```", 1)[0])
+    assert OptimizerConfig.from_dict(block) == OptimizerConfig()
+    assert OptimizerConfig().to_dict() == block
 
 
 def test_config_rejects_unknown_keys():
@@ -495,11 +507,11 @@ def test_config_rejects_unknown_keys():
         {"jitter_amplitude": -1.0},
         {"jitter_amplitude": 1.5},
         {"jitter_amplitude": 1e80},
-        {"rng_seed": -1},
+        {"seed": -1},
         {"enable_reductions": 1},
         {"line_search": LineSearch(shrink=1.0)},
         {"line_search": LineSearch(shrink=0.0)},
-        {"line_search": LineSearch(initial_step=0.0)},
+        {"line_search": LineSearch(step=0.0)},
         {"line_search": LineSearch(max_backtracks=-1)},
         {"line_search": {"step": 0.5}},
     ],
@@ -527,6 +539,24 @@ def test_minimize_without_interior_vertices_is_a_fixed_point():
     assert rec.moves == () and rec.reductions == ()
     assert trace.certificate.saddle
     assert trace.final_area == pytest.approx(trace.initial_area)
+
+
+def test_a_flat_symmetric_vertex_has_no_move():
+    """The apex of a flat square fan has an exactly zero area gradient
+    and a saddle star: it gets no Newton step and no gradient move, and
+    without jitter the run converges after one iteration without a move."""
+    rim = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+    disc = PolyhedralDisc(
+        build_from_triangles([(i, (i + 1) % 4, 4) for i in range(4)]),
+        np.array([*rim, (0, 0, 0)], dtype=float),
+    )
+    move = optimize._vertex_move(disc, 4, 1e-7, LineSearch(), 1e-12)
+    assert move == ("gradient", None, 0.0, False)
+    out, trace = minimize(disc, OptimizerConfig(jitter_amplitude=0.0))
+    assert len(trace.iterations) == 1
+    assert trace.converged and trace.certificate.saddle
+    assert trace.iterations[0].moves == ()
+    assert np.array_equal(out.positions, disc.positions)
 
 
 def test_minimize_planar_convex_boundary_reaches_polygon_area():
@@ -573,7 +603,7 @@ def test_minimize_trace_is_monotone_and_deterministic():
     from discmin import random_instance
 
     disc = random_instance(10, nonplanarity=0.3, seed=5)
-    cfg = OptimizerConfig(rng_seed=5)
+    cfg = OptimizerConfig(seed=5)
     out1, trace1 = minimize(disc, cfg)
     out2, trace2 = minimize(disc, cfg)
     assert trace1.csv_text() == trace2.csv_text()
@@ -643,7 +673,7 @@ def test_gradient_fallback_moves_where_newton_trials_degenerate(monkeypatch):
     monkeypatch.setattr(optimize, "_vertex_move", grouped_move)
     monkeypatch.setattr(optimize, "_line_search", logged_search)
     disc = perturbed_grid_disc(5, seed=8, subdivisions=1)
-    minimize(disc, OptimizerConfig(max_outer_iterations=21, rng_seed=8))
+    minimize(disc, OptimizerConfig(max_outer_iterations=21, seed=8))
     # a Newton search whose every trial degenerated, then an applied gradient move
     assert [(False, False, True), (False, True, False)] in searches
 
@@ -687,7 +717,7 @@ def boundary_ring(disc, start=None):
 )
 def test_minimize_invariants_on_subdivided_grids(n, seed, subdivisions, rng_seed):
     disc = perturbed_grid_disc(n, seed, subdivisions=subdivisions)
-    out, trace = minimize(disc, OptimizerConfig(max_outer_iterations=5, rng_seed=rng_seed))
+    out, trace = minimize(disc, OptimizerConfig(max_outer_iterations=5, seed=rng_seed))
     ring = boundary_ring(disc)
     assert boundary_ring(out, ring[0]) == ring
     # compared from the first iteration on: the seeded jitter before it

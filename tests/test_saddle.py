@@ -223,6 +223,24 @@ def test_rotated_nearly_flat_rings_are_saddle():
             assert verdict.is_saddle and verdict.residual <= 1e-6
 
 
+def test_saddle_witnesses_meet_eps_saddle():
+    """Every saddle verdict stores a residual of at most eps_saddle.  On a
+    24-ring with heights uniform in +-1e-6, under 20 seeded rotations,
+    the 1e-12 optimality gap alone stops Wolfe's search as far as 6e-7
+    from the origin; the search goes on until the verdict is decided.
+    The c3, wheel and random stars hold it too, within the cycle cap."""
+    rng = np.random.default_rng(1)
+    ring = regular_polygon(24)
+    ring[:, 2] = rng.uniform(-1e-6, 1e-6, 24)
+    rings = [ring @ random_rotation(rng).T for _ in range(20)]
+    for dirs in rings:
+        verdict = cutting_direction(dirs, 1e-7)
+        assert verdict.is_saddle and verdict.residual <= 1e-7
+    for dirs in [*c3_stars(), *wheel_stars(), *random_stars()]:
+        verdict = cutting_direction(dirs, 1e-7)
+        assert not verdict.is_saddle or verdict.residual <= 1e-7
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200])
 def test_verdict_survives_extreme_scales(scale):
     """Lengths are measured without squaring: a star scaled by 1e+-150 or
