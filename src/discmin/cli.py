@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DiscminError
+from .errors import DiscminError, _check_tolerance
 from .flips import flip_pass
 from .meshio import load_obj, make_tent, save_obj
-from .optimize import OptimizerConfig, _check_tolerance, minimize
+from .optimize import OptimizerConfig, minimize
 from .quad import QuadSpec, alpha_range, area_curve
 from .saddle import certify_saddle
 
@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DiscminError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (DiscminError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -1,7 +1,8 @@
-"""Exception hierarchy for discmin.
+"""Exception hierarchy for discmin, and the checks that raise InvalidInput.
 
 Structural problems with a simplicial complex raise subclasses of
-``TopologyError``; geometric and numerical problems raise the flat
+``TopologyError``; a malformed argument raises ``InvalidInput``, also a
+``ValueError``; geometric and numerical problems raise the flat
 exception types below, and ``InvariantViolation`` marks a defect in
 this package rather than in its input.  Everything inherits from
 ``DiscminError`` so callers can catch the whole family at once; the
@@ -10,9 +11,34 @@ command line reports any of them with exit code 4, not a traceback.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class DiscminError(Exception):
     """Base class for every error raised by this package."""
+
+
+class InvalidInput(DiscminError, ValueError):
+    """An argument has the wrong type, shape or value."""
+
+
+def _is_number(x, integer: bool = False) -> bool:
+    """A finite real (an integer when ``integer``); bools excluded."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    return isinstance(x, numbers.Integral) or (not integer and math.isfinite(x))
+
+
+def _check(name: str, value, ok: bool, wanted: str) -> None:
+    if not ok:
+        raise InvalidInput(f"{name} must be {wanted}, got {value!r}")
+
+
+def _check_tolerance(name: str, value) -> None:
+    # a float by two comparisons (NaN fails both): solvers check theirs on every call
+    ok = 0.0 <= value < math.inf if type(value) is float else _is_number(value) and value >= 0.0
+    _check(name, value, ok, "a finite number >= 0")
 
 
 # =====================================================================

@@ -33,11 +33,14 @@ from .errors import (
     CycleBoundsBoundary,
     DegenerateTriangle,
     FlipForbidden,
+    InvalidInput,
     InvariantViolation,
     NotAViolation,
+    _check_tolerance,
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, build_from_triangles, edge_key
-from .mesh import _directed_edges, angle_rows, area_rows, canonical_triangle, cross_rows, row_norms
+from .mesh import _directed_edges, _triangle, angle_rows, area_rows, canonical_triangle
+from .mesh import cross_rows, row_norms
 
 
 # =====================================================================
@@ -115,7 +118,7 @@ def _opposite_vertices(cx: DiscComplex, edge) -> tuple[Edge, tuple[int, ...]]:
     edge, two otherwise."""
     e = edge_key(*edge)
     if e not in cx.edge_faces:
-        raise ValueError(f"{e} is not an edge of the complex")
+        raise InvalidInput(f"{e} is not an edge of the complex")
     return e, _opposite(cx.triangles, cx.edge_faces, e)
 
 
@@ -280,7 +283,9 @@ def flip_pass(
     Flips that ``flip`` would refuse (opposite vertices already joined,
     or a new triangle below the area floor) are skipped.  The edited
     triangles are validated once, at the end, into the returned disc.
+    ``eps_flip`` must be a finite number >= 0.
     """
+    _check_tolerance("eps_flip", eps_flip)
     cx, p = disc.complex, disc.positions
     if cap is None:
         cap = 100 * len(cx.edges)
@@ -332,8 +337,6 @@ def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
     pts = np.array([a, x, b, y], dtype=float)
     diffs = pts[:, None, :] - pts[None, :, :]
     scale = float(row_norms(diffs).max())
-    if scale == 0.0:
-        return False
     det = float(np.linalg.det(np.stack([pts[2] - pts[0], pts[1] - pts[0], pts[3] - pts[0]])))
     if abs(det) > tol * scale**3:
         return False
@@ -382,75 +385,55 @@ class FanReduction:
 def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReduction]:
     """Cut along the empty triangle ``triple``.
 
-    The cycle's interior edges separate the disc.  The faces on the
-    two sides of one interior cycle edge are flooded without crossing
-    the cycle; the bounded domain is the side whose faces carry no
-    boundary edge off the cycle.  (The outside may fall apart into
-    several pieces that meet the cycle only at vertices, but each keeps
-    a boundary edge of its own, and only the flooded one matters.)  The
-    domain is replaced by the flat triangle on the cycle's vertices.
-    When the cycle is the entire boundary the bounded domain is the
-    whole disc.  Surviving vertices are renumbered compactly,
-    preserving their relative order.
+    The cycle separates the disc.  A flood from the boundary, seeded
+    with the face of every boundary edge off the cycle and never
+    crossing a cycle edge, reaches each piece outside the cycle, as
+    each keeps a boundary edge of its own; the faces it cannot reach
+    are the bounded side.  They are replaced by the flat triangle on
+    the cycle's vertices.  When the flood reaches nothing, the cycle is
+    the whole boundary, and the stored boundary cycle replaces the
+    disc, keeping its direction.  Surviving vertices are renumbered
+    compactly, preserving their relative order.
 
     Raises
     ------
+    InvalidInput
+        ``triple`` is not three distinct integer vertex ids.
     NotAViolation
         ``triple`` is not an empty triangle of the complex.
     CycleBoundsBoundary
-        No unique bounded domain exists: the two floods fill the same
-        faces, or not exactly one side qualifies.  Unreachable for
-        genuine violations of a valid disc; kept as a defensive check.
+        The flood reached every face, so the cycle bounds nothing.
+        Unreachable for genuine violations of a valid disc; kept as a
+        defensive check.
     InvariantViolation
         The reduced disc has another boundary cycle, or more area than
         the input (a defect, never expected).
     """
-    t = tuple(sorted(int(v) for v in triple))
-    if len(t) != 3 or len(set(t)) != 3:
-        raise ValueError(f"{triple!r} is not a triple of distinct vertices")
+    t = tuple(sorted(_triangle(triple)))
     cx = disc.complex
-    if max(t) >= cx.vertex_count:
-        raise NotAViolation(f"{t} contains ids outside the complex")
-    cycle_edges = [edge_key(t[0], t[1]), edge_key(t[0], t[2]), edge_key(t[1], t[2])]
+    cycle_edges = (edge_key(t[0], t[1]), edge_key(t[0], t[2]), edge_key(t[1], t[2]))
     for e in cycle_edges:
         if e not in cx.edge_faces:
             raise NotAViolation(f"{t} is missing edge {e}")
-    if frozenset(t) in {frozenset(tri) for tri in cx.triangles}:
+    if t[2] in _opposite(cx.triangles, cx.edge_faces, t[:2]):
         raise NotAViolation(f"{t} spans a face")
 
-    cycle_boundary = {e for e in cycle_edges if len(cx.edge_faces[e]) == 1}
+    outside = {f for e, faces in cx.edge_faces.items()
+               if len(faces) == 1 and e not in cycle_edges for f in faces}
+    stack = list(outside)
+    while stack:
+        for a, b in _directed_edges(cx.triangles[stack.pop()]):
+            e = edge_key(a, b)
+            if e not in cycle_edges:
+                for g in cx.edge_faces[e]:
+                    if g not in outside:
+                        outside.add(g)
+                        stack.append(g)
+    if len(outside) == len(cx.triangles):
+        raise CycleBoundsBoundary(f"cycle {t} bounds no face the boundary cannot reach")
     area_before = disc.total_area()
-
-    if len(cycle_boundary) == 3:
-        # The cycle is the whole boundary; everything gets replaced.
-        # Reusing the stored cycle keeps its direction.
-        new_tris = [cx.boundary_cycle]
-    else:
-        cut = set(cycle_edges) - cycle_boundary
-        inner = []
-        for seed in cx.edge_faces[min(cut)]:
-            side, stack, outer = {seed}, [seed], False
-            while stack:
-                for a, b in _directed_edges(cx.triangles[stack.pop()]):
-                    e = edge_key(a, b)
-                    faces = cx.edge_faces[e]
-                    outer = outer or (len(faces) == 1 and e not in cycle_boundary)
-                    if e in cut:
-                        continue
-                    for g in faces:
-                        if g not in side:
-                            side.add(g)
-                            stack.append(g)
-            if not outer:
-                inner.append(side)
-        # Floods that meet fill the same faces and count twice or not at all.
-        if len(inner) != 1:
-            raise CycleBoundsBoundary(
-                f"cycle {t} does not bound a unique sub-disc "
-                f"({len(inner)} of the two sides of {min(cut)} qualify)"
-            )
-        (enclosed,) = inner
-        new_tris = [tri for i, tri in enumerate(cx.triangles) if i not in enclosed] + [t]
+    new_tris = [tri for i, tri in enumerate(cx.triangles) if i in outside]
+    new_tris.append(t if outside else cx.boundary_cycle)
 
     keep = sorted({v for tri in new_tris for v in tri})
     vertex_map = {old: new for new, old in enumerate(keep)}

@@ -10,7 +10,7 @@ enforces a uniform nondegeneracy floor on triangle areas.
 ``DiscComplex``.  It runs the structural checks in a fixed order so the
 raised error names the first property that fails:
 
-1. well-formed input              -> ValueError
+1. well-formed input              -> InvalidInput
 2. every edge in at most 2 faces  -> NonManifoldEdge
 3. edge-connectivity, no gaps in
    the vertex id range            -> DisconnectedComplex
@@ -43,6 +43,7 @@ import numpy as np
 from .errors import (
     DegenerateTriangle,
     DisconnectedComplex,
+    InvalidInput,
     MultipleBoundaryComponents,
     NonManifoldEdge,
     WrongEuler,
@@ -118,6 +119,19 @@ def triangle_areas(positions: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return area_rows(*(positions[triangles[:, k]] for k in range(3)))
 
 
+def _triangle(ids) -> Triangle:
+    """``ids`` as a triple of Python ints; InvalidInput unless they are
+    three distinct Python or numpy integers (a bool is not one)."""
+    t = tuple(ids)
+    if len(t) != 3:
+        raise InvalidInput(f"triangle {t!r} does not have three vertices")
+    if not all(type(v) is int or isinstance(v, np.integer) for v in t):
+        raise InvalidInput(f"non-integer vertex index in {t!r}")
+    if len(set(t)) != 3:
+        raise InvalidInput(f"repeated vertex in triangle {t!r}")
+    return tuple(map(int, t))
+
+
 def _directed_edges(tri: Triangle):
     a, b, c = tri
     return (a, b), (b, c), (c, a)
@@ -157,7 +171,7 @@ class DiscComplex:
     def is_interior_edge(self, u: int, v: int) -> bool:
         e = edge_key(u, v)
         if e not in self.edge_faces:
-            raise ValueError(f"{e} is not an edge of the complex")
+            raise InvalidInput(f"{e} is not an edge of the complex")
         return len(self.edge_faces[e]) == 2
 
     def interior_vertices(self) -> tuple[int, ...]:
@@ -186,7 +200,7 @@ class DiscComplex:
         vertex it is the open path from one boundary edge to the other.
         """
         if not 0 <= v < self.vertex_count:
-            raise ValueError(f"vertex {v} out of range")
+            raise InvalidInput(f"vertex {v} out of range")
         succ: dict[int, int] = {}
         for i in self.vertex_faces[v]:
             t = self.triangles[i]
@@ -238,26 +252,18 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
 
     Raises
     ------
-    ValueError, NonManifoldEdge, DisconnectedComplex, WrongEuler,
+    InvalidInput, NonManifoldEdge, DisconnectedComplex, WrongEuler,
     MultipleBoundaryComponents
         See the module docstring for the order of the checks.
     """
     tris: list[Triangle] = []
     for t in triples:
-        t = tuple(t)
-        if len(t) != 3:
-            raise ValueError(f"triangle {t!r} does not have three vertices")
-        try:
-            t = tuple(int(v) for v in t)
-        except (TypeError, ValueError):
-            raise ValueError(f"non-integer vertex index in {t!r}") from None
+        t = _triangle(t)
         if min(t) < 0:
-            raise ValueError(f"negative vertex index in {t!r}")
-        if len(set(t)) != 3:
-            raise ValueError(f"repeated vertex in triangle {t!r}")
+            raise InvalidInput(f"negative vertex index in {t!r}")
         tris.append(t)
     if not tris:
-        raise ValueError("empty triangle list")
+        raise InvalidInput("empty triangle list")
 
     edge_faces: dict[Edge, list[int]] = {}
     for i, t in enumerate(tris):
@@ -370,11 +376,11 @@ class PolyhedralDisc:
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float)
         if pos.shape != (self.complex.vertex_count, 3):
-            raise ValueError(
+            raise InvalidInput(
                 f"positions shape {pos.shape}, expected ({self.complex.vertex_count}, 3)"
             )
         if not np.all(np.abs(pos) <= _MAX_COORDINATE):
-            raise ValueError(f"positions must be finite and at most {_MAX_COORDINATE:g} in size")
+            raise InvalidInput(f"positions must be finite and at most {_MAX_COORDINATE:g} in size")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         span = pos.max(axis=0) - pos.min(axis=0)
@@ -411,7 +417,7 @@ class PolyhedralDisc:
         if isinstance(tri, (int, np.integer)):
             tri = self.complex.triangles[tri]
         if v not in tri:
-            raise ValueError(f"vertex {v} not in triangle {tri}")
+            raise InvalidInput(f"vertex {v} not in triangle {tri}")
         p, q = (w for w in tri if w != v)
         sides = self.positions[[p, q]] - self.positions[v]
         if np.any(row_norms(sides) == 0.0):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateParameters, DisconnectedComplex, ParseError
+from .errors import DegenerateParameters, DisconnectedComplex, InvalidInput, ParseError
 from .mesh import PolyhedralDisc, build_from_triangles
 from .optimize import OptimizationTrace, OptimizerConfig, minimize
 from .saddle import VertexVerdict
@@ -210,7 +210,7 @@ def random_instance(m: int, nonplanarity: float = 0.3, seed: int = 0) -> Polyhed
     """Random fan over a wobbly m-gon rim: radii in [0.6, 1.4], heights
     in [-nonplanarity, nonplanarity], apex at the rim centroid."""
     if m < 3:
-        raise ValueError(f"need at least 3 boundary vertices, got {m}")
+        raise InvalidInput(f"need at least 3 boundary vertices, got {m}")
     rng = np.random.default_rng(seed)
     theta = 2.0 * np.pi * np.arange(m) / m
     radii = rng.uniform(0.6, 1.4, m)

@@ -38,8 +38,6 @@ which the jitter makes vanishingly unlikely.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -47,11 +45,13 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
-    CycleBoundsBoundary,
     DegenerateTriangle,
     DegenerationBlocked,
-    NotAViolation,
+    InvalidInput,
     NotCuttable,
+    _check,
+    _check_tolerance,
+    _is_number,
 )
 from .flips import FanReduction, FlipPassResult, FlipRecord, _opposite_vertices
 from .flips import flip_pass, reduce_fan
@@ -62,22 +62,6 @@ from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdict, certify_s
 # =====================================================================
 # Configuration
 # =====================================================================
-
-
-def _is_number(x, integer: bool = False) -> bool:
-    """A finite real (an integer when ``integer``); bools excluded."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return False
-    return isinstance(x, numbers.Integral) or (not integer and math.isfinite(x))
-
-
-def _check(name: str, value, ok: bool, wanted: str) -> None:
-    if not ok:
-        raise ValueError(f"{name} must be {wanted}, got {value!r}")
-
-
-def _check_tolerance(name: str, value) -> None:
-    _check(name, value, _is_number(value) and value >= 0.0, "a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,7 +80,7 @@ class LineSearch:
 def _reject_unknown(what: str, data: dict, cls) -> None:
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+        raise InvalidInput(f"unknown {what} keys: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -155,12 +139,12 @@ class OptimizerConfig:
         ``line_search`` a dict keyed by LineSearch's; unknown keys are
         an error, and a missing or null ``line_search`` the default."""
         if not isinstance(data, dict):
-            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+            raise InvalidInput(f"config must be a JSON object, got {type(data).__name__}")
         kwargs = dict(data)
         ls = kwargs.pop("line_search", None)
         if ls is not None:
             if not isinstance(ls, dict):
-                raise ValueError(f"line_search must be a JSON object, got {ls!r}")
+                raise InvalidInput(f"line_search must be a JSON object, got {ls!r}")
             _reject_unknown("line_search", ls, LineSearch)
             kwargs["line_search"] = LineSearch(**ls)
         _reject_unknown("config", kwargs, cls)
@@ -350,18 +334,19 @@ def vertex_descent_step(
     star edge) / 2, well inside the range where every star edge strictly
     shortens.  A trial is accepted when the star stays nondegenerate,
     every star edge got shorter, and the star area dropped by more
-    than ``eps_area`` (None means any positive drop).
+    than ``eps_area``, a finite number >= 0 (None means any positive drop).
 
     Returns (new disc, decrease); (same disc, 0.0) when no trial was
     acceptable.  Raises NotCuttable for a saddle vertex and
     DegenerationBlocked when every trial degenerated the star.
     """
+    floor = 0.0 if eps_area is None else eps_area
+    _check_tolerance("eps_area", floor)
     if disc.complex.is_boundary_vertex(v):
-        raise ValueError(f"vertex {v} is on the boundary")
+        raise InvalidInput(f"vertex {v} is on the boundary")
     verdict = _vertex_verdict(disc, v, eps_saddle)
     if verdict.is_saddle:
         raise NotCuttable(f"vertex {v} admits no cutting plane")
-    floor = 0.0 if eps_area is None else eps_area
     gradient = position_area_gradient(disc, v)
     trial, decrease, blocked = _cut_move(disc, verdict, gradient, line_search, floor)
     if blocked:
@@ -393,7 +378,7 @@ def edge_length_area_gradient(
     """Per star edge of interior vertex ``v``, the derivative of total
     area in that edge's length with all other lengths frozen."""
     if disc.complex.is_boundary_vertex(v):
-        raise ValueError(f"vertex {v} is on the boundary")
+        raise InvalidInput(f"vertex {v} is on the boundary")
     return [
         (edge_key(v, u), edge_length_area_derivative(disc, (v, u)))
         for u in disc.complex.vertex_star(v)
@@ -472,7 +457,7 @@ def minimize(
         jittered[list(interior)] += offsets
         try:
             disc = disc.with_positions(jittered)
-        except (DegenerateTriangle, ValueError):
+        except (DegenerateTriangle, InvalidInput):
             pass  # a degenerate triangle or past the coordinate bound: keep the input
 
     iterations: list[IterationRecord] = []
@@ -488,7 +473,7 @@ def minimize(
             for triple in disc.complex.no_triangle_violations():
                 try:
                     disc, record = reduce_fan(disc, triple)
-                except (CycleBoundsBoundary, NotAViolation, DegenerateTriangle):
+                except DegenerateTriangle:  # the one refusal of a genuine empty triangle
                     unresolved += 1
                     continue
                 reductions.append(record)

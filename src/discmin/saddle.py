@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyStar, InvariantViolation
+from .errors import EmptyStar, InvalidInput, InvariantViolation, _check_tolerance
 from .mesh import PolyhedralDisc
 
 SADDLE = "saddle"
@@ -247,16 +247,16 @@ def _unit_directions(directions) -> list[tuple[float, float, float]]:
     it, so lengths from 1e-300 to 1e300 neither underflow nor overflow."""
     e = np.asarray(directions, dtype=float)
     if e.ndim != 2 or e.shape[1] != 3:
-        raise ValueError(f"expected (k, 3) directions, got shape {e.shape}")
+        raise InvalidInput(f"expected (k, 3) directions, got shape {e.shape}")
     if len(e) == 0:
         raise EmptyStar("no edge directions")
     unit = []
     for x, y, z in e.tolist():
         length = math.hypot(x, y, z)
         if length == 0.0:
-            raise ValueError("zero-length edge direction")
+            raise InvalidInput("zero-length edge direction")
         if not math.isfinite(length):
-            raise ValueError(f"edge direction {[x, y, z]} has no finite length")
+            raise InvalidInput(f"edge direction {[x, y, z]} has no finite length")
         unit.append((x / length, y / length, z / length))
     return unit
 
@@ -267,8 +267,10 @@ def cutting_direction(directions, eps_saddle: float = 1e-7) -> StarVerdict:
     Directions need not be normalized.  The verdict is decided by the
     recomputed margin: above ``eps_saddle`` the star is non-saddle and
     the cutting normal is returned; otherwise the hull coefficients
-    and their residual certify the saddle.
+    and their residual certify the saddle.  ``eps_saddle`` must be a
+    finite number >= 0.
     """
+    _check_tolerance("eps_saddle", eps_saddle)
     unit = _unit_directions(directions)
     point, lam = _min_norm_point(unit, eps_saddle)
     t = math.hypot(*point)
@@ -356,8 +358,9 @@ def certify_saddle(disc: PolyhedralDisc, eps_saddle: float = 1e-7) -> SaddleCert
 
     ``saddle`` is True when no interior vertex admits a cutting plane
     with margin above ``eps_saddle``; a disc without interior vertices
-    is vacuously saddle.
+    is vacuously saddle, but its ``eps_saddle`` is checked all the same.
     """
+    _check_tolerance("eps_saddle", eps_saddle)
     interior = disc.complex.interior_vertices()
     verdicts = tuple(_vertex_verdict(disc, v, eps_saddle) for v in interior)
     return SaddleCertificate(

@@ -1,0 +1,95 @@
+"""The error contract: every error the library raises is a DiscminError,
+and a malformed argument raises InvalidInput, which is a ValueError too."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import discmin
+from conftest import fan_disc
+from discmin import (
+    DiscminError,
+    InvalidInput,
+    OptimizerConfig,
+    PolyhedralDisc,
+    build_from_triangles,
+    certify_saddle,
+    cutting_direction,
+    edge_length_area_gradient,
+    flip_pass,
+    measure_hinge,
+    random_instance,
+    reduce_fan,
+    vertex_descent_step,
+)
+
+FAN = fan_disc(6)
+TRIANGLE = build_from_triangles([(0, 1, 2)])
+# Unchecked, a NaN eps_saddle leaves Wolfe's search undecided until its
+# major-cycle cap on this star and on the 8-fan's apex, and a negative
+# eps_flip flips the 8-gon's hinges back and forth until the flip cap.
+STAR = np.array([[1, 0, 0.2], [-1, 0, 0.2], [0, 1, 0.2], [0, -1, 0.2]])
+
+BAD_ARGUMENTS = {
+    "triangle of two vertices": lambda: build_from_triangles([(0, 1)]),
+    "fractional vertex id": lambda: build_from_triangles([(0, 1, 2.7)]),
+    "negative vertex id": lambda: build_from_triangles([(-1, 0, 1)]),
+    "repeated vertex": lambda: build_from_triangles([(0, 1, 1)]),
+    "empty triangle list": lambda: build_from_triangles([]),
+    "edge query off the complex": lambda: FAN.complex.is_interior_edge(0, 3),
+    "star of a vertex out of range": lambda: FAN.complex.vertex_star(7),
+    "positions of the wrong shape": lambda: PolyhedralDisc(TRIANGLE, np.zeros((2, 3))),
+    "non-finite position": lambda: PolyhedralDisc(TRIANGLE, [[0, 0, 0], [1, 0, 0], [0, np.nan, 0]]),
+    "angle at a vertex off the triangle": lambda: FAN.angle_at(0, 3),
+    "config value": lambda: OptimizerConfig(eps_flip=-1.0),
+    "unknown config key": lambda: OptimizerConfig.from_dict({"budget": 10}),
+    "config not an object": lambda: OptimizerConfig.from_dict([]),
+    "line_search not an object": lambda: OptimizerConfig.from_dict({"line_search": 1}),
+    "descent at a boundary vertex": lambda: vertex_descent_step(FAN, 0),
+    "edge gradient at a boundary vertex": lambda: edge_length_area_gradient(FAN, 0),
+    "rim of two vertices": lambda: random_instance(2),
+    "hinge off the complex": lambda: measure_hinge(FAN, (0, 3)),
+    "triple with a repeated vertex": lambda: reduce_fan(FAN, (0, 0, 2)),
+    "fractional triple": lambda: reduce_fan(FAN, (0, 2, 4.9)),
+    "directions not k x 3": lambda: cutting_direction(np.ones(3)),
+    "zero-length direction": lambda: cutting_direction(np.zeros((1, 3))),
+    "non-finite direction": lambda: cutting_direction([[np.inf, 0.0, 0.0]]),
+    "NaN eps_saddle": lambda: cutting_direction(STAR, float("nan")),
+    "negative eps_saddle": lambda: cutting_direction(STAR, -1e-7),
+    "NaN eps_saddle to certify": lambda: certify_saddle(fan_disc(8, apex=(0, 0, 0.6)), np.nan),
+    "NaN eps_saddle to certify no interior vertex": lambda: certify_saddle(
+        PolyhedralDisc(TRIANGLE, np.eye(3)), np.nan
+    ),
+    "NaN eps_saddle to a descent step": lambda: vertex_descent_step(FAN, 6, eps_saddle=np.nan),
+    "negative eps_flip": lambda: flip_pass(random_instance(8, seed=1), -10.0),
+    "NaN eps_flip": lambda: flip_pass(random_instance(8, seed=1), float("nan")),
+    "string eps_flip": lambda: flip_pass(FAN, "1e-9"),
+    "infinite eps_area": lambda: vertex_descent_step(FAN, 6, eps_area=float("inf")),
+    "negative eps_area": lambda: vertex_descent_step(FAN, 6, eps_area=-1.0),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENTS.values(), ids=list(BAD_ARGUMENTS))
+def test_a_bad_argument_raises_invalid_input(call):
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert isinstance(info.value, DiscminError)
+    assert isinstance(info.value, ValueError)
+
+
+def test_the_library_raises_no_bare_value_error():
+    package = Path(discmin.__file__).parent
+    sites = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if "raise ValueError" in line
+    ]
+    assert sites == []
+
+
+def test_tolerances_at_their_bounds_are_accepted():
+    assert cutting_direction(STAR, 0.0).margin > 0.0
+    assert len(flip_pass(random_instance(8, seed=1), 0.0).flips) == 2
+    assert vertex_descent_step(FAN, 6, eps_area=0)[1] > 0.0

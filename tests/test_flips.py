@@ -39,6 +39,7 @@ from discmin.errors import (
     CycleBoundsBoundary,
     DegenerateTriangle,
     FlipForbidden,
+    InvalidInput,
     InvariantViolation,
     NotAViolation,
 )
@@ -237,6 +238,7 @@ def test_flat_convex_quad():
     warped = dict(FLAT, b=(1, 1, 1e-9))
     assert flat_convex_quad(**warped)
     assert not flat_convex_quad(**dict(FLAT, b=(1, 1, 1e-3)))
+    assert not flat_convex_quad(*[(1, 2, 3)] * 4)
     disc = hinge_disc(**FLAT)
     assert flat_convex_check(disc, (0, 1))
     assert not flat_convex_check(hinge_disc(**LIFTED), (0, 1))
@@ -427,6 +429,10 @@ def test_reduce_rejects_non_violations():
         reduce_fan(disc, (0, 2, 99))
     with pytest.raises(ValueError):
         reduce_fan(disc, (0, 0, 2))
+    for bad in ((0, 2, 4.9), (0, True, 4), (0, 2, "4")):
+        with pytest.raises(InvalidInput, match="non-integer vertex index"):
+            reduce_fan(disc, bad)
+    assert reduce_fan(disc, np.array([4, 0, 2]))[1].triple == (0, 2, 4)
 
 
 def test_band_of_near_cyclic_hinges():

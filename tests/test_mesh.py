@@ -24,6 +24,7 @@ from discmin.mesh import cross_rows, row_norms
 from discmin.errors import (
     DegenerateTriangle,
     DisconnectedComplex,
+    InvalidInput,
     MultipleBoundaryComponents,
     NonManifoldEdge,
     WrongEuler,
@@ -114,6 +115,10 @@ def test_malformed_triangles_rejected():
         build_from_triangles([(-1, 0, 1)])
     with pytest.raises(ValueError):
         build_from_triangles([])
+    for bad in ((0, 1, 2.7), (0, True, "2"), (0, 1, np.float64(2.0)), (0, 1, np.bool_(True))):
+        with pytest.raises(InvalidInput, match="non-integer vertex index"):
+            build_from_triangles([bad])
+    assert build_from_triangles([(np.int64(0), np.int32(1), 2)]).triangles == ((0, 1, 2),)
 
 
 def test_non_manifold_edge_rejected():
@@ -251,6 +256,9 @@ def test_angles():
         np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float),
     )
     assert abs(right.angle_at((0, 1, 2), 0) - math.pi / 2) <= 1e-12
+    assert right.angle_at(0, 0) == right.angle_at((0, 1, 2), 0)
+    with pytest.raises(ValueError):
+        right.angle_at(0, 5)
 
     disc = double_interior_disc()
     for t in disc.complex.triangles:
@@ -285,6 +293,10 @@ def test_degenerate_triangle_rejected():
     barely_bent = collinear.copy()
     barely_bent[2, 1] = 1e-3
     PolyhedralDisc(build_from_triangles([(0, 1, 2)]), barely_bent)
+    # without a floor a collapsed side is accepted, but it has no angle
+    pinched = PolyhedralDisc(build_from_triangles([(0, 1, 2)]), collinear[[0, 0, 2]], eps_deg=0.0)
+    with pytest.raises(DegenerateTriangle):
+        pinched.angle_at(0, 0)
 
 
 def test_position_validation():
@@ -366,6 +378,8 @@ def test_edge_queries():
     assert not cx.is_interior_edge(0, 1)
     with pytest.raises(ValueError):
         cx.is_interior_edge(0, 3)
+    with pytest.raises(ValueError):
+        fan_disc(3).complex.vertex_star(9)
     assert edge_key(4, 1) == (1, 4)
     assert canonical_triangle((2, 0, 1)) == (0, 1, 2)
     assert canonical_triangle((2, 1, 0)) == (0, 2, 1)

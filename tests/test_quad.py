@@ -212,3 +212,9 @@ def test_embed_planar_realizes_the_state():
         assert abs(np.linalg.norm(a - b) - state.diagonal) <= 1e-10
         assert x[1] >= 0.0 >= y[1]
         assert abs(shoelace(pts[:, :2]) - state.area()) <= 1e-10
+    # the diagonal collapses at the bottom of the family: a and b coincide
+    collapsed = diagonal_from_alpha(QuadSpec(1, 1, 2, 2), 0.0)
+    assert collapsed.diagonal == 0.0
+    a, x, b, y = embed_planar(collapsed)
+    assert np.array_equal(a, b)
+    assert np.linalg.norm(x - a) == 1.0 and np.linalg.norm(y - a) == 2.0
