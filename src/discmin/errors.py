@@ -36,9 +36,7 @@ def _check(name: str, value, ok: bool, wanted: str) -> None:
 
 
 def _check_tolerance(name: str, value) -> None:
-    # a float by two comparisons (NaN fails both): solvers check theirs on every call
-    ok = 0.0 <= value < math.inf if type(value) is float else _is_number(value) and value >= 0.0
-    _check(name, value, ok, "a finite number >= 0")
+    _check(name, value, _is_number(value) and value >= 0.0, "a finite number >= 0")
 
 
 # =====================================================================

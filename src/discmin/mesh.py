@@ -184,11 +184,7 @@ class DiscComplex:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Vertices sharing an edge with ``v``, ascending."""
-        out: set[int] = set()
-        for i in self.vertex_faces[v]:
-            out.update(self.triangles[i])
-        out.discard(v)
-        return tuple(sorted(out))
+        return tuple(sorted(self.vertex_star(v)))
 
     # -- stars -----------------------------------------------------------
 
@@ -207,8 +203,7 @@ class DiscComplex:
             k = t.index(v)
             succ[t[(k + 1) % 3]] = t[(k + 2) % 3]
         if v in self.boundary_vertices:
-            heads = set(succ) - set(succ.values())
-            (cur,) = heads
+            (cur,) = set(succ) - set(succ.values())
         else:
             cur = min(succ)
         order = [cur]
@@ -302,9 +297,7 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     if missing:
         raise DisconnectedComplex(f"{missing} triangles unreachable through shared edges")
 
-    used = set()
-    for t in tris:
-        used.update(t)
+    used = {v for t in tris for v in t}
     vertex_count = max(used) + 1
     if len(used) != vertex_count:
         unused = sorted(set(range(vertex_count)) - used)
