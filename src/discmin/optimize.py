@@ -12,6 +12,17 @@ Each outer iteration runs three passes:
    gradient move otherwise.  Each is searched by backtracking and
    recorded as blocked when every trial step degenerates the star.
 
+The sweep works on one mutable state: a positions array, the triangle
+areas and the bounding box as Python floats, and the diameter.  A
+line-search trial is scored from the moved vertex's star alone, on
+Python floats, under the checks a ``PolyhedralDisc`` makes: the
+coordinate bound, and the degeneracy floor of the trial's own
+diameter, which re-checks the faces outside the star only when the
+trial grows the diameter.  An accepted trial is written into the
+state, and one validated disc is built when the sweep ends.  Every
+float is formed in the operations the numpy rows of ``mesh`` use, so
+a run is bit-identical to one that validated a disc per trial.
+
 The loop exits when an iteration decreases total area by no more than
 ``eps_area`` (or the iteration cap is hit); it *converged* when that
 final iteration also performed no combinatorial moves.  An interior
@@ -38,6 +49,7 @@ which the jitter makes vanishingly unlikely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -55,7 +67,7 @@ from .errors import (
 )
 from .flips import FanReduction, FlipPassResult, FlipRecord, _opposite_vertices
 from .flips import flip_pass, reduce_fan
-from .mesh import PolyhedralDisc, area_rows, cross_rows, edge_key, row_norms
+from .mesh import _MAX_COORDINATE, PolyhedralDisc, area_rows, edge_key
 from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdict, certify_saddle
 
 
@@ -225,10 +237,152 @@ class OptimizationTrace:
 # =====================================================================
 
 
+@dataclass
+class _Star:
+    """The star of a vertex: the ids ``ids`` of the vertex (first) and
+    its neighbors, their ``points`` as Python floats, and the faces
+    around the vertex, each with its corners as indices into both.  In
+    the sweep it also holds the bounding box ``lo``..``hi`` of every
+    other vertex with its diagonal, and the least area of a face
+    outside the star once a trial needs it."""
+
+    ids: list[int]
+    faces: tuple[int, ...]
+    corners: list[tuple[int, int, int]]
+    points: list[list[float]]
+    lo: Optional[list[float]] = None
+    hi: Optional[list[float]] = None
+    box_diameter: Optional[float] = None
+    others_min: Optional[float] = None
+
+    @classmethod
+    def around(cls, state, v: int) -> "_Star":
+        """The star of ``v`` in ``state``, a PolyhedralDisc or the
+        sweep's working state: only its complex and positions are read."""
+        cx = state.complex
+        faces = cx.vertex_faces[v]
+        triangles = [cx.triangles[f] for f in faces]
+        ids = [v]
+        for t in triangles:
+            ids += (u for u in t if u not in ids)
+        slot = {u: i for i, u in enumerate(ids)}
+        corners = [(slot[a], slot[b], slot[c]) for a, b, c in triangles]
+        return cls(ids, faces, corners, state.positions[ids].tolist())
+
+
+def _area(p0, p1, p2) -> float:
+    """Area of one triangle, in the operations ``area_rows`` performs."""
+    u0, u1, u2 = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
+    w0, w1, w2 = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
+    c0, c1, c2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+    return 0.5 * math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+
+
+def _lengths(x, points) -> list[float]:
+    """Distances from ``x`` to each of ``points``, as ``row_norms`` computes them."""
+    x0, x1, x2 = x
+    lengths = []
+    for p0, p1, p2 in points:
+        d0, d1, d2 = p0 - x0, p1 - x1, p2 - x2
+        lengths.append(math.sqrt(d0 * d0 + d1 * d1 + d2 * d2))
+    return lengths
+
+
+class _Sweep:
+    """The working state of one vertex sweep: a disc's complex, a
+    writable copy of its positions, its triangle areas as Python floats,
+    its bounding box and its diameter, always as valid as a
+    PolyhedralDisc of them.
+
+    A line-search trial moves one vertex and is scored from that
+    vertex's star alone (:meth:`trial`); an accepted trial is written
+    back (:meth:`apply`), and :meth:`disc` validates the state once,
+    when the sweep ends.
+    """
+
+    def __init__(self, disc: PolyhedralDisc):
+        self.complex = disc.complex
+        self.eps_deg = disc.eps_deg
+        self.positions = np.array(disc.positions)
+        self.areas = disc._areas.tolist()
+        self.lo = self.positions.min(axis=0).tolist()
+        self.hi = self.positions.max(axis=0).tolist()
+        self.diameter = disc.diameter
+        self._star: Optional[_Star] = None
+
+    def star(self, v: int) -> _Star:
+        """The star of ``v``, kept until a move is applied.  Where ``v``
+        is strictly inside the box, the other vertices span all of it."""
+        star = self._star
+        if star is None or star.ids[0] != v:
+            star = self._star = _Star.around(self, v)
+            if all(low < c < high for low, c, high in zip(self.lo, star.points[0], self.hi)):
+                star.lo, star.hi, star.box_diameter = self.lo, self.hi, self.diameter
+            else:
+                others = np.delete(self.positions, v, axis=0)
+                lo, hi = others.min(axis=0), others.max(axis=0)
+                star.lo, star.hi = lo.tolist(), hi.tolist()
+                star.box_diameter = float(np.linalg.norm(hi - lo))
+        return star
+
+    def trial(self, v: int, point) -> tuple[list[float], float]:
+        """The areas of the star faces of ``v`` and the diameter, with
+        ``v`` moved to ``point`` (three Python floats).
+
+        Raises what constructing the moved disc would: InvalidInput for
+        a coordinate that is not finite or past the bound, and
+        DegenerateTriangle for an area below ``eps_deg * diameter**2``.
+        Only the star's areas change, and the floor rises only with the
+        diameter, which can grow only when ``point`` leaves the other
+        vertices' box; the other faces are checked again only then.
+        """
+        x, y, z = point
+        bound = _MAX_COORDINATE
+        if not (abs(x) <= bound and abs(y) <= bound and abs(z) <= bound):
+            raise InvalidInput(f"positions must be finite and at most {bound:g} in size")
+        star = self.star(v)
+        (lx, ly, lz), (hx, hy, hz) = star.lo, star.hi
+        if lx <= x <= hx and ly <= y <= hy and lz <= z <= hz:
+            diameter = star.box_diameter
+        else:
+            span = [max(high, c) - min(low, c) for low, c, high in zip(star.lo, point, star.hi)]
+            diameter = float(np.linalg.norm(span))
+        floor = self.eps_deg * diameter * diameter
+        points = [point, *star.points[1:]]
+        areas = [_area(points[i], points[j], points[k]) for i, j, k in star.corners]
+        grown = diameter > self.diameter
+        if grown and star.others_min is None:
+            inside = set(star.faces)
+            star.others_min = min((a for f, a in enumerate(self.areas) if f not in inside),
+                                  default=math.inf)
+        if diameter <= 0.0 or min(areas) < floor or grown and star.others_min < floor:
+            raise DegenerateTriangle(
+                f"vertex {v} at {point} leaves a triangle below the floor {floor:.6e}"
+            )
+        return areas, diameter
+
+    def apply(self, v: int, trial) -> tuple[float, float, float]:
+        """Move ``v`` as the accepted ``trial`` (point, star areas,
+        diameter) says; returns the displacement."""
+        point, areas, diameter = trial
+        star = self.star(v)
+        self.lo = [min(low, c) for low, c in zip(star.lo, point)]
+        self.hi = [max(high, c) for high, c in zip(star.hi, point)]
+        self.diameter = diameter
+        self.positions[v] = point
+        for f, area in zip(star.faces, areas):
+            self.areas[f] = area
+        self._star = None
+        return tuple(p - q for p, q in zip(point, star.points[0]))
+
+    def disc(self) -> PolyhedralDisc:
+        return PolyhedralDisc(self.complex, self.positions, self.eps_deg)
+
+
 def _line_search(
-    disc: PolyhedralDisc, v: int, first: np.ndarray, gradient: np.ndarray,
+    sweep: _Sweep, v: int, first: np.ndarray, gradient: np.ndarray,
     line_search: LineSearch, floor: float, shorten: bool = False,
-) -> tuple[Optional[PolyhedralDisc], float, bool]:
+) -> tuple[Optional[tuple], float, bool]:
     """Backtracking search for vertex ``v``: the displacement ``first``,
     then shorter ones by factors of ``line_search.shrink``.
 
@@ -237,61 +391,62 @@ def _line_search(
     than ``floor``.  As the star area is convex, with ``gradient`` g at
     the start, the trial ``t * first`` lowers it by at most -t g.first,
     and the search ends once that is no more than ``floor``.  Returns
-    (trial or None, decrease, blocked), with ``blocked`` true when every
-    trial made degenerated the star.
+    (trial or None, decrease, blocked), the trial being what
+    ``_Sweep.apply`` takes, with ``blocked`` true when every trial made
+    degenerated the star.
     """
     slope = -float(gradient @ first)
-    p = disc.positions
-    faces = disc.complex.vertex_faces[v]
+    star = sweep.star(v)
+    x, neighbors = star.points[0], star.points[1:]
     if shorten:
-        star = list(disc.complex.vertex_star(v))
-        lengths = row_norms(p[star] - p[v])
-    before = sum(disc.triangle_area(f) for f in faces)
+        lengths = _lengths(x, neighbors)
+    before = sum(sweep.areas[f] for f in star.faces)
+    direction = first.tolist()
     tried = nondegenerate = False
     step = 1.0
     for _ in range(line_search.max_backtracks + 1):
         if step * slope <= floor:
             break
         tried = True
+        point = tuple(c + step * d for c, d in zip(x, direction))
         try:
-            trial = disc.moved(v, p[v] + step * first)
+            areas, diameter = sweep.trial(v, point)
         except DegenerateTriangle:
             step *= line_search.shrink
             continue
         nondegenerate = True
-        q = trial.positions
-        if not shorten or not np.any(row_norms(q[star] - q[v]) >= lengths):
-            decrease = before - sum(trial.triangle_area(f) for f in faces)
+        if not shorten or all(new < old for new, old in zip(_lengths(point, neighbors), lengths)):
+            decrease = before - sum(areas)
             if decrease > floor:
-                return trial, decrease, False
+                return (point, areas, diameter), decrease, False
         step *= line_search.shrink
     return None, 0.0, tried and not nondegenerate
 
 
 def _first_step(
-    disc: PolyhedralDisc, verdict: VertexVerdict, direction: np.ndarray, scale: float,
+    sweep: _Sweep, verdict: VertexVerdict, direction: np.ndarray, scale: float,
     line_search: LineSearch,
 ) -> np.ndarray:
     """First trial of a cut or steepest-descent move: ``step * scale``
     times the shortest star edge, along the unit ``direction``."""
-    p, v = disc.positions, verdict.vertex
-    shortest = float(row_norms(p[list(verdict.star)] - p[v]).min())
+    x, *neighbors = sweep.star(verdict.vertex).points
+    shortest = min(_lengths(x, neighbors))
     return line_search.step * scale * shortest * direction
 
 
 def _cut_move(
-    disc: PolyhedralDisc, verdict: VertexVerdict, gradient: np.ndarray,
+    sweep: _Sweep, verdict: VertexVerdict, gradient: np.ndarray,
     line_search: LineSearch, floor: float,
-) -> tuple[Optional[PolyhedralDisc], float, bool]:
+) -> tuple[Optional[tuple], float, bool]:
     """The paper's move of a non-saddle vertex: along its cutting
     direction from half the margin, every star edge shortening."""
-    first = _first_step(disc, verdict, verdict.cut_normal, 0.5 * verdict.margin, line_search)
-    return _line_search(disc, verdict.vertex, first, gradient, line_search, floor, shorten=True)
+    first = _first_step(sweep, verdict, verdict.cut_normal, 0.5 * verdict.margin, line_search)
+    return _line_search(sweep, verdict.vertex, first, gradient, line_search, floor, shorten=True)
 
 
 def _vertex_move(
-    disc: PolyhedralDisc, v: int, eps_saddle: float, line_search: LineSearch, floor: float
-) -> tuple[str, Optional[PolyhedralDisc], float, bool]:
+    sweep: _Sweep, v: int, eps_saddle: float, line_search: LineSearch, floor: float
+) -> tuple[str, Optional[tuple], float, bool]:
     """Pick and search the move of interior vertex ``v``.
 
     The damped Newton step -(H + 1e-8 tr(H) I)^-1 g on the star area
@@ -305,20 +460,20 @@ def _vertex_move(
     decrease, blocked), ``mode`` being "cut" or "gradient", the latter
     for Newton steps too.
     """
-    _, g, h = _star_area(disc, v)
+    _, g, h = _star_area(sweep.star(v))
     if np.any(g):
         newton = -np.linalg.solve(h + 1e-8 * np.trace(h) * np.eye(3), g)
-        trial, decrease, _ = _line_search(disc, v, newton, g, line_search, floor)
+        trial, decrease, _ = _line_search(sweep, v, newton, g, line_search, floor)
         if trial is not None:
             return "gradient", trial, decrease, False
-    verdict = _vertex_verdict(disc, v, eps_saddle)
+    verdict = _vertex_verdict(sweep, v, eps_saddle)
     if not verdict.is_saddle:
-        return ("cut", *_cut_move(disc, verdict, g, line_search, floor))
+        return ("cut", *_cut_move(sweep, verdict, g, line_search, floor))
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         return "gradient", None, 0.0, False
-    first = _first_step(disc, verdict, -g / norm, 1.0, line_search)
-    return ("gradient", *_line_search(disc, v, first, g, line_search, floor))
+    first = _first_step(sweep, verdict, -g / norm, 1.0, line_search)
+    return ("gradient", *_line_search(sweep, v, first, g, line_search, floor))
 
 
 def vertex_descent_step(
@@ -348,10 +503,14 @@ def vertex_descent_step(
     if verdict.is_saddle:
         raise NotCuttable(f"vertex {v} admits no cutting plane")
     gradient = position_area_gradient(disc, v)
-    trial, decrease, blocked = _cut_move(disc, verdict, gradient, line_search, floor)
+    sweep = _Sweep(disc)
+    trial, decrease, blocked = _cut_move(sweep, verdict, gradient, line_search, floor)
     if blocked:
         raise DegenerationBlocked(f"every step at vertex {v} degenerates its star")
-    return (disc, 0.0) if trial is None else (trial, decrease)
+    if trial is None:
+        return disc, 0.0
+    sweep.apply(v, trial)
+    return sweep.disc(), decrease
 
 
 # =====================================================================
@@ -385,9 +544,9 @@ def edge_length_area_gradient(
     ]
 
 
-def _star_area(disc: PolyhedralDisc, v: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Area of the star of ``v`` with its gradient and Hessian in the
-    position x of ``v``.
+def _star_area(star: _Star) -> tuple[float, np.ndarray, np.ndarray]:
+    """Area of the star of a vertex with its gradient and Hessian in
+    the position x of the vertex.
 
     An incident triangle (v, a, b) has normal n = (a - x) x (b - x)
     = a x b + x x d with d = a - b, so the star area f = 1/2 sum |n| is
@@ -395,27 +554,45 @@ def _star_area(disc: PolyhedralDisc, v: int) -> tuple[float, np.ndarray, np.ndar
     1/2 sum [d]x^T (I - n^ n^T) [d]x / |n|.  As d lies in the triangle's
     plane, the Hessian term is |d|^2 / |n| n^ n^T: only moves off the
     plane curve the triangle's area.
+
+    Each triangle's terms are Python floats, in the operations
+    ``cross_rows`` and ``row_norms`` perform, and the gradient adds them
+    in order as numpy's row sum does; |d|^2 stays an ``einsum``, which
+    adds the squares in an order of its own, and the Hessian one matmul.
     """
-    cx, p = disc.complex, disc.positions
-    faces = [cx.triangles[i] for i in cx.vertex_faces[v]]
-    rotated = np.array([t[t.index(v):] + t[:t.index(v)] for t in faces], dtype=np.intp)
-    a, b = p[rotated[:, 1]], p[rotated[:, 2]]
-    n = cross_rows(a - p[v], b - p[v])
-    norms = row_norms(n)
-    if np.any(norms == 0.0):
-        raise DegenerateTriangle(f"triangle {faces[int(np.argmin(norms))]} has zero area")
-    d = a - b
-    unit = n / norms[:, None]
-    gradient = 0.5 * cross_rows(d, unit).sum(axis=0)
+    points = star.points
+    x0, x1, x2 = points[0]
+    g0 = g1 = g2 = -0.0
+    d_rows, unit_rows, norms = [], [], []
+    for corner in star.corners:
+        k = corner.index(0)
+        a0, a1, a2 = points[corner[(k + 1) % 3]]
+        b0, b1, b2 = points[corner[(k + 2) % 3]]
+        u0, u1, u2 = a0 - x0, a1 - x1, a2 - x2
+        w0, w1, w2 = b0 - x0, b1 - x1, b2 - x2
+        n0, n1, n2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+        norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+        if norm == 0.0:
+            triangle = tuple(star.ids[i] for i in corner)
+            raise DegenerateTriangle(f"triangle {triangle} has zero area")
+        e0, e1, e2 = n0 / norm, n1 / norm, n2 / norm
+        d0, d1, d2 = a0 - b0, a1 - b1, a2 - b2
+        g0 += d1 * e2 - d2 * e1
+        g1 += d2 * e0 - d0 * e2
+        g2 += d0 * e1 - d1 * e0
+        d_rows.append((d0, d1, d2))
+        unit_rows.append((e0, e1, e2))
+        norms.append(norm)
+    d, unit, norms = np.array(d_rows), np.array(unit_rows), np.array(norms)
     hessian = 0.5 * (unit.T * (np.einsum("ij,ij->i", d, d) / norms)) @ unit
-    return 0.5 * float(norms.sum()), gradient, hessian
+    return 0.5 * float(norms.sum()), np.array([0.5 * g0, 0.5 * g1, 0.5 * g2]), hessian
 
 
 def position_area_gradient(disc: PolyhedralDisc, v: int) -> np.ndarray:
     """Exact gradient of total area with respect to the position of
     ``v``: sum over incident triangles (v, a, b) of (a - b) x n / 2
     with n the triangle's unit normal."""
-    return _star_area(disc, v)[1]
+    return _star_area(_Star.around(disc, v))[1]
 
 
 # =====================================================================
@@ -485,16 +662,17 @@ def minimize(
                    else FlipPassResult(disc, (), False))
         disc = flipped.disc
 
+        sweep = _Sweep(disc)
         for v in disc.complex.interior_vertices():
             mode, trial, decrease, blocked = _vertex_move(
-                disc, v, cfg.eps_saddle, cfg.line_search, eps_area
+                sweep, v, cfg.eps_saddle, cfg.line_search, eps_area
             )
             if trial is None and not blocked:
                 continue
-            moved = disc if trial is None else trial
-            disp = tuple(float(x) for x in moved.positions[v] - disc.positions[v])
+            disp = (0.0, 0.0, 0.0) if trial is None else sweep.apply(v, trial)
             moves.append(MoveRecord(v, disp, decrease, mode, "degeneration" if blocked else None))
-            disc = moved
+        if any(m.blocked is None for m in moves):  # a blocked move leaves v in place
+            disc = sweep.disc()
 
         area_end = disc.total_area()
         iterations.append(

@@ -13,7 +13,7 @@ import numpy as np
 from discmin import PolyhedralDisc, build_from_triangles, edge_key
 from discmin.errors import CycleBoundsBoundary, DegenerateTriangle, FlipForbidden
 from discmin.flips import FlipPassResult, FlipRecord, _opposite_vertices, bulk_hinges, flip
-from discmin.mesh import row_norms
+from discmin.mesh import cross_rows, row_norms
 
 
 # ---------------------------------------------------------------------
@@ -59,6 +59,37 @@ def position_gradient_by_faces(disc: PolyhedralDisc, v: int) -> np.ndarray:
             raise DegenerateTriangle(f"triangle {t} has zero area")
         gradient += 0.5 * np.cross(a - b, n / norm)
     return gradient
+
+
+def star_area_by_arrays(disc, v: int):
+    """Oracle for ``optimize._star_area``: the star's area, gradient and
+    Hessian in the position of ``v`` on numpy rows, one array per
+    quantity, as the sweep computed them before it moved to Python
+    floats.  Only ``disc.complex`` and ``disc.positions`` are read."""
+    cx, p = disc.complex, disc.positions
+    faces = [cx.triangles[i] for i in cx.vertex_faces[v]]
+    rotated = np.array([t[t.index(v):] + t[:t.index(v)] for t in faces], dtype=np.intp)
+    a, b = p[rotated[:, 1]], p[rotated[:, 2]]
+    n = cross_rows(a - p[v], b - p[v])
+    norms = row_norms(n)
+    if np.any(norms == 0.0):
+        raise DegenerateTriangle(f"triangle {faces[int(np.argmin(norms))]} has zero area")
+    d = a - b
+    unit = n / norms[:, None]
+    gradient = 0.5 * cross_rows(d, unit).sum(axis=0)
+    hessian = 0.5 * (unit.T * (np.einsum("ij,ij->i", d, d) / norms)) @ unit
+    return 0.5 * float(norms.sum()), gradient, hessian
+
+
+def trial_by_rebuild(disc: PolyhedralDisc, v: int, point):
+    """Oracle for ``optimize._Sweep.trial``: build and validate the whole
+    moved disc through ``disc.moved``, as every line-search trial once
+    did.  Returns the star's areas in the moved disc, the decrease of
+    the star area, and the moved disc; raises what ``moved`` raises."""
+    moved = disc.moved(v, point)
+    faces = disc.complex.vertex_faces[v]
+    areas = [moved.triangle_area(f) for f in faces]
+    return areas, sum(disc.triangle_area(f) for f in faces) - sum(areas), moved
 
 
 def flat_convex_quad_by_corners(a, b, x, y, tol: float = 1e-6) -> bool:

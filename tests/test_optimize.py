@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from conftest import (
     regular_polygon,
     saddle_grid_disc,
     shoelace,
+    star_area_by_arrays,
+    trial_by_rebuild,
 )
 from discmin import (
     LineSearch,
@@ -45,6 +48,7 @@ from discmin.errors import (
     DegenerateTriangle,
     DegenerationBlocked,
     FlipForbidden,
+    InvalidInput,
     NotCuttable,
 )
 from discmin.mesh import row_norms
@@ -142,7 +146,7 @@ def test_position_gradient_matches_face_loop_oracle(disc):
 def test_star_hessian_matches_central_differences_of_the_gradient(disc):
     p = disc.positions
     for v in disc.complex.interior_vertices():
-        area, gradient, hessian = optimize._star_area(disc, v)
+        area, gradient, hessian = optimize._star_area(optimize._Star.around(disc, v))
         star = list(disc.complex.vertex_star(v))
         h = 1e-5 * float(row_norms(p[star] - p[v]).min())
         differences = np.empty((3, 3))
@@ -161,6 +165,137 @@ def test_star_hessian_matches_central_differences_of_the_gradient(disc):
         assert np.array_equal(gradient, position_area_gradient(disc, v))
         faces = disc.complex.vertex_faces[v]
         assert area == pytest.approx(sum(disc.triangle_area(f) for f in faces), rel=1e-12)
+
+
+@pytest.mark.parametrize("degree", range(3, 25))
+def test_star_area_matches_the_array_oracle_across_scales(degree):
+    """The Python-float kernel returns the numpy oracle's gradient and
+    Hessian bit for bit, or refuses the same stars: those scaled below
+    about 1e-77, whose squared cross products underflow to zero."""
+    rng = np.random.default_rng(degree)
+    complex_ = fan_disc(degree).complex
+    for scale in 10.0 ** np.arange(-200, 71, 30):
+        for _ in range(5):
+            rim = regular_polygon(degree) * rng.uniform(0.7, 1.3, (degree, 1))
+            rim[:, 2] = rng.uniform(-0.5, 0.5, degree)
+            positions = scale * np.vstack([rim, rng.uniform(-0.3, 0.3, (1, 3))])
+            state = SimpleNamespace(complex=complex_, positions=positions)
+            star = optimize._Star.around(state, degree)
+            try:
+                area, gradient, hessian = star_area_by_arrays(state, degree)
+            except DegenerateTriangle:
+                assert scale < 1e-77
+                with pytest.raises(DegenerateTriangle):
+                    optimize._star_area(star)
+                continue
+            got = optimize._star_area(star)
+            assert got[0] == area
+            assert np.array_equal(got[1], gradient) and np.array_equal(got[2], hessian)
+
+
+@pytest.mark.parametrize("disc", GRIDS_AND_FANS, ids=GRIDS_AND_FANS_IDS)
+def test_star_area_matches_the_array_oracle(disc):
+    for v in disc.complex.interior_vertices():
+        expected = star_area_by_arrays(disc, v)
+        got = optimize._star_area(optimize._Star.around(disc, v))
+        assert got[0] == expected[0]
+        assert np.array_equal(got[1], expected[1]) and np.array_equal(got[2], expected[2])
+
+
+def _same_trial(sweep, disc, v, point):
+    """Score ``point`` in the working state and in the oracle; returns
+    the oracle's moved disc, or None where both refuse the trial."""
+    try:
+        expected, decrease, moved = trial_by_rebuild(disc, v, point)
+    except DegenerateTriangle:
+        with pytest.raises(DegenerateTriangle):
+            sweep.trial(v, point)
+        return None
+    areas, diameter = sweep.trial(v, point)
+    assert areas == expected
+    assert diameter == moved.diameter
+    assert sum(sweep.areas[f] for f in sweep.star(v).faces) - sum(areas) == decrease
+    return moved
+
+
+@pytest.mark.parametrize("disc", GRIDS_AND_FANS, ids=GRIDS_AND_FANS_IDS)
+def test_star_trials_match_the_rebuild_oracle(disc):
+    """Trials scored from the star alone get the verdict, star areas,
+    decrease and diameter that validating the whole moved disc gives;
+    applying the accepted ones keeps the working state equal to the
+    oracle's disc."""
+    rng = np.random.default_rng(7)
+    sweep = optimize._Sweep(disc)
+    verdicts = set()
+    for v in disc.complex.interior_vertices():
+        p = disc.positions
+        a, b = disc.complex.vertex_star(v)[:2]
+        # small to far past the box, then onto a neighbor and onto a star edge
+        points = [p[v] + s * disc.diameter * rng.normal(size=3) for s in (1e-4, 1e-2, 0.3, 2.0)]
+        points += [p[a], 0.5 * (p[a] + p[b])]
+        outcomes = [_same_trial(sweep, disc, v, tuple(q.tolist())) for q in points]
+        verdicts.update(moved is not None for moved in outcomes)
+        if outcomes[0] is not None:
+            point = tuple(points[0].tolist())
+            sweep.apply(v, (point, *sweep.trial(v, point)))
+            disc = outcomes[0]
+            assert sweep.areas == [disc.triangle_area(f) for f in range(len(disc.complex.triangles))]
+            assert sweep.diameter == disc.diameter
+            assert sweep.lo == disc.positions.min(axis=0).tolist()
+            assert sweep.hi == disc.positions.max(axis=0).tolist()
+    assert verdicts == {True, False}
+    final = sweep.disc()
+    assert np.array_equal(final.positions, disc.positions)
+    assert final.total_area() == disc.total_area()
+
+
+def test_a_trial_that_grows_the_box_rechecks_the_faces_outside_the_star():
+    base = perturbed_grid_disc(4, seed=0)
+    cx, p = base.complex, base.positions
+    areas = [base.triangle_area(f) for f in range(len(cx.triangles))]
+    smallest = int(np.argmin(areas))
+    v = next(u for u in cx.interior_vertices() if smallest not in cx.vertex_faces[u])
+    # the floor sits at half the smallest area, outside the star of v
+    disc = PolyhedralDisc(cx, p, eps_deg=0.5 * areas[smallest] / base.diameter**2)
+    point = (float(p[v, 0]), float(p[v, 1]), float(p[v, 2]) + 3.0 * base.diameter)
+    star_areas, _, lifted = trial_by_rebuild(base, v, point)
+    # lifting v far out of the box raises the floor past that face alone
+    assert min(star_areas) >= disc.eps_deg * lifted.diameter**2 > areas[smallest]
+    with pytest.raises(DegenerateTriangle):
+        trial_by_rebuild(disc, v, point)
+    with pytest.raises(DegenerateTriangle):
+        optimize._Sweep(disc).trial(v, point)
+
+
+def test_a_trial_that_shrinks_the_box_lowers_the_floor():
+    base = perturbed_grid_disc(4, seed=0)
+    cx, p = base.complex, base.positions
+    v = int(np.argmax(p[:, 2]))  # the rim lies in z = 0, so v is interior
+    assert not cx.is_boundary_vertex(v) and np.sum(p[:, 2] == p[v, 2]) == 1
+    a, b = cx.vertex_star(v)[:2]
+    middle = 0.5 * (p[a] + p[b])
+    # next to the middle of a star edge: lower, and with a sliver in the star
+    point = tuple((middle + 1e-3 * (p[v] - middle)).tolist())
+    star_areas, _, lowered = trial_by_rebuild(base, v, point)
+    sliver = min(star_areas)
+    eps_deg = (1.0 - 1e-6) * sliver / lowered.diameter**2
+    disc = PolyhedralDisc(cx, p, eps_deg=eps_deg)
+    # the floor of the disc before the move would refuse the sliver
+    assert eps_deg * disc.diameter**2 > sliver
+    expected, _, moved = trial_by_rebuild(disc, v, point)
+    areas, diameter = optimize._Sweep(disc).trial(v, point)
+    assert areas == expected
+    assert diameter == moved.diameter < disc.diameter
+
+
+def test_a_trial_past_the_coordinate_bound_is_invalid_input():
+    disc = fan_disc(8, apex=(0.1, 0.0, 0.5))
+    sweep = optimize._Sweep(disc)
+    for point in ((2e75, 0.0, 0.5), (0.1, 0.0, math.nan), (0.1, -math.inf, 0.5)):
+        with pytest.raises(InvalidInput):
+            trial_by_rebuild(disc, 8, point)
+        with pytest.raises(InvalidInput):
+            sweep.trial(8, point)
 
 
 def test_position_gradient_zero_area_face():
@@ -223,18 +358,18 @@ def test_vertex_descent_step_requires_non_saddle():
 
 def test_vertex_descent_step_refuses_a_saddle_vertex_before_any_trial(monkeypatch):
     trials = []
-    moved = PolyhedralDisc.moved
+    trial = optimize._Sweep.trial
 
-    def counted(disc, v, point):
+    def counted(sweep, v, point):
         trials.append(v)
-        return moved(disc, v, point)
+        return trial(sweep, v, point)
 
     # a flat star, and a saddle star off its area minimum (nonzero gradient)
     rim = regular_polygon(8)
     rim[:, 2] = 0.3 * np.cos(2.0 * np.arctan2(rim[:, 1], rim[:, 0]))
     saddle = PolyhedralDisc(fan_disc(8).complex, np.vstack([rim, [[0.05, 0.0, 0.1]]]))
     assert np.linalg.norm(position_area_gradient(saddle, 8)) > 0.1
-    monkeypatch.setattr(PolyhedralDisc, "moved", counted)
+    monkeypatch.setattr(optimize._Sweep, "trial", counted)
     for disc in (fan_disc(8, apex=(0.05, 0.0, 0.0)), saddle):
         with pytest.raises(NotCuttable):
             vertex_descent_step(disc, 8)
@@ -243,12 +378,12 @@ def test_vertex_descent_step_refuses_a_saddle_vertex_before_any_trial(monkeypatc
     assert trials
 
 
-def _refuse_every_move(disc, v, point):
+def _refuse_every_move(sweep, v, point):
     raise DegenerateTriangle(f"vertex {v} may not move")
 
 
 def test_vertex_descent_step_reports_a_blocked_cut(monkeypatch):
-    monkeypatch.setattr(PolyhedralDisc, "moved", _refuse_every_move)
+    monkeypatch.setattr(optimize._Sweep, "trial", _refuse_every_move)
     with pytest.raises(DegenerationBlocked):
         vertex_descent_step(fan_disc(12, apex=(0.0, 0.0, 0.6)), 12)
     # a saddle vertex is refused before its degeneration matters
@@ -257,7 +392,7 @@ def test_vertex_descent_step_reports_a_blocked_cut(monkeypatch):
 
 
 def test_blocked_moves_are_recorded_for_both_modes(monkeypatch):
-    monkeypatch.setattr(PolyhedralDisc, "moved", _refuse_every_move)
+    monkeypatch.setattr(optimize._Sweep, "trial", _refuse_every_move)
     disc = perturbed_grid_disc(4, seed=0)
     out, trace = minimize(disc, OptimizerConfig(max_outer_iterations=1))
     (rec,) = trace.iterations
@@ -550,7 +685,7 @@ def test_a_flat_symmetric_vertex_has_no_move():
         build_from_triangles([(i, (i + 1) % 4, 4) for i in range(4)]),
         np.array([*rim, (0, 0, 0)], dtype=float),
     )
-    move = optimize._vertex_move(disc, 4, 1e-7, LineSearch(), 1e-12)
+    move = optimize._vertex_move(optimize._Sweep(disc), 4, 1e-7, LineSearch(), 1e-12)
     assert move == ("gradient", None, 0.0, False)
     out, trace = minimize(disc, OptimizerConfig(jitter_amplitude=0.0))
     assert len(trace.iterations) == 1
