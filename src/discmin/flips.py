@@ -36,7 +36,9 @@ from .errors import (
     InvalidInput,
     InvariantViolation,
     NotAViolation,
+    _check,
     _check_tolerance,
+    _is_number,
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, build_from_triangles, edge_key
 from .mesh import _directed_edges, _triangle, angle_rows, area_rows, canonical_triangle
@@ -283,9 +285,11 @@ def flip_pass(
     Flips that ``flip`` would refuse (opposite vertices already joined,
     or a new triangle below the area floor) are skipped.  The edited
     triangles are validated once, at the end, into the returned disc.
-    ``eps_flip`` must be a finite number >= 0.
+    ``eps_flip`` must be a finite number >= 0, ``cap`` an integer >= 0.
     """
     _check_tolerance("eps_flip", eps_flip)
+    _check("cap", cap, cap is None or _is_number(cap, integer=True) and cap >= 0,
+           "None or an integer >= 0")
     cx, p = disc.complex, disc.positions
     if cap is None:
         cap = 100 * len(cx.edges)

@@ -25,11 +25,11 @@ a run is bit-identical to one that validated a disc per trial.
 
 The loop exits when an iteration decreases total area by no more than
 ``eps_area`` (or the iteration cap is hit); it *converged* when that
-final iteration also performed no combinatorial moves.  An interior
-vertex is jittered once before the first iteration to knock the input
-off razor-edge symmetric configurations; the amplitude is relative to
-the disc diameter and the generator is seeded, so runs are exactly
-reproducible.
+final iteration also performed no combinatorial moves and its flip pass
+stopped short of the flip cap.  An interior vertex is jittered once
+before the first iteration to knock the input off razor-edge symmetric
+configurations; the amplitude is relative to the disc diameter and the
+generator is seeded, so runs are exactly reproducible.
 
 Why a stationary sweep certifies as saddle: the derivative of area
 with respect to one star edge length is l/2 (cot t1 + cot t2) with
@@ -241,19 +241,12 @@ class OptimizationTrace:
 class _Star:
     """The star of a vertex: the ids ``ids`` of the vertex (first) and
     its neighbors, their ``points`` as Python floats, and the faces
-    around the vertex, each with its corners as indices into both.  In
-    the sweep it also holds the bounding box ``lo``..``hi`` of every
-    other vertex with its diagonal, and the least area of a face
-    outside the star once a trial needs it."""
+    around the vertex, each with its corners as indices into both."""
 
     ids: list[int]
     faces: tuple[int, ...]
     corners: list[tuple[int, int, int]]
     points: list[list[float]]
-    lo: Optional[list[float]] = None
-    hi: Optional[list[float]] = None
-    box_diameter: Optional[float] = None
-    others_min: Optional[float] = None
 
     @classmethod
     def around(cls, state, v: int) -> "_Star":
@@ -295,9 +288,9 @@ class _Sweep:
     PolyhedralDisc of them.
 
     A line-search trial moves one vertex and is scored from that
-    vertex's star alone (:meth:`trial`); an accepted trial is written
-    back (:meth:`apply`), and :meth:`disc` validates the state once,
-    when the sweep ends.
+    vertex's star alone (:meth:`trial`); an accepted trial, with the
+    box and diameter it measured, is written back (:meth:`apply`), and
+    :meth:`disc` validates the state once, when the sweep ends.
     """
 
     def __init__(self, disc: PolyhedralDisc):
@@ -311,64 +304,56 @@ class _Sweep:
         self._star: Optional[_Star] = None
 
     def star(self, v: int) -> _Star:
-        """The star of ``v``, kept until a move is applied.  Where ``v``
-        is strictly inside the box, the other vertices span all of it."""
-        star = self._star
-        if star is None or star.ids[0] != v:
-            star = self._star = _Star.around(self, v)
-            if all(low < c < high for low, c, high in zip(self.lo, star.points[0], self.hi)):
-                star.lo, star.hi, star.box_diameter = self.lo, self.hi, self.diameter
-            else:
-                others = np.delete(self.positions, v, axis=0)
-                lo, hi = others.min(axis=0), others.max(axis=0)
-                star.lo, star.hi = lo.tolist(), hi.tolist()
-                star.box_diameter = float(np.linalg.norm(hi - lo))
-        return star
+        """The star of ``v``, kept until a move is applied."""
+        if self._star is None or self._star.ids[0] != v:
+            self._star = _Star.around(self, v)
+        return self._star
 
-    def trial(self, v: int, point) -> tuple[list[float], float]:
-        """The areas of the star faces of ``v`` and the diameter, with
-        ``v`` moved to ``point`` (three Python floats).
+    def trial(self, v: int, point) -> tuple[list[float], tuple[list[float], list[float], float]]:
+        """The areas of the star faces of ``v`` and the moved box
+        (``lo``, ``hi``, diameter), with ``v`` moved to ``point`` (three
+        Python floats).
 
         Raises what constructing the moved disc would: InvalidInput for
         a coordinate that is not finite or past the bound, and
         DegenerateTriangle for an area below ``eps_deg * diameter**2``.
-        Only the star's areas change, and the floor rises only with the
-        diameter, which can grow only when ``point`` leaves the other
-        vertices' box; the other faces are checked again only then.
+        Where ``v`` is strictly inside the box, the other vertices span
+        all of it, so a ``point`` inside keeps the box and diameter;
+        otherwise the moved positions are measured as a PolyhedralDisc
+        measures them.  Only the star's areas change, and the floor
+        rises only with the diameter; the other faces are checked again
+        only then.
         """
         x, y, z = point
         bound = _MAX_COORDINATE
         if not (abs(x) <= bound and abs(y) <= bound and abs(z) <= bound):
             raise InvalidInput(f"positions must be finite and at most {bound:g} in size")
         star = self.star(v)
-        (lx, ly, lz), (hx, hy, hz) = star.lo, star.hi
-        if lx <= x <= hx and ly <= y <= hy and lz <= z <= hz:
-            diameter = star.box_diameter
+        (lx, ly, lz), (hx, hy, hz) = self.lo, self.hi
+        x0, x1, x2 = star.points[0]
+        if (lx < x0 < hx and ly < x1 < hy and lz < x2 < hz
+                and lx <= x <= hx and ly <= y <= hy and lz <= z <= hz):
+            lo, hi, diameter = self.lo, self.hi, self.diameter
         else:
-            span = [max(high, c) - min(low, c) for low, c, high in zip(star.lo, point, star.hi)]
-            diameter = float(np.linalg.norm(span))
+            moved = self.positions.copy()
+            moved[v] = point
+            low, high = moved.min(axis=0), moved.max(axis=0)
+            lo, hi, diameter = low.tolist(), high.tolist(), float(np.linalg.norm(high - low))
         floor = self.eps_deg * diameter * diameter
         points = [point, *star.points[1:]]
         areas = [_area(points[i], points[j], points[k]) for i, j, k in star.corners]
-        grown = diameter > self.diameter
-        if grown and star.others_min is None:
-            inside = set(star.faces)
-            star.others_min = min((a for f, a in enumerate(self.areas) if f not in inside),
-                                  default=math.inf)
-        if diameter <= 0.0 or min(areas) < floor or grown and star.others_min < floor:
+        if diameter <= 0.0 or min(areas) < floor or diameter > self.diameter and any(
+                a < floor for f, a in enumerate(self.areas) if f not in star.faces):
             raise DegenerateTriangle(
                 f"vertex {v} at {point} leaves a triangle below the floor {floor:.6e}"
             )
-        return areas, diameter
+        return areas, (lo, hi, diameter)
 
     def apply(self, v: int, trial) -> tuple[float, float, float]:
-        """Move ``v`` as the accepted ``trial`` (point, star areas,
-        diameter) says; returns the displacement."""
-        point, areas, diameter = trial
+        """Move ``v`` as the accepted ``trial`` (point, star areas, box)
+        says; returns the displacement."""
+        point, areas, (self.lo, self.hi, self.diameter) = trial
         star = self.star(v)
-        self.lo = [min(low, c) for low, c in zip(star.lo, point)]
-        self.hi = [max(high, c) for high, c in zip(star.hi, point)]
-        self.diameter = diameter
         self.positions[v] = point
         for f, area in zip(star.faces, areas):
             self.areas[f] = area
@@ -381,25 +366,30 @@ class _Sweep:
 
 def _line_search(
     sweep: _Sweep, v: int, first: np.ndarray, gradient: np.ndarray,
-    line_search: LineSearch, floor: float, shorten: bool = False,
+    line_search: LineSearch, floor: float, scale: Optional[float] = None,
+    shorten: bool = False,
 ) -> tuple[Optional[tuple], float, bool]:
     """Backtracking search for vertex ``v``: the displacement ``first``,
-    then shorter ones by factors of ``line_search.shrink``.
+    then shorter ones by factors of ``line_search.shrink``.  Given a
+    ``scale``, ``first`` is a unit direction, and the first trial goes
+    ``line_search.step * scale`` times the shortest star edge along it.
 
     A trial is accepted when the star stays nondegenerate, every star
-    edge got shorter (if ``shorten``), and the star area dropped by more
-    than ``floor``.  As the star area is convex, with ``gradient`` g at
-    the start, the trial ``t * first`` lowers it by at most -t g.first,
-    and the search ends once that is no more than ``floor``.  Returns
-    (trial or None, decrease, blocked), the trial being what
-    ``_Sweep.apply`` takes, with ``blocked`` true when every trial made
-    degenerated the star.
+    edge got shorter (if ``shorten``, which needs a ``scale``), and the
+    star area dropped by more than ``floor``.  As the star area is
+    convex, with ``gradient`` g at the start, the trial ``t * first``
+    lowers it by at most -t g.first, and the search ends once that is
+    no more than ``floor``.  A trial past the coordinate bound is
+    refused as a degenerate one is.  Returns (trial or None, decrease,
+    blocked), the trial being what ``_Sweep.apply`` takes, with
+    ``blocked`` true when every trial made degenerated the star.
     """
-    slope = -float(gradient @ first)
     star = sweep.star(v)
     x, neighbors = star.points[0], star.points[1:]
-    if shorten:
+    if scale is not None:
         lengths = _lengths(x, neighbors)
+        first = line_search.step * scale * min(lengths) * first
+    slope = -float(gradient @ first)
     before = sum(sweep.areas[f] for f in star.faces)
     direction = first.tolist()
     tried = nondegenerate = False
@@ -410,28 +400,17 @@ def _line_search(
         tried = True
         point = tuple(c + step * d for c, d in zip(x, direction))
         try:
-            areas, diameter = sweep.trial(v, point)
-        except DegenerateTriangle:
+            areas, box = sweep.trial(v, point)
+        except (DegenerateTriangle, InvalidInput):
             step *= line_search.shrink
             continue
         nondegenerate = True
         if not shorten or all(new < old for new, old in zip(_lengths(point, neighbors), lengths)):
             decrease = before - sum(areas)
             if decrease > floor:
-                return (point, areas, diameter), decrease, False
+                return (point, areas, box), decrease, False
         step *= line_search.shrink
     return None, 0.0, tried and not nondegenerate
-
-
-def _first_step(
-    sweep: _Sweep, verdict: VertexVerdict, direction: np.ndarray, scale: float,
-    line_search: LineSearch,
-) -> np.ndarray:
-    """First trial of a cut or steepest-descent move: ``step * scale``
-    times the shortest star edge, along the unit ``direction``."""
-    x, *neighbors = sweep.star(verdict.vertex).points
-    shortest = min(_lengths(x, neighbors))
-    return line_search.step * scale * shortest * direction
 
 
 def _cut_move(
@@ -440,8 +419,8 @@ def _cut_move(
 ) -> tuple[Optional[tuple], float, bool]:
     """The paper's move of a non-saddle vertex: along its cutting
     direction from half the margin, every star edge shortening."""
-    first = _first_step(sweep, verdict, verdict.cut_normal, 0.5 * verdict.margin, line_search)
-    return _line_search(sweep, verdict.vertex, first, gradient, line_search, floor, shorten=True)
+    return _line_search(sweep, verdict.vertex, verdict.cut_normal, gradient, line_search, floor,
+                        scale=0.5 * verdict.margin, shorten=True)
 
 
 def _vertex_move(
@@ -472,8 +451,7 @@ def _vertex_move(
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         return "gradient", None, 0.0, False
-    first = _first_step(sweep, verdict, -g / norm, 1.0, line_search)
-    return ("gradient", *_line_search(sweep, v, first, g, line_search, floor))
+    return ("gradient", *_line_search(sweep, v, -g / norm, g, line_search, floor, scale=1.0))
 
 
 def vertex_descent_step(
@@ -592,6 +570,8 @@ def position_area_gradient(disc: PolyhedralDisc, v: int) -> np.ndarray:
     """Exact gradient of total area with respect to the position of
     ``v``: sum over incident triangles (v, a, b) of (a - b) x n / 2
     with n the triangle's unit normal."""
+    n = disc.complex.vertex_count
+    _check("vertex", v, _is_number(v, integer=True) and 0 <= v < n, f"an integer 0 to {n - 1}")
     return _star_area(_Star.around(disc, v))[1]
 
 

@@ -19,6 +19,7 @@ from discmin import (
     edge_length_area_gradient,
     flip_pass,
     measure_hinge,
+    position_area_gradient,
     random_instance,
     reduce_fan,
     vertex_descent_step,
@@ -65,6 +66,11 @@ BAD_ARGUMENTS = {
     "negative eps_flip": lambda: flip_pass(random_instance(8, seed=1), -10.0),
     "NaN eps_flip": lambda: flip_pass(random_instance(8, seed=1), float("nan")),
     "string eps_flip": lambda: flip_pass(FAN, "1e-9"),
+    "string flip cap": lambda: flip_pass(FAN, cap="3"),
+    "negative flip cap": lambda: flip_pass(FAN, cap=-1),
+    "fractional flip cap": lambda: flip_pass(FAN, cap=2.5),
+    "position gradient at a vertex out of range": lambda: position_area_gradient(fan_disc(8), 99),
+    "position gradient at a fractional vertex": lambda: position_area_gradient(FAN, 6.5),
     "infinite eps_area": lambda: vertex_descent_step(FAN, 6, eps_area=float("inf")),
     "negative eps_area": lambda: vertex_descent_step(FAN, 6, eps_area=-1.0),
 }

@@ -211,19 +211,29 @@ def _same_trial(sweep, disc, v, point):
         with pytest.raises(DegenerateTriangle):
             sweep.trial(v, point)
         return None
-    areas, diameter = sweep.trial(v, point)
+    areas, (lo, hi, diameter) = sweep.trial(v, point)
     assert areas == expected
     assert diameter == moved.diameter
+    assert lo == moved.positions.min(axis=0).tolist()
+    assert hi == moved.positions.max(axis=0).tolist()
     assert sum(sweep.areas[f] for f in sweep.star(v).faces) - sum(areas) == decrease
     return moved
 
 
-@pytest.mark.parametrize("disc", GRIDS_AND_FANS, ids=GRIDS_AND_FANS_IDS)
-def test_star_trials_match_the_rebuild_oracle(disc):
+TOP = perturbed_grid_disc(4, seed=0)
+
+
+@pytest.mark.parametrize(
+    ("disc", "lowered"),
+    [(disc, None) for disc in GRIDS_AND_FANS] + [(TOP, int(np.argmax(TOP.positions[:, 2])))],
+    ids=GRIDS_AND_FANS_IDS + ["grid0_top_lowered"],
+)
+def test_star_trials_match_the_rebuild_oracle(disc, lowered):
     """Trials scored from the star alone get the verdict, star areas,
-    decrease and diameter that validating the whole moved disc gives;
+    decrease and box that validating the whole moved disc gives;
     applying the accepted ones keeps the working state equal to the
-    oracle's disc."""
+    oracle's disc.  The vertex ``lowered``, the only one at the top of
+    the box, first moves straight down, so applying it shrinks the box."""
     rng = np.random.default_rng(7)
     sweep = optimize._Sweep(disc)
     verdicts = set()
@@ -233,11 +243,14 @@ def test_star_trials_match_the_rebuild_oracle(disc):
         # small to far past the box, then onto a neighbor and onto a star edge
         points = [p[v] + s * disc.diameter * rng.normal(size=3) for s in (1e-4, 1e-2, 0.3, 2.0)]
         points += [p[a], 0.5 * (p[a] + p[b])]
+        if v == lowered:
+            points[0] = p[v] - [0.0, 0.0, 1e-4 * disc.diameter]
         outcomes = [_same_trial(sweep, disc, v, tuple(q.tolist())) for q in points]
         verdicts.update(moved is not None for moved in outcomes)
         if outcomes[0] is not None:
             point = tuple(points[0].tolist())
             sweep.apply(v, (point, *sweep.trial(v, point)))
+            assert v != lowered or outcomes[0].diameter < disc.diameter
             disc = outcomes[0]
             assert sweep.areas == [disc.triangle_area(f) for f in range(len(disc.complex.triangles))]
             assert sweep.diameter == disc.diameter
@@ -283,7 +296,7 @@ def test_a_trial_that_shrinks_the_box_lowers_the_floor():
     # the floor of the disc before the move would refuse the sliver
     assert eps_deg * disc.diameter**2 > sliver
     expected, _, moved = trial_by_rebuild(disc, v, point)
-    areas, diameter = optimize._Sweep(disc).trial(v, point)
+    areas, (_, _, diameter) = optimize._Sweep(disc).trial(v, point)
     assert areas == expected
     assert diameter == moved.diameter < disc.diameter
 
@@ -296,6 +309,17 @@ def test_a_trial_past_the_coordinate_bound_is_invalid_input():
             trial_by_rebuild(disc, 8, point)
         with pytest.raises(InvalidInput):
             sweep.trial(8, point)
+
+
+def test_a_disc_near_the_coordinate_bound_converges_as_at_unit_scale():
+    """Line-search trials past the coordinate bound are refused like
+    degenerate ones, so a fan scaled to 3e74 is minimized as at scale 1."""
+    base = fan_disc(8, apex=(0.0, 0.0, 3.0))
+    runs = []
+    for scale in (1.0, 1e74):
+        _, trace = minimize(base.with_positions(scale * base.positions))
+        runs.append((len(trace.iterations), trace.converged, trace.final_area / scale**2))
+    assert runs[0] == runs[1] == (7, True, 2.8284271247461903)
 
 
 def test_position_gradient_zero_area_face():
