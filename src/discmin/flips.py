@@ -41,7 +41,7 @@ from .errors import (
     _is_number,
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, build_from_triangles, edge_key
-from .mesh import _directed_edges, _triangle, angle_rows, area_rows, canonical_triangle
+from .mesh import _area, _directed_edges, _triangle, area_rows, canonical_triangle
 from .mesh import cross_rows, row_norms
 
 
@@ -67,13 +67,41 @@ class HingeMeasurement:
     gain: float
 
 
-def _hinge_rows(a, b, x, y):
-    """The four angles (abx, aby, bax, bay) and the flip gain of stacked
-    hinges; the single implementation behind every sigma and gain."""
-    corners = ((a, b, x), (a, b, y), (b, a, x), (b, a, y))  # apex in the middle
-    angles = tuple(angle_rows(u - apex, w - apex) for u, apex, w in corners)
-    gain = area_rows(a, b, x) + area_rows(a, b, y) - area_rows(a, x, y) - area_rows(b, x, y)
-    return angles, gain
+def _hinge_rows(q):
+    """The four angles (abx, aby, bax, bay), their sum sigma and the flip
+    gain of stacked hinges whose points a, b, x, y are the (4, n, 3)
+    array ``q``; the single implementation behind every sigma and gain.
+
+    Six cross products serve both: the corner crosses at b, of the
+    angles abx and aby, and at a, of bax and bay, then the area crosses
+    of the flipped triangles axy and bxy.  The two at a,
+    (b - a) x (x - a) and (b - a) x (y - a), are also the area crosses
+    of the current triangles abx and aby.  Each angle and area is the
+    same float operations as ``angle_rows`` and ``area_rows`` give it.
+    """
+    apex = q[[1, 1, 0, 0, 0, 1]]
+    u = q[[0, 0, 1, 1, 2, 2]] - apex
+    w = q[[2, 3, 2, 3, 3, 3]] - apex
+    norms = row_norms(cross_rows(u, w))
+    angles = np.arctan2(norms[:4], np.einsum("...i,...i->...", u[:4], w[:4]))
+    areas = 0.5 * norms
+    gain = areas[2] + areas[3] - areas[4] - areas[5]
+    return angles, angles[0] + angles[1] + angles[2] + angles[3], gain
+
+
+def _hinge_points(points, ndim: int) -> np.ndarray:
+    """The points a, b, x, y stacked into one float array; InvalidInput
+    unless they are four finite real arrays of one shape, (n, 3) when
+    ``ndim`` is 2 and (3,) when it is 1."""
+    try:
+        q = np.array(points)
+    except (TypeError, ValueError):
+        q = None
+    if (q is None or q.dtype.kind not in "iuf" or q.ndim != ndim + 1
+            or q.shape[-1] != 3 or not np.all(np.isfinite(q))):
+        shape = "(n, 3)" if ndim == 2 else "(3,)"
+        raise InvalidInput(f"hinge points must be four finite real arrays of shape {shape}")
+    return q.astype(float)
 
 
 def bulk_hinges(a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -81,10 +109,11 @@ def bulk_hinges(a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
 
     Each argument is an (n, 3) array; row i holds one hinge [a_i, b_i]
     with opposite vertices x_i, y_i.  Returns (sigma, gain) arrays.
-    No degeneracy checking.
+    No degeneracy checking; raises InvalidInput unless the arguments are
+    finite real arrays of one shape (n, 3).
     """
-    angles, gain = _hinge_rows(*(np.asarray(m, dtype=float) for m in (a, b, x, y)))
-    return sum(angles), gain
+    _, sigma, gain = _hinge_rows(_hinge_points((a, b, x, y), 2))
+    return sigma, gain
 
 
 def hinge_from_points(a, b, x, y) -> HingeMeasurement:
@@ -92,20 +121,21 @@ def hinge_from_points(a, b, x, y) -> HingeMeasurement:
 
     Raises DegenerateTriangle if either current triangle has zero area
     or the hinge has zero length.  The flipped triangles may be
-    degenerate; the gain is still defined.
+    degenerate; the gain is still defined.  Raises InvalidInput unless
+    each point is three finite real coordinates.
     """
-    a, b, x, y = (np.asarray(p, dtype=float).reshape(1, 3) for p in (a, b, x, y))
+    q = _hinge_points((a, b, x, y), 1).reshape(4, 1, 3)
+    a, b, x, y = q
     if row_norms(b - a)[0] == 0.0:
         raise DegenerateTriangle("hinge endpoints coincide")
     if area_rows(a, b, x)[0] == 0.0 or area_rows(a, b, y)[0] == 0.0:
         raise DegenerateTriangle("hinge triangle has zero area")
-    rows, gain = _hinge_rows(a, b, x, y)
-    angles = tuple(float(t[0]) for t in rows)
+    angles, sigma, gain = _hinge_rows(q)
     return HingeMeasurement(
         edge=(0, 1),
         opposite=(2, 3),
-        angles=angles,
-        sigma=float(sum(angles)),
+        angles=tuple(angles[:, 0].tolist()),
+        sigma=float(sigma[0]),
         gain=float(gain[0]),
     )
 
@@ -200,14 +230,12 @@ def _flip_edit(
     if (a, b) not in _directed_edges(triangles[forward]):
         forward, backward, p, q = backward, forward, y, x
     new = (canonical_triangle((p, a, q)), canonical_triangle((q, b, p)))
-    corners = positions[np.array(new, dtype=np.intp)]
-    areas = area_rows(corners[:, 0], corners[:, 1], corners[:, 2])
-    if np.any(areas < floor):
-        worst = int(np.argmin(areas))
-        raise DegenerateTriangle(
-            f"flip of {edge}: triangle {new[worst]} has area {areas[worst]:.6e}, "
-            f"below the floor {floor:.6e}"
-        )
+    for t, corners in zip(new, positions[np.array(new, dtype=np.intp)].tolist()):
+        area = _area(*corners)
+        if area < floor:
+            raise DegenerateTriangle(
+                f"flip of {edge}: triangle {t} has area {area:.6e}, below the floor {floor:.6e}"
+            )
     triangles[forward], triangles[backward] = new
     del edge_faces[edge]
     edge_faces[edge_key(x, y)] = faces
@@ -276,15 +304,17 @@ def flip_pass(
     """Flip hinges with sigma < pi - eps_flip until none remain.
 
     Works on plain tables: the triangle list, the edge -> faces map and
-    the sigma and gain of every interior hinge, measured with one
-    ``bulk_hinges`` call.  After each flip only the hinges it touched,
-    the new diagonal and the interior quad sides, are re-measured, in
-    one more call.  The first eligible edge in sorted order is flipped
-    each time.  Each flip strictly decreases area, so the pass
-    terminates; ``cap`` (default 100 edges' worth) is a safety stop.
-    Flips that ``flip`` would refuse (opposite vertices already joined,
-    or a new triangle below the area floor) are skipped.  The edited
-    triangles are validated once, at the end, into the returned disc.
+    the sigma and gain of every interior hinge, measured by one gather
+    of the hinges' points and one call of the hinge kernel.  After each
+    flip only the hinges it touched, the new diagonal and the interior
+    quad sides, are re-measured, by one more gather and call.  The
+    first eligible edge in sorted order is flipped each time.  Each
+    flip strictly decreases area, so the pass terminates; ``cap``
+    (default 100 edges' worth) is a safety stop, and ``cap_exceeded``
+    says that it left a flip the pass would have made.  Flips that
+    ``flip`` would refuse (opposite vertices already joined, or a new
+    triangle below the area floor) are skipped.  The edited triangles
+    are validated once, at the end, into the returned disc.
     ``eps_flip`` must be a finite number >= 0, ``cap`` an integer >= 0.
     """
     _check_tolerance("eps_flip", eps_flip)
@@ -303,25 +333,27 @@ def flip_pass(
         rows = [(*e, *_opposite(triangles, edge_faces, e))
                 for e in edges if len(edge_faces[e]) == 2]
         if rows:
-            stacked = np.array(rows, dtype=np.intp)
-            sigma, gain = bulk_hinges(*(p[stacked[:, k]] for k in range(4)))
+            _, sigma, gain = _hinge_rows(p[np.array(rows, dtype=np.intp).T])
             hinges.update(zip((r[:2] for r in rows), zip(sigma.tolist(), gain.tolist())))
 
     measure(cx.edges)
     records: list[FlipRecord] = []
     cap_exceeded = False
-    while True:
-        if len(records) >= cap:
-            cap_exceeded = True
-            break
+    while not cap_exceeded:
         for e in sorted(h for h, (sigma, _) in hinges.items() if sigma < threshold):
+            # at the cap, a flip is only tried, on copies of the tables
+            at_cap = len(records) >= cap
+            tables = (list(triangles), dict(edge_faces)) if at_cap else (triangles, edge_faces)
             try:
-                x, y = _flip_edit(triangles, edge_faces, e, p, floor)
+                x, y = _flip_edit(*tables, e, p, floor)
             except (FlipForbidden, DegenerateTriangle):
                 continue
-            records.append(FlipRecord(e, *hinges.pop(e)))
-            a, b = e
-            measure([edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))])
+            if at_cap:
+                cap_exceeded = True
+            else:
+                records.append(FlipRecord(e, *hinges.pop(e)))
+                a, b = e
+                measure([edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))])
             break
         else:
             break

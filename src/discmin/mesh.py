@@ -34,6 +34,7 @@ above 1).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -111,6 +112,14 @@ def angle_rows(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 def area_rows(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Areas of the stacked triangles with corners ``p0``, ``p1``, ``p2``."""
     return 0.5 * row_norms(cross_rows(p1 - p0, p2 - p0))
+
+
+def _area(p0, p1, p2) -> float:
+    """Area of one triangle, in the operations ``area_rows`` performs."""
+    u0, u1, u2 = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
+    w0, w1, w2 = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
+    c0, c1, c2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+    return 0.5 * math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
 def triangle_areas(positions: np.ndarray, triangles: np.ndarray) -> np.ndarray:

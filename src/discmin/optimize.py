@@ -67,7 +67,7 @@ from .errors import (
 )
 from .flips import FanReduction, FlipPassResult, FlipRecord, _opposite_vertices
 from .flips import flip_pass, reduce_fan
-from .mesh import _MAX_COORDINATE, PolyhedralDisc, area_rows, edge_key
+from .mesh import _MAX_COORDINATE, PolyhedralDisc, _area, area_rows, edge_key
 from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdict, certify_saddle
 
 
@@ -261,14 +261,6 @@ class _Star:
         slot = {u: i for i, u in enumerate(ids)}
         corners = [(slot[a], slot[b], slot[c]) for a, b, c in triangles]
         return cls(ids, faces, corners, state.positions[ids].tolist())
-
-
-def _area(p0, p1, p2) -> float:
-    """Area of one triangle, in the operations ``area_rows`` performs."""
-    u0, u1, u2 = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
-    w0, w1, w2 = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
-    c0, c1, c2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
-    return 0.5 * math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
 def _lengths(x, points) -> list[float]:

@@ -13,7 +13,7 @@ import numpy as np
 from discmin import PolyhedralDisc, build_from_triangles, edge_key
 from discmin.errors import CycleBoundsBoundary, DegenerateTriangle, FlipForbidden
 from discmin.flips import FlipPassResult, FlipRecord, _opposite_vertices, bulk_hinges, flip
-from discmin.mesh import cross_rows, row_norms
+from discmin.mesh import angle_rows, area_rows, cross_rows, row_norms
 
 
 # ---------------------------------------------------------------------
@@ -121,18 +121,28 @@ def flat_convex_quad_by_corners(a, b, x, y, tol: float = 1e-6) -> bool:
     return True
 
 
+def hinge_rows_by_corners(a, b, x, y):
+    """Oracle for ``flips._hinge_rows``: the four angles (abx, aby, bax,
+    bay), their sum sigma and the flip gain of stacked hinges, one
+    ``angle_rows`` call per corner and one ``area_rows`` call per
+    triangle, eight cross products where the kernel forms six."""
+    corners = ((a, b, x), (a, b, y), (b, a, x), (b, a, y))  # apex in the middle
+    angles = tuple(angle_rows(u - apex, w - apex) for u, apex, w in corners)
+    gain = area_rows(a, b, x) + area_rows(a, b, y) - area_rows(a, x, y) - area_rows(b, x, y)
+    return angles, sum(angles), gain
+
+
 def flip_pass_by_rebuild(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None) -> FlipPassResult:
     """Oracle for ``flip_pass``: rescan every interior hinge with one
     ``bulk_hinges`` call and rebuild and validate the whole disc through
-    ``flip`` after each flip, instead of editing tables in place."""
+    ``flip`` after each flip, instead of editing tables in place.  At the
+    cap, the flip that would come next is made and dropped, and the cap
+    counts as exceeded only if there is one."""
     if cap is None:
         cap = 100 * len(disc.complex.edges)
     records = []
     cap_exceeded = False
-    while True:
-        if len(records) >= cap:
-            cap_exceeded = True
-            break
+    while not cap_exceeded:
         cx, p = disc.complex, disc.positions
         edges = cx.interior_edges()
         hinges = [(*e, *_opposite_vertices(cx, e)[1]) for e in edges]
@@ -142,9 +152,13 @@ def flip_pass_by_rebuild(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None)
         for k in np.flatnonzero(sigma < np.pi - eps_flip):
             e = edges[k]
             try:
-                disc = flip(disc, e)
+                flipped = flip(disc, e)
             except (FlipForbidden, DegenerateTriangle):
                 continue
+            if len(records) >= cap:
+                cap_exceeded = True
+                break
+            disc = flipped
             records.append(FlipRecord(e, float(sigma[k]), float(gain[k])))
             progressed = True
             break

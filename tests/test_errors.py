@@ -14,10 +14,12 @@ from discmin import (
     OptimizerConfig,
     PolyhedralDisc,
     build_from_triangles,
+    bulk_hinges,
     certify_saddle,
     cutting_direction,
     edge_length_area_gradient,
     flip_pass,
+    hinge_from_points,
     measure_hinge,
     position_area_gradient,
     random_instance,
@@ -31,6 +33,9 @@ TRIANGLE = build_from_triangles([(0, 1, 2)])
 # major-cycle cap on this star and on the 8-fan's apex, and a negative
 # eps_flip flips the 8-gon's hinges back and forth until the flip cap.
 STAR = np.array([[1, 0, 0.2], [-1, 0, 0.2], [0, 1, 0.2], [0, -1, 0.2]])
+# Two hinges, stacked as bulk_hinges takes them: a, b, x, y of shape (2, 3) each.
+HINGES = np.array([[[0, 0, 0], [1, 0, 0]], [[1, 1, 0], [1, 0, 1]],
+                   [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]], dtype=float)
 
 BAD_ARGUMENTS = {
     "triangle of two vertices": lambda: build_from_triangles([(0, 1)]),
@@ -71,6 +76,16 @@ BAD_ARGUMENTS = {
     "fractional flip cap": lambda: flip_pass(FAN, cap=2.5),
     "position gradient at a vertex out of range": lambda: position_area_gradient(fan_disc(8), 99),
     "position gradient at a fractional vertex": lambda: position_area_gradient(FAN, 6.5),
+    "hinge rows of unequal count": lambda: bulk_hinges(*HINGES[:3], HINGES[3, :1]),
+    "hinge rows of two coordinates": lambda: bulk_hinges(*HINGES[:, :, :2]),
+    "hinge points not stacked": lambda: bulk_hinges(*HINGES[:, 0]),
+    "hinge rows of strings": lambda: bulk_hinges(*HINGES.astype(str)),
+    "a string for hinge rows": lambda: bulk_hinges("abc", *HINGES[1:]),
+    "NaN in hinge rows": lambda: bulk_hinges(*np.where(HINGES == 1.0, np.nan, HINGES)),
+    "infinite hinge row": lambda: bulk_hinges(*HINGES[:3], np.full((2, 3), np.inf)),
+    "hinge point of two coordinates": lambda: hinge_from_points((0, 0), *HINGES[1:, 0]),
+    "NaN hinge point": lambda: hinge_from_points(*HINGES[:3, 0], (0.0, np.nan, 1.0)),
+    "hinge point a string": lambda: hinge_from_points("0 0 0", *HINGES[1:, 0]),
     "infinite eps_area": lambda: vertex_descent_step(FAN, 6, eps_area=float("inf")),
     "negative eps_area": lambda: vertex_descent_step(FAN, 6, eps_area=-1.0),
 }

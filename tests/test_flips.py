@@ -11,6 +11,7 @@ from conftest import (
     flat_convex_quad_by_corners,
     hexagon_with_violation,
     hinge_disc,
+    hinge_rows_by_corners,
     perturbed_grid_disc,
     random_rotation,
     reduce_fan_by_components,
@@ -158,6 +159,39 @@ def test_bulk_matches_scalar():
         m = hinge_from_points(**h)
         assert abs(sigma[i] - m.sigma) <= 1e-14
         assert abs(gain[i] - m.gain) <= 1e-14
+
+
+def disc_hinge_points(disc):
+    """The points a, b, x, y of every interior hinge of ``disc``, stacked
+    as ``flip_pass`` gathers them into one (4, n, 3) array."""
+    cx = disc.complex
+    rows = [(*e, *flips._opposite_vertices(cx, e)[1]) for e in cx.interior_edges()]
+    return disc.positions[np.array(rows, dtype=np.intp).T]
+
+
+def test_hinge_kernel_matches_the_four_corner_oracle_bit_for_bit():
+    rng = np.random.default_rng(15)
+    batches = [
+        (f"n={n}, scale={scale:g}", scale * rng.normal(size=(4, n, 3)))
+        for n in (1, 2, 3, 5, 8, 17, 200, 1000)
+        for scale in 10.0 ** np.arange(-100, 71, 10)
+    ]
+    discs = [("fan", fan_disc()), ("tilted fan", fan_disc(7, apex=(0.2, -0.1, 0.6)))]
+    discs += [(f"grid {s}", perturbed_grid_disc(4 + s % 3, seed=s, subdivisions=s % 4))
+              for s in range(6)]
+    discs += [(f"hinge {i}", hinge_disc(**h)) for i, h in enumerate((FLAT, LIFTED, ASYM, WIDE, REFLEX))]
+    batches += [(name, disc_hinge_points(disc)) for name, disc in discs]
+    for name, q in batches:
+        angles, sigma, gain = flips._hinge_rows(q)
+        expected_angles, expected_sigma, expected_gain = hinge_rows_by_corners(*q)
+        got = [*angles, sigma, gain, *bulk_hinges(*q)]
+        expected = [*expected_angles, expected_sigma, expected_gain, expected_sigma, expected_gain]
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in expected], name
+        if not name.startswith("n="):
+            for i in range(q.shape[1]):
+                m = hinge_from_points(*q[:, i])
+                assert m.angles == tuple(float(t[i]) for t in expected_angles), name
+                assert (m.sigma, m.gain) == (expected_sigma[i], expected_gain[i]), name
 
 
 def test_measure_hinge_on_disc():

@@ -501,6 +501,15 @@ def test_flip_pass_cap():
     result = flip_pass(hinge_disc(**ASYM), cap=0)
     assert result.cap_exceeded
     assert result.flips == ()
+    # the cap is exceeded only when it leaves a flip the pass would make:
+    # the 6-fan has no eligible hinge, and on the refusal disc only
+    # (4, 5) flips, after which the eligible (0, 1) is refused
+    assert not flip_pass(fan_disc(6)).flips
+    assert not flip_pass(fan_disc(6), cap=0).cap_exceeded
+    result = assert_flip_pass_matches_rebuild(degenerate_refusal_disc(), cap=1)
+    assert [r.edge for r in result.flips] == [(4, 5)]
+    assert not result.cap_exceeded
+    assert assert_flip_pass_matches_rebuild(degenerate_refusal_disc(), cap=0).cap_exceeded
 
 
 def assert_flip_pass_matches_rebuild(disc, **kwargs):
