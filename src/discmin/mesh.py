@@ -16,15 +16,21 @@ raised error names the first property that fails:
    the vertex id range            -> DisconnectedComplex
 4. V - E + F == 1                 -> WrongEuler
 5. boundary edges form one cycle  -> MultipleBoundaryComponents
-6. consistent orientation         -> NonManifoldEdge
+6. orientation is repaired
 
 Step 6 happens inside the step-3 walk: one breadth-first walk from
 triangle 0 keeps that triangle's input orientation and turns every
 other face to run its shared edge against the face that reached it,
 so inconsistent input is repaired.  The walk also records each
 boundary edge in its face's direction, and step 5 is one directed walk
-around them.  An orientation conflict is reported last; it cannot
-occur once steps 1-5 pass.
+around them.
+
+No orientation check is needed: a connected, edge-manifold complex
+that cannot be oriented fails step 4 or 5.  Splitting its pinched
+vertices gives a non-orientable surface with k >= 1 crosscaps and b
+boundary circles, and splitting only raises the characteristic, so
+V - E + F <= 2 - k - b.  With b >= 1 that is at most 0 and step 4
+fails; with b = 0 there is no boundary edge and step 5 fails.
 
 Together these checks are complete: an edge-connected complex with
 manifold edges, Euler characteristic 1 and a single boundary cycle is a
@@ -48,6 +54,7 @@ from .errors import (
     MultipleBoundaryComponents,
     NonManifoldEdge,
     WrongEuler,
+    _check_tolerance,
 )
 
 # Triangles whose area falls below eps_deg * diameter^2 are refused.
@@ -269,10 +276,13 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     if not tris:
         raise InvalidInput("empty triangle list")
 
+    # Each vertex of a face is the tail of exactly one of its directed edges.
     edge_faces: dict[Edge, list[int]] = {}
+    vertex_faces: dict[int, list[int]] = {}
     for i, t in enumerate(tris):
         for a, b in _directed_edges(t):
             edge_faces.setdefault(edge_key(a, b), []).append(i)
+            vertex_faces.setdefault(a, []).append(i)
     for e, faces in edge_faces.items():
         if len(faces) > 2:
             raise NonManifoldEdge(f"edge {e} lies in {len(faces)} triangles")
@@ -283,7 +293,6 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     oriented[0] = tris[0]
     queue = deque([0])
     boundary: list[Edge] = []
-    conflict: Edge | None = None
     while queue:
         i = queue.popleft()
         for a, b in _directed_edges(oriented[i]):
@@ -291,8 +300,6 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
             if len(faces) == 1:
                 boundary.append((a, b))
             for j in faces:
-                if j == i:
-                    continue
                 if oriented[j] is None:
                     s = tris[j]
                     # neighbour must traverse the shared edge backwards
@@ -300,16 +307,13 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
                         s = (s[0], s[2], s[1])
                     oriented[j] = s
                     queue.append(j)
-                elif (a, b) in _directed_edges(oriented[j]):
-                    conflict = conflict or edge_key(a, b)
     missing = oriented.count(None)
     if missing:
         raise DisconnectedComplex(f"{missing} triangles unreachable through shared edges")
 
-    used = {v for t in tris for v in t}
-    vertex_count = max(used) + 1
-    if len(used) != vertex_count:
-        unused = sorted(set(range(vertex_count)) - used)
+    vertex_count = max(vertex_faces) + 1
+    if len(vertex_faces) != vertex_count:
+        unused = sorted(set(range(vertex_count)) - vertex_faces.keys())
         raise DisconnectedComplex(f"vertex ids {unused} appear in no triangle")
 
     euler = vertex_count - len(edge_faces) + len(tris)
@@ -331,17 +335,10 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
             f"boundary edges do not form one cycle (the walk from vertex "
             f"{start} covers {len(cycle)} of {len(boundary)})"
         )
-    if conflict is not None:
-        raise NonManifoldEdge(f"orientation conflict across edge {conflict}")
 
     triangles = tuple(canonical_triangle(t) for t in oriented)
     triangle_array = np.array(triangles, dtype=np.intp)
     triangle_array.setflags(write=False)
-
-    vertex_faces: dict[int, list[int]] = {v: [] for v in range(vertex_count)}
-    for i, t in enumerate(triangles):
-        for v in t:
-            vertex_faces[v].append(i)
 
     return DiscComplex(
         vertex_count=vertex_count,
@@ -349,7 +346,7 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
         edges=tuple(sorted(edge_faces)),
         boundary_cycle=tuple(cycle),
         edge_faces={e: tuple(f) for e, f in edge_faces.items()},
-        vertex_faces={v: tuple(f) for v, f in vertex_faces.items()},
+        vertex_faces={v: tuple(vertex_faces[v]) for v in range(vertex_count)},
         boundary_vertices=frozenset(cycle),
         triangle_array=triangle_array,
     )
@@ -376,6 +373,7 @@ class PolyhedralDisc:
     eps_deg: float = DEGENERACY_EPS
 
     def __post_init__(self):
+        _check_tolerance("eps_deg", self.eps_deg)
         pos = np.array(self.positions, dtype=float)
         if pos.shape != (self.complex.vertex_count, 3):
             raise InvalidInput(

@@ -1,9 +1,9 @@
 """File formats and built-in scenarios.
 
 The OBJ support covers the strict subset needed here: ``v`` lines with
-three coordinates, ``f`` lines with three bare 1-based indices, blank
-lines and ``#`` comments.  Writing uses 17 significant digits so a
-save/load round trip reproduces positions bit for bit.
+three coordinates, ``f`` lines with three distinct bare 1-based
+indices, blank lines and ``#`` comments.  Writing uses 17 significant
+digits so a save/load round trip reproduces positions bit for bit.
 
 ``make_tent`` builds the scenario separating the two kinds of
 minimizer.  The rim alternates between a raised inner collar (even
@@ -30,8 +30,9 @@ from .saddle import VertexVerdict
 _INDEX_RE = re.compile(r"[0-9]+\Z")
 
 
-def _tokens_with_columns(raw: str) -> list[tuple[str, int]]:
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", raw)]
+def _column(raw: str, k: int) -> int:
+    """1-based column of ``raw.split()[k]``: ``\\s`` is the whitespace ``str.split`` splits at."""
+    return [m.start() for m in re.finditer(r"\S+", raw)][k] + 1
 
 
 def loads_obj(text: str) -> PolyhedralDisc:
@@ -45,39 +46,38 @@ def loads_obj(text: str) -> PolyhedralDisc:
     faces: list[tuple[int, int, int]] = []
     face_lines: list[int] = []
     for number, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokens_with_columns(raw)
-        if not tokens or tokens[0][0].startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        head, head_col = tokens[0]
+        head, fields = tokens[0], tokens[1:]
+        if head not in ("v", "f"):
+            raise ParseError(f"unsupported directive {head!r}", number, _column(raw, 0))
+        if len(fields) != 3:
+            kind = "vertex" if head == "v" else "face"
+            raise ParseError(
+                f"{kind} line has {len(fields)} fields, expected 3", number, _column(raw, 0)
+            )
         if head == "v":
-            if len(tokens) != 4:
-                raise ParseError(
-                    f"vertex line has {len(tokens) - 1} fields, expected 3", number, head_col
-                )
             coords = []
-            for tok, col in tokens[1:]:
+            for k, tok in enumerate(fields, start=1):
                 try:
                     coords.append(float(tok))
                 except ValueError:
-                    raise ParseError(f"bad coordinate {tok!r}", number, col) from None
+                    raise ParseError(f"bad coordinate {tok!r}", number, _column(raw, k)) from None
             vertices.append(tuple(coords))
-        elif head == "f":
-            if len(tokens) != 4:
-                raise ParseError(
-                    f"face line has {len(tokens) - 1} fields, expected 3", number, head_col
-                )
-            ids = []
-            for tok, col in tokens[1:]:
-                if not _INDEX_RE.match(tok):
-                    raise ParseError(f"bad vertex index {tok!r}", number, col)
-                i = int(tok)
-                if i < 1:
-                    raise ParseError("vertex indices are 1-based", number, col)
-                ids.append(i - 1)
-            faces.append(tuple(ids))
-            face_lines.append(number)
-        else:
-            raise ParseError(f"unsupported directive {head!r}", number, head_col)
+            continue
+        ids = []
+        for k, tok in enumerate(fields, start=1):
+            if not _INDEX_RE.match(tok):
+                raise ParseError(f"bad vertex index {tok!r}", number, _column(raw, k))
+            i = int(tok)
+            if i < 1:
+                raise ParseError("vertex indices are 1-based", number, _column(raw, k))
+            if i - 1 in ids:
+                raise ParseError(f"repeated vertex index {tok!r}", number, _column(raw, k))
+            ids.append(i - 1)
+        faces.append(tuple(ids))
+        face_lines.append(number)
     for tri, number in zip(faces, face_lines):
         if max(tri) >= len(vertices):
             raise ParseError(

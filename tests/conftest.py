@@ -6,14 +6,35 @@ atan2, shoelace vs cross products) so that agreement means something.
 """
 
 import math
+import re
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 
 from discmin import PolyhedralDisc, build_from_triangles, edge_key
-from discmin.errors import CycleBoundsBoundary, DegenerateTriangle, FlipForbidden
+from discmin.errors import (
+    CycleBoundsBoundary,
+    DegenerateTriangle,
+    DisconnectedComplex,
+    FlipForbidden,
+    InvalidInput,
+    MultipleBoundaryComponents,
+    NonManifoldEdge,
+    ParseError,
+    WrongEuler,
+)
 from discmin.flips import FlipPassResult, FlipRecord, _opposite_vertices, bulk_hinges, flip
-from discmin.mesh import angle_rows, area_rows, cross_rows, row_norms
+from discmin.mesh import (
+    DiscComplex,
+    _directed_edges,
+    _triangle,
+    angle_rows,
+    area_rows,
+    canonical_triangle,
+    cross_rows,
+    row_norms,
+)
 
 
 # ---------------------------------------------------------------------
@@ -90,6 +111,155 @@ def trial_by_rebuild(disc: PolyhedralDisc, v: int, point):
     faces = disc.complex.vertex_faces[v]
     areas = [moved.triangle_area(f) for f in faces]
     return areas, sum(disc.triangle_area(f) for f in faces) - sum(areas), moved
+
+
+def build_from_triangles_by_conflict_walk(triples) -> DiscComplex:
+    """Oracle for ``build_from_triangles``: the same checks in the same
+    order, except that the face walk also records any face whose
+    neighbour already runs the shared edge its way and reports that
+    orientation conflict last, and ``vertex_faces`` is collected in a
+    second pass over the oriented triangles."""
+    tris = []
+    for t in triples:
+        t = _triangle(t)
+        if min(t) < 0:
+            raise InvalidInput(f"negative vertex index in {t!r}")
+        tris.append(t)
+    if not tris:
+        raise InvalidInput("empty triangle list")
+
+    edge_faces = {}
+    for i, t in enumerate(tris):
+        for a, b in _directed_edges(t):
+            edge_faces.setdefault(edge_key(a, b), []).append(i)
+    for e, faces in edge_faces.items():
+        if len(faces) > 2:
+            raise NonManifoldEdge(f"edge {e} lies in {len(faces)} triangles")
+
+    oriented = [None] * len(tris)
+    oriented[0] = tris[0]
+    queue = deque([0])
+    boundary = []
+    conflict = None
+    while queue:
+        i = queue.popleft()
+        for a, b in _directed_edges(oriented[i]):
+            faces = edge_faces[edge_key(a, b)]
+            if len(faces) == 1:
+                boundary.append((a, b))
+            for j in faces:
+                if j == i:
+                    continue
+                if oriented[j] is None:
+                    s = tris[j]
+                    if (a, b) in _directed_edges(s):
+                        s = (s[0], s[2], s[1])
+                    oriented[j] = s
+                    queue.append(j)
+                elif (a, b) in _directed_edges(oriented[j]):
+                    conflict = conflict or edge_key(a, b)
+    missing = oriented.count(None)
+    if missing:
+        raise DisconnectedComplex(f"{missing} triangles unreachable through shared edges")
+
+    used = {v for t in tris for v in t}
+    vertex_count = max(used) + 1
+    if len(used) != vertex_count:
+        unused = sorted(set(range(vertex_count)) - used)
+        raise DisconnectedComplex(f"vertex ids {unused} appear in no triangle")
+
+    euler = vertex_count - len(edge_faces) + len(tris)
+    if euler != 1:
+        raise WrongEuler(f"V - E + F = {euler}, expected 1")
+
+    if not boundary:
+        raise MultipleBoundaryComponents("complex has no boundary edges")
+    succ = dict(boundary)
+    start = cur = min(succ)
+    cycle = []
+    while cur in succ:
+        cycle.append(cur)
+        cur = succ.pop(cur)
+    if cur != start or len(cycle) != len(boundary):
+        raise MultipleBoundaryComponents(
+            f"boundary edges do not form one cycle (the walk from vertex "
+            f"{start} covers {len(cycle)} of {len(boundary)})"
+        )
+    if conflict is not None:
+        raise NonManifoldEdge(f"orientation conflict across edge {conflict}")
+
+    triangles = tuple(canonical_triangle(t) for t in oriented)
+    triangle_array = np.array(triangles, dtype=np.intp)
+    triangle_array.setflags(write=False)
+    vertex_faces = {v: [] for v in range(vertex_count)}
+    for i, t in enumerate(triangles):
+        for v in t:
+            vertex_faces[v].append(i)
+    return DiscComplex(
+        vertex_count=vertex_count,
+        triangles=triangles,
+        edges=tuple(sorted(edge_faces)),
+        boundary_cycle=tuple(cycle),
+        edge_faces={e: tuple(f) for e, f in edge_faces.items()},
+        vertex_faces={v: tuple(f) for v, f in vertex_faces.items()},
+        boundary_vertices=frozenset(cycle),
+        triangle_array=triangle_array,
+    )
+
+
+def loads_obj_by_token_columns(text: str) -> PolyhedralDisc:
+    """Oracle for ``loads_obj``: every line cut into (token, column)
+    pairs by ``\\S+`` up front, the vertex and face branches checking
+    their field counts each on their own, and the triangles built by
+    ``build_from_triangles_by_conflict_walk``.  A face that repeats an
+    index is not a parse error here; it fails in the builder."""
+    vertices, faces, face_lines = [], [], []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", raw)]
+        if not tokens or tokens[0][0].startswith("#"):
+            continue
+        head, head_col = tokens[0]
+        if head == "v":
+            if len(tokens) != 4:
+                raise ParseError(
+                    f"vertex line has {len(tokens) - 1} fields, expected 3", number, head_col
+                )
+            coords = []
+            for tok, col in tokens[1:]:
+                try:
+                    coords.append(float(tok))
+                except ValueError:
+                    raise ParseError(f"bad coordinate {tok!r}", number, col) from None
+            vertices.append(tuple(coords))
+        elif head == "f":
+            if len(tokens) != 4:
+                raise ParseError(
+                    f"face line has {len(tokens) - 1} fields, expected 3", number, head_col
+                )
+            ids = []
+            for tok, col in tokens[1:]:
+                if not re.match(r"[0-9]+\Z", tok):
+                    raise ParseError(f"bad vertex index {tok!r}", number, col)
+                i = int(tok)
+                if i < 1:
+                    raise ParseError("vertex indices are 1-based", number, col)
+                ids.append(i - 1)
+            faces.append(tuple(ids))
+            face_lines.append(number)
+        else:
+            raise ParseError(f"unsupported directive {head!r}", number, head_col)
+    for tri, number in zip(faces, face_lines):
+        if max(tri) >= len(vertices):
+            raise ParseError(f"face references vertex {max(tri) + 1} of {len(vertices)}", number)
+    if not faces:
+        raise ParseError("no faces in file", max(1, text.count("\n") + 1))
+    used_count = max(max(tri) for tri in faces) + 1
+    if used_count < len(vertices):
+        raise DisconnectedComplex(
+            f"{len(vertices) - used_count} trailing vertices appear in no face"
+        )
+    complex_ = build_from_triangles_by_conflict_walk(faces)
+    return PolyhedralDisc(complex_, np.array(vertices, dtype=float))
 
 
 def flat_convex_quad_by_corners(a, b, x, y, tol: float = 1e-6) -> bool:

@@ -47,6 +47,12 @@ BAD_ARGUMENTS = {
     "star of a vertex out of range": lambda: FAN.complex.vertex_star(7),
     "positions of the wrong shape": lambda: PolyhedralDisc(TRIANGLE, np.zeros((2, 3))),
     "non-finite position": lambda: PolyhedralDisc(TRIANGLE, [[0, 0, 0], [1, 0, 0], [0, np.nan, 0]]),
+    # unchecked, a NaN floor refuses nothing: every area < nan is False
+    "NaN eps_deg": lambda: PolyhedralDisc(TRIANGLE, np.eye(3), float("nan")),
+    "negative eps_deg": lambda: PolyhedralDisc(TRIANGLE, np.eye(3), -1.0),
+    "string eps_deg": lambda: PolyhedralDisc(TRIANGLE, np.eye(3), "x"),
+    "eps_deg None": lambda: PolyhedralDisc(TRIANGLE, np.eye(3), None),
+    "eps_deg True": lambda: PolyhedralDisc(TRIANGLE, np.eye(3), True),
     "angle at a vertex off the triangle": lambda: FAN.angle_at(0, 3),
     "config value": lambda: OptimizerConfig(eps_flip=-1.0),
     "unknown config key": lambda: OptimizerConfig.from_dict({"budget": 10}),
@@ -111,6 +117,7 @@ def test_the_library_raises_no_bare_value_error():
 
 
 def test_tolerances_at_their_bounds_are_accepted():
+    assert PolyhedralDisc(TRIANGLE, np.eye(3), 0.0).eps_deg == 0.0
     assert cutting_direction(STAR, 0.0).margin > 0.0
     assert len(flip_pass(random_instance(8, seed=1), 0.0).flips) == 2
     assert vertex_descent_step(FAN, 6, eps_area=0)[1] > 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    build_from_triangles_by_conflict_walk,
     double_interior_disc,
     fan_disc,
     heron,
@@ -13,6 +14,7 @@ from conftest import (
     random_rotation,
     regular_polygon,
     tetra_cap,
+    wheel_disc,
 )
 from discmin import (
     PolyhedralDisc,
@@ -23,6 +25,7 @@ from discmin import (
 from discmin.mesh import cross_rows, row_norms
 from discmin.errors import (
     DegenerateTriangle,
+    DiscminError,
     DisconnectedComplex,
     InvalidInput,
     MultipleBoundaryComponents,
@@ -44,6 +47,8 @@ PROJECTIVE_PLANE = [
     (2, 3, 4),
     (3, 4, 5),
 ]
+# five triangles (i, i+1, i+2): non-orientable, V - E + F = 5 - 10 + 5
+MOEBIUS_STRIP = [(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)]
 
 
 def brute_force_violations(cx):
@@ -149,9 +154,8 @@ def test_wrong_euler_rejected():
 
 
 def test_moebius_band_rejected_by_euler():
-    # five triangles (i, i+1, i+2): non-orientable, V - E + F = 5 - 10 + 5
     with pytest.raises(WrongEuler):
-        build_from_triangles([(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)])
+        build_from_triangles(MOEBIUS_STRIP)
 
 
 def test_closed_complex_rejected():
@@ -202,6 +206,73 @@ def test_shuffled_and_reversed_input_builds_the_same_disc(seed):
         reverse = (cycle[0],) + cycle[:0:-1]
         assert cx.boundary_cycle[0] == min(cx.boundary_cycle)
         assert cx.boundary_cycle == (reverse if flipped[0] else cycle)
+
+
+def build_outcome(build, triples):
+    """The complex ``build`` makes of ``triples`` with the views the
+    library reads, or the type and message of the error it raises."""
+    try:
+        cx = build(triples)
+    except DiscminError as err:
+        return type(err), str(err)
+    views = (list(cx.edge_faces.items()), list(cx.vertex_faces.items()), cx.boundary_vertices)
+    return cx, views, cx.triangle_array.tolist(), cx.triangle_array.flags.writeable
+
+
+def random_triangle_lists(rng, count):
+    """Triangles of distinct vertices: 2-12 of them over 4-8 vertex ids,
+    and connected or scattered pieces of a subdivided grid, with every
+    face's orientation drawn at random and the ids packed from 0."""
+    grid = perturbed_grid_disc(3, 1, subdivisions=3).complex.triangles
+    for _ in range(count):
+        n = int(rng.integers(4, 9))
+        yield [tuple(map(int, rng.choice(n, 3, replace=False))) for _ in range(rng.integers(2, 13))]
+        picked = [grid[i] for i in rng.choice(len(grid), rng.integers(2, len(grid)), replace=False)]
+        ids = {v: k for k, v in enumerate(sorted({v for t in picked for v in t}))}
+        yield [
+            tuple(ids[v] for v in (t[::-1] if rng.random() < 0.5 else t)) for t in picked
+        ]
+
+
+def test_builder_matches_the_conflict_walk_on_random_triangle_lists():
+    rng = np.random.default_rng(20140401)
+    kinds = set()
+    for triples in random_triangle_lists(rng, 3000):
+        expected = build_outcome(build_from_triangles_by_conflict_walk, triples)
+        assert build_outcome(build_from_triangles, triples) == expected, triples
+        kinds.add(expected[0] if isinstance(expected[0], type) else "disc")
+    # the conflict the oracle reports last is never among them; a complex
+    # with V - E + F = 1 and no single boundary cycle is closed (RP^2, below)
+    assert kinds == {"disc", NonManifoldEdge, DisconnectedComplex, WrongEuler}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_non_orientable_complexes_fail_before_any_orientation_check(seed):
+    rng = np.random.default_rng(seed)
+    for triples, error in ((MOEBIUS_STRIP, WrongEuler), (PROJECTIVE_PLANE, MultipleBoundaryComponents)):
+        ids = rng.permutation(1 + max(map(max, triples)))
+        triples = [tuple(int(ids[v]) for v in t) for t in triples]
+        triples = [t[::-1] if rng.random() < 0.5 else t for t in rng.permutation(triples).tolist()]
+        outcome = build_outcome(build_from_triangles, triples)
+        assert outcome[0] is error
+        assert outcome == build_outcome(build_from_triangles_by_conflict_walk, triples)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_builder_matches_the_conflict_walk_on_reoriented_discs(seed):
+    rng = np.random.default_rng(seed)
+    discs = (
+        fan_disc(int(rng.integers(3, 17))),
+        perturbed_grid_disc(int(rng.integers(2, 7)), seed, subdivisions=int(rng.integers(0, 5))),
+        wheel_disc(int(rng.integers(3, 25)), rng),
+    )
+    for disc in discs:
+        tris = disc.complex.triangles
+        order = rng.permutation(len(tris))
+        triples = [tris[i][::-1] if rng.random() < 0.5 else tris[i] for i in order]
+        outcome = build_outcome(build_from_triangles, triples)
+        assert outcome == build_outcome(build_from_triangles_by_conflict_walk, triples)
+        assert outcome[0].vertex_count == disc.complex.vertex_count
 
 
 def test_boundary_cycle_starts_at_min_vertex():

@@ -1,9 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import fan_disc, hexagon_with_violation
+from conftest import fan_disc, hexagon_with_violation, loads_obj_by_token_columns
 from discmin import (
     certify_saddle,
     dumps_obj,
@@ -16,7 +19,8 @@ from discmin import (
     save_obj,
     vertex_descent_step,
 )
-from discmin.errors import DegenerateParameters, DisconnectedComplex, ParseError
+from discmin.errors import DegenerateParameters, DisconnectedComplex, DiscminError, ParseError
+from test_cli import mutated_obj
 
 SINGLE = """\
 # one triangle
@@ -73,6 +77,8 @@ def test_file_round_trip(tmp_path):
         ("v 0 0 0\nvn 0 0 1\n", 2, "unsupported directive"),
         ("v 0 0 0\nv 1 0 0\nf 1 2 3\n", 3, "face references vertex 3"),
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\n", None, "no faces"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 2 4 4\n", 5, "repeated vertex index '4'"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 2\n", 4, "repeated vertex index '1'"),
     ],
 )
 def test_parse_errors(text, line, fragment):
@@ -89,6 +95,67 @@ def test_parse_error_column_points_at_token():
         loads_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 nope 3\n")
     assert err.value.line == 4
     assert err.value.column == 5
+
+
+TRIANGLE_VERTICES = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "text,line,column,message",
+    [
+        ("  v\t0 0\n", 1, 3, "vertex line has 2 fields, expected 3"),
+        (TRIANGLE_VERTICES + "\tf 1  2 3 4\n", 4, 2, "face line has 4 fields, expected 3"),
+        ("v 0 0 0\n \tv 1\t0  zero\n", 2, 10, "bad coordinate 'zero'"),
+        ("v\u30000\x1f0 nope\n", 1, 7, "bad coordinate 'nope'"),
+        (TRIANGLE_VERTICES + "f 1\t\t2/2 3\n", 4, 6, "bad vertex index '2/2'"),
+        (TRIANGLE_VERTICES + "   f 1 2 0\n", 4, 10, "vertex indices are 1-based"),
+        (TRIANGLE_VERTICES + "f\t2 3  2\n", 4, 8, "repeated vertex index '2'"),
+        ("v 0 0 0\n\t vn 0 0 1\n", 2, 3, "unsupported directive 'vn'"),
+        ("v 0 0 0\nv 1 0 0\n \tf 1 2 3\n", 3, 1, "face references vertex 3 of 2"),
+        (TRIANGLE_VERTICES + "  # no face\n", 5, 1, "no faces in file"),
+    ],
+)
+def test_parse_error_columns_count_tabs_and_leading_spaces(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        loads_obj(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+def repeats_an_index(text: str) -> bool:
+    """Whether a face line repeats a vertex index among its fields."""
+    for raw in text.splitlines():
+        tokens = raw.split()
+        ids = [int(tok) for tok in tokens[1:] if re.fullmatch("[0-9]+", tok)]
+        if tokens[:1] == ["f"] and len(set(ids)) < len(ids):
+            return True
+    return False
+
+
+def parse_outcome(parse, text: str):
+    """The disc ``parse`` reads from ``text`` with the views the library
+    reads, or the type, message, line and column of the error it raises."""
+    try:
+        disc = parse(text)
+    except DiscminError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+    cx = disc.complex
+    views = (list(cx.edge_faces.items()), list(cx.vertex_faces.items()), cx.triangle_array.tolist())
+    return cx, views, disc.positions.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=mutated_obj(), data=st.data())
+def test_loads_obj_matches_the_token_column_parser(text, data):
+    """Each line is re-spaced with drawn indents and separators (tabs and
+    Unicode spaces among them) so that the error columns differ."""
+    gaps = st.text(" \t\x1f\u3000", min_size=1, max_size=3)
+    text = "".join(
+        data.draw(st.text(" \t", max_size=2)) + data.draw(gaps).join(raw.split()) + "\n"
+        for raw in text.splitlines()
+    )
+    assume(not repeats_an_index(text))
+    assert parse_outcome(loads_obj, text) == parse_outcome(loads_obj_by_token_columns, text)
 
 
 def test_trailing_unused_vertices_rejected():
