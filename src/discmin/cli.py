@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DiscminError, _check_tolerance
+from .errors import DiscminError, _check, _check_tolerance
 from .flips import flip_pass
 from .meshio import load_obj, make_tent, save_obj
 from .optimize import OptimizerConfig, minimize
@@ -96,6 +96,7 @@ def _cmd_flip_pass(args) -> int:
 
 
 def _cmd_quad_curve(args) -> int:
+    _check("--samples", args.samples, args.samples >= 1, "an integer >= 1")
     spec = QuadSpec(args.p, args.q, args.r, args.s)
     lo, hi = alpha_range(spec)
     alphas = np.linspace(lo, hi, args.samples)

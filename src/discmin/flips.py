@@ -25,6 +25,7 @@ share one table edit, and flips and reductions one rebuild check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -304,12 +305,15 @@ def flip_pass(
     """Flip hinges with sigma < pi - eps_flip until none remain.
 
     Works on plain tables: the triangle list, the edge -> faces map and
-    the sigma and gain of every interior hinge, measured by one gather
-    of the hinges' points and one call of the hinge kernel.  After each
-    flip only the hinges it touched, the new diagonal and the interior
-    quad sides, are re-measured, by one more gather and call.  The
-    first eligible edge in sorted order is flipped each time.  Each
-    flip strictly decreases area, so the pass terminates; ``cap``
+    the sigma and gain of every interior hinge.  The first scan gathers
+    the interior rows of the complex's ``edge_array`` and
+    ``opposite_array`` and measures them by one call of the hinge
+    kernel.  Those arrays describe only the complex the pass started
+    from, so after each flip the hinges it touched, the new diagonal and
+    the interior quad sides, are re-measured from the mutable tables, by
+    one more gather and call.  The first eligible edge in sorted order
+    is flipped each time.  Each flip strictly decreases area, so the
+    pass terminates; ``cap``
     (default 100 edges' worth) is a safety stop, and ``cap_exceeded``
     says that it left a flip the pass would have made.  Flips that
     ``flip`` would refuse (opposite vertices already joined, or a new
@@ -329,14 +333,14 @@ def flip_pass(
     threshold = np.pi - eps_flip
     hinges: dict[Edge, tuple[float, float]] = {}
 
-    def measure(edges) -> None:
-        rows = [(*e, *_opposite(triangles, edge_faces, e))
-                for e in edges if len(edge_faces[e]) == 2]
-        if rows:
-            _, sigma, gain = _hinge_rows(p[np.array(rows, dtype=np.intp).T])
-            hinges.update(zip((r[:2] for r in rows), zip(sigma.tolist(), gain.tolist())))
+    def measure(edges, rows: np.ndarray) -> None:
+        _, sigma, gain = _hinge_rows(p[rows.T])
+        hinges.update(zip(edges, zip(sigma.tolist(), gain.tolist())))
 
-    measure(cx.edges)
+    # the first scan gathers the interior rows of the complex's edge table
+    interior = cx.opposite_array[:, 1] >= 0
+    measure(compress(cx.edges, interior.tolist()),
+            np.concatenate((cx.edge_array, cx.opposite_array), axis=1)[interior])
     records: list[FlipRecord] = []
     cap_exceeded = False
     while not cap_exceeded:
@@ -353,7 +357,10 @@ def flip_pass(
             else:
                 records.append(FlipRecord(e, *hinges.pop(e)))
                 a, b = e
-                measure([edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))])
+                touched = [edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))]
+                rows = [(*h, *_opposite(triangles, edge_faces, h))
+                        for h in touched if len(edge_faces[h]) == 2]
+                measure([r[:2] for r in rows], np.array(rows, dtype=np.intp))
             break
         else:
             break

@@ -18,12 +18,25 @@ raised error names the first property that fails:
 5. boundary edges form one cycle  -> MultipleBoundaryComponents
 6. orientation is repaired
 
+The builder works on half-edges: half-edge 3i + k of triangle i runs
+from its corner k to corner k + 1.  One stable sort of their keys
+lo * 3F + hi (lo < hi the endpoints, F the triangle count) puts the
+half-edges of each edge side by side, first in face order, so
+consecutive equal keys are one edge, and a run of three or more is the
+step-2 failure.  A pair of equal keys makes the two half-edges each
+other's partner; a boundary half-edge has none.
+
 Step 6 happens inside the step-3 walk: one breadth-first walk from
-triangle 0 keeps that triangle's input orientation and turns every
-other face to run its shared edge against the face that reached it,
-so inconsistent input is repaired.  The walk also records each
-boundary edge in its face's direction, and step 5 is one directed walk
-around them.
+triangle 0 through the partner half-edges keeps that triangle's input
+orientation and turns every other face that runs its shared edge the
+way the face that reached it does, so inconsistent input is repaired.
+Each boundary edge is then directed as its oriented face runs it, and
+step 5 is one directed walk around them.
+
+The sorted table stays on the complex as two read-only (E, 2) arrays:
+``edge_array``, the edges in sorted order, and ``opposite_array``, the
+vertex opposite each edge in each of its faces in face order, -1 where
+a boundary edge has no second face.
 
 No orientation check is needed: a connected, edge-manifold complex
 that cannot be oriented fails step 4 or 5.  Splitting its pinched
@@ -41,8 +54,9 @@ above 1).
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,6 +80,11 @@ _MAX_COORDINATE = 1e75
 
 Triangle = tuple[int, int, int]
 Edge = tuple[int, int]
+
+# Half-edge k of a triangle runs from its corner k to corner k + 1: the
+# corners where each half-edge starts and ends, then the corner opposite each.
+_ENDS_AND_OPPOSITE = np.array([0, 1, 1, 2, 2, 0, 2, 0, 1])
+_NO_VERTEX = np.array([-1])
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -165,9 +184,13 @@ class DiscComplex:
     Do not construct directly; use :func:`build_from_triangles`.
     Triangles are stored in input order, rotated so the smallest vertex
     comes first, and are consistently oriented; ``triangle_array`` holds
-    them once more as a read-only (F, 3) index array.  The boundary cycle is
-    directed the way the oriented triangles induce it and starts at the
-    smallest boundary vertex.
+    them once more as a read-only (F, 3) index array.  ``edge_array``
+    holds ``edges`` row for row, and ``opposite_array`` the vertex
+    opposite each edge in each of its faces, in ascending face order,
+    with -1 where a boundary edge has no second face; both are read-only
+    (E, 2) index arrays.  The boundary cycle is directed the way the
+    oriented triangles induce it and starts at the smallest boundary
+    vertex.
     """
 
     vertex_count: int
@@ -178,6 +201,8 @@ class DiscComplex:
     vertex_faces: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
     boundary_vertices: frozenset[int] = field(compare=False, repr=False)
     triangle_array: np.ndarray = field(compare=False, repr=False)
+    edge_array: np.ndarray = field(compare=False, repr=False)
+    opposite_array: np.ndarray = field(compare=False, repr=False)
 
     # -- basic queries -------------------------------------------------
 
@@ -250,6 +275,46 @@ class DiscComplex:
         return sorted(found)
 
 
+def _python_ids(tris: list) -> list[int] | None:
+    """The vertex ids of ``tris`` in one list, or None unless each
+    triangle has three entries and every entry is a Python int >= 0
+    (a bool or a numpy integer is not one)."""
+    try:
+        if set(map(len, tris)) != {3}:
+            return None
+    except TypeError:
+        return None
+    ids = list(chain.from_iterable(tris))
+    if set(map(type, ids)) != {int} or min(ids) < 0:
+        return None
+    return ids
+
+
+def _checked_ids(tris: list) -> list[int]:
+    """The vertex ids of ``tris`` in one list, checked triangle by
+    triangle through ``_triangle``: raises InvalidInput for the first bad
+    triangle or an empty list, and converts numpy integers."""
+    checked = []
+    for t in tris:
+        t = _triangle(t)
+        if min(t) < 0:
+            raise InvalidInput(f"negative vertex index in {t!r}")
+        checked.append(t)
+    if not checked:
+        raise InvalidInput("empty triangle list")
+    return list(chain.from_iterable(checked))
+
+
+def _crowded_edge(ids: list[int], keys: np.ndarray) -> NonManifoldEdge:
+    """The error for the edge in more than two faces that the faces meet
+    first; ``keys`` holds the edge key of each half-edge."""
+    keys = keys.tolist()
+    counts = Counter(keys)
+    h = next(h for h, k in enumerate(keys) if counts[k] > 2)
+    e = edge_key(ids[h], ids[h + 1 if h % 3 < 2 else h - 2])
+    return NonManifoldEdge(f"edge {e} lies in {counts[keys[h]]} triangles")
+
+
 def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     """Validate a triangle list and assemble the disc complex.
 
@@ -258,7 +323,7 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     triples:
         Iterable of vertex index triples.  Vertex ids must cover a
         gap-free range starting at 0.  Orientation may be inconsistent;
-        it is repaired by a BFS that keeps the first triangle's input
+        it is repaired by a walk that keeps the first triangle's input
         orientation.
 
     Raises
@@ -267,88 +332,131 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     MultipleBoundaryComponents
         See the module docstring for the order of the checks.
     """
-    tris: list[Triangle] = []
-    for t in triples:
-        t = _triangle(t)
-        if min(t) < 0:
-            raise InvalidInput(f"negative vertex index in {t!r}")
-        tris.append(t)
-    if not tris:
-        raise InvalidInput("empty triangle list")
+    tris = list(triples)
+    ids = _python_ids(tris)
+    if ids is None:
+        ids = _checked_ids(tris)
+    count, n3 = len(tris), len(ids)
+    top = max(ids)
+    # Ids with a gap fail step 3; until then dense labels keep the keys small.
+    labels = ids if top < n3 else [*map({v: k for k, v in enumerate(sorted(set(ids)))}.get, ids)]
+    tail = np.fromiter(labels, np.intp, n3).reshape(count, 3)
+    around = tail.take(_ENDS_AND_OPPOSITE, axis=1)
+    ends = around[:, :6].reshape(n3, 2)  # row h: where half-edge h starts and ends
+    heads = ends[:, 1].tolist()
+    if np.count_nonzero(ends[:, 0] == ends[:, 1]):
+        _checked_ids(tris)  # raises for the first triangle that repeats a vertex
 
-    # Each vertex of a face is the tail of exactly one of its directed edges.
-    edge_faces: dict[Edge, list[int]] = {}
-    vertex_faces: dict[int, list[int]] = {}
-    for i, t in enumerate(tris):
-        for a, b in _directed_edges(t):
-            edge_faces.setdefault(edge_key(a, b), []).append(i)
-            vertex_faces.setdefault(a, []).append(i)
-    for e, faces in edge_faces.items():
-        if len(faces) > 2:
-            raise NonManifoldEdge(f"edge {e} lies in {len(faces)} triangles")
+    # Step 2: one stable sort of the half-edge keys lo * 3F + hi puts the
+    # two half-edges of an edge side by side, first in face order.
+    ends.sort(axis=1)  # in place: row h now holds lo < hi
+    keys = ends[:, 0] * n3 + ends[:, 1]
+    order = keys.argsort(kind="stable")
+    sorted_keys = keys[order]
+    repeats = (sorted_keys[1:] == sorted_keys[:-1]).nonzero()[0] + 1  # equal to the key before
+    a, b = order[repeats - 1], order[repeats]
+    partner = np.full(n3, -1)
+    partner[a] = b
+    partner[b] = a
+    partners = partner.tolist()
+    # a run of three or more equal keys pairs some half-edge twice
+    if n3 - partners.count(-1) < 2 * len(repeats):
+        raise _crowded_edge(ids, keys)
 
-    # Steps 3 and 6 in one walk (see the module docstring); it also
-    # collects the boundary edges, directed as their oriented face runs them.
-    oriented: list[Triangle | None] = [None] * len(tris)
-    oriented[0] = tris[0]
-    queue = deque([0])
-    boundary: list[Edge] = []
-    while queue:
-        i = queue.popleft()
-        for a, b in _directed_edges(oriented[i]):
-            faces = edge_faces[edge_key(a, b)]
-            if len(faces) == 1:
-                boundary.append((a, b))
-            for j in faces:
-                if oriented[j] is None:
-                    s = tris[j]
-                    # neighbour must traverse the shared edge backwards
-                    if (a, b) in _directed_edges(s):
-                        s = (s[0], s[2], s[1])
-                    oriented[j] = s
-                    queue.append(j)
-    missing = oriented.count(None)
+    # Steps 3 and 6 in one walk through the partner half-edges (see the
+    # module docstring).  A face that runs the shared edge the way its
+    # neighbour does is turned; the slot past the last face answers for
+    # the partner -1 of a boundary half-edge.
+    neighbours = (partner // 3).reshape(count, 3).tolist()
+    flipped = [None] * count + [False]
+    flipped[0] = False
+    reached = [0]
+    for i in reached:
+        h = 3 * i
+        for j in neighbours[i]:
+            if flipped[j] is None:
+                flipped[j] = flipped[i] ^ (ids[h] == ids[partners[h]])
+                reached.append(j)
+            h += 1
+    missing = count - len(reached)
     if missing:
         raise DisconnectedComplex(f"{missing} triangles unreachable through shared edges")
 
-    vertex_count = max(vertex_faces) + 1
-    if len(vertex_faces) != vertex_count:
-        unused = sorted(set(range(vertex_count)) - vertex_faces.keys())
+    vertex_count = top + 1
+    if np.count_nonzero(np.bincount(tail.ravel())) != vertex_count:
+        unused = sorted(set(range(vertex_count)) - set(ids))
         raise DisconnectedComplex(f"vertex ids {unused} appear in no triangle")
 
-    euler = vertex_count - len(edge_faces) + len(tris)
+    euler = vertex_count - (n3 - len(repeats)) + count
     if euler != 1:
         raise WrongEuler(f"V - E + F = {euler}, expected 1")
 
-    if not boundary:
+    # Each edge at its first half-edge, in face order; each boundary edge
+    # also directed as its oriented face runs it.
+    edge_faces = {}
+    succ = {}
+    for h, (u, v, p) in enumerate(zip(ids, heads, partners)):
+        if p > h:
+            edge_faces[(u, v) if u < v else (v, u)] = (h // 3, p // 3)
+        elif p < 0:
+            i = h // 3
+            edge_faces[(u, v) if u < v else (v, u)] = (i,)
+            if flipped[i]:
+                u, v = v, u
+            succ[u] = v
+
+    if not succ:
         raise MultipleBoundaryComponents("complex has no boundary edges")
     # A single directed cycle through every boundary edge, from the
     # smallest tail; a repeated tail shrinks ``succ`` and fails the count.
-    succ = dict(boundary)
+    boundary_count = len(succ)
     start = cur = min(succ)
     cycle = []
     while cur in succ:
         cycle.append(cur)
         cur = succ.pop(cur)
-    if cur != start or len(cycle) != len(boundary):
+    if cur != start or len(cycle) != boundary_count:
         raise MultipleBoundaryComponents(
             f"boundary edges do not form one cycle (the walk from vertex "
-            f"{start} covers {len(cycle)} of {len(boundary)})"
+            f"{start} covers {len(cycle)} of {boundary_count})"
         )
 
-    triangles = tuple(canonical_triangle(t) for t in oriented)
-    triangle_array = np.array(triangles, dtype=np.intp)
-    triangle_array.setflags(write=False)
+    triangles = []
+    for x, y, z, turned in zip(ids[0::3], ids[1::3], ids[2::3], flipped):
+        if turned:
+            y, z = z, y
+        triangles.append(canonical_triangle((x, y, z)))
+    vertex_faces = [[] for _ in range(vertex_count)]
+    for i, (x, y, z) in enumerate(triangles):
+        vertex_faces[x].append(i)
+        vertex_faces[y].append(i)
+        vertex_faces[z].append(i)
+    triangle_array = np.fromiter(chain.from_iterable(triangles), np.intp, n3)
+
+    starts = np.ones(n3, dtype=bool)
+    starts[repeats] = False
+    first = order[starts]  # each edge's first half-edge, edges in sorted order
+    second = partner[first]
+    edge_array = ends[first]
+    # the vertex opposite each half-edge, and -1 for the partner -1
+    opposite = np.concatenate((around[:, 6:].ravel(), _NO_VERTEX))
+    opposite_array = np.empty_like(edge_array)
+    opposite_array[:, 0] = opposite[first]
+    opposite_array[:, 1] = opposite[second]
+    for array in (triangle_array, edge_array, opposite_array):
+        array.setflags(write=False)
 
     return DiscComplex(
         vertex_count=vertex_count,
-        triangles=triangles,
+        triangles=tuple(triangles),
         edges=tuple(sorted(edge_faces)),
         boundary_cycle=tuple(cycle),
-        edge_faces={e: tuple(f) for e, f in edge_faces.items()},
-        vertex_faces={v: tuple(vertex_faces[v]) for v in range(vertex_count)},
+        edge_faces=edge_faces,
+        vertex_faces=dict(enumerate(map(tuple, vertex_faces))),
         boundary_vertices=frozenset(cycle),
-        triangle_array=triangle_array,
+        triangle_array=triangle_array.reshape(count, 3),
+        edge_array=edge_array,
+        opposite_array=opposite_array,
     )
 
 

@@ -84,7 +84,7 @@ def loads_obj(text: str) -> PolyhedralDisc:
                 f"face references vertex {max(tri) + 1} of {len(vertices)}", number
             )
     if not faces:
-        raise ParseError("no faces in file", max(1, text.count("\n") + 1))
+        raise ParseError("no faces in file", max(1, len(text.splitlines())))
     used_count = max(max(tri) for tri in faces) + 1
     if used_count < len(vertices):
         raise DisconnectedComplex(

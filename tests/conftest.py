@@ -24,7 +24,7 @@ from discmin.errors import (
     ParseError,
     WrongEuler,
 )
-from discmin.flips import FlipPassResult, FlipRecord, _opposite_vertices, bulk_hinges, flip
+from discmin.flips import FlipPassResult, FlipRecord, _opposite, _opposite_vertices, bulk_hinges, flip
 from discmin.mesh import (
     DiscComplex,
     _directed_edges,
@@ -113,12 +113,27 @@ def trial_by_rebuild(disc: PolyhedralDisc, v: int, point):
     return areas, sum(disc.triangle_area(f) for f in faces) - sum(areas), moved
 
 
+def assert_edge_table(cx: DiscComplex) -> None:
+    """``edge_array`` and ``opposite_array`` of ``cx`` against its dict
+    views: the sorted edges row for row, and the vertex opposite each
+    edge in each of its faces as ``flips._opposite`` finds it, in face
+    order and padded with -1 on the boundary; both read-only intp."""
+    assert cx.edge_array.tolist() == [list(e) for e in cx.edges]
+    assert cx.opposite_array.tolist() == [
+        [*_opposite(cx.triangles, cx.edge_faces, e), -1][:2] for e in cx.edges
+    ]
+    for array in (cx.edge_array, cx.opposite_array):
+        assert array.dtype == np.intp and array.shape == (len(cx.edges), 2)
+        assert not array.flags.writeable
+
+
 def build_from_triangles_by_conflict_walk(triples) -> DiscComplex:
     """Oracle for ``build_from_triangles``: the same checks in the same
     order, except that the face walk also records any face whose
     neighbour already runs the shared edge its way and reports that
-    orientation conflict last, and ``vertex_faces`` is collected in a
-    second pass over the oriented triangles."""
+    orientation conflict last, ``vertex_faces`` is collected in a second
+    pass over the oriented triangles, and the edge and opposite-vertex
+    arrays are read off the dict views."""
     tris = []
     for t in triples:
         t = _triangle(t)
@@ -189,21 +204,33 @@ def build_from_triangles_by_conflict_walk(triples) -> DiscComplex:
         raise NonManifoldEdge(f"orientation conflict across edge {conflict}")
 
     triangles = tuple(canonical_triangle(t) for t in oriented)
-    triangle_array = np.array(triangles, dtype=np.intp)
-    triangle_array.setflags(write=False)
     vertex_faces = {v: [] for v in range(vertex_count)}
     for i, t in enumerate(triangles):
         for v in t:
             vertex_faces[v].append(i)
+    edges = tuple(sorted(edge_faces))
+    arrays = (
+        triangles,
+        edges,
+        [[sum(triangles[f]) - sum(e) for f in edge_faces[e]] + [-1] * (2 - len(edge_faces[e]))
+         for e in edges],
+    )
+    triangle_array, edge_array, opposite_array = (
+        np.array(a, dtype=np.intp).reshape(len(a), -1) for a in arrays
+    )
+    for array in (triangle_array, edge_array, opposite_array):
+        array.setflags(write=False)
     return DiscComplex(
         vertex_count=vertex_count,
         triangles=triangles,
-        edges=tuple(sorted(edge_faces)),
+        edges=edges,
         boundary_cycle=tuple(cycle),
         edge_faces={e: tuple(f) for e, f in edge_faces.items()},
         vertex_faces={v: tuple(f) for v, f in vertex_faces.items()},
         boundary_vertices=frozenset(cycle),
         triangle_array=triangle_array,
+        edge_array=edge_array,
+        opposite_array=opposite_array,
     )
 
 
@@ -252,7 +279,7 @@ def loads_obj_by_token_columns(text: str) -> PolyhedralDisc:
         if max(tri) >= len(vertices):
             raise ParseError(f"face references vertex {max(tri) + 1} of {len(vertices)}", number)
     if not faces:
-        raise ParseError("no faces in file", max(1, text.count("\n") + 1))
+        raise ParseError("no faces in file", max(1, len(text.splitlines())))
     used_count = max(max(tri) for tri in faces) + 1
     if used_count < len(vertices):
         raise DisconnectedComplex(

@@ -201,6 +201,7 @@ BAD_FLAGS = [
     ["flip-pass", "--eps-flip", "nan"],
     ["flip-pass", "--eps-flip=-1"],
 ]
+BAD_SAMPLES = ["0", "-3"]
 
 
 def test_error_exit_codes(tmp_path, capsys):
@@ -231,6 +232,13 @@ def test_error_exit_codes(tmp_path, capsys):
     assert "jitter_amplitude must be a number between 0 and 1" in capsys.readouterr().err
     for argv in BAD_FLAGS:
         assert main([argv[0], "--in", str(good), *argv[1:]]) == 4, argv
+    capsys.readouterr()
+    for samples in BAD_SAMPLES:
+        argv = ["quad-curve", "--p", "1", "--q", "2", "--r", "2", "--s", "2", "--samples", samples]
+        assert main(argv) == 4, samples
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--samples must be an integer >= 1, got {samples}" in captured.err
     huge = tmp_path / "huge.obj"
     huge.write_text(good.read_text().replace("v 1 0 0", "v 1e200 0 0", 1))
     assert huge.read_text() != good.read_text()

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     angle_between,
+    assert_edge_table,
     cross_area,
     double_interior_disc,
     fan_disc,
@@ -444,6 +445,7 @@ def test_reduce_matches_component_labelling_oracle():
             tris, positions, vertex_map = expected
             out, rec = reduce_fan(disc, triple)
             assert out.complex == build_from_triangles(tris)
+            assert_edge_table(out.complex)
             assert np.array_equal(out.positions, positions)
             assert rec.vertex_map == vertex_map
             cases += 1

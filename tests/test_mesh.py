@@ -1,10 +1,12 @@
 import itertools
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from conftest import (
+    assert_edge_table,
     build_from_triangles_by_conflict_walk,
     double_interior_disc,
     fan_disc,
@@ -13,6 +15,7 @@ from conftest import (
     perturbed_grid_disc,
     random_rotation,
     regular_polygon,
+    saddle_grid_disc,
     tetra_cap,
     wheel_disc,
 )
@@ -126,9 +129,55 @@ def test_malformed_triangles_rejected():
     assert build_from_triangles([(np.int64(0), np.int32(1), 2)]).triangles == ((0, 1, 2),)
 
 
+@pytest.mark.parametrize(
+    "triples",
+    [
+        [(0, 1, 2), (0, -1, 3), (0, 1, 1.5)],
+        [(0, 1, 1), (-1, 2, 3)],
+        [(0, True, 2)],  # numpy would read True as 1
+        [(0, 1, 2), (0, 1, 2, 3)],
+        [(0, 1, 2), (1, 2), (0, 1, 1)],
+        [(0, 1, 2), (1, 2, 3), (3, 3, 4), (0, -2, 1)],
+        [(0, 1, 2), (2, 1, 3), (3, 4, 3)],
+        [(0, 1, 2), (2, 1, np.int64(-1))],
+        [(0, 1, 2), "abc"],
+        [(0, 1, 2), (1, 2, 3), (0, 1, np.bool_(True))],
+        [],
+    ],
+)
+def test_the_first_bad_triangle_is_reported(triples):
+    """A list with several bad triangles raises what checking them one at
+    a time raises for the first."""
+    expected = build_outcome(build_from_triangles_by_conflict_walk, triples)
+    assert expected[0] is InvalidInput
+    assert build_outcome(build_from_triangles, triples) == expected
+
+
+def test_numpy_and_generator_input_build_the_same_complex():
+    for disc in (fan_disc(9), perturbed_grid_disc(4, seed=3, subdivisions=2), double_interior_disc()):
+        tris = disc.complex.triangles
+        expected = build_outcome(build_from_triangles, list(tris))
+        as_array = np.array(tris, dtype=np.intp)
+        for triples in (
+            (t for t in tris),
+            [tuple(map(np.int64, t)) for t in tris],
+            [(a, np.int32(b), c) for a, b, c in tris],
+            as_array,
+            [list(t) for t in tris],
+        ):
+            outcome = build_outcome(build_from_triangles, triples)
+            assert outcome == expected
+            cx = outcome[0]
+            ids = [*chain(*cx.triangles), *chain(*cx.edges), *chain(*cx.edge_faces), *cx.vertex_faces]
+            assert {type(v) for v in ids} == {int}
+
+
 def test_non_manifold_edge_rejected():
     with pytest.raises(NonManifoldEdge):
         build_from_triangles([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    # of two crowded edges, the one the faces meet first is named, not the smaller
+    with pytest.raises(NonManifoldEdge, match=r"^edge \(3, 4\) lies in 4 triangles$"):
+        build_from_triangles([(4, 3, 5), (0, 1, 2), (0, 1, 6), (3, 4, 7), (0, 1, 8), (3, 4, 9), (4, 3, 10)])
 
 
 def test_disconnected_rejected():
@@ -216,7 +265,8 @@ def build_outcome(build, triples):
     except DiscminError as err:
         return type(err), str(err)
     views = (list(cx.edge_faces.items()), list(cx.vertex_faces.items()), cx.boundary_vertices)
-    return cx, views, cx.triangle_array.tolist(), cx.triangle_array.flags.writeable
+    arrays = (cx.triangle_array, cx.edge_array, cx.opposite_array)
+    return cx, views, [(a.dtype, a.shape, a.tolist(), a.flags.writeable) for a in arrays]
 
 
 def random_triangle_lists(rng, count):
@@ -424,8 +474,21 @@ def test_triangle_array_is_a_read_only_copy_of_the_triangles():
     cx = perturbed_grid_disc(4, seed=2, subdivisions=3).complex
     assert cx.triangle_array.dtype == np.intp
     assert [tuple(t) for t in cx.triangle_array.tolist()] == list(cx.triangles)
-    with pytest.raises(ValueError):
-        cx.triangle_array[0, 0] = 1
+    for array in (cx.triangle_array, cx.edge_array, cx.opposite_array):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+
+
+def test_edge_table_matches_the_dict_views():
+    rng = np.random.default_rng(17)
+    discs = [fan_disc(m) for m in range(3, 17)]
+    discs += [perturbed_grid_disc(n, seed, subdivisions=seed % 5) for n in (2, 4, 6) for seed in range(3)]
+    discs += [saddle_grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)]
+    discs += [wheel_disc(d, rng) for d in (3, 8, 24)]
+    discs += [hexagon_with_violation(), tetra_cap(), double_interior_disc()]
+    for disc in discs:
+        assert_edge_table(disc.complex)
+    assert_edge_table(build_from_triangles([(0, 1, 2)]))
 
 
 def test_positions_read_only():

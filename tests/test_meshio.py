@@ -112,7 +112,12 @@ TRIANGLE_VERTICES = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
         (TRIANGLE_VERTICES + "f\t2 3  2\n", 4, 8, "repeated vertex index '2'"),
         ("v 0 0 0\n\t vn 0 0 1\n", 2, 3, "unsupported directive 'vn'"),
         ("v 0 0 0\nv 1 0 0\n \tf 1 2 3\n", 3, 1, "face references vertex 3 of 2"),
-        (TRIANGLE_VERTICES + "  # no face\n", 5, 1, "no faces in file"),
+        # "no faces" names the last line, counted as str.splitlines counts them
+        (TRIANGLE_VERTICES + "  # no face\n", 4, 1, "no faces in file"),
+        (TRIANGLE_VERTICES + "  # no face", 4, 1, "no faces in file"),
+        ("v 0 0 0\r\nv 1 0 0\r\nv 0 1 0\r\n", 3, 1, "no faces in file"),
+        ("v 0 0 0\rv 1 0 0\rv 0 1 0\r", 3, 1, "no faces in file"),
+        ("", 1, 1, "no faces in file"),
     ],
 )
 def test_parse_error_columns_count_tabs_and_leading_spaces(text, line, column, message):
@@ -140,7 +145,8 @@ def parse_outcome(parse, text: str):
     except DiscminError as err:
         return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
     cx = disc.complex
-    views = (list(cx.edge_faces.items()), list(cx.vertex_faces.items()), cx.triangle_array.tolist())
+    arrays = (cx.triangle_array, cx.edge_array, cx.opposite_array)
+    views = (list(cx.edge_faces.items()), list(cx.vertex_faces.items()), [a.tolist() for a in arrays])
     return cx, views, disc.positions.tobytes()
 
 

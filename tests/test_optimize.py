@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     angle_between,
+    assert_edge_table,
     double_interior_disc,
     fan_disc,
     flip_pass_by_rebuild,
@@ -525,6 +526,9 @@ def assert_flip_pass_matches_rebuild(disc, **kwargs):
         return [(r.edge, r.sigma.hex(), r.area_decrease.hex()) for r in records]
 
     assert bits(result.flips) == bits(expected.flips)
+    # the oracle's disc comes from ``flip`` after each flip
+    assert_edge_table(result.disc.complex)
+    assert_edge_table(expected.disc.complex)
     return result
 
 
@@ -576,8 +580,9 @@ def _check_passes_of_minimize(monkeypatch, disc, config):
         return result
 
     monkeypatch.setattr(optimize, "flip_pass", checked)
-    minimize(disc, config)
+    out, _ = minimize(disc, config)
     monkeypatch.undo()
+    assert_edge_table(out.complex)
     return sum(flipped)
 
 
@@ -897,3 +902,5 @@ def test_minimize_invariants_on_subdivided_grids(n, seed, subdivisions, rng_seed
     assert counts[-1] == len(out.complex.triangles)
     rebuilt = build_from_triangles(out.complex.triangles)
     assert rebuilt.vertex_count - len(rebuilt.edges) + len(rebuilt.triangles) == 1
+    assert_edge_table(disc.complex)
+    assert_edge_table(out.complex)
