@@ -4,7 +4,8 @@ Exit codes: 0 on success (for ``optimize``, success means converged;
 for ``certify``, it means every interior vertex is saddle), 1 when
 ``certify`` finds a cutting plane, 2 when ``optimize`` stops without
 converging, 4 for unusable input (parse errors, non-disc topology,
-degenerate geometry, bad configuration or flag values).
+degenerate geometry, bad configuration, and flags that are missing,
+unknown or malformed or have bad values).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DiscminError, _check, _check_tolerance
+from .errors import DiscminError, InvalidInput, _check, _check_tolerance
 from .flips import flip_pass
 from .meshio import load_obj, make_tent, save_obj
 from .optimize import OptimizerConfig, minimize
@@ -140,8 +141,18 @@ def _cmd_tent(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subcommand parsers, whose
+    errors raise InvalidInput: a bad flag exits 4 like any bad input,
+    not 2 as argparse would, which ``optimize`` uses for "stopped"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="discmin",
         description="Minimize the area of triangulated discs and certify saddle points.",
     )
@@ -199,8 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (DiscminError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

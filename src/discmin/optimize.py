@@ -2,7 +2,8 @@
 
 Each outer iteration runs three passes:
 
-1. fan reductions: cut along empty triangles while any can be cut;
+1. fan reductions: cut along empty triangles while any can be cut; the
+   scan for them reads only the topology and runs once per complex;
 2. flips: ``flips.flip_pass`` flips hinges whose adjacent angle sum is
    below pi, first eligible edge in sorted order after every flip;
 3. vertex sweep: for every interior vertex in ascending order, a damped
@@ -23,13 +24,26 @@ state, and one validated disc is built when the sweep ends.  Every
 float is formed in the operations the numpy rows of ``mesh`` use, so
 a run is bit-identical to one that validated a disc per trial.
 
-The loop exits when an iteration decreases total area by no more than
-``eps_area`` (or the iteration cap is hit); it *converged* when that
-final iteration also performed no combinatorial moves and its flip pass
-stopped short of the flip cap.  An interior vertex is jittered once
-before the first iteration to knock the input off razor-edge symmetric
-configurations; the amplitude is relative to the disc diameter and the
-generator is seeded, so runs are exactly reproducible.
+The loop exits in one of three ways, which the trace records as its
+``stop_reason``.  *stationary*: an iteration whose reductions and flips
+changed nothing, short of the flip cap, finds before its sweep that
+every interior vertex has a Newton decrement with lambda^2 / 2 at most
+``eps_area`` (Boyd & Vandenberghe, *Convex Optimization*, 9.5.1), and
+the saddle certificate of the disc is saddle.  Along any line, the
+quadratic model of a star area falls by at most lambda^2 / 2, so no
+trial of that sweep would lower the area by more than ``eps_area``: the
+sweep is skipped, the iteration is recorded without moves, the run has
+*converged*, and the certificate is the trace's.  Where the test fails,
+the stars and Newton steps it computed are handed to the sweep, so
+nothing is computed twice.  *stalled*: an iteration decreased total
+area by no more than ``eps_area``; the run *converged* when that
+iteration also performed no combinatorial moves and its flip pass
+stopped short of the flip cap.  *iteration_cap*: neither happened.
+
+An interior vertex is jittered once before the first iteration to
+knock the input off razor-edge symmetric configurations; the amplitude
+is relative to the disc diameter and the generator is seeded, so runs
+are exactly reproducible.
 
 Why a stationary sweep certifies as saddle: the derivative of area
 with respect to one star edge length is l/2 (cot t1 + cot t2) with
@@ -199,8 +213,13 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationTrace:
+    """The record of a :func:`minimize` run.  ``stop_reason`` says why
+    it ended: "stationary" (the certified exit), "stalled" (an iteration
+    lowered the area by at most ``eps_area``) or "iteration_cap"."""
+
     iterations: tuple[IterationRecord, ...]
     converged: bool
+    stop_reason: str
     initial_area: float
     final_area: float
     eps_area: float
@@ -220,6 +239,7 @@ class OptimizationTrace:
     def summary_dict(self) -> dict:
         return {
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "iterations": len(self.iterations),
             "initial_area": self.initial_area,
             "final_area": self.final_area,
@@ -282,7 +302,10 @@ class _Sweep:
     A line-search trial moves one vertex and is scored from that
     vertex's star alone (:meth:`trial`); an accepted trial, with the
     box and diameter it measured, is written back (:meth:`apply`), and
-    :meth:`disc` validates the state once, when the sweep ends.
+    :meth:`disc` validates the state once, when the sweep ends.  The
+    stars and Newton steps it computes (:meth:`newton`) are kept until
+    a move changes them, so the stationarity test hands its work to the
+    sweep that follows it.
     """
 
     def __init__(self, disc: PolyhedralDisc):
@@ -293,13 +316,28 @@ class _Sweep:
         self.lo = self.positions.min(axis=0).tolist()
         self.hi = self.positions.max(axis=0).tolist()
         self.diameter = disc.diameter
-        self._star: Optional[_Star] = None
+        self._stars: dict[int, _Star] = {}
+        self._steps: dict[int, tuple[np.ndarray, Optional[np.ndarray]]] = {}
 
     def star(self, v: int) -> _Star:
-        """The star of ``v``, kept until a move is applied."""
-        if self._star is None or self._star.ids[0] != v:
-            self._star = _Star.around(self, v)
-        return self._star
+        """The star of ``v``, kept until a move in it is applied."""
+        star = self._stars.get(v)
+        if star is None:
+            star = self._stars[v] = _Star.around(self, v)
+        return star
+
+    def newton(self, v: int) -> tuple[_Star, np.ndarray, Optional[np.ndarray]]:
+        """The star of ``v``, the gradient g of its area and the damped
+        Newton step -(H + 1e-8 tr(H) I)^-1 g (None where g is zero),
+        kept until a move in the star is applied.  The Newton decrement
+        is -g.step."""
+        star = self.star(v)
+        entry = self._steps.get(v)
+        if entry is None:
+            _, g, h = _star_area(star)
+            step = -np.linalg.solve(h + 1e-8 * np.trace(h) * np.eye(3), g) if np.any(g) else None
+            entry = self._steps[v] = (g, step)
+        return (star, *entry)
 
     def trial(self, v: int, point) -> tuple[list[float], tuple[list[float], list[float], float]]:
         """The areas of the star faces of ``v`` and the moved box
@@ -343,13 +381,16 @@ class _Sweep:
 
     def apply(self, v: int, trial) -> tuple[float, float, float]:
         """Move ``v`` as the accepted ``trial`` (point, star areas, box)
-        says; returns the displacement."""
+        says, dropping the stars and steps of ``v`` and its neighbors;
+        returns the displacement."""
         point, areas, (self.lo, self.hi, self.diameter) = trial
         star = self.star(v)
         self.positions[v] = point
         for f, area in zip(star.faces, areas):
             self.areas[f] = area
-        self._star = None
+        for u in star.ids:
+            self._stars.pop(u, None)
+            self._steps.pop(u, None)
         return tuple(p - q for p, q in zip(point, star.points[0]))
 
     def disc(self) -> PolyhedralDisc:
@@ -431,9 +472,8 @@ def _vertex_move(
     decrease, blocked), ``mode`` being "cut" or "gradient", the latter
     for Newton steps too.
     """
-    _, g, h = _star_area(sweep.star(v))
-    if np.any(g):
-        newton = -np.linalg.solve(h + 1e-8 * np.trace(h) * np.eye(3), g)
+    _, g, newton = sweep.newton(v)
+    if newton is not None:
         trial, decrease, _ = _line_search(sweep, v, newton, g, line_search, floor)
         if trial is not None:
             return "gradient", trial, decrease, False
@@ -444,6 +484,19 @@ def _vertex_move(
     if norm == 0.0:
         return "gradient", None, 0.0, False
     return ("gradient", *_line_search(sweep, v, -g / norm, g, line_search, floor, scale=1.0))
+
+
+def _stationary(sweep: _Sweep, vertices, eps_area: float) -> bool:
+    """Whether every vertex of ``vertices`` has a Newton decrement
+    lambda^2 = g^T (H + 1e-8 tr(H) I)^-1 g = -g.step with lambda^2 / 2 at
+    most ``eps_area`` (Boyd & Vandenberghe, *Convex Optimization*,
+    9.5.1), stopping at the first that does not.  The steps stay in
+    ``sweep`` for its moves."""
+    for v in vertices:
+        _, g, step = sweep.newton(v)
+        if step is not None and -0.5 * float(g @ step) > eps_area:
+            return False
+    return True
 
 
 def vertex_descent_step(
@@ -610,7 +663,8 @@ def minimize(
             pass  # a degenerate triangle or past the coordinate bound: keep the input
 
     iterations: list[IterationRecord] = []
-    converged = False
+    converged, stop_reason = False, "iteration_cap"
+    scanned, violations = None, []
     for index in range(1, cfg.max_outer_iterations + 1):
         area_start = disc.total_area()
         reductions: list[FanReduction] = []
@@ -618,8 +672,10 @@ def minimize(
         unresolved = 0
 
         while cfg.enable_reductions:
+            if disc.complex is not scanned:  # the scan reads only the topology
+                scanned, violations = disc.complex, disc.complex.no_triangle_violations()
             unresolved = 0  # the refusals of the last scan, which cut nothing
-            for triple in disc.complex.no_triangle_violations():
+            for triple in violations:
                 try:
                     disc, record = reduce_fan(disc, triple)
                 except DegenerateTriangle:  # the one refusal of a genuine empty triangle
@@ -635,7 +691,13 @@ def minimize(
         disc = flipped.disc
 
         sweep = _Sweep(disc)
-        for v in disc.complex.interior_vertices():
+        vertices = disc.complex.interior_vertices()
+        settled = not flipped.flips and not reductions and not flipped.cap_exceeded
+        if settled and _stationary(sweep, vertices, eps_area):
+            certificate = certify_saddle(disc, cfg.eps_saddle)
+            if certificate.saddle:  # the sweep would move nothing: skip it
+                converged, stop_reason, vertices = True, "stationary", ()
+        for v in vertices:
             mode, trial, decrease, blocked = _vertex_move(
                 sweep, v, cfg.eps_saddle, cfg.line_search, eps_area
             )
@@ -659,18 +721,21 @@ def minimize(
                 unresolved_violations=unresolved,
             )
         )
+        if stop_reason == "stationary":
+            break
         if area_start - area_end <= eps_area:
-            converged = not flipped.flips and not reductions and not flipped.cap_exceeded
+            converged, stop_reason = settled, "stalled"
             break
 
-    certificate = certify_saddle(disc, cfg.eps_saddle)
     trace = OptimizationTrace(
         iterations=tuple(iterations),
         converged=converged,
+        stop_reason=stop_reason,
         initial_area=initial_area,
         final_area=disc.total_area(),
         eps_area=eps_area,
         seed=cfg.seed,
-        certificate=certificate,
+        certificate=(certificate if stop_reason == "stationary"
+                     else certify_saddle(disc, cfg.eps_saddle)),
     )
     return disc, trace

@@ -41,6 +41,7 @@ def test_optimize_writes_artifacts(tmp_path, instance_path, capsys):
     assert rc == 0
     data = json.loads(summary.read_text())
     assert data["converged"] is True
+    assert data["stop_reason"] == "stationary"
     assert data["saddle"] is True
     cert_data = json.loads(cert.read_text())
     assert cert_data["saddle"] is True
@@ -172,6 +173,8 @@ def test_tent_command(tmp_path, capsys):
     assert rc == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert report["apex"]["status"] == "non_saddle"
+    assert report["fan"]["stop_reason"] == "stalled"
+    assert report["chord"]["stop_reason"] == "stationary"
     assert report["chord_area"] < report["fan_area"]
     assert report["relative_gap"] > 1e-6
     fan = load_obj(out_dir / "fan.obj")
@@ -202,6 +205,16 @@ BAD_FLAGS = [
     ["flip-pass", "--eps-flip=-1"],
 ]
 BAD_SAMPLES = ["0", "-3"]
+# argparse's own refusals, which would exit 2, the code of a run that
+# stopped without converging
+BAD_ARGV = [
+    ["optimize", "--seed", "abc", "--in", "{good}"],
+    ["certify", "--eps", "abc", "--in", "{good}"],
+    ["quad-curve", "--p", "1", "--q", "2", "--r", "2", "--s", "2", "--samples", "x"],
+    ["optimize"],
+    ["certify", "--in", "{good}", "--wobble"],
+    [],
+]
 
 
 def test_error_exit_codes(tmp_path, capsys):
@@ -239,6 +252,11 @@ def test_error_exit_codes(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"--samples must be an integer >= 1, got {samples}" in captured.err
+    for argv in BAD_ARGV:
+        assert main([a.format(good=good) for a in argv]) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: discmin" in captured.err, argv
     huge = tmp_path / "huge.obj"
     huge.write_text(good.read_text().replace("v 1 0 0", "v 1e200 0 0", 1))
     assert huge.read_text() != good.read_text()

@@ -3,6 +3,7 @@ import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from discmin import (
     edge_length_area_gradient,
     flip,
     flip_pass,
+    make_tent,
     measure_hinge,
     minimize,
     position_area_gradient,
@@ -857,6 +859,7 @@ def test_minimize_iteration_limit():
     disc = random_instance(12, nonplanarity=0.5, seed=7)
     out, trace = minimize(disc, OptimizerConfig(max_outer_iterations=1))
     assert not trace.converged
+    assert trace.stop_reason == "iteration_cap"
     assert len(trace.iterations) == 1
 
 
@@ -871,6 +874,111 @@ def test_trace_csv_shape():
     assert summary["converged"] is True
     assert summary["final_area"] == pytest.approx(out.total_area())
     assert summary["saddle"] is True
+
+
+ACCEPTANCE_FANS = GRIDS_AND_FANS[6:]
+# the grid workload's discs at seed 0
+WORKLOAD_GRIDS = {n: saddle_grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)}
+
+
+def minimize_both_ways(disc, config):
+    """Run ``minimize`` with the certified exit and without it, as the
+    loop ran before the exit existed; the two runs must agree bit for
+    bit in trace, positions and certificate.  Returns the trace."""
+    out, trace = minimize(disc, config)
+    with mock.patch.object(optimize, "_stationary", lambda *args: False):
+        old_out, old_trace = minimize(disc, config)
+    assert trace.csv_text() == old_trace.csv_text()
+    assert trace.converged == old_trace.converged
+    assert out.complex.triangles == old_out.complex.triangles
+    assert out.positions.tobytes() == old_out.positions.tobytes()
+    assert json.dumps(trace.certificate.to_dict()) == json.dumps(old_trace.certificate.to_dict())
+    assert old_trace.stop_reason in ("stalled", "iteration_cap")
+    assert trace.stop_reason in (old_trace.stop_reason, "stationary")
+    return trace
+
+
+@pytest.mark.parametrize("disc", ACCEPTANCE_FANS, ids=GRIDS_AND_FANS_IDS[6:])
+def test_acceptance_fans_stop_stationary_as_they_stopped_before(disc):
+    trace = minimize_both_ways(disc, OptimizerConfig())
+    assert trace.stop_reason == "stationary"
+    assert trace.converged and trace.certificate.saddle
+    assert trace.summary_dict()["stop_reason"] == "stationary"
+    assert "stationary" not in trace.csv_text()
+
+
+@pytest.mark.parametrize("n", sorted(WORKLOAD_GRIDS))
+def test_workload_grids_run_as_they_ran_before(n):
+    capped = minimize_both_ways(WORKLOAD_GRIDS[n], OptimizerConfig(max_outer_iterations=12))
+    assert capped.stop_reason == "iteration_cap" and not capped.converged
+    assert len(capped.iterations) == 12
+    trace = minimize_both_ways(WORKLOAD_GRIDS[n], OptimizerConfig(max_outer_iterations=400))
+    assert trace.stop_reason != "iteration_cap"
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(3, 5),
+    seed=st.integers(0, 2**16),
+    subdivisions=st.integers(0, 4),
+    rng_seed=st.integers(0, 2**16),
+)
+def test_the_certified_exit_changes_no_run_of_a_subdivided_grid(n, seed, subdivisions, rng_seed):
+    disc = perturbed_grid_disc(n, seed, subdivisions=subdivisions)
+    minimize_both_ways(disc, OptimizerConfig(max_outer_iterations=400, seed=rng_seed))
+
+
+def test_a_non_saddle_certificate_falls_through_to_the_sweep(monkeypatch):
+    """The tent's fan with flips and reductions off: its apex passes the
+    decrement test but is pinned non-saddle, so the certified exit is
+    declined, the sweep runs and the area test stops the run."""
+    tent = make_tent()
+    assert tent.fan_trace.stop_reason == "stalled" and tent.fan_trace.converged
+    assert tent.chord_trace.stop_reason == "stationary"
+    certificates = []
+    certify = optimize.certify_saddle
+
+    def logged(*args):
+        certificates.append(certify(*args))
+        return certificates[-1]
+
+    monkeypatch.setattr(optimize, "certify_saddle", logged)
+    _, trace = minimize(tent.fan_disc, OptimizerConfig(enable_flips=False, enable_reductions=False))
+    assert trace.stop_reason == "stalled" and trace.converged
+    assert not trace.certificate.saddle
+    # one declined exit, then the end-of-run certificate
+    assert [c.saddle for c in certificates] == [False, False]
+
+
+def test_a_grid_with_non_saddle_vertices_is_never_stationary():
+    disc = saddle_grid_disc(10, np.random.default_rng([0, 10]))
+    _, trace = minimize(disc, OptimizerConfig(max_outer_iterations=400))
+    assert sum(not v.is_saddle for v in trace.certificate.verdicts) > 0
+    assert trace.stop_reason == "stalled"
+
+
+def test_a_move_drops_the_newton_steps_of_its_star():
+    """Steps computed before a move stay with the vertices the move left
+    alone; the moved vertex and its neighbors get theirs anew, equal to
+    those of a sweep started from the moved disc."""
+    disc = WORKLOAD_GRIDS[4]
+    sweep = optimize._Sweep(disc)
+    interior = disc.complex.interior_vertices()
+    before = {v: sweep.newton(v) for v in interior}
+    assert optimize._stationary(sweep, interior, 0.0) is False
+    assert all(sweep.newton(v)[0] is before[v][0] for v in interior)
+    v = interior[len(interior) // 2]
+    _, trial, _, _ = optimize._vertex_move(sweep, v, 1e-7, LineSearch(), 0.0)
+    assert trial is not None
+    sweep.apply(v, trial)
+    star = {v, *disc.complex.vertex_star(v)}
+    fresh = optimize._Sweep(sweep.disc())
+    for u in interior:
+        entry = sweep.newton(u)
+        assert (entry[0] is before[u][0]) == (u not in star)
+        for got, expected in zip(entry[1:], fresh.newton(u)[1:]):
+            assert got.tobytes() == expected.tobytes()
+        assert entry[0].points == fresh.newton(u)[0].points
 
 
 def boundary_ring(disc, start=None):
