@@ -1,9 +1,11 @@
 """Command line front end.
 
-Exit codes: 0 on success (for ``optimize``, success means converged;
-for ``certify``, it means every interior vertex is saddle), 1 when
-``certify`` finds a cutting plane, 2 when ``optimize`` stops without
-converging, 4 for unusable input (parse errors, non-disc topology,
+Exit codes: 0 on success (for ``optimize``, success means the run
+stopped ``stationary``, at the certified exit; for ``certify``, it
+means every interior vertex is saddle), 1 when ``certify`` finds a
+cutting plane, 2 when ``optimize`` stops any other way (``stalled`` or
+``iteration_cap``, even where a stalled run reports converged), 4 for
+unusable input (parse errors, non-disc topology,
 degenerate geometry, bad configuration, and flags that are missing,
 unknown or malformed or have bad values).
 """
@@ -52,12 +54,12 @@ def _cmd_optimize(args) -> int:
         )
     s = trace.summary_dict()
     print(
-        f"{'converged' if trace.converged else 'stopped'} after {s['iterations']} "
-        f"iterations: area {trace.initial_area:.12g} -> {trace.final_area:.12g} "
+        f"{'converged' if trace.converged else 'stopped'} ({trace.stop_reason}) after "
+        f"{s['iterations']} iterations: area {trace.initial_area:.12g} -> {trace.final_area:.12g} "
         f"({s['flips']} flips, {s['reductions']} reductions, {s['moves']} moves), "
         f"saddle={'yes' if s['saddle'] else 'no'}"
     )
-    return 0 if trace.converged else 2
+    return 0 if trace.stop_reason == "stationary" else 2
 
 
 def _cmd_certify(args) -> int:

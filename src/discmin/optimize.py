@@ -82,7 +82,7 @@ from .errors import (
 from .flips import FanReduction, FlipPassResult, FlipRecord, _opposite_vertices
 from .flips import flip_pass, reduce_fan
 from .mesh import _MAX_COORDINATE, PolyhedralDisc, _area, area_rows, edge_key
-from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdict, certify_saddle
+from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdicts, certify_saddle
 
 
 # =====================================================================
@@ -237,6 +237,12 @@ class OptimizationTrace:
         return "\n".join(lines) + "\n"
 
     def summary_dict(self) -> dict:
+        """The run in numbers, for ``--summary``: besides the totals,
+        whether any flip pass hit the cap, the empty triangles the last
+        iteration could not cut, and the vertex closest to failing
+        certification, with the largest verdict margin (both None when
+        the disc has no interior vertex)."""
+        closest = max(self.certificate.verdicts, key=lambda v: v.margin, default=None)
         return {
             "converged": self.converged,
             "stop_reason": self.stop_reason,
@@ -247,6 +253,10 @@ class OptimizationTrace:
             "reductions": sum(len(r.reductions) for r in self.iterations),
             "moves": sum(len(r.moves) for r in self.iterations),
             "saddle": self.certificate.saddle,
+            "max_margin": None if closest is None else closest.margin,
+            "max_margin_vertex": None if closest is None else closest.vertex,
+            "flip_cap_exceeded": any(r.flip_cap_exceeded for r in self.iterations),
+            "unresolved_violations": self.iterations[-1].unresolved_violations,
             "eps_area": self.eps_area,
             "seed": self.seed,
         }
@@ -477,7 +487,7 @@ def _vertex_move(
         trial, decrease, _ = _line_search(sweep, v, newton, g, line_search, floor)
         if trial is not None:
             return "gradient", trial, decrease, False
-    verdict = _vertex_verdict(sweep, v, eps_saddle)
+    (verdict,) = _vertex_verdicts(sweep, (v,), eps_saddle)
     if not verdict.is_saddle:
         return ("cut", *_cut_move(sweep, verdict, g, line_search, floor))
     norm = float(np.linalg.norm(g))
@@ -522,7 +532,7 @@ def vertex_descent_step(
     _check_tolerance("eps_area", floor)
     if disc.complex.is_boundary_vertex(v):
         raise InvalidInput(f"vertex {v} is on the boundary")
-    verdict = _vertex_verdict(disc, v, eps_saddle)
+    (verdict,) = _vertex_verdicts(disc, (v,), eps_saddle)
     if verdict.is_saddle:
         raise NotCuttable(f"vertex {v} admits no cutting plane")
     gradient = position_area_gradient(disc, v)

@@ -33,13 +33,19 @@ its cyclic forms, and ratios of signed volumes for a tetrahedron (the
 signed-volumes sub-algorithm of Montanari, Petrinic and Barbieri,
 "Improving the GJK algorithm for faster and more reliable distance
 queries between convex objects", ACM TOG 36(3), 2017, without its
-search over faces, which the minor cycle does).  A flat simplex takes
-the weights of its largest facet.  The directions are 3-tuples of
-Python floats and the active set and weights Python lists: with at
-most four points in play, numpy's per-call cost would exceed the
-arithmetic.  ``brute_force_cutting_direction`` is the independent
-check: it scans a Fibonacci lattice on the sphere and can only
-undershoot the true margin.
+search over faces, which the minor cycle does), written out in
+components for a segment and a triangle.  A flat simplex takes the
+weights of its largest facet.  The directions are 3-tuples of Python
+floats and the active set, its points and weights Python lists, from
+which a minor cycle deletes the point it drops: with at most four
+points in play, numpy's per-call cost would exceed the arithmetic.
+``brute_force_cutting_direction`` is the independent check: it scans a
+Fibonacci lattice on the sphere and can only undershoot the true margin.
+
+``certify_saddle`` and the optimizer's vertex sweep share one verdict
+function, which forms the edge directions of all the stars it is given
+in one gather of the positions and tests each star on its slice: one
+gather per certificate, and one per vertex the sweep tests.
 """
 
 from __future__ import annotations
@@ -153,21 +159,28 @@ def _affine_weights(simplex) -> list[float]:
     m = len(simplex)
     if m == 1:
         return [1.0]
-    a = simplex[0]
-    d = [_sub(p, a) for p in simplex[1:]]
+    a0, a1, a2 = a = simplex[0]
+    b0, b1, b2 = simplex[1]
+    u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
+    uu = u0 * u0 + u1 * u1 + u2 * u2
     if m == 2:
-        dd = _dot(d[0], d[0])
-        if dd > 0.0:
-            t = -_dot(a, d[0]) / dd
+        if uu > 0.0:
+            t = -(a0 * u0 + a1 * u1 + a2 * u2) / uu
             return [1.0 - t, t]
     elif m == 3:
-        n = _cross(d[0], d[1])
-        nn = _dot(n, n)
-        if nn > _FLAT**2 * _dot(d[0], d[0]) * _dot(d[1], d[1]):
-            wb = _dot(n, _cross(d[1], a)) / nn
-            wc = _dot(n, _cross(a, d[0])) / nn
+        c0, c1, c2 = simplex[2]
+        w0, w1, w2 = c0 - a0, c1 - a1, c2 - a2
+        n0, n1, n2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+        nn = n0 * n0 + n1 * n1 + n2 * n2
+        if nn > _FLAT**2 * uu * (w0 * w0 + w1 * w1 + w2 * w2):
+            # n.(d_2 x a) and n.(a x d_1)
+            wb = (n0 * (w1 * a2 - w2 * a1) + n1 * (w2 * a0 - w0 * a2)
+                  + n2 * (w0 * a1 - w1 * a0)) / nn
+            wc = (n0 * (a1 * u2 - a2 * u1) + n1 * (a2 * u0 - a0 * u2)
+                  + n2 * (a0 * u1 - a1 * u0)) / nn
             return [1.0 - wb - wc, wb, wc]
     else:
+        d = [_sub(p, a) for p in simplex[1:]]
         c23 = _cross(d[1], d[2])
         det = _dot(d[0], c23)
         if det * det > _FLAT**2 * _dot(d[0], d[0]) * _dot(d[1], d[1]) * _dot(d[2], d[2]):
@@ -195,8 +208,9 @@ def _min_norm_point(
     sq_norms = [p0 * p0 + p1 * p1 + p2 * p2 for p0, p1, p2 in points]
     tol = _WOLFE_GAP * max(sq_norms)
     active = [sq_norms.index(min(sq_norms))]
+    simplex = [points[active[0]]]  # the active points, in step with ``active``
     weights = [1.0]
-    x = points[active[0]]
+    x = simplex[0]
     for _ in range(_MAJOR_CYCLES_PER_POINT * k):
         # four active points with positive affine weights hold the origin
         if len(active) == 4:
@@ -208,10 +222,12 @@ def _min_norm_point(
         decided = xx <= eps_saddle * eps_saddle or low > eps_saddle * math.sqrt(xx)
         if xx <= 1e-30 or (xx - low <= tol and decided):
             break
-        active.append(dots.index(low))
+        j = dots.index(low)
+        active.append(j)
+        simplex.append(points[j])
         weights.append(0.0)
         for _ in range(len(active)):  # each pass but the last drops a point
-            affine = _affine_weights([points[i] for i in active])
+            affine = _affine_weights(simplex)
             if min(affine) > 0.0:
                 weights = affine
                 break
@@ -224,10 +240,10 @@ def _min_norm_point(
                 if a <= 0.0
             )
             weights = [max(w + step * (a - w), 0.0) for w, a in zip(weights, affine)]
-            del weights[drop], active[drop]
+            del weights[drop], active[drop], simplex[drop]
         else:
             raise InvariantViolation("a minor cycle of Wolfe's algorithm dropped no point")
-        x = _combination(weights, [points[i] for i in active])
+        x = _combination(weights, simplex)
     else:
         raise InvariantViolation(
             f"Wolfe's algorithm did not converge in {_MAJOR_CYCLES_PER_POINT * k} "
@@ -238,7 +254,7 @@ def _min_norm_point(
     lam = [0.0] * k
     for i, w in zip(active, weights):
         lam[i] += w
-    return _combination(weights, [points[i] for i in active]), np.array(lam)
+    return _combination(weights, simplex), np.array(lam)
 
 
 def _unit_directions(directions) -> list[tuple[float, float, float]]:
@@ -314,14 +330,26 @@ def brute_force_cutting_direction(
     return lattice[best], float(margins[best])
 
 
-def _vertex_verdict(disc: PolyhedralDisc, v: int, eps_saddle: float) -> VertexVerdict:
-    """The cutting-plane test at vertex ``v`` of ``disc``: the one place
-    a star becomes a verdict, for the certificate and the vertex sweep
-    alike."""
-    star = disc.complex.vertex_star(v)
-    p = disc.positions
-    verdict = cutting_direction(p[list(star)] - p[v], eps_saddle)
-    return VertexVerdict(**vars(verdict), vertex=v, star=star)
+def _vertex_verdicts(state, vertices, eps_saddle: float) -> tuple[VertexVerdict, ...]:
+    """The cutting-plane test at each of ``vertices`` of ``state``, a
+    PolyhedralDisc or the vertex sweep's working state (only its complex
+    and positions are read): the one place stars become verdicts, for
+    the certificate and the vertex sweep alike.  Every edge direction
+    w - v of every star is formed in one gather, and each star is tested
+    on its slice of them."""
+    stars = [state.complex.vertex_star(v) for v in vertices]
+    ends = [w for star in stars for w in star]
+    centres = [v for v, star in zip(vertices, stars) for _ in star]
+    p = state.positions
+    directions = p[ends] - p[centres]
+    verdicts = []
+    stop = 0
+    for v, star in zip(vertices, stars):
+        start, stop = stop, stop + len(star)
+        verdict = cutting_direction(directions[start:stop], eps_saddle)
+        verdicts.append(VertexVerdict(verdict.status, verdict.cut_normal, verdict.margin,
+                                      verdict.coefficients, verdict.residual, v, star))
+    return tuple(verdicts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,8 +389,7 @@ def certify_saddle(disc: PolyhedralDisc, eps_saddle: float = 1e-7) -> SaddleCert
     is vacuously saddle, but its ``eps_saddle`` is checked all the same.
     """
     _check_tolerance("eps_saddle", eps_saddle)
-    interior = disc.complex.interior_vertices()
-    verdicts = tuple(_vertex_verdict(disc, v, eps_saddle) for v in interior)
+    verdicts = _vertex_verdicts(disc, disc.complex.interior_vertices(), eps_saddle)
     return SaddleCertificate(
         verdicts=verdicts,
         saddle=all(v.is_saddle for v in verdicts),

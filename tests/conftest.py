@@ -464,6 +464,169 @@ def min_norm_point_by_lstsq(
     return lam @ points, lam
 
 
+# The star solver and per-vertex certificate in their first Python-float
+# form: each star gathered on its own, the minor cycle re-reading the
+# active points by index, the closed forms through tuple helpers.  The
+# library must reproduce every float of them bit for bit.
+
+
+def _sub_ref(p, q):
+    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+
+
+def _dot_ref(p, q):
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _cross_ref(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _combination_ref(weights, points):
+    x0 = x1 = x2 = 0.0
+    for w, (p0, p1, p2) in zip(weights, points):
+        x0 += w * p0
+        x1 += w * p1
+        x2 += w * p2
+    return (x0, x1, x2)
+
+
+def _content_ref(points):
+    if len(points) == 1:
+        return 0.0
+    d1 = _sub_ref(points[1], points[0])
+    if len(points) == 2:
+        return _dot_ref(d1, d1)
+    n = _cross_ref(d1, _sub_ref(points[2], points[0]))
+    return _dot_ref(n, n)
+
+
+def affine_weights_reference(simplex) -> list:
+    """Bitwise oracle for ``saddle._affine_weights``."""
+    flat = 1e-14
+    m = len(simplex)
+    if m == 1:
+        return [1.0]
+    a = simplex[0]
+    d = [_sub_ref(p, a) for p in simplex[1:]]
+    if m == 2:
+        dd = _dot_ref(d[0], d[0])
+        if dd > 0.0:
+            t = -_dot_ref(a, d[0]) / dd
+            return [1.0 - t, t]
+    elif m == 3:
+        n = _cross_ref(d[0], d[1])
+        nn = _dot_ref(n, n)
+        if nn > flat**2 * _dot_ref(d[0], d[0]) * _dot_ref(d[1], d[1]):
+            wb = _dot_ref(n, _cross_ref(d[1], a)) / nn
+            wc = _dot_ref(n, _cross_ref(a, d[0])) / nn
+            return [1.0 - wb - wc, wb, wc]
+    else:
+        c23 = _cross_ref(d[1], d[2])
+        det = _dot_ref(d[0], c23)
+        if det * det > flat**2 * _dot_ref(d[0], d[0]) * _dot_ref(d[1], d[1]) * _dot_ref(d[2], d[2]):
+            b1 = -_dot_ref(a, c23) / det
+            b2 = -_dot_ref(a, _cross_ref(d[2], d[0])) / det
+            b3 = -_dot_ref(a, _cross_ref(d[0], d[1])) / det
+            return [1.0 - b1 - b2 - b3, b1, b2, b3]
+    facets = [simplex[:i] + simplex[i + 1 :] for i in range(m)]
+    i = max(range(m), key=lambda i: _content_ref(facets[i]))
+    weights = affine_weights_reference(facets[i])
+    weights.insert(i, 0.0)
+    return weights
+
+
+def min_norm_point_reference(points, eps_saddle: float = 1e-7):
+    """Bitwise oracle for ``saddle._min_norm_point`` (``points`` a list
+    of 3-tuples of floats)."""
+    k = len(points)
+    sq_norms = [p0 * p0 + p1 * p1 + p2 * p2 for p0, p1, p2 in points]
+    tol = 1e-12 * max(sq_norms)
+    active = [sq_norms.index(min(sq_norms))]
+    weights = [1.0]
+    x = points[active[0]]
+    for _ in range(10 * k):
+        if len(active) == 4:
+            break
+        x0, x1, x2 = x
+        dots = [x0 * p0 + x1 * p1 + x2 * p2 for p0, p1, p2 in points]
+        low = min(dots)
+        xx = x0 * x0 + x1 * x1 + x2 * x2
+        decided = xx <= eps_saddle * eps_saddle or low > eps_saddle * math.sqrt(xx)
+        if xx <= 1e-30 or (xx - low <= tol and decided):
+            break
+        active.append(dots.index(low))
+        weights.append(0.0)
+        for _ in range(len(active)):
+            affine = affine_weights_reference([points[i] for i in active])
+            if min(affine) > 0.0:
+                weights = affine
+                break
+            step, drop = min(
+                (w / (w - a) if w > a else 0.0, i)
+                for i, (w, a) in enumerate(zip(weights, affine))
+                if a <= 0.0
+            )
+            weights = [max(w + step * (a - w), 0.0) for w, a in zip(weights, affine)]
+            del weights[drop], active[drop]
+        else:
+            raise AssertionError("a minor cycle dropped no point")
+        x = _combination_ref(weights, [points[i] for i in active])
+    else:
+        raise AssertionError(f"no convergence in {10 * k} major cycles")
+    total = math.fsum(weights)
+    weights = [w / total for w in weights]
+    lam = [0.0] * k
+    for i, w in zip(active, weights):
+        lam[i] += w
+    return _combination_ref(weights, [points[i] for i in active]), np.array(lam)
+
+
+def cutting_direction_reference(directions, eps_saddle: float = 1e-7):
+    """Bitwise oracle for ``cutting_direction``: the verdict as a tuple
+    (status, margin, normal, coefficients, residual)."""
+    unit = []
+    for x, y, z in np.asarray(directions, dtype=float).tolist():
+        length = math.hypot(x, y, z)
+        if length == 0.0:
+            raise InvalidInput("zero-length edge direction")
+        unit.append((x / length, y / length, z / length))
+    point, lam = min_norm_point_reference(unit, eps_saddle)
+    t = math.hypot(*point)
+    margin = 0.0
+    if t > 0.0:
+        n0, n1, n2 = point[0] / t, point[1] / t, point[2] / t
+        margin = min(n0 * u0 + n1 * u1 + n2 * u2 for u0, u1, u2 in unit)
+        if margin > eps_saddle:
+            return ("non_saddle", margin, np.array([n0, n1, n2]), None, None)
+    residual = math.hypot(*_combination_ref(lam.tolist(), unit))
+    return ("saddle", margin, None, lam, residual)
+
+
+def certificate_reference(disc: PolyhedralDisc, eps_saddle: float = 1e-7) -> list:
+    """Bitwise oracle for ``certify_saddle``: per interior vertex, its
+    star's directions gathered on their own, p[star] - p[v], and tested;
+    each verdict as (vertex, star, status, margin, normal, coefficients,
+    residual)."""
+    p = disc.positions
+    verdicts = []
+    for v in disc.complex.interior_vertices():
+        star = disc.complex.vertex_star(v)
+        verdicts.append((v, star, *cutting_direction_reference(p[list(star)] - p[v], eps_saddle)))
+    return verdicts
+
+
+def verdict_bits(verdict) -> tuple:
+    """A verdict tuple with every float as its bytes, so that -0.0 and
+    0.0 differ and equality is bitwise."""
+    return tuple(
+        None if x is None
+        else np.asarray(x, dtype=float).tobytes() if isinstance(x, (float, np.ndarray))
+        else x
+        for x in verdict
+    )
+
+
 def random_rotation(rng) -> np.ndarray:
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)

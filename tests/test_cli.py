@@ -96,6 +96,36 @@ def test_optimize_zero_eps_area_converges(tmp_path):
     assert main(["optimize", "--in", str(obj), "--config", str(cfg)]) == 0
 
 
+def test_optimize_exits_0_only_at_the_certified_exit(tmp_path, capsys):
+    """The tent's chord disc stops stationary and exits 0.  Its fan with
+    flips and reductions off stalls with a non-saddle apex: converged by
+    the area test, yet it exits 2.  The status line names the stop, and
+    the summary the vertex closest to failing certification."""
+    out_dir = tmp_path / "tent"
+    assert main(["tent", "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    cfg = tmp_path / "fixed.json"
+    cfg.write_text(json.dumps({"enable_flips": False, "enable_reductions": False}))
+    summary = tmp_path / "summary.json"
+    capsys.readouterr()
+
+    assert main(["optimize", "--in", str(out_dir / "chord.obj"), "--summary", str(summary)]) == 0
+    assert capsys.readouterr().out.startswith("converged (stationary) after")
+    data = json.loads(summary.read_text())
+    assert data["stop_reason"] == "stationary" and data["saddle"] is True
+    assert data["max_margin"] is None and data["max_margin_vertex"] is None
+
+    fan = ["optimize", "--in", str(out_dir / "fan.obj"), "--config", str(cfg), "--summary", str(summary)]
+    assert main(fan) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("converged (stalled) after") and "saddle=no" in out
+    data = json.loads(summary.read_text())
+    assert data["converged"] is True and data["saddle"] is False
+    assert data["max_margin_vertex"] == report["apex"]["id"] == 12
+    assert data["max_margin"] == pytest.approx(report["apex"]["margin"], rel=1e-6)
+    assert data["flip_cap_exceeded"] is False and data["unresolved_violations"] == 0
+
+
 def test_certify_exit_codes(tmp_path, capsys):
     flat = tmp_path / "flat.obj"
     save_obj(fan_disc(8, apex=(0.0, 0.0, 0.0)), flat)

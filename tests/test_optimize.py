@@ -767,6 +767,26 @@ def test_minimize_counts_a_refused_reduction_as_unresolved(monkeypatch):
     (rec,) = trace.iterations
     assert rec.unresolved_violations == 1
     assert rec.reductions == ()
+    assert trace.summary_dict()["unresolved_violations"] == 1
+
+
+def test_summary_reports_the_flip_cap_and_the_closest_vertex(monkeypatch):
+    """``flip_cap_exceeded`` is true when any flip pass hit the cap, and
+    ``max_margin`` and its vertex are the certificate's largest margin."""
+    disc = perturbed_grid_disc(4, seed=1)
+    _, trace = minimize(disc, OptimizerConfig(max_outer_iterations=3))
+    summary = trace.summary_dict()
+    assert summary["flip_cap_exceeded"] is False
+    assert summary["unresolved_violations"] == 0
+    margins = [v.margin for v in trace.certificate.verdicts]
+    assert summary["max_margin"] == max(margins)
+    assert summary["max_margin_vertex"] == trace.certificate.verdicts[margins.index(max(margins))].vertex
+
+    monkeypatch.setattr(optimize, "flip_pass", lambda disc, eps: flips.flip_pass(disc, eps, cap=0))
+    _, trace = minimize(hinge_disc(**ASYM))
+    assert trace.summary_dict()["flip_cap_exceeded"] is True
+    assert trace.summary_dict()["max_margin"] is None
+    assert trace.stop_reason == "stalled" and not trace.converged
 
 
 def test_minimize_respects_triangle_budget():

@@ -7,25 +7,35 @@ import pytest
 
 from conftest import (
     affine_weights_by_lstsq,
+    affine_weights_reference,
+    certificate_reference,
+    cutting_direction_reference,
     double_interior_disc,
     fan_disc,
     hinge_disc,
     min_norm_point_by_enumeration,
     min_norm_point_by_lstsq,
+    min_norm_point_reference,
     perturbed_grid_disc,
     random_rotation,
     regular_polygon,
+    saddle_grid_disc,
+    verdict_bits,
     wheel_disc,
 )
 from discmin import (
     NON_SADDLE,
     SADDLE,
+    OptimizerConfig,
+    PolyhedralDisc,
     brute_force_cutting_direction,
     certify_saddle,
     cutting_direction,
+    minimize,
+    random_instance,
     saddle,
 )
-from discmin.errors import EmptyStar, InvariantViolation
+from discmin.errors import EmptyStar, InvalidInput, InvariantViolation
 
 CONE = np.array([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]], dtype=float)
 CROSS = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=float)
@@ -408,3 +418,101 @@ def test_certificate_dict_schema():
     assert entry["normal"] is None
     assert len(entry["lambda"]) == 6
     json.dumps(flat.to_dict())
+
+
+# Bitwise agreement with the reference solver and certificate of
+# ``conftest``: gathering every star at once, keeping Wolfe's active
+# points as a list and writing the closed forms out must not move a bit.
+
+
+def verdict_tuple(verdict, vertex=()):
+    return (*vertex, verdict.status, verdict.margin, verdict.cut_normal,
+            verdict.coefficients, verdict.residual)
+
+
+def reference_discs():
+    """The certify wheels at seeds 0-3, and grids and fans as
+    ``minimize`` leaves them, with the certificate of each run."""
+    for seed in range(4):
+        for degree in (12, 16, 20, 24):
+            yield wheel_disc(degree, np.random.default_rng([seed, degree])), None
+    runs = [(saddle_grid_disc(n, np.random.default_rng([0, n])), 12) for n in (4, 6)]
+    runs += [(random_instance(m, nonplanarity=0.3, seed=m), 10000) for m in (6, 9, 12)]
+    for disc, cap in runs:
+        yield minimize(disc, OptimizerConfig(max_outer_iterations=cap))
+
+
+def test_certificates_match_the_reference_bit_for_bit():
+    statuses = set()
+    for disc, trace in reference_discs():
+        want = [verdict_bits(v) for v in certificate_reference(disc)]
+        certificates = [certify_saddle(disc)] + ([] if trace is None else [trace.certificate])
+        for cert in certificates:
+            got = [verdict_bits(verdict_tuple(v, (v.vertex, v.star))) for v in cert.verdicts]
+            assert got == want
+            statuses.update(v.status for v in cert.verdicts)
+    assert statuses == {SADDLE, NON_SADDLE}
+
+
+def random_scaled_stars(scale):
+    """300 seeded random stars of degree 3 to 24 times ``scale``, or with
+    every row scaled by its own 10**u, u uniform in [-200, 200], when
+    ``scale`` is None."""
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        dirs = rng.normal(size=(int(rng.integers(3, 25)), 3))
+        if scale is None:
+            yield dirs * 10.0 ** rng.uniform(-200, 200, (len(dirs), 1))
+        else:
+            yield dirs * scale
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1.0, 1e100, 1e200, None])
+def test_cutting_direction_matches_the_reference_bit_for_bit(scale):
+    stars = [*random_scaled_stars(scale)]
+    if scale == 1.0:
+        stars += [*islice(wheel_stars(), 300), *DEGENERATE_STARS, CONE, CROSS]
+    for dirs in stars:
+        got, want = cutting_direction(dirs), cutting_direction_reference(dirs)
+        assert verdict_bits(verdict_tuple(got)) == verdict_bits(want)
+        unit = saddle._unit_directions(dirs)
+        (point, lam), (want_point, want_lam) = (
+            saddle._min_norm_point(unit), min_norm_point_reference(unit))
+        assert verdict_bits((np.array(point), lam)) == verdict_bits((np.array(want_point), want_lam))
+
+
+def test_affine_weights_match_the_reference_bit_for_bit():
+    """Random simplices of one to four points at scales 1e-200 to 1e200,
+    and flat ones: repeated points, collinear and coplanar points, as
+    given and rotated."""
+    rng = np.random.default_rng(20)
+    simplices = []
+    for scale in (1e-200, 1e-8, 1.0, 1e8, 1e200):
+        for size in (1, 2, 3, 4):
+            simplices += [rng.normal(size=(size, 3)) * scale for _ in range(200)]
+    for _ in range(100):
+        a, b, c = rng.normal(size=(3, 3))
+        t = rng.normal(size=3)
+        rot = random_rotation(rng)
+        flats = [[a, a], [a, a, b], [a, b, b], [a, a, a], [a, b, a, c], [a, a, a, a],
+                 [a + t[0] * (b - a), a, b], [a, b, a + t[1] * (b - a), c],
+                 [a, b, c, a + t[0] * (b - a) + t[1] * (c - a)]]
+        simplices += [np.array(f) for f in flats] + [np.array(f) @ rot.T for f in flats]
+    for simplex in simplices:
+        points = [tuple(p) for p in simplex.tolist()]
+        got, want = saddle._affine_weights(points), affine_weights_reference(points)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_a_zero_length_direction_fails_as_in_the_reference():
+    """With eps_deg = 0 an apex may sit on a rim vertex: the certificate
+    raises the reference's exception, with its message."""
+    disc = fan_disc(6)
+    positions = np.array(disc.positions)
+    positions[6] = positions[0]
+    flat = PolyhedralDisc(disc.complex, positions, eps_deg=0.0)
+    with pytest.raises(InvalidInput) as want:
+        certificate_reference(flat)
+    with pytest.raises(InvalidInput) as got:
+        certify_saddle(flat)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
