@@ -141,22 +141,20 @@ def hinge_from_points(a, b, x, y) -> HingeMeasurement:
     )
 
 
+def _edge_faces(cx: DiscComplex) -> dict[Edge, tuple[int, ...]]:
+    """The edge -> faces table of ``cx`` as a mutable dict, each edge's
+    one or two faces ascending: the layout ``_flip_edit`` keeps."""
+    return {e: (f, g) if g >= 0 else (f,)
+            for e, (f, g) in zip(cx.edges, cx.edge_face_array.tolist())}
+
+
 def _opposite(triangles, edge_faces, edge: Edge) -> tuple[int, ...]:
     """The vertex opposite the sorted ``edge`` in each of its faces, in face-index order."""
     return tuple(sum(triangles[f]) - sum(edge) for f in edge_faces[edge])
 
 
-def _opposite_vertices(cx: DiscComplex, edge) -> tuple[Edge, tuple[int, ...]]:
-    """The sorted edge and its opposite vertices: one for a boundary
-    edge, two otherwise."""
-    e = edge_key(*edge)
-    if e not in cx.edge_faces:
-        raise InvalidInput(f"{e} is not an edge of the complex")
-    return e, _opposite(cx.triangles, cx.edge_faces, e)
-
-
 def _hinge_vertices(disc: PolyhedralDisc, edge) -> tuple[int, int, int, int]:
-    e, opposite = _opposite_vertices(disc.complex, edge)
+    e, opposite = disc.complex.opposite_vertices(edge)
     if len(opposite) == 1:
         raise BoundaryEdge(f"edge {e} lies on the boundary")
     return (*e, *opposite)
@@ -193,12 +191,14 @@ class FlipCheck:
 def can_flip(disc: PolyhedralDisc, edge) -> FlipCheck:
     """Whether ``edge`` admits a flip: interior, and the opposite
     vertices not already joined by an edge (a flip would double it)."""
-    e, opposite = _opposite_vertices(disc.complex, edge)
+    e, opposite = disc.complex.opposite_vertices(edge)
     if len(opposite) == 1:
         return FlipCheck(False, "BoundaryEdge")
-    if edge_key(*opposite) in disc.complex.edge_faces:
-        return FlipCheck(False, "OppositeVerticesAdjacent")
-    return FlipCheck(True, None)
+    try:
+        disc.complex.opposite_vertices(opposite)
+    except InvalidInput:
+        return FlipCheck(True, None)
+    return FlipCheck(False, "OppositeVerticesAdjacent")
 
 
 def _flip_edit(
@@ -281,7 +281,7 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
     a, b, _, _ = _hinge_vertices(disc, edge)
     triangles = list(cx.triangles)
     floor = disc.eps_deg * disc.diameter * disc.diameter
-    _flip_edit(triangles, dict(cx.edge_faces), (a, b), disc.positions, floor)
+    _flip_edit(triangles, _edge_faces(cx), (a, b), disc.positions, floor)
     return _rebuilt(disc, triangles, f"flip of {(a, b)}")
 
 
@@ -328,7 +328,7 @@ def flip_pass(
     if cap is None:
         cap = 100 * len(cx.edges)
     triangles = list(cx.triangles)
-    edge_faces = dict(cx.edge_faces)
+    edge_faces = _edge_faces(cx)
     floor = disc.eps_deg * disc.diameter * disc.diameter
     threshold = np.pi - eps_flip
     hinges: dict[Edge, tuple[float, float]] = {}
@@ -375,9 +375,10 @@ def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
     Coplanarity compares the tetrahedron determinant against
     ``tol * L**3`` with L the largest pairwise distance; convexity
     requires every corner turn of the projected polygon to agree with
-    the Newell normal up to ``-tol``.
+    the Newell normal up to ``-tol``.  Raises InvalidInput unless each
+    point is three finite real coordinates.
     """
-    pts = np.array([a, x, b, y], dtype=float)
+    pts = _hinge_points((a, x, b, y), 1)
     diffs = pts[:, None, :] - pts[None, :, :]
     scale = float(row_norms(diffs).max())
     det = float(np.linalg.det(np.stack([pts[2] - pts[0], pts[1] - pts[0], pts[3] - pts[0]])))
@@ -456,19 +457,21 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
     cx = disc.complex
     cycle_edges = (edge_key(t[0], t[1]), edge_key(t[0], t[2]), edge_key(t[1], t[2]))
     for e in cycle_edges:
-        if e not in cx.edge_faces:
-            raise NotAViolation(f"{t} is missing edge {e}")
-    if t[2] in _opposite(cx.triangles, cx.edge_faces, t[:2]):
-        raise NotAViolation(f"{t} spans a face")
+        try:
+            if sum(t) - sum(e) in cx.opposite_vertices(e)[1]:
+                raise NotAViolation(f"{t} spans a face")
+        except InvalidInput:
+            raise NotAViolation(f"{t} is missing edge {e}") from None
 
-    outside = {f for e, faces in cx.edge_faces.items()
+    edge_faces = _edge_faces(cx)
+    outside = {f for e, faces in edge_faces.items()
                if len(faces) == 1 and e not in cycle_edges for f in faces}
     stack = list(outside)
     while stack:
         for a, b in _directed_edges(cx.triangles[stack.pop()]):
             e = edge_key(a, b)
             if e not in cycle_edges:
-                for g in cx.edge_faces[e]:
+                for g in edge_faces[e]:
                     if g not in outside:
                         outside.add(g)
                         stack.append(g)

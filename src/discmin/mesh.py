@@ -33,10 +33,12 @@ way the face that reached it does, so inconsistent input is repaired.
 Each boundary edge is then directed as its oriented face runs it, and
 step 5 is one directed walk around them.
 
-The sorted table stays on the complex as two read-only (E, 2) arrays:
-``edge_array``, the edges in sorted order, and ``opposite_array``, the
-vertex opposite each edge in each of its faces in face order, -1 where
-a boundary edge has no second face.
+The sorted table stays on the complex as three read-only (E, 2)
+arrays: ``edge_array``, the edges in sorted order, ``opposite_array``,
+the vertex opposite each edge in each of its faces in face order, and
+``edge_face_array``, those faces; the last two hold -1 where a
+boundary edge has no second face.  Every edge query reads this one
+table, through ``DiscComplex.opposite_vertices``.
 
 No orientation check is needed: a connected, edge-manifold complex
 that cannot be oriented fails step 4 or 5.  Splitting its pinched
@@ -54,9 +56,10 @@ above 1).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,7 +71,9 @@ from .errors import (
     MultipleBoundaryComponents,
     NonManifoldEdge,
     WrongEuler,
+    _check,
     _check_tolerance,
+    _is_number,
 )
 
 # Triangles whose area falls below eps_deg * diameter^2 are refused.
@@ -167,6 +172,18 @@ def _triangle(ids) -> Triangle:
     return tuple(map(int, t))
 
 
+def _edge(ids) -> Edge:
+    """``ids`` as a sorted pair of Python ints; InvalidInput unless they
+    are two Python or numpy integers (a bool is not one)."""
+    try:
+        u, v = ids
+    except (TypeError, ValueError):
+        raise InvalidInput(f"edge {ids!r} does not have two vertices") from None
+    if not all(type(w) is int or isinstance(w, np.integer) for w in (u, v)):
+        raise InvalidInput(f"non-integer vertex index in edge {ids!r}")
+    return edge_key(int(u), int(v))
+
+
 def _directed_edges(tri: Triangle):
     a, b, c = tri
     return (a, b), (b, c), (c, a)
@@ -185,35 +202,45 @@ class DiscComplex:
     Triangles are stored in input order, rotated so the smallest vertex
     comes first, and are consistently oriented; ``triangle_array`` holds
     them once more as a read-only (F, 3) index array.  ``edge_array``
-    holds ``edges`` row for row, and ``opposite_array`` the vertex
-    opposite each edge in each of its faces, in ascending face order,
-    with -1 where a boundary edge has no second face; both are read-only
-    (E, 2) index arrays.  The boundary cycle is directed the way the
-    oriented triangles induce it and starts at the smallest boundary
-    vertex.
+    holds ``edges`` row for row, ``edge_face_array`` the faces of each
+    edge, ascending, and ``opposite_array`` the vertex opposite the edge
+    in each of those faces, each with -1 where a boundary edge has no
+    second face; all three are read-only (E, 2) index arrays, and
+    :meth:`opposite_vertices` looks an edge up in them.  The boundary
+    cycle is directed the way the oriented triangles induce it and
+    starts at the smallest boundary vertex.
     """
 
     vertex_count: int
     triangles: tuple[Triangle, ...]
     edges: tuple[Edge, ...]
     boundary_cycle: tuple[int, ...]
-    edge_faces: dict[Edge, tuple[int, ...]] = field(compare=False, repr=False)
     vertex_faces: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
     boundary_vertices: frozenset[int] = field(compare=False, repr=False)
     triangle_array: np.ndarray = field(compare=False, repr=False)
     edge_array: np.ndarray = field(compare=False, repr=False)
     opposite_array: np.ndarray = field(compare=False, repr=False)
+    edge_face_array: np.ndarray = field(compare=False, repr=False)
 
     # -- basic queries -------------------------------------------------
 
     def is_boundary_vertex(self, v: int) -> bool:
         return v in self.boundary_vertices
 
-    def is_interior_edge(self, u: int, v: int) -> bool:
-        e = edge_key(u, v)
-        if e not in self.edge_faces:
+    def opposite_vertices(self, edge) -> tuple[Edge, tuple[int, ...]]:
+        """The sorted ``edge`` and the vertex opposite it in each of its
+        faces, in face order: one for a boundary edge, two otherwise.
+        Raises InvalidInput unless ``edge`` is two integer vertex ids
+        joined by an edge of the complex."""
+        e = _edge(edge)
+        i = bisect_left(self.edges, e)
+        if i == len(self.edges) or self.edges[i] != e:
             raise InvalidInput(f"{e} is not an edge of the complex")
-        return len(self.edge_faces[e]) == 2
+        x, y = self.opposite_array[i].tolist()
+        return e, ((x, y) if y >= 0 else (x,))
+
+    def is_interior_edge(self, u: int, v: int) -> bool:
+        return len(self.opposite_vertices((u, v))[1]) == 2
 
     def interior_vertices(self) -> tuple[int, ...]:
         return tuple(
@@ -221,7 +248,7 @@ class DiscComplex:
         )
 
     def interior_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if len(self.edge_faces[e]) == 2)
+        return tuple(compress(self.edges, (self.opposite_array[:, 1] >= 0).tolist()))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Vertices sharing an edge with ``v``, ascending."""
@@ -236,8 +263,9 @@ class DiscComplex:
         implied) starting at the smallest neighbor; for a boundary
         vertex it is the open path from one boundary edge to the other.
         """
-        if not 0 <= v < self.vertex_count:
-            raise InvalidInput(f"vertex {v} out of range")
+        n = self.vertex_count
+        _check("vertex", v, _is_number(v, integer=True) and 0 <= v < n,
+               f"an integer 0 to {n - 1}")
         succ: dict[int, int] = {}
         for i in self.vertex_faces[v]:
             t = self.triangles[i]
@@ -391,19 +419,13 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     if euler != 1:
         raise WrongEuler(f"V - E + F = {euler}, expected 1")
 
-    # Each edge at its first half-edge, in face order; each boundary edge
-    # also directed as its oriented face runs it.
-    edge_faces = {}
+    # Each boundary edge directed as its oriented face runs it.
     succ = {}
-    for h, (u, v, p) in enumerate(zip(ids, heads, partners)):
-        if p > h:
-            edge_faces[(u, v) if u < v else (v, u)] = (h // 3, p // 3)
-        elif p < 0:
-            i = h // 3
-            edge_faces[(u, v) if u < v else (v, u)] = (i,)
-            if flipped[i]:
-                u, v = v, u
-            succ[u] = v
+    for h in (partner < 0).nonzero()[0].tolist():
+        u, v = ids[h], heads[h]
+        if flipped[h // 3]:
+            u, v = v, u
+        succ[u] = v
 
     if not succ:
         raise MultipleBoundaryComponents("complex has no boundary edges")
@@ -436,27 +458,28 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     starts = np.ones(n3, dtype=bool)
     starts[repeats] = False
     first = order[starts]  # each edge's first half-edge, edges in sorted order
-    second = partner[first]
     edge_array = ends[first]
+    halves = np.empty_like(edge_array)  # each edge's half-edges, -1 for a missing second
+    halves[:, 0] = first
+    halves[:, 1] = partner[first]
     # the vertex opposite each half-edge, and -1 for the partner -1
     opposite = np.concatenate((around[:, 6:].ravel(), _NO_VERTEX))
-    opposite_array = np.empty_like(edge_array)
-    opposite_array[:, 0] = opposite[first]
-    opposite_array[:, 1] = opposite[second]
-    for array in (triangle_array, edge_array, opposite_array):
+    opposite_array = opposite[halves]
+    edge_face_array = halves // 3
+    for array in (triangle_array, edge_array, opposite_array, edge_face_array):
         array.setflags(write=False)
 
     return DiscComplex(
         vertex_count=vertex_count,
         triangles=tuple(triangles),
-        edges=tuple(sorted(edge_faces)),
+        edges=tuple(map(tuple, edge_array.tolist())),
         boundary_cycle=tuple(cycle),
-        edge_faces=edge_faces,
         vertex_faces=dict(enumerate(map(tuple, vertex_faces))),
         boundary_vertices=frozenset(cycle),
         triangle_array=triangle_array.reshape(count, 3),
         edge_array=edge_array,
         opposite_array=opposite_array,
+        edge_face_array=edge_face_array,
     )
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateParameters, DisconnectedComplex, InvalidInput, ParseError
+from .errors import DegenerateParameters, DisconnectedComplex, ParseError, _check, _is_number
 from .mesh import PolyhedralDisc, build_from_triangles
 from .optimize import OptimizationTrace, OptimizerConfig, minimize
 from .saddle import VertexVerdict
@@ -208,9 +208,10 @@ def make_tent(height: float = 1.25, ridge_skew: float = 0.25, seed: int = 0) -> 
 
 def random_instance(m: int, nonplanarity: float = 0.3, seed: int = 0) -> PolyhedralDisc:
     """Random fan over a wobbly m-gon rim: radii in [0.6, 1.4], heights
-    in [-nonplanarity, nonplanarity], apex at the rim centroid."""
-    if m < 3:
-        raise InvalidInput(f"need at least 3 boundary vertices, got {m}")
+    in [-nonplanarity, nonplanarity], apex at the rim centroid.  ``m``
+    must be an integer >= 3 and ``seed`` an integer >= 0."""
+    _check("m", m, _is_number(m, integer=True) and m >= 3, "an integer >= 3")
+    _check("seed", seed, _is_number(seed, integer=True) and seed >= 0, "an integer >= 0")
     rng = np.random.default_rng(seed)
     theta = 2.0 * np.pi * np.arange(m) / m
     radii = rng.uniform(0.6, 1.4, m)

@@ -79,7 +79,7 @@ from .errors import (
     _check_tolerance,
     _is_number,
 )
-from .flips import FanReduction, FlipPassResult, FlipRecord, _opposite_vertices
+from .flips import FanReduction, FlipPassResult, FlipRecord
 from .flips import flip_pass, reduce_fan
 from .mesh import _MAX_COORDINATE, PolyhedralDisc, _area, area_rows, edge_key
 from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdicts, certify_saddle
@@ -556,7 +556,7 @@ def edge_length_area_derivative(disc: PolyhedralDisc, edge) -> float:
     holding every other side length fixed: l/2 times the sum of the
     cotangents of the angles opposite the edge in its one or two
     triangles."""
-    (u, v), opposite = _opposite_vertices(disc.complex, edge)
+    (u, v), opposite = disc.complex.opposite_vertices(edge)
     p = disc.positions
     w = p[list(opposite)]
     # cot of the angle at w is (u - w).(v - w) over twice the area.

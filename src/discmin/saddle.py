@@ -55,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyStar, InvalidInput, InvariantViolation, _check_tolerance
+from .errors import EmptyStar, InvalidInput, InvariantViolation, _check, _check_tolerance
+from .errors import _is_number
 from .mesh import PolyhedralDisc
 
 SADDLE = "saddle"
@@ -317,8 +318,10 @@ def brute_force_cutting_direction(
     """Best cutting normal among ``samples`` Fibonacci-lattice points.
 
     Returns (normal, margin).  The margin can only fall short of the
-    exact optimum, never exceed it.
+    exact optimum, never exceed it.  ``samples`` must be an integer >= 1.
     """
+    _check("samples", samples, _is_number(samples, integer=True) and samples >= 1,
+           "an integer >= 1")
     unit = np.array(_unit_directions(directions))
     i = np.arange(samples)
     z = 1.0 - 2.0 * (i + 0.5) / samples

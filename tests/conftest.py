@@ -24,7 +24,7 @@ from discmin.errors import (
     ParseError,
     WrongEuler,
 )
-from discmin.flips import FlipPassResult, FlipRecord, _opposite, _opposite_vertices, bulk_hinges, flip
+from discmin.flips import FlipPassResult, FlipRecord, bulk_hinges, flip
 from discmin.mesh import (
     DiscComplex,
     _directed_edges,
@@ -113,17 +113,35 @@ def trial_by_rebuild(disc: PolyhedralDisc, v: int, point):
     return areas, sum(disc.triangle_area(f) for f in faces) - sum(areas), moved
 
 
+def edge_faces_of(cx: DiscComplex) -> dict:
+    """The edge -> faces table of ``cx``, read off ``cx.triangles`` one
+    face at a time: each sorted edge with its faces, ascending."""
+    table = {}
+    for i, t in enumerate(cx.triangles):
+        for a, b in _directed_edges(t):
+            table.setdefault(edge_key(a, b), []).append(i)
+    return {e: tuple(faces) for e, faces in table.items()}
+
+
 def assert_edge_table(cx: DiscComplex) -> None:
-    """``edge_array`` and ``opposite_array`` of ``cx`` against its dict
-    views: the sorted edges row for row, and the vertex opposite each
-    edge in each of its faces as ``flips._opposite`` finds it, in face
-    order and padded with -1 on the boundary; both read-only intp."""
-    assert cx.edge_array.tolist() == [list(e) for e in cx.edges]
-    assert cx.opposite_array.tolist() == [
-        [*_opposite(cx.triangles, cx.edge_faces, e), -1][:2] for e in cx.edges
+    """``edges``, ``edge_array``, ``edge_face_array`` and
+    ``opposite_array`` of ``cx`` against ``edge_faces_of``: the sorted
+    edges row for row, each edge's faces in ascending order and the
+    vertex opposite it in each, padded with -1 on the boundary; the
+    arrays read-only intp.  ``opposite_vertices`` must answer each edge
+    with the same opposite vertices, unpadded."""
+    table = edge_faces_of(cx)
+    edges = sorted(table)
+    opposite = [[sum(cx.triangles[f]) - sum(e) for f in table[e]] for e in edges]
+    assert cx.edges == tuple(edges)
+    assert cx.edge_array.tolist() == [list(e) for e in edges]
+    assert cx.edge_face_array.tolist() == [[*table[e], -1][:2] for e in edges]
+    assert cx.opposite_array.tolist() == [[*o, -1][:2] for o in opposite]
+    assert [cx.opposite_vertices(e[::-1]) for e in edges] == [
+        (e, tuple(o)) for e, o in zip(edges, opposite)
     ]
-    for array in (cx.edge_array, cx.opposite_array):
-        assert array.dtype == np.intp and array.shape == (len(cx.edges), 2)
+    for array in (cx.edge_array, cx.edge_face_array, cx.opposite_array):
+        assert array.dtype == np.intp and array.shape == (len(edges), 2)
         assert not array.flags.writeable
 
 
@@ -132,8 +150,8 @@ def build_from_triangles_by_conflict_walk(triples) -> DiscComplex:
     order, except that the face walk also records any face whose
     neighbour already runs the shared edge its way and reports that
     orientation conflict last, ``vertex_faces`` is collected in a second
-    pass over the oriented triangles, and the edge and opposite-vertex
-    arrays are read off the dict views."""
+    pass over the oriented triangles, and the edge, face and
+    opposite-vertex arrays are read off its own edge -> faces dict."""
     tris = []
     for t in triples:
         t = _triangle(t)
@@ -214,23 +232,24 @@ def build_from_triangles_by_conflict_walk(triples) -> DiscComplex:
         edges,
         [[sum(triangles[f]) - sum(e) for f in edge_faces[e]] + [-1] * (2 - len(edge_faces[e]))
          for e in edges],
+        [edge_faces[e] + [-1] * (2 - len(edge_faces[e])) for e in edges],
     )
-    triangle_array, edge_array, opposite_array = (
+    triangle_array, edge_array, opposite_array, edge_face_array = (
         np.array(a, dtype=np.intp).reshape(len(a), -1) for a in arrays
     )
-    for array in (triangle_array, edge_array, opposite_array):
+    for array in (triangle_array, edge_array, opposite_array, edge_face_array):
         array.setflags(write=False)
     return DiscComplex(
         vertex_count=vertex_count,
         triangles=triangles,
         edges=edges,
         boundary_cycle=tuple(cycle),
-        edge_faces={e: tuple(f) for e, f in edge_faces.items()},
         vertex_faces={v: tuple(f) for v, f in vertex_faces.items()},
         boundary_vertices=frozenset(cycle),
         triangle_array=triangle_array,
         edge_array=edge_array,
         opposite_array=opposite_array,
+        edge_face_array=edge_face_array,
     )
 
 
@@ -342,7 +361,7 @@ def flip_pass_by_rebuild(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None)
     while not cap_exceeded:
         cx, p = disc.complex, disc.positions
         edges = cx.interior_edges()
-        hinges = [(*e, *_opposite_vertices(cx, e)[1]) for e in edges]
+        hinges = [(*e, *cx.opposite_vertices(e)[1]) for e in edges]
         hinges = np.array(hinges, dtype=np.intp).reshape(-1, 4)
         sigma, gain = bulk_hinges(*(p[hinges[:, k]] for k in range(4)))
         progressed = False
@@ -810,15 +829,16 @@ def reduce_fan_by_components(disc: PolyhedralDisc, triple):
     raises CycleBoundsBoundary when no unique component qualifies."""
     t = tuple(sorted(triple))
     cx = disc.complex
+    edge_faces = edge_faces_of(cx)
     cycle_edges = [edge_key(t[0], t[1]), edge_key(t[0], t[2]), edge_key(t[1], t[2])]
-    cycle_boundary = {e for e in cycle_edges if len(cx.edge_faces[e]) == 1}
+    cycle_boundary = {e for e in cycle_edges if len(edge_faces[e]) == 1}
     if len(cycle_boundary) == 3:
         new_tris = [cx.boundary_cycle]
         keep = list(t)
     else:
         cut = set(cycle_edges) - cycle_boundary
         adjacency = {i: [] for i in range(len(cx.triangles))}
-        for e, faces in cx.edge_faces.items():
+        for e, faces in edge_faces.items():
             if len(faces) == 2 and e not in cut:
                 adjacency[faces[0]].append(faces[1])
                 adjacency[faces[1]].append(faces[0])
@@ -836,7 +856,7 @@ def reduce_fan_by_components(disc: PolyhedralDisc, triple):
                         stack.append(g)
             n_comp += 1
         carried = [set() for _ in range(n_comp)]
-        for e, faces in cx.edge_faces.items():
+        for e, faces in edge_faces.items():
             if len(faces) == 1:
                 carried[component[faces[0]]].add(e)
         inner = [c for c in range(n_comp) if carried[c] <= cycle_boundary]

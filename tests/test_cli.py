@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fan_disc
+from conftest import edge_faces_of, fan_disc
 from discmin import dumps_obj, load_obj, random_instance, save_obj
 from discmin.cli import main
 
@@ -166,7 +166,7 @@ def test_flip_pass_command(tmp_path, capsys):
     assert rc == 0
     assert "1 flip" in capsys.readouterr().out
     flipped = load_obj(out)
-    assert (2, 3) in flipped.complex.edge_faces
+    assert (2, 3) in edge_faces_of(flipped.complex)
 
 
 def test_quad_curve_csv(tmp_path):

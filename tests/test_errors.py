@@ -13,11 +13,17 @@ from discmin import (
     InvalidInput,
     OptimizerConfig,
     PolyhedralDisc,
+    brute_force_cutting_direction,
     build_from_triangles,
     bulk_hinges,
+    can_flip,
     certify_saddle,
     cutting_direction,
+    edge_length_area_derivative,
     edge_length_area_gradient,
+    flat_convex_check,
+    flat_convex_quad,
+    flip,
     flip_pass,
     hinge_from_points,
     measure_hinge,
@@ -44,7 +50,9 @@ BAD_ARGUMENTS = {
     "repeated vertex": lambda: build_from_triangles([(0, 1, 1)]),
     "empty triangle list": lambda: build_from_triangles([]),
     "edge query off the complex": lambda: FAN.complex.is_interior_edge(0, 3),
+    "edge query with a string vertex": lambda: FAN.complex.is_interior_edge("a", 1),
     "star of a vertex out of range": lambda: FAN.complex.vertex_star(7),
+    "star of a fractional vertex": lambda: FAN.complex.vertex_star(1.5),
     "positions of the wrong shape": lambda: PolyhedralDisc(TRIANGLE, np.zeros((2, 3))),
     "non-finite position": lambda: PolyhedralDisc(TRIANGLE, [[0, 0, 0], [1, 0, 0], [0, np.nan, 0]]),
     # unchecked, a NaN floor refuses nothing: every area < nan is False
@@ -59,9 +67,17 @@ BAD_ARGUMENTS = {
     "config not an object": lambda: OptimizerConfig.from_dict([]),
     "line_search not an object": lambda: OptimizerConfig.from_dict({"line_search": 1}),
     "descent at a boundary vertex": lambda: vertex_descent_step(FAN, 0),
+    "descent at a fractional vertex": lambda: vertex_descent_step(FAN, 6.5),
     "edge gradient at a boundary vertex": lambda: edge_length_area_gradient(FAN, 0),
     "rim of two vertices": lambda: random_instance(2),
+    "fractional rim": lambda: random_instance(3.5),
+    "negative seed": lambda: random_instance(8, seed=-1),
     "hinge off the complex": lambda: measure_hinge(FAN, (0, 3)),
+    "hinge of three vertices": lambda: measure_hinge(FAN, (0, 1, 2)),
+    "flip of one vertex": lambda: flip(FAN, (0,)),
+    "flip check of a bare vertex": lambda: can_flip(FAN, 5),
+    "flat convex check of three vertices": lambda: flat_convex_check(FAN, (0, 1, 2)),
+    "edge derivative of three vertices": lambda: edge_length_area_derivative(FAN, (0, 1, 2)),
     "triple with a repeated vertex": lambda: reduce_fan(FAN, (0, 0, 2)),
     "fractional triple": lambda: reduce_fan(FAN, (0, 2, 4.9)),
     "directions not k x 3": lambda: cutting_direction(np.ones(3)),
@@ -92,6 +108,11 @@ BAD_ARGUMENTS = {
     "hinge point of two coordinates": lambda: hinge_from_points((0, 0), *HINGES[1:, 0]),
     "NaN hinge point": lambda: hinge_from_points(*HINGES[:3, 0], (0.0, np.nan, 1.0)),
     "hinge point a string": lambda: hinge_from_points("0 0 0", *HINGES[1:, 0]),
+    "NaN quad point": lambda: flat_convex_quad(*HINGES[:3, 0], (0.0, np.nan, 1.0)),
+    "quad point a string": lambda: flat_convex_quad("0 0 0", *HINGES[1:, 0]),
+    "no lattice samples": lambda: brute_force_cutting_direction(STAR, samples=0),
+    "negative lattice samples": lambda: brute_force_cutting_direction(STAR, samples=-1),
+    "fractional lattice samples": lambda: brute_force_cutting_direction(STAR, samples=1.5),
     "infinite eps_area": lambda: vertex_descent_step(FAN, 6, eps_area=float("inf")),
     "negative eps_area": lambda: vertex_descent_step(FAN, 6, eps_area=-1.0),
 }

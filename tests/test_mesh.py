@@ -9,6 +9,7 @@ from conftest import (
     assert_edge_table,
     build_from_triangles_by_conflict_walk,
     double_interior_disc,
+    edge_faces_of,
     fan_disc,
     heron,
     hexagon_with_violation,
@@ -56,10 +57,11 @@ MOEBIUS_STRIP = [(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)]
 
 def brute_force_violations(cx):
     faces = {frozenset(t) for t in cx.triangles}
+    edge_faces = edge_faces_of(cx)
     out = []
     for t in itertools.combinations(range(cx.vertex_count), 3):
         edges_present = all(
-            edge_key(u, v) in cx.edge_faces for u, v in itertools.combinations(t, 2)
+            edge_key(u, v) in edge_faces for u, v in itertools.combinations(t, 2)
         )
         if edges_present and frozenset(t) not in faces:
             out.append(t)
@@ -103,7 +105,7 @@ def test_boundary_vertex_star_is_path():
 def test_boundary_edge_count_equals_vertex_count():
     for disc in (fan_disc(7), hexagon_with_violation(), double_interior_disc()):
         cx = disc.complex
-        boundary_edges = [e for e, f in cx.edge_faces.items() if len(f) == 1]
+        boundary_edges = [e for e, f in edge_faces_of(cx).items() if len(f) == 1]
         assert len(boundary_edges) == len(cx.boundary_vertices)
         assert len(cx.boundary_cycle) == len(cx.boundary_vertices)
 
@@ -168,7 +170,8 @@ def test_numpy_and_generator_input_build_the_same_complex():
             outcome = build_outcome(build_from_triangles, triples)
             assert outcome == expected
             cx = outcome[0]
-            ids = [*chain(*cx.triangles), *chain(*cx.edges), *chain(*cx.edge_faces), *cx.vertex_faces]
+            opposite = chain.from_iterable(cx.opposite_vertices(e)[1] for e in cx.edges)
+            ids = [*chain(*cx.triangles), *chain(*cx.edges), *opposite, *cx.vertex_faces]
             assert {type(v) for v in ids} == {int}
 
 
@@ -228,7 +231,7 @@ def test_orientation_repair_matches_consistent_input():
 def face_sets(cx):
     """Per edge, the vertex sets of its faces (independent of face order)."""
     return {
-        e: {frozenset(cx.triangles[f]) for f in faces} for e, faces in cx.edge_faces.items()
+        e: {frozenset(cx.triangles[f]) for f in faces} for e, faces in edge_faces_of(cx).items()
     }
 
 
@@ -264,8 +267,8 @@ def build_outcome(build, triples):
         cx = build(triples)
     except DiscminError as err:
         return type(err), str(err)
-    views = (list(cx.edge_faces.items()), list(cx.vertex_faces.items()), cx.boundary_vertices)
-    arrays = (cx.triangle_array, cx.edge_array, cx.opposite_array)
+    views = (list(cx.vertex_faces.items()), cx.boundary_vertices)
+    arrays = (cx.triangle_array, cx.edge_array, cx.opposite_array, cx.edge_face_array)
     return cx, views, [(a.dtype, a.shape, a.tolist(), a.flags.writeable) for a in arrays]
 
 
@@ -474,7 +477,7 @@ def test_triangle_array_is_a_read_only_copy_of_the_triangles():
     cx = perturbed_grid_disc(4, seed=2, subdivisions=3).complex
     assert cx.triangle_array.dtype == np.intp
     assert [tuple(t) for t in cx.triangle_array.tolist()] == list(cx.triangles)
-    for array in (cx.triangle_array, cx.edge_array, cx.opposite_array):
+    for array in (cx.triangle_array, cx.edge_array, cx.opposite_array, cx.edge_face_array):
         with pytest.raises(ValueError):
             array[0, 0] = 1
 
@@ -512,6 +515,12 @@ def test_edge_queries():
     assert not cx.is_interior_edge(0, 1)
     with pytest.raises(ValueError):
         cx.is_interior_edge(0, 3)
+    # past the last sorted edge (5, 6), and both ends out of the complex
+    for e in ((6, 7), (9, 8)):
+        with pytest.raises(InvalidInput, match="is not an edge"):
+            cx.opposite_vertices(e)
+    assert cx.opposite_vertices(np.array([6, 0])) == ((0, 6), (1, 5))
+    assert cx.opposite_vertices([1, np.int32(0)]) == ((0, 1), (6,))
     with pytest.raises(ValueError):
         fan_disc(3).complex.vertex_star(9)
     assert edge_key(4, 1) == (1, 4)
