@@ -25,8 +25,10 @@ class InvalidInput(DiscminError, ValueError):
 
 def _is_number(x, integer: bool = False) -> bool:
     """A finite real (an integer when ``integer``); bools excluded."""
-    if type(x) is int:  # the common case, without the abstract-class checks below
+    if type(x) is int:  # the common cases, without the abstract-class checks below
         return True
+    if type(x) is float:
+        return not integer and math.isfinite(x)
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return False
     return isinstance(x, numbers.Integral) or (not integer and math.isfinite(x))

@@ -40,6 +40,12 @@ the vertex opposite each edge in each of its faces in face order, and
 boundary edge has no second face.  Every edge query reads this one
 table, through ``DiscComplex.opposite_vertices``.
 
+Each star is decided once, in a read-only CSR ring table: slots
+``ring_offsets[v]`` to ``ring_offsets[v + 1]`` of ``ring_vertices`` and
+``ring_faces`` hold w and the face left of each edge v -> w, in cyclic
+order from v's smallest neighbour, or from its boundary successor to its
+predecessor, whose face is -1.  Pointer doubling places every slot at once.
+
 No orientation check is needed: a connected, edge-manifold complex
 that cannot be oriented fails step 4 or 5.  Splitting its pinched
 vertices gives a non-orientable surface with k >= 1 crosscaps and b
@@ -87,9 +93,12 @@ Triangle = tuple[int, int, int]
 Edge = tuple[int, int]
 
 # Half-edge k of a triangle runs from its corner k to corner k + 1: the
-# corners where each half-edge starts and ends, then the corner opposite each.
-_ENDS_AND_OPPOSITE = np.array([0, 1, 1, 2, 2, 0, 2, 0, 1])
-_NO_VERTEX = np.array([-1])
+# corners where each half-edge starts and ends.
+_ENDS = np.array([0, 1, 1, 2, 2, 0])
+_NO_VERTEX, _ZERO = np.array([-1]), np.array([0])
+# [role][turned][k] for half-edge k as its face runs it: tail, head, third corner, half-edge before
+_ORIENTED = np.array([[[0, 1, 2], [1, 2, 0]], [[1, 2, 0], [0, 1, 2]],
+                      [[2, 0, 1], [2, 0, 1]], [[2, 0, 1], [1, 2, 0]]])
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -162,7 +171,10 @@ def triangle_areas(positions: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 def _triangle(ids) -> Triangle:
     """``ids`` as a triple of Python ints; InvalidInput unless they are
     three distinct Python or numpy integers (a bool is not one)."""
-    t = tuple(ids)
+    try:
+        t = tuple(ids)
+    except TypeError:
+        raise InvalidInput(f"triangle {ids!r} does not have three vertices") from None
     if len(t) != 3:
         raise InvalidInput(f"triangle {t!r} does not have three vertices")
     if not all(type(v) is int or isinstance(v, np.integer) for v in t):
@@ -170,6 +182,12 @@ def _triangle(ids) -> Triangle:
     if len(set(t)) != 3:
         raise InvalidInput(f"repeated vertex in triangle {t!r}")
     return tuple(map(int, t))
+
+
+def _check_index(name: str, value, count: int) -> None:
+    """InvalidInput unless ``value`` is an integer 0 to ``count - 1``."""
+    _check(name, value, _is_number(value, integer=True) and 0 <= value < count,
+           f"an integer 0 to {count - 1}")
 
 
 def _edge(ids) -> Edge:
@@ -208,19 +226,22 @@ class DiscComplex:
     second face; all three are read-only (E, 2) index arrays, and
     :meth:`opposite_vertices` looks an edge up in them.  The boundary
     cycle is directed the way the oriented triangles induce it and
-    starts at the smallest boundary vertex.
+    starts at the smallest boundary vertex.  ``ring_offsets``, ``ring_vertices``
+    and ``ring_faces`` are the module docstring's read-only ring table.
     """
 
     vertex_count: int
     triangles: tuple[Triangle, ...]
     edges: tuple[Edge, ...]
     boundary_cycle: tuple[int, ...]
-    vertex_faces: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
     boundary_vertices: frozenset[int] = field(compare=False, repr=False)
     triangle_array: np.ndarray = field(compare=False, repr=False)
     edge_array: np.ndarray = field(compare=False, repr=False)
     opposite_array: np.ndarray = field(compare=False, repr=False)
     edge_face_array: np.ndarray = field(compare=False, repr=False)
+    ring_offsets: np.ndarray = field(compare=False, repr=False)
+    ring_vertices: np.ndarray = field(compare=False, repr=False)
+    ring_faces: np.ndarray = field(compare=False, repr=False)
 
     # -- basic queries -------------------------------------------------
 
@@ -263,25 +284,9 @@ class DiscComplex:
         implied) starting at the smallest neighbor; for a boundary
         vertex it is the open path from one boundary edge to the other.
         """
-        n = self.vertex_count
-        _check("vertex", v, _is_number(v, integer=True) and 0 <= v < n,
-               f"an integer 0 to {n - 1}")
-        succ: dict[int, int] = {}
-        for i in self.vertex_faces[v]:
-            t = self.triangles[i]
-            k = t.index(v)
-            succ[t[(k + 1) % 3]] = t[(k + 2) % 3]
-        if v in self.boundary_vertices:
-            (cur,) = set(succ) - set(succ.values())
-        else:
-            cur = min(succ)
-        order = [cur]
-        while cur in succ and len(order) <= len(succ):
-            cur = succ[cur]
-            if cur == order[0]:
-                break
-            order.append(cur)
-        return tuple(order)
+        _check_index("vertex", v, self.vertex_count)
+        lo, hi = self.ring_offsets[v:v + 2].tolist()
+        return tuple(self.ring_vertices[lo:hi].tolist())
 
     # -- empty triangles ---------------------------------------------------
 
@@ -290,15 +295,12 @@ class DiscComplex:
 
         Returned sorted, each triple ascending.
         """
-        adjacency: dict[int, set[int]] = {v: set() for v in range(self.vertex_count)}
-        for u, w in self.edges:
-            adjacency[u].add(w)
-            adjacency[w].add(u)
-        faces = {frozenset(t) for t in self.triangles}
+        ring, offsets = self.ring_vertices.tolist(), self.ring_offsets.tolist()
+        adjacency = [set(ring[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
         found = []
-        for u, v in self.edges:
+        for (u, v), (x, y) in zip(self.edges, self.opposite_array.tolist()):
             for w in adjacency[u] & adjacency[v]:
-                if w > v and frozenset((u, v, w)) not in faces:
+                if w > v and w != x and w != y:
                     found.append((u, v, w))
         return sorted(found)
 
@@ -360,7 +362,7 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     MultipleBoundaryComponents
         See the module docstring for the order of the checks.
     """
-    tris = list(triples)
+    tris = list(triples) if isinstance(triples, Iterable) else [triples]
     ids = _python_ids(tris)
     if ids is None:
         ids = _checked_ids(tris)
@@ -369,9 +371,7 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     # Ids with a gap fail step 3; until then dense labels keep the keys small.
     labels = ids if top < n3 else [*map({v: k for k, v in enumerate(sorted(set(ids)))}.get, ids)]
     tail = np.fromiter(labels, np.intp, n3).reshape(count, 3)
-    around = tail.take(_ENDS_AND_OPPOSITE, axis=1)
-    ends = around[:, :6].reshape(n3, 2)  # row h: where half-edge h starts and ends
-    heads = ends[:, 1].tolist()
+    ends = tail.take(_ENDS, axis=1).reshape(n3, 2)  # row h: where half-edge h starts and ends
     if np.count_nonzero(ends[:, 0] == ends[:, 1]):
         _checked_ids(tris)  # raises for the first triangle that repeats a vertex
 
@@ -386,15 +386,21 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     partner = np.full(n3, -1)
     partner[a] = b
     partner[b] = a
-    partners = partner.tolist()
+    boundary = partner < 0
     # a run of three or more equal keys pairs some half-edge twice
-    if n3 - partners.count(-1) < 2 * len(repeats):
+    if n3 - np.count_nonzero(boundary) < 2 * len(repeats):
         raise _crowded_edge(ids, keys)
+    starts = np.ones(n3, dtype=bool)
+    starts[repeats] = False
+    first = order[starts]  # each edge's first half-edge, edges in sorted order
+    edge_array = ends[first]
 
     # Steps 3 and 6 in one walk through the partner half-edges (see the
     # module docstring).  A face that runs the shared edge the way its
-    # neighbour does is turned; the slot past the last face answers for
-    # the partner -1 of a boundary half-edge.
+    # neighbour does (both start at one vertex: ``same``) is turned; the
+    # slot past the last face answers for the partner -1 of a boundary half-edge.
+    half = np.arange(n3)
+    same = (tail.ravel() == tail.ravel()[partner]).tolist()
     neighbours = (partner // 3).reshape(count, 3).tolist()
     flipped = [None] * count + [False]
     flipped[0] = False
@@ -403,7 +409,7 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
         h = 3 * i
         for j in neighbours[i]:
             if flipped[j] is None:
-                flipped[j] = flipped[i] ^ (ids[h] == ids[partners[h]])
+                flipped[j] = flipped[i] ^ same[h]
                 reached.append(j)
             h += 1
     missing = count - len(reached)
@@ -411,7 +417,8 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
         raise DisconnectedComplex(f"{missing} triangles unreachable through shared edges")
 
     vertex_count = top + 1
-    if np.count_nonzero(np.bincount(tail.ravel())) != vertex_count:
+    degrees = np.bincount(edge_array.ravel())
+    if np.count_nonzero(degrees) != vertex_count:
         unused = sorted(set(range(vertex_count)) - set(ids))
         raise DisconnectedComplex(f"vertex ids {unused} appear in no triangle")
 
@@ -419,13 +426,12 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     if euler != 1:
         raise WrongEuler(f"V - E + F = {euler}, expected 1")
 
+    # Half-edge h as its oriented face runs it: tail, head and third corner
+    # ``corners[:, h]``, and ``slots[3]``, the face's half-edge ending at its tail.
+    slots = _ORIENTED.take(np.fromiter(flipped, np.intp, count), axis=1) + half[::3, None]
+    tails, heads, thirds = corners = tail.ravel()[slots[:3]].reshape(3, n3)
     # Each boundary edge directed as its oriented face runs it.
-    succ = {}
-    for h in (partner < 0).nonzero()[0].tolist():
-        u, v = ids[h], heads[h]
-        if flipped[h // 3]:
-            u, v = v, u
-        succ[u] = v
+    succ = dict(zip(tails[boundary].tolist(), heads[boundary].tolist()))
 
     if not succ:
         raise MultipleBoundaryComponents("complex has no boundary edges")
@@ -443,43 +449,52 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
             f"{start} covers {len(cycle)} of {boundary_count})"
         )
 
-    triangles = []
-    for x, y, z, turned in zip(ids[0::3], ids[1::3], ids[2::3], flipped):
-        if turned:
-            y, z = z, y
-        triangles.append(canonical_triangle((x, y, z)))
-    vertex_faces = [[] for _ in range(vertex_count)]
-    for i, (x, y, z) in enumerate(triangles):
-        vertex_faces[x].append(i)
-        vertex_faces[y].append(i)
-        vertex_faces[z].append(i)
-    triangle_array = np.fromiter(chain.from_iterable(triangles), np.intp, n3)
+    # each face from its smallest corner, as canonical_triangle turns it
+    triangle_array = corners[:, tails.reshape(count, 3).argmin(axis=1) + half[::3]].T.copy()
 
-    starts = np.ones(n3, dtype=bool)
-    starts[repeats] = False
-    first = order[starts]  # each edge's first half-edge, edges in sorted order
-    edge_array = ends[first]
-    halves = np.empty_like(edge_array)  # each edge's half-edges, -1 for a missing second
-    halves[:, 0] = first
-    halves[:, 1] = partner[first]
+    halves = np.array((first, partner[first])).T  # each edge's half-edges, -1 for no second
     # the vertex opposite each half-edge, and -1 for the partner -1
-    opposite = np.concatenate((around[:, 6:].ravel(), _NO_VERTEX))
+    opposite = np.concatenate((thirds, _NO_VERTEX))
     opposite_array = opposite[halves]
     edge_face_array = halves // 3
-    for array in (triangle_array, edge_array, opposite_array, edge_face_array):
+
+    # Rings: around its tail, a half-edge is followed by the partner of ``slots[3]``.
+    # A ring starts along a boundary edge or at the smallest neighbour (``last``),
+    # and doubling counts each half-edge's steps back to that start.
+    ring_offsets = np.concatenate((_ZERO, np.add.accumulate(degrees)))
+    last = np.sort((edge_array * vertex_count + edge_array[:, ::-1]).ravel())[ring_offsets[:-1]]
+    last %= vertex_count
+    last[cycle] = -1
+    ring_starts = boundary | (heads == last[tails])
+    jumps = np.empty(n3 + 1, np.intp)  # the half-edge before each
+    jumps[partner[slots[3]].ravel()] = half
+    jumps, steps = np.where(ring_starts, half, jumps[:n3]), 1 - ring_starts
+    for _ in range(int(degrees.max() - 2).bit_length()):  # a path of at most degree - 1 steps
+        steps += steps[jumps]
+        jumps = jumps[jumps]
+    slot = ring_offsets[tails] + steps
+    ring_vertices = np.empty(2 * len(edge_array) + 1, np.intp)  # one slot spare
+    ring_vertices[slot + 1] = thirds  # kept only after a boundary ring's last face
+    ring_vertices[slot] = heads
+    ring_faces = np.full(len(ring_vertices), -1, np.intp)
+    ring_faces[slot] = half // 3
+    for array in (triangle_array, edge_array, opposite_array, edge_face_array,
+                  ring_offsets, ring_vertices, ring_faces):
         array.setflags(write=False)
 
     return DiscComplex(
         vertex_count=vertex_count,
-        triangles=tuple(triangles),
+        triangles=tuple(map(tuple, triangle_array.tolist())),
         edges=tuple(map(tuple, edge_array.tolist())),
         boundary_cycle=tuple(cycle),
-        vertex_faces=dict(enumerate(map(tuple, vertex_faces))),
         boundary_vertices=frozenset(cycle),
-        triangle_array=triangle_array.reshape(count, 3),
+        triangle_array=triangle_array,
         edge_array=edge_array,
         opposite_array=opposite_array,
         edge_face_array=edge_face_array,
+        ring_offsets=ring_offsets,
+        ring_vertices=ring_vertices[:-1],
+        ring_faces=ring_faces[:-1],
     )
 
 
@@ -539,13 +554,15 @@ class PolyhedralDisc:
 
     def triangle_area(self, tri) -> float:
         """Area of triangle index ``tri``, or of any vertex id triple."""
-        if isinstance(tri, (int, np.integer)):
+        if np.ndim(tri) == 0:
+            _check_index("triangle", tri, len(self._areas))
             return float(self._areas[tri])
         return float(area_rows(*(self.positions[v] for v in tri)))
 
     def angle_at(self, tri, v: int) -> float:
         """Interior angle of triangle ``tri`` (index or triple) at vertex ``v``."""
-        if isinstance(tri, (int, np.integer)):
+        if np.ndim(tri) == 0:
+            _check_index("triangle", tri, len(self._areas))
             tri = self.complex.triangles[tri]
         if v not in tri:
             raise InvalidInput(f"vertex {v} not in triangle {tri}")
@@ -556,6 +573,8 @@ class PolyhedralDisc:
         return float(angle_rows(sides[0], sides[1]))
 
     def edge_length(self, u: int, v: int) -> float:
+        _check_index("vertex", u, len(self.positions))
+        _check_index("vertex", v, len(self.positions))
         return float(np.linalg.norm(self.positions[u] - self.positions[v]))
 
     # -- movement -------------------------------------------------------
@@ -565,6 +584,7 @@ class PolyhedralDisc:
 
     def moved(self, v: int, point) -> "PolyhedralDisc":
         """Copy with vertex ``v`` relocated to ``point``."""
+        _check_index("vertex", v, len(self.positions))
         pos = np.array(self.positions)
         pos[v] = point
         return self.with_positions(pos)

@@ -81,7 +81,7 @@ from .errors import (
 )
 from .flips import FanReduction, FlipPassResult, FlipRecord
 from .flips import flip_pass, reduce_fan
-from .mesh import _MAX_COORDINATE, PolyhedralDisc, _area, area_rows, edge_key
+from .mesh import _MAX_COORDINATE, PolyhedralDisc, _area, _check_index, area_rows, edge_key
 from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdicts, certify_saddle
 
 
@@ -269,12 +269,13 @@ class OptimizationTrace:
 
 @dataclass
 class _Star:
-    """The star of a vertex: the ids ``ids`` of the vertex (first) and
-    its neighbors, their ``points`` as Python floats, and the faces
-    around the vertex, each with its corners as indices into both."""
+    """The star of a vertex: the ids ``ids`` of the vertex (first) and its
+    neighbors in ring order, their ``points`` as Python floats, and the faces
+    around it, each with its corners as indices into both.  The faces stay
+    ascending, the order whose float sums the star area and trials keep bit for bit."""
 
     ids: list[int]
-    faces: tuple[int, ...]
+    faces: list[int]
     corners: list[tuple[int, int, int]]
     points: list[list[float]]
 
@@ -283,13 +284,11 @@ class _Star:
         """The star of ``v`` in ``state``, a PolyhedralDisc or the
         sweep's working state: only its complex and positions are read."""
         cx = state.complex
-        faces = cx.vertex_faces[v]
-        triangles = [cx.triangles[f] for f in faces]
-        ids = [v]
-        for t in triangles:
-            ids += (u for u in t if u not in ids)
+        lo, hi = cx.ring_offsets[v:v + 2].tolist()
+        ids = [v, *cx.ring_vertices[lo:hi].tolist()]
+        faces = sorted(f for f in cx.ring_faces[lo:hi].tolist() if f >= 0)
         slot = {u: i for i, u in enumerate(ids)}
-        corners = [(slot[a], slot[b], slot[c]) for a, b, c in triangles]
+        corners = [(slot[a], slot[b], slot[c]) for a, b, c in map(cx.triangles.__getitem__, faces)]
         return cls(ids, faces, corners, state.positions[ids].tolist())
 
 
@@ -625,8 +624,7 @@ def position_area_gradient(disc: PolyhedralDisc, v: int) -> np.ndarray:
     """Exact gradient of total area with respect to the position of
     ``v``: sum over incident triangles (v, a, b) of (a - b) x n / 2
     with n the triangle's unit normal."""
-    n = disc.complex.vertex_count
-    _check("vertex", v, _is_number(v, integer=True) and 0 <= v < n, f"an integer 0 to {n - 1}")
+    _check_index("vertex", v, disc.complex.vertex_count)
     return _star_area(_Star.around(disc, v))[1]
 
 

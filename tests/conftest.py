@@ -5,6 +5,7 @@ from the library's (textbook Heron vs the sorted Kahan form, arccos vs
 atan2, shoelace vs cross products) so that agreement means something.
 """
 
+import itertools
 import math
 import re
 from collections import deque
@@ -65,12 +66,65 @@ def cross_area(p0, p1, p2) -> float:
     return 0.5 * float(np.linalg.norm(np.cross(p1 - p0, p2 - p0)))
 
 
+def faces_of(cx: DiscComplex, v: int) -> list:
+    """The faces of ``cx`` around vertex ``v``, ascending, read off
+    ``cx.triangles``."""
+    return [i for i, t in enumerate(cx.triangles) if v in t]
+
+
+def vertex_star_by_succ_walk(triangles, boundary, v: int) -> tuple:
+    """Oracle for the rings: the successor walk ``DiscComplex.vertex_star``
+    once made over the faces of ``v``.  Each face (v, a, b), turned to
+    start at ``v``, sends a to b; an interior star starts at the smallest
+    neighbour, a boundary star (``v`` in ``boundary``) at the neighbour no
+    face sends to.  Returns the star and, for each of its neighbours u,
+    the face (v, u, next) or -1 after the last neighbour of a boundary
+    star."""
+    succ, face = {}, {}
+    for i, t in enumerate(triangles):
+        if v in t:
+            k = t.index(v)
+            succ[t[(k + 1) % 3]] = t[(k + 2) % 3]
+            face[t[(k + 1) % 3]] = i
+    if v in boundary:
+        (cur,) = set(succ) - set(succ.values())
+    else:
+        cur = min(succ)
+    order = [cur]
+    while cur in succ and len(order) <= len(succ):
+        cur = succ[cur]
+        if cur == order[0]:
+            break
+        order.append(cur)
+    return tuple(order), tuple(face.get(u, -1) for u in order)
+
+
+def assert_rings(cx: DiscComplex) -> None:
+    """``ring_offsets``, ``ring_vertices`` and ``ring_faces`` of ``cx``
+    against ``vertex_star_by_succ_walk`` at every vertex, -1 exactly in
+    each boundary vertex's last slot; the arrays read-only intp, and
+    ``vertex_star`` the ring's vertices."""
+    offsets = cx.ring_offsets.tolist()
+    assert offsets[0] == 0 and len(offsets) == cx.vertex_count + 1
+    assert offsets[-1] == 2 * len(cx.edges) == len(cx.ring_vertices) == len(cx.ring_faces)
+    for v in range(cx.vertex_count):
+        star, faces = vertex_star_by_succ_walk(cx.triangles, cx.boundary_vertices, v)
+        lo, hi = offsets[v], offsets[v + 1]
+        assert tuple(cx.ring_vertices[lo:hi].tolist()) == star == cx.vertex_star(v)
+        assert tuple(cx.ring_faces[lo:hi].tolist()) == faces
+        assert (faces[-1] == -1) == (v in cx.boundary_vertices)
+        assert -1 not in faces[:-1]
+    for array in (cx.ring_offsets, cx.ring_vertices, cx.ring_faces):
+        assert array.dtype == np.intp and array.ndim == 1
+        assert not array.flags.writeable
+
+
 def position_gradient_by_faces(disc: PolyhedralDisc, v: int) -> np.ndarray:
     """Oracle for ``position_area_gradient``: one incident face at a
     time, each adding (a - b) x n / 2 with n its unit normal."""
     gradient = np.zeros(3)
     p = disc.positions
-    for i in disc.complex.vertex_faces[v]:
+    for i in faces_of(disc.complex, v):
         t = disc.complex.triangles[i]
         k = t.index(v)
         a, b = p[t[(k + 1) % 3]], p[t[(k + 2) % 3]]
@@ -88,7 +142,7 @@ def star_area_by_arrays(disc, v: int):
     quantity, as the sweep computed them before it moved to Python
     floats.  Only ``disc.complex`` and ``disc.positions`` are read."""
     cx, p = disc.complex, disc.positions
-    faces = [cx.triangles[i] for i in cx.vertex_faces[v]]
+    faces = [cx.triangles[i] for i in faces_of(cx, v)]
     rotated = np.array([t[t.index(v):] + t[:t.index(v)] for t in faces], dtype=np.intp)
     a, b = p[rotated[:, 1]], p[rotated[:, 2]]
     n = cross_rows(a - p[v], b - p[v])
@@ -108,7 +162,7 @@ def trial_by_rebuild(disc: PolyhedralDisc, v: int, point):
     did.  Returns the star's areas in the moved disc, the decrease of
     the star area, and the moved disc; raises what ``moved`` raises."""
     moved = disc.moved(v, point)
-    faces = disc.complex.vertex_faces[v]
+    faces = faces_of(disc.complex, v)
     areas = [moved.triangle_area(f) for f in faces]
     return areas, sum(disc.triangle_area(f) for f in faces) - sum(areas), moved
 
@@ -149,9 +203,9 @@ def build_from_triangles_by_conflict_walk(triples) -> DiscComplex:
     """Oracle for ``build_from_triangles``: the same checks in the same
     order, except that the face walk also records any face whose
     neighbour already runs the shared edge its way and reports that
-    orientation conflict last, ``vertex_faces`` is collected in a second
-    pass over the oriented triangles, and the edge, face and
-    opposite-vertex arrays are read off its own edge -> faces dict."""
+    orientation conflict last, the edge, face and opposite-vertex arrays
+    are read off its own edge -> faces dict, and the ring arrays are
+    filled vertex by vertex by ``vertex_star_by_succ_walk``."""
     tris = []
     for t in triples:
         t = _triangle(t)
@@ -222,10 +276,7 @@ def build_from_triangles_by_conflict_walk(triples) -> DiscComplex:
         raise NonManifoldEdge(f"orientation conflict across edge {conflict}")
 
     triangles = tuple(canonical_triangle(t) for t in oriented)
-    vertex_faces = {v: [] for v in range(vertex_count)}
-    for i, t in enumerate(triangles):
-        for v in t:
-            vertex_faces[v].append(i)
+    rings = [vertex_star_by_succ_walk(triangles, cycle, v) for v in range(vertex_count)]
     edges = tuple(sorted(edge_faces))
     arrays = (
         triangles,
@@ -237,19 +288,30 @@ def build_from_triangles_by_conflict_walk(triples) -> DiscComplex:
     triangle_array, edge_array, opposite_array, edge_face_array = (
         np.array(a, dtype=np.intp).reshape(len(a), -1) for a in arrays
     )
-    for array in (triangle_array, edge_array, opposite_array, edge_face_array):
+    ring_offsets, ring_vertices, ring_faces = (
+        np.array(a, dtype=np.intp)
+        for a in (
+            [0, *itertools.accumulate(len(star) for star, _ in rings)],
+            [u for star, _ in rings for u in star],
+            [f for _, faces in rings for f in faces],
+        )
+    )
+    for array in (triangle_array, edge_array, opposite_array, edge_face_array,
+                  ring_offsets, ring_vertices, ring_faces):
         array.setflags(write=False)
     return DiscComplex(
         vertex_count=vertex_count,
         triangles=triangles,
         edges=edges,
         boundary_cycle=tuple(cycle),
-        vertex_faces={v: tuple(f) for v, f in vertex_faces.items()},
         boundary_vertices=frozenset(cycle),
         triangle_array=triangle_array,
         edge_array=edge_array,
         opposite_array=opposite_array,
         edge_face_array=edge_face_array,
+        ring_offsets=ring_offsets,
+        ring_vertices=ring_vertices,
+        ring_faces=ring_faces,
     )
 
 

@@ -53,6 +53,17 @@ BAD_ARGUMENTS = {
     "edge query with a string vertex": lambda: FAN.complex.is_interior_edge("a", 1),
     "star of a vertex out of range": lambda: FAN.complex.vertex_star(7),
     "star of a fractional vertex": lambda: FAN.complex.vertex_star(1.5),
+    "move of a negative vertex": lambda: FAN.moved(-1, (0.0, 0.0, 0.0)),
+    "move of a vertex out of range": lambda: FAN.moved(99, (0.0, 0.0, 0.0)),
+    "edge length to a negative vertex": lambda: FAN.edge_length(0, -1),
+    "edge length to a vertex out of range": lambda: FAN.edge_length(0, 99),
+    "area of a negative triangle index": lambda: FAN.triangle_area(-1),
+    "area of a triangle index out of range": lambda: FAN.triangle_area(99),
+    "area of a fractional triangle index": lambda: FAN.triangle_area(1.5),
+    "angle in a negative triangle index": lambda: FAN.angle_at(-1, 6),
+    "triangle list a bare integer": lambda: build_from_triangles(5),
+    "triangle a bare integer": lambda: build_from_triangles([5]),
+    "fan reduction of a bare integer": lambda: reduce_fan(FAN, 5),
     "positions of the wrong shape": lambda: PolyhedralDisc(TRIANGLE, np.zeros((2, 3))),
     "non-finite position": lambda: PolyhedralDisc(TRIANGLE, [[0, 0, 0], [1, 0, 0], [0, np.nan, 0]]),
     # unchecked, a NaN floor refuses nothing: every area < nan is False

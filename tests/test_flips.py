@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     angle_between,
     assert_edge_table,
+    assert_rings,
     cross_area,
     double_interior_disc,
     edge_faces_of,
@@ -449,6 +450,7 @@ def test_reduce_matches_component_labelling_oracle():
             out, rec = reduce_fan(disc, triple)
             assert out.complex == build_from_triangles(tris)
             assert_edge_table(out.complex)
+            assert_rings(out.complex)
             assert np.array_equal(out.positions, positions)
             assert rec.vertex_map == vertex_map
             cases += 1

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     assert_edge_table,
+    assert_rings,
     build_from_triangles_by_conflict_walk,
     double_interior_disc,
     edge_faces_of,
@@ -171,7 +172,8 @@ def test_numpy_and_generator_input_build_the_same_complex():
             assert outcome == expected
             cx = outcome[0]
             opposite = chain.from_iterable(cx.opposite_vertices(e)[1] for e in cx.edges)
-            ids = [*chain(*cx.triangles), *chain(*cx.edges), *opposite, *cx.vertex_faces]
+            ids = [*chain(*cx.triangles), *chain(*cx.edges), *opposite,
+                   *chain.from_iterable(map(cx.vertex_star, range(cx.vertex_count)))]
             assert {type(v) for v in ids} == {int}
 
 
@@ -267,8 +269,9 @@ def build_outcome(build, triples):
         cx = build(triples)
     except DiscminError as err:
         return type(err), str(err)
-    views = (list(cx.vertex_faces.items()), cx.boundary_vertices)
-    arrays = (cx.triangle_array, cx.edge_array, cx.opposite_array, cx.edge_face_array)
+    views = (cx.boundary_vertices,)
+    arrays = (cx.triangle_array, cx.edge_array, cx.opposite_array, cx.edge_face_array,
+              cx.ring_offsets, cx.ring_vertices, cx.ring_faces)
     return cx, views, [(a.dtype, a.shape, a.tolist(), a.flags.writeable) for a in arrays]
 
 
@@ -492,6 +495,29 @@ def test_edge_table_matches_the_dict_views():
     for disc in discs:
         assert_edge_table(disc.complex)
     assert_edge_table(build_from_triangles([(0, 1, 2)]))
+
+
+def test_rings_match_the_successor_walk():
+    """Every vertex's ring, its faces and the -1 in each boundary
+    vertex's last slot, against the successor walk ``vertex_star`` once
+    made, on fans, grids, wheels and the discs among random triangle
+    lists, each also as shuffled and reoriented input."""
+    rng = np.random.default_rng(21)
+    discs = [fan_disc(m) for m in range(3, 17)]
+    discs += [perturbed_grid_disc(n, seed, subdivisions=seed % 5) for n in (2, 4, 6) for seed in range(3)]
+    discs += [saddle_grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)]
+    discs += [wheel_disc(d, rng) for d in (3, 8, 12, 24)]
+    discs += [hexagon_with_violation(), tetra_cap(), double_interior_disc()]
+    lists = [list(disc.complex.triangles) for disc in discs] + [[(0, 1, 2)]]
+    for triples in random_triangle_lists(rng, 1000):
+        if not isinstance(build_outcome(build_from_triangles, triples)[0], type):
+            lists.append(triples)
+    assert len(lists) > len(discs) + 50
+    for triples in lists:
+        shuffled = [triples[i][::-1] if rng.random() < 0.5 else triples[i]
+                    for i in rng.permutation(len(triples))]
+        assert_rings(build_from_triangles(triples))
+        assert_rings(build_from_triangles(shuffled))
 
 
 def test_positions_read_only():

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from conftest import (
     angle_between,
     assert_edge_table,
+    assert_rings,
     double_interior_disc,
+    faces_of,
     fan_disc,
     flip_pass_by_rebuild,
     hexagon_with_violation,
@@ -166,7 +168,7 @@ def test_star_hessian_matches_central_differences_of_the_gradient(disc):
         assert eigenvalues[0] >= -1e-12 * eigenvalues[-1]
         # one implementation of the gradient, and the star's area
         assert np.array_equal(gradient, position_area_gradient(disc, v))
-        faces = disc.complex.vertex_faces[v]
+        faces = faces_of(disc.complex, v)
         assert area == pytest.approx(sum(disc.triangle_area(f) for f in faces), rel=1e-12)
 
 
@@ -270,7 +272,7 @@ def test_a_trial_that_grows_the_box_rechecks_the_faces_outside_the_star():
     cx, p = base.complex, base.positions
     areas = [base.triangle_area(f) for f in range(len(cx.triangles))]
     smallest = int(np.argmin(areas))
-    v = next(u for u in cx.interior_vertices() if smallest not in cx.vertex_faces[u])
+    v = next(u for u in cx.interior_vertices() if smallest not in faces_of(cx, u))
     # the floor sits at half the smallest area, outside the star of v
     disc = PolyhedralDisc(cx, p, eps_deg=0.5 * areas[smallest] / base.diameter**2)
     point = (float(p[v, 0]), float(p[v, 1]), float(p[v, 2]) + 3.0 * base.diameter)
@@ -531,6 +533,7 @@ def assert_flip_pass_matches_rebuild(disc, **kwargs):
     # the oracle's disc comes from ``flip`` after each flip
     assert_edge_table(result.disc.complex)
     assert_edge_table(expected.disc.complex)
+    assert_rings(result.disc.complex)
     return result
 
 
@@ -585,6 +588,7 @@ def _check_passes_of_minimize(monkeypatch, disc, config):
     out, _ = minimize(disc, config)
     monkeypatch.undo()
     assert_edge_table(out.complex)
+    assert_rings(out.complex)
     return sum(flipped)
 
 
@@ -1032,3 +1036,4 @@ def test_minimize_invariants_on_subdivided_grids(n, seed, subdivisions, rng_seed
     assert rebuilt.vertex_count - len(rebuilt.edges) + len(rebuilt.triangles) == 1
     assert_edge_table(disc.complex)
     assert_edge_table(out.complex)
+    assert_rings(out.complex)
