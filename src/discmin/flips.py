@@ -25,7 +25,6 @@ share one table edit, and flips and reductions one rebuild check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
 
 import numpy as np
 
@@ -68,6 +67,10 @@ class HingeMeasurement:
     gain: float
 
 
+# for each cross of ``_hinge_rows``, the rows of q at its sides' ends and apex
+_HINGE_CORNERS = np.array([[0, 0, 1, 1, 2, 2], [2, 3, 2, 3, 3, 3], [1, 1, 0, 0, 0, 1]])
+
+
 def _hinge_rows(q):
     """The four angles (abx, aby, bax, bay), their sum sigma and the flip
     gain of stacked hinges whose points a, b, x, y are the (4, n, 3)
@@ -77,17 +80,18 @@ def _hinge_rows(q):
     angles abx and aby, and at a, of bax and bay, then the area crosses
     of the flipped triangles axy and bxy.  The two at a,
     (b - a) x (x - a) and (b - a) x (y - a), are also the area crosses
-    of the current triangles abx and aby.  Each angle and area is the
-    same float operations as ``angle_rows`` and ``area_rows`` give it.
+    of the current triangles abx and aby.  The sides are one gather
+    through ``_HINGE_CORNERS`` less the apexes, and sigma sums the angles
+    in order.  Each angle and area is the same float operations as
+    ``angle_rows`` and ``area_rows`` give it.
     """
-    apex = q[[1, 1, 0, 0, 0, 1]]
-    u = q[[0, 0, 1, 1, 2, 2]] - apex
-    w = q[[2, 3, 2, 3, 3, 3]] - apex
+    corners = q[_HINGE_CORNERS]
+    u, w = corners[:2] - corners[2]
     norms = row_norms(cross_rows(u, w))
     angles = np.arctan2(norms[:4], np.einsum("...i,...i->...", u[:4], w[:4]))
     areas = 0.5 * norms
     gain = areas[2] + areas[3] - areas[4] - areas[5]
-    return angles, angles[0] + angles[1] + angles[2] + angles[3], gain
+    return angles, angles.sum(axis=0), gain
 
 
 def _hinge_points(points, ndim: int) -> np.ndarray:
@@ -305,46 +309,46 @@ def flip_pass(
     """Flip hinges with sigma < pi - eps_flip until none remain.
 
     Works on plain tables: the triangle list, the edge -> faces map and
-    the sigma and gain of every interior hinge.  The first scan gathers
+    the sigma and gain of each eligible hinge.  The first scan measures
     the interior rows of the complex's ``edge_array`` and
-    ``opposite_array`` and measures them by one call of the hinge
-    kernel.  Those arrays describe only the complex the pass started
-    from, so after each flip the hinges it touched, the new diagonal and
-    the interior quad sides, are re-measured from the mutable tables, by
-    one more gather and call.  The first eligible edge in sorted order
-    is flipped each time.  Each flip strictly decreases area, so the
-    pass terminates; ``cap``
-    (default 100 edges' worth) is a safety stop, and ``cap_exceeded``
-    says that it left a flip the pass would have made.  Flips that
-    ``flip`` would refuse (opposite vertices already joined, or a new
-    triangle below the area floor) are skipped.  The edited triangles
-    are validated once, at the end, into the returned disc.
+    ``opposite_array`` by one gather and kernel call and keeps the
+    eligible ones by one mask; with none, ``disc`` is returned and no
+    table built.  After each flip the hinges it touched, the new
+    diagonal and the interior quad sides, are re-measured from the
+    mutable tables, by one more gather and call, and join or leave the
+    eligible ones.  The first eligible edge in sorted order is flipped
+    each time.  Each flip strictly decreases area, so the pass
+    terminates; ``cap`` (default 100 edges' worth) is a safety stop,
+    and ``cap_exceeded`` says that it left a flip the pass would have
+    made.  Flips that ``flip`` would refuse (opposite vertices already
+    joined, or a new triangle below the area floor) are skipped.  The
+    edited triangles are validated once, at the end, into the returned
+    disc.
     ``eps_flip`` must be a finite number >= 0, ``cap`` an integer >= 0.
     """
     _check_tolerance("eps_flip", eps_flip)
     _check("cap", cap, cap is None or _is_number(cap, integer=True) and cap >= 0,
            "None or an integer >= 0")
     cx, p = disc.complex, disc.positions
+    threshold = np.pi - eps_flip
+    # the first scan gathers the interior rows of the complex's edge table
+    interior = (cx.opposite_array[:, 1] >= 0).nonzero()[0]
+    rows = np.concatenate((cx.edge_array, cx.opposite_array), axis=1)[interior]
+    _, sigma, gain = _hinge_rows(p[rows.T])
+    kept = (sigma < threshold).nonzero()[0]
+    if not len(kept):
+        return FlipPassResult(disc=disc, flips=(), cap_exceeded=False)
+    eligible = dict(zip(map(cx.edges.__getitem__, interior[kept].tolist()),
+                        zip(sigma[kept].tolist(), gain[kept].tolist())))
     if cap is None:
         cap = 100 * len(cx.edges)
     triangles = list(cx.triangles)
     edge_faces = _edge_faces(cx)
     floor = disc.eps_deg * disc.diameter * disc.diameter
-    threshold = np.pi - eps_flip
-    hinges: dict[Edge, tuple[float, float]] = {}
-
-    def measure(edges, rows: np.ndarray) -> None:
-        _, sigma, gain = _hinge_rows(p[rows.T])
-        hinges.update(zip(edges, zip(sigma.tolist(), gain.tolist())))
-
-    # the first scan gathers the interior rows of the complex's edge table
-    interior = cx.opposite_array[:, 1] >= 0
-    measure(compress(cx.edges, interior.tolist()),
-            np.concatenate((cx.edge_array, cx.opposite_array), axis=1)[interior])
     records: list[FlipRecord] = []
     cap_exceeded = False
     while not cap_exceeded:
-        for e in sorted(h for h, (sigma, _) in hinges.items() if sigma < threshold):
+        for e in sorted(eligible):
             # at the cap, a flip is only tried, on copies of the tables
             at_cap = len(records) >= cap
             tables = (list(triangles), dict(edge_faces)) if at_cap else (triangles, edge_faces)
@@ -355,12 +359,16 @@ def flip_pass(
             if at_cap:
                 cap_exceeded = True
             else:
-                records.append(FlipRecord(e, *hinges.pop(e)))
+                records.append(FlipRecord(e, *eligible.pop(e)))
                 a, b = e
                 touched = [edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))]
-                rows = [(*h, *_opposite(triangles, edge_faces, h))
-                        for h in touched if len(edge_faces[h]) == 2]
-                measure([r[:2] for r in rows], np.array(rows, dtype=np.intp))
+                hinges = [h for h in touched if len(edge_faces[h]) == 2]
+                rows = [(*h, *_opposite(triangles, edge_faces, h)) for h in hinges]
+                _, sigma, gain = _hinge_rows(p[np.array(rows, dtype=np.intp).T])
+                for h, s, g in zip(hinges, sigma.tolist(), gain.tolist()):
+                    eligible.pop(h, None)
+                    if s < threshold:
+                        eligible[h] = (s, g)
             break
         else:
             break

@@ -164,8 +164,11 @@ def _area(p0, p1, p2) -> float:
 
 def triangle_areas(positions: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Areas of the triangles ``triangles`` (integer array of shape (F, 3))
-    under the vertex embedding ``positions`` (shape (V, 3))."""
-    return area_rows(*(positions[triangles[:, k]] for k in range(3)))
+    under the vertex embedding ``positions`` (shape (V, 3)), as
+    ``area_rows`` computes them, from one gather of the corners."""
+    corners = positions[triangles]
+    sides = corners[:, 1:] - corners[:, :1]
+    return 0.5 * row_norms(cross_rows(sides[:, 0], sides[:, 1]))
 
 
 def _triangle(ids) -> Triangle:
@@ -419,8 +422,12 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     vertex_count = top + 1
     degrees = np.bincount(edge_array.ravel())
     if np.count_nonzero(degrees) != vertex_count:
-        unused = sorted(set(range(vertex_count)) - set(ids))
-        raise DisconnectedComplex(f"vertex ids {unused} appear in no triangle")
+        # the first ten unused ids lie below the number of used ones plus ten
+        used = set(ids)
+        unused = [v for v in range(min(vertex_count, len(used) + 10)) if v not in used][:10]
+        raise DisconnectedComplex(
+            f"{vertex_count - len(used)} vertex ids appear in no triangle, the first {unused}"
+        )
 
     euler = vertex_count - (n3 - len(repeats)) + count
     if euler != 1:
@@ -525,16 +532,16 @@ class PolyhedralDisc:
             raise InvalidInput(
                 f"positions shape {pos.shape}, expected ({self.complex.vertex_count}, 3)"
             )
-        if not np.all(np.abs(pos) <= _MAX_COORDINATE):
+        if not (np.abs(pos) <= _MAX_COORDINATE).all():
             raise InvalidInput(f"positions must be finite and at most {_MAX_COORDINATE:g} in size")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         span = pos.max(axis=0) - pos.min(axis=0)
-        diameter = float(np.linalg.norm(span))
+        diameter = math.sqrt(span.dot(span))
         object.__setattr__(self, "_diameter", diameter)
         areas = triangle_areas(pos, self.complex.triangle_array)
         floor = self.eps_deg * diameter * diameter
-        if diameter <= 0.0 or np.any(areas < floor):
+        if diameter <= 0.0 or areas.min() < floor:
             worst = int(np.argmin(areas))
             raise DegenerateTriangle(
                 f"triangle {self.complex.triangles[worst]} has area "

@@ -84,6 +84,8 @@ from .flips import flip_pass, reduce_fan
 from .mesh import _MAX_COORDINATE, PolyhedralDisc, _area, _check_index, area_rows, edge_key
 from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdicts, certify_saddle
 
+_EYE = np.eye(3)  # damps every star Hessian
+
 
 # =====================================================================
 # Configuration
@@ -344,7 +346,7 @@ class _Sweep:
         entry = self._steps.get(v)
         if entry is None:
             _, g, h = _star_area(star)
-            step = -np.linalg.solve(h + 1e-8 * np.trace(h) * np.eye(3), g) if np.any(g) else None
+            step = -np.linalg.solve(h + 1e-8 * h.trace() * _EYE, g) if g.any() else None
             entry = self._steps[v] = (g, step)
         return (star, *entry)
 
@@ -377,7 +379,8 @@ class _Sweep:
             moved = self.positions.copy()
             moved[v] = point
             low, high = moved.min(axis=0), moved.max(axis=0)
-            lo, hi, diameter = low.tolist(), high.tolist(), float(np.linalg.norm(high - low))
+            span = high - low
+            lo, hi, diameter = low.tolist(), high.tolist(), math.sqrt(span.dot(span))
         floor = self.eps_deg * diameter * diameter
         points = [point, *star.points[1:]]
         areas = [_area(points[i], points[j], points[k]) for i, j, k in star.corners]
@@ -524,11 +527,13 @@ def vertex_descent_step(
     than ``eps_area``, a finite number >= 0 (None means any positive drop).
 
     Returns (new disc, decrease); (same disc, 0.0) when no trial was
-    acceptable.  Raises NotCuttable for a saddle vertex and
-    DegenerationBlocked when every trial degenerated the star.
+    acceptable.  Raises InvalidInput unless ``v`` is an interior vertex
+    id, NotCuttable for a saddle vertex and DegenerationBlocked when
+    every trial degenerated the star.
     """
     floor = 0.0 if eps_area is None else eps_area
     _check_tolerance("eps_area", floor)
+    _check_index("vertex", v, disc.complex.vertex_count)
     if disc.complex.is_boundary_vertex(v):
         raise InvalidInput(f"vertex {v} is on the boundary")
     (verdict,) = _vertex_verdicts(disc, (v,), eps_saddle)
@@ -589,13 +594,14 @@ def _star_area(star: _Star) -> tuple[float, np.ndarray, np.ndarray]:
 
     Each triangle's terms are Python floats, in the operations
     ``cross_rows`` and ``row_norms`` perform, and the gradient adds them
-    in order as numpy's row sum does; |d|^2 stays an ``einsum``, which
-    adds the squares in an order of its own, and the Hessian one matmul.
+    in order as numpy's row sum does; d, n^ and |n| become one (k, 7)
+    array, whose column views serve the rest: |d|^2 stays an ``einsum``,
+    which adds the squares in an order of its own, and the Hessian one matmul.
     """
     points = star.points
     x0, x1, x2 = points[0]
     g0 = g1 = g2 = -0.0
-    d_rows, unit_rows, norms = [], [], []
+    rows = []
     for corner in star.corners:
         k = corner.index(0)
         a0, a1, a2 = points[corner[(k + 1) % 3]]
@@ -612,10 +618,9 @@ def _star_area(star: _Star) -> tuple[float, np.ndarray, np.ndarray]:
         g0 += d1 * e2 - d2 * e1
         g1 += d2 * e0 - d0 * e2
         g2 += d0 * e1 - d1 * e0
-        d_rows.append((d0, d1, d2))
-        unit_rows.append((e0, e1, e2))
-        norms.append(norm)
-    d, unit, norms = np.array(d_rows), np.array(unit_rows), np.array(norms)
+        rows += (d0, d1, d2, e0, e1, e2, norm)
+    table = np.array(rows).reshape(-1, 7)
+    d, unit, norms = table[:, :3], table[:, 3:6], table[:, 6]
     hessian = 0.5 * (unit.T * (np.einsum("ij,ij->i", d, d) / norms)) @ unit
     return 0.5 * float(norms.sum()), np.array([0.5 * g0, 0.5 * g1, 0.5 * g2]), hessian
 

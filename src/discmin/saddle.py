@@ -43,9 +43,10 @@ points in play, numpy's per-call cost would exceed the arithmetic.
 Fibonacci lattice on the sphere and can only undershoot the true margin.
 
 ``certify_saddle`` and the optimizer's vertex sweep share one verdict
-function, which forms the edge directions of all the stars it is given
-in one gather of the positions and tests each star on its slice: one
-gather per certificate, and one per vertex the sweep tests.
+function, which reads the stars it is given off the complex's ring
+table, forms all their edge directions in one gather of the positions
+and tests each star on its slice: one gather per certificate, and one
+per vertex the sweep tests.
 """
 
 from __future__ import annotations
@@ -337,21 +338,26 @@ def _vertex_verdicts(state, vertices, eps_saddle: float) -> tuple[VertexVerdict,
     """The cutting-plane test at each of ``vertices`` of ``state``, a
     PolyhedralDisc or the vertex sweep's working state (only its complex
     and positions are read): the one place stars become verdicts, for
-    the certificate and the vertex sweep alike.  Every edge direction
-    w - v of every star is formed in one gather, and each star is tested
-    on its slice of them."""
-    stars = [state.complex.vertex_star(v) for v in vertices]
-    ends = [w for star in stars for w in star]
-    centres = [v for v, star in zip(vertices, stars) for _ in star]
-    p = state.positions
-    directions = p[ends] - p[centres]
+    the certificate and the vertex sweep alike.  The stars are slices of
+    the complex's ring table, every edge direction w - v of every star
+    is formed in one gather, and each star is tested on its slice of
+    them.  The vertex ids are not checked."""
+    if not len(vertices):
+        return ()
+    cx, p = state.complex, state.positions
+    centres = np.array(vertices, dtype=np.intp)
+    spans = list(zip(cx.ring_offsets[centres].tolist(), cx.ring_offsets[centres + 1].tolist()))
+    ends = np.concatenate([cx.ring_vertices[lo:hi] for lo, hi in spans])
+    directions = p[ends] - p[centres.repeat([hi - lo for lo, hi in spans])]
+    ring = ends.tolist()
     verdicts = []
     stop = 0
-    for v, star in zip(vertices, stars):
-        start, stop = stop, stop + len(star)
+    for v, (lo, hi) in zip(vertices, spans):
+        start, stop = stop, stop + hi - lo
         verdict = cutting_direction(directions[start:stop], eps_saddle)
         verdicts.append(VertexVerdict(verdict.status, verdict.cut_normal, verdict.margin,
-                                      verdict.coefficients, verdict.residual, v, star))
+                                      verdict.coefficients, verdict.residual, v,
+                                      tuple(ring[start:stop])))
     return tuple(verdicts)
 
 

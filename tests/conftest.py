@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from discmin import PolyhedralDisc, build_from_triangles, edge_key
+from discmin import PolyhedralDisc, build_from_triangles, edge_key, flips
 from discmin.errors import (
     CycleBoundsBoundary,
     DegenerateTriangle,
@@ -252,8 +252,10 @@ def build_from_triangles_by_conflict_walk(triples) -> DiscComplex:
     used = {v for t in tris for v in t}
     vertex_count = max(used) + 1
     if len(used) != vertex_count:
-        unused = sorted(set(range(vertex_count)) - used)
-        raise DisconnectedComplex(f"vertex ids {unused} appear in no triangle")
+        unused = list(itertools.islice((v for v in range(vertex_count) if v not in used), 10))
+        raise DisconnectedComplex(
+            f"{vertex_count - len(used)} vertex ids appear in no triangle, the first {unused}"
+        )
 
     euler = vertex_count - len(edge_faces) + len(tris)
     if euler != 1:
@@ -442,6 +444,88 @@ def flip_pass_by_rebuild(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None)
             break
         if not progressed:
             break
+    return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
+
+
+# The minimize loop's kernels in their earlier numpy forms.  The library
+# forms make fewer numpy calls but must reproduce every float of these
+# bit for bit.
+
+
+def hinge_rows_three_gathers(q):
+    """Bitwise reference for ``flips._hinge_rows``: the apexes and both
+    sides of the six crosses gathered one by one, each side its own
+    subtraction, and sigma the four-term sum."""
+    apex = q[[1, 1, 0, 0, 0, 1]]
+    u = q[[0, 0, 1, 1, 2, 2]] - apex
+    w = q[[2, 3, 2, 3, 3, 3]] - apex
+    norms = row_norms(cross_rows(u, w))
+    angles = np.arctan2(norms[:4], np.einsum("...i,...i->...", u[:4], w[:4]))
+    areas = 0.5 * norms
+    gain = areas[2] + areas[3] - areas[4] - areas[5]
+    return angles, angles[0] + angles[1] + angles[2] + angles[3], gain
+
+
+def triangle_areas_by_columns(positions, triangles):
+    """Bitwise reference for ``mesh.triangle_areas``: one gather per
+    corner column, then ``area_rows``."""
+    return area_rows(*(positions[triangles[:, k]] for k in range(3)))
+
+
+def newton_step_reference(hessian, gradient):
+    """Bitwise reference for the step of ``optimize._Sweep.newton``: a
+    fresh identity damped by ``np.trace``, and None where ``np.any``
+    finds the gradient zero."""
+    if not np.any(gradient):
+        return None
+    return -np.linalg.solve(hessian + 1e-8 * np.trace(hessian) * np.eye(3), gradient)
+
+
+def flip_pass_sorting_every_hinge(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None):
+    """Bitwise reference for ``flip_pass``: the same table edits, but the
+    tables built up front, every interior hinge kept with its sigma and
+    gain from ``hinge_rows_three_gathers``, and each flip chosen by
+    sorting all of them."""
+    cx, p = disc.complex, disc.positions
+    if cap is None:
+        cap = 100 * len(cx.edges)
+    triangles = list(cx.triangles)
+    edge_faces = flips._edge_faces(cx)
+    floor = disc.eps_deg * disc.diameter * disc.diameter
+    threshold = np.pi - eps_flip
+    hinges = {}
+
+    def measure(edges, rows):
+        _, sigma, gain = hinge_rows_three_gathers(p[rows.T])
+        hinges.update(zip(edges, zip(sigma.tolist(), gain.tolist())))
+
+    interior = cx.opposite_array[:, 1] >= 0
+    measure(itertools.compress(cx.edges, interior.tolist()),
+            np.concatenate((cx.edge_array, cx.opposite_array), axis=1)[interior])
+    records = []
+    cap_exceeded = False
+    while not cap_exceeded:
+        for e in sorted(h for h, (sigma, _) in hinges.items() if sigma < threshold):
+            at_cap = len(records) >= cap
+            tables = (list(triangles), dict(edge_faces)) if at_cap else (triangles, edge_faces)
+            try:
+                x, y = flips._flip_edit(*tables, e, p, floor)
+            except (FlipForbidden, DegenerateTriangle):
+                continue
+            if at_cap:
+                cap_exceeded = True
+            else:
+                records.append(FlipRecord(e, *hinges.pop(e)))
+                a, b = e
+                touched = [edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))]
+                rows = [(*h, *flips._opposite(triangles, edge_faces, h))
+                        for h in touched if len(edge_faces[h]) == 2]
+                measure([r[:2] for r in rows], np.array(rows, dtype=np.intp))
+            break
+        else:
+            break
+    if records:
+        disc = flips._rebuilt(disc, triangles, f"flip pass of {len(records)} flips")
     return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
 
 

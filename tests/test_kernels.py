@@ -1,0 +1,181 @@
+"""The minimize loop's kernels against their earlier numpy forms, bit for bit.
+
+The hinge kernel, ``triangle_areas``, the sweep's Newton step and the
+flip selection of ``flip_pass`` each make fewer numpy calls than the
+references in ``conftest`` but must give every float they give.  The
+checks run on the acceptance-c4 fans, the grid workload's discs,
+``perturbed_grid_disc`` draws and random hinge stacks, and along whole
+``minimize`` runs on them, so a kernel whose bits depend on the SIMD
+path numpy dispatches fails here as well as in the digests.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from conftest import (
+    fan_disc,
+    flip_pass_sorting_every_hinge,
+    hinge_rows_three_gathers,
+    newton_step_reference,
+    perturbed_grid_disc,
+    saddle_grid_disc,
+    star_area_by_arrays,
+    triangle_areas_by_columns,
+)
+from discmin import OptimizerConfig, PolyhedralDisc, build_from_triangles, flip_pass, minimize
+from discmin import flips, mesh, optimize, random_instance
+
+FANS = {f"c4_fan{s}": random_instance(8 + s % 9, nonplanarity=0.3, seed=s) for s in range(20)}
+GRIDS = {f"grid_n{n}": saddle_grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)}
+PERTURBED = {
+    f"perturbed{s}": perturbed_grid_disc(3 + s % 4, seed=s, subdivisions=s % 5) for s in range(8)
+}
+
+
+def rough_grid_disc(s: int) -> PolyhedralDisc:
+    """``perturbed_grid_disc`` draw ``s`` with every vertex moved by seeded
+    noise, the rim too, whose flip passes unsettle hinges that the pass
+    found eligible: at s = 15 a flip lifts a neighbouring hinge's sigma
+    above the threshold."""
+    disc = perturbed_grid_disc(3 + s % 4, seed=s, subdivisions=s % 5)
+    noise = np.random.default_rng(s).normal(size=disc.positions.shape) * [0.2, 0.2, 1.0]
+    return PolyhedralDisc(disc.complex, disc.positions + noise)
+
+
+ROUGH = {f"rough{s}": rough_grid_disc(s) for s in (3, 15)}
+DISCS = {**FANS, **GRIDS, **PERTURBED, **ROUGH}
+
+
+def same_bits(got, expected) -> bool:
+    """Equal arrays with equal bytes, so that -0.0 and 0.0 differ."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+
+
+def hinge_points(disc):
+    """The (4, n, 3) points a, b, x, y of every interior hinge of ``disc``."""
+    cx = disc.complex
+    interior = cx.opposite_array[:, 1] >= 0
+    rows = np.concatenate((cx.edge_array, cx.opposite_array), axis=1)[interior]
+    return disc.positions[rows.T]
+
+
+def assert_hinge_rows(q):
+    got, expected = flips._hinge_rows(q), hinge_rows_three_gathers(q)
+    assert all(same_bits(g, e) for g, e in zip(got, expected)), q.shape
+
+
+def test_hinge_kernel_matches_the_three_gather_form_on_random_stacks():
+    rng = np.random.default_rng(22)
+    for n in range(1, 2001):
+        assert_hinge_rows(rng.normal(size=(4, n, 3)))
+    for scale in 10.0 ** np.arange(-6, 7):
+        for n in (1, 2, 3, 5, 8, 13, 100, 777, 2000):
+            assert_hinge_rows(scale * rng.normal(size=(4, n, 3)))
+
+
+@pytest.mark.parametrize("disc", DISCS.values(), ids=list(DISCS))
+def test_hinge_kernel_matches_the_three_gather_form_on_discs(disc):
+    assert_hinge_rows(hinge_points(disc))
+
+
+@pytest.mark.parametrize("disc", DISCS.values(), ids=list(DISCS))
+def test_triangle_areas_match_the_per_column_form(disc):
+    triangles = disc.complex.triangle_array
+    assert same_bits(disc._areas, triangle_areas_by_columns(disc.positions, triangles))
+    rng = np.random.default_rng(len(triangles))
+    for scale in 10.0 ** np.arange(-6, 7):
+        positions = scale * rng.normal(size=disc.positions.shape)
+        assert same_bits(mesh.triangle_areas(positions, triangles),
+                         triangle_areas_by_columns(positions, triangles))
+
+
+@pytest.mark.parametrize("disc", DISCS.values(), ids=list(DISCS))
+def test_newton_steps_match_the_trace_and_eye_form(disc):
+    sweep = optimize._Sweep(disc)
+    for v in disc.complex.interior_vertices():
+        _, g, step = sweep.newton(v)
+        _, gradient, hessian = star_area_by_arrays(disc, v)
+        assert same_bits(g, gradient)
+        expected = newton_step_reference(hessian, gradient)
+        assert (step is None) == (expected is None)
+        assert step is None or same_bits(step, expected)
+
+
+def test_a_zero_gradient_has_no_newton_step():
+    # a flat square fan: every float of the gradient sums to zero exactly
+    positions = [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 0]]
+    disc = PolyhedralDisc(build_from_triangles([(i, (i + 1) % 4, 4) for i in range(4)]), positions)
+    _, g, step = optimize._Sweep(disc).newton(4)
+    assert not g.any() and step is None
+    assert newton_step_reference(star_area_by_arrays(disc, 4)[2], g) is None
+
+
+def assert_flip_pass_matches_sorting(disc, **kwargs):
+    """``flip_pass`` against ``flip_pass_sorting_every_hinge``: the same
+    triangles and cap flag, and the same records (edge, sigma, gain)
+    bit for bit.  Returns the result."""
+    result, expected = flip_pass(disc, **kwargs), flip_pass_sorting_every_hinge(disc, **kwargs)
+    assert result.disc.complex.triangles == expected.disc.complex.triangles
+    assert result.cap_exceeded == expected.cap_exceeded
+    assert [r.edge for r in result.flips] == [r.edge for r in expected.flips]
+    for field in ("sigma", "area_decrease"):
+        assert same_bits([getattr(r, field) for r in result.flips],
+                         [getattr(r, field) for r in expected.flips])
+    assert (result.disc is disc) == (not result.flips)
+    return result
+
+
+@pytest.mark.parametrize("disc", DISCS.values(), ids=list(DISCS))
+def test_flip_pass_matches_the_sort_all_form(disc):
+    assert_flip_pass_matches_sorting(disc)
+    for cap in (0, 1, 3):
+        assert_flip_pass_matches_sorting(disc, cap=cap)
+
+
+@pytest.mark.parametrize("disc", DISCS.values(), ids=list(DISCS))
+def test_minimize_runs_match_the_references_at_every_call(disc, monkeypatch):
+    """Each flip pass, Newton step and validated disc of a whole run
+    against its reference."""
+    checked = {"flip_pass": 0, "newton": 0, "triangle_areas": 0}
+    newton, triangle_areas = optimize._Sweep.newton, mesh.triangle_areas
+
+    def checked_flip_pass(d, eps_flip=1e-9, cap=None):
+        checked["flip_pass"] += 1
+        return assert_flip_pass_matches_sorting(d, eps_flip=eps_flip, cap=cap)
+
+    def checked_newton(sweep, v):
+        star, g, step = newton(sweep, v)
+        _, gradient, hessian = optimize._star_area(star)
+        assert same_bits(g, gradient)
+        expected = newton_step_reference(hessian, gradient)
+        assert (step is None) == (expected is None)
+        assert step is None or same_bits(step, expected)
+        checked["newton"] += 1
+        return star, g, step
+
+    def checked_triangle_areas(positions, triangles):
+        areas = triangle_areas(positions, triangles)
+        assert same_bits(areas, triangle_areas_by_columns(positions, triangles))
+        checked["triangle_areas"] += 1
+        return areas
+
+    monkeypatch.setattr(optimize, "flip_pass", checked_flip_pass)
+    monkeypatch.setattr(optimize._Sweep, "newton", checked_newton)
+    monkeypatch.setattr(mesh, "triangle_areas", checked_triangle_areas)
+    minimize(disc, OptimizerConfig(max_outer_iterations=12))
+    assert min(checked.values()) > 0, checked
+
+
+def test_a_pass_with_no_eligible_hinge_builds_no_table():
+    disc = fan_disc(6)
+    with mock.patch.object(flips, "_edge_faces", wraps=flips._edge_faces) as edge_faces:
+        result = flip_pass(disc)
+        assert result.disc is disc and result.flips == () and not result.cap_exceeded
+        assert not flip_pass(disc, cap=0).cap_exceeded
+        assert edge_faces.call_count == 0
+        # a pass with an eligible hinge builds the table once
+        assert flip_pass(GRIDS["grid_n4"]).flips
+        assert edge_faces.call_count == 1

@@ -196,6 +196,24 @@ def test_disconnected_rejected():
         build_from_triangles([(0, 1, 2), (0, 3, 4)])
 
 
+def test_the_unused_id_message_names_at_most_ten_ids():
+    """The message counts the unused ids and lists the first ten, so its
+    length does not grow with the largest id; the conflict-walk oracle
+    words it alike."""
+    triples = [(0, 1, 10**5)]
+    outcome = build_outcome(build_from_triangles, triples)
+    assert outcome == (
+        DisconnectedComplex,
+        "99998 vertex ids appear in no triangle, the first [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]",
+    )
+    assert len(outcome[1]) < 1000
+    assert build_outcome(build_from_triangles_by_conflict_walk, triples) == outcome
+    # fewer than ten unused ids are all listed, and gaps below the largest id count too
+    assert build_outcome(build_from_triangles, [(0, 2, 5), (2, 5, 6)]) == (
+        DisconnectedComplex, "3 vertex ids appear in no triangle, the first [1, 3, 4]"
+    )
+
+
 def test_wrong_euler_rejected():
     # tetrahedron boundary: a sphere, V - E + F = 2
     with pytest.raises(WrongEuler):
