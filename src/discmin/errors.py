@@ -132,10 +132,10 @@ class BudgetExceeded(DiscminError):
 
 
 class InvariantViolation(DiscminError):
-    """A guarantee the package checks for itself broke: a flip, a flip
-    pass or a fan reduction changed the boundary cycle, a fan reduction
-    increased area, or Wolfe's solver had a minor cycle that dropped no
-    point or hit its major-cycle cap."""
+    """A guarantee the package checks for itself broke: a flip, flip pass or
+    fan reduction changed the boundary cycle, a fan reduction increased
+    area, Wolfe's solver had a minor cycle that dropped no point or hit its
+    major-cycle cap, or the OBJ reader's bulk checks refused a file its line checks accept."""
 
 
 # =====================================================================

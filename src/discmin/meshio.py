@@ -1,8 +1,9 @@
 """File formats and built-in scenarios.
 
-The OBJ support covers the strict subset needed here: ``v`` lines with
-three coordinates, ``f`` lines with three distinct bare 1-based
-indices, blank lines and ``#`` comments.  Writing uses 17 significant
+The OBJ support covers the strict subset needed here: ``v`` lines with three
+coordinates, ``f`` lines with three distinct bare 1-based indices, blank lines and
+``#`` comments, in UTF-8.  A file is converted in one pass; one that fails is read again
+line by line to report its first error in line order.  Writing uses 17 significant
 digits so a save/load round trip reproduces positions bit for bit.
 
 ``make_tent`` builds the scenario separating the two kinds of
@@ -22,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateParameters, DisconnectedComplex, ParseError, _check, _is_number
+from .errors import (DegenerateParameters, DisconnectedComplex, InvariantViolation, ParseError,
+                     _check, _is_number)
 from .mesh import PolyhedralDisc, build_from_triangles
 from .optimize import OptimizationTrace, OptimizerConfig, minimize
 from .saddle import VertexVerdict
@@ -35,14 +37,9 @@ def _column(raw: str, k: int) -> int:
     return [m.start() for m in re.finditer(r"\S+", raw)][k] + 1
 
 
-def loads_obj(text: str) -> PolyhedralDisc:
-    """Parse an OBJ string into a disc.
-
-    Raises ParseError for anything outside the supported subset, the
-    topology errors for triangle lists that do not describe a disc,
-    and DegenerateTriangle for degenerate geometry.
-    """
-    vertices: list[tuple[float, float, float]] = []
+def _first_error(text: str) -> None:
+    """Raise the error of ``text`` that comes first in line order, checking line by line."""
+    vertex_count = 0
     faces: list[tuple[int, int, int]] = []
     face_lines: list[int] = []
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -58,19 +55,22 @@ def loads_obj(text: str) -> PolyhedralDisc:
                 f"{kind} line has {len(fields)} fields, expected 3", number, _column(raw, 0)
             )
         if head == "v":
-            coords = []
             for k, tok in enumerate(fields, start=1):
                 try:
-                    coords.append(float(tok))
+                    float(tok)
                 except ValueError:
                     raise ParseError(f"bad coordinate {tok!r}", number, _column(raw, k)) from None
-            vertices.append(tuple(coords))
+            vertex_count += 1
             continue
         ids = []
         for k, tok in enumerate(fields, start=1):
             if not _INDEX_RE.match(tok):
                 raise ParseError(f"bad vertex index {tok!r}", number, _column(raw, k))
-            i = int(tok)
+            try:
+                i = int(tok)
+            except ValueError:  # more digits than int() converts: name the count, not the digits
+                raise ParseError(f"vertex index has {len(tok)} digits",
+                                 number, _column(raw, k)) from None
             if i < 1:
                 raise ParseError("vertex indices are 1-based", number, _column(raw, k))
             if i - 1 in ids:
@@ -79,23 +79,53 @@ def loads_obj(text: str) -> PolyhedralDisc:
         faces.append(tuple(ids))
         face_lines.append(number)
     for tri, number in zip(faces, face_lines):
-        if max(tri) >= len(vertices):
-            raise ParseError(
-                f"face references vertex {max(tri) + 1} of {len(vertices)}", number
-            )
+        if max(tri) >= vertex_count:
+            raise ParseError(f"face references vertex {max(tri) + 1} of {vertex_count}", number)
     if not faces:
         raise ParseError("no faces in file", max(1, len(text.splitlines())))
-    used_count = max(max(tri) for tri in faces) + 1
-    if used_count < len(vertices):
-        raise DisconnectedComplex(
-            f"{len(vertices) - used_count} trailing vertices appear in no face"
-        )
-    complex_ = build_from_triangles(faces)
-    return PolyhedralDisc(complex_, np.array(vertices, dtype=float))
+    trailing = vertex_count - 1 - max(max(tri) for tri in faces)
+    if trailing > 0:
+        raise DisconnectedComplex(f"{trailing} trailing vertices appear in no face")
+
+
+def loads_obj(text: str) -> PolyhedralDisc:
+    """Parse an OBJ string into a disc in one pass: a ``float`` and an ``int`` map over all
+    ``v`` and ``f`` tokens, then array checks; a file that fails them goes to ``_first_error``,
+    which reports its first error in line order.  Raises ParseError, the topology errors and
+    DegenerateTriangle."""
+    coords, indices = [], []
+    for raw in text.splitlines():
+        tokens = raw.split()
+        if len(tokens) == 4 and tokens[0] == "v":
+            coords += tokens[1:]
+        elif len(tokens) == 4 and tokens[0] == "f":
+            indices += tokens[1:]
+        elif tokens and not tokens[0].startswith("#"):
+            break
+    else:
+        joined = "".join(indices)  # all digits exactly when every token matches _INDEX_RE
+        try:
+            xyz = list(map(float, coords))
+            ids = list(map(int, indices)) if joined.isascii() and joined.isdigit() else []
+        except ValueError:
+            ids = []
+        if ids and min(ids) >= 1 and max(ids) == len(xyz) // 3:  # on ints: np.intp overflows
+            tri = np.array(ids, dtype=np.intp).reshape(-1, 3) - 1
+            a, b, c = tri.T
+            if not np.count_nonzero((a == b) | (b == c) | (c == a)):
+                return PolyhedralDisc(build_from_triangles(tri.tolist()), np.reshape(xyz, (-1, 3)))
+    _first_error(text)
+    raise InvariantViolation("the bulk OBJ checks rejected a file the line checks accept")
 
 
 def load_obj(path) -> PolyhedralDisc:
-    return loads_obj(Path(path).read_text())
+    """Read an OBJ file as UTF-8; a byte that is not UTF-8 is a ParseError."""
+    data = Path(path).read_bytes()
+    try:
+        return loads_obj(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        lines = (data[: err.start].decode("utf-8") + "?").splitlines()  # up to the bad byte
+        raise ParseError(f"not UTF-8: {err.reason}", len(lines), len(lines[-1])) from None
 
 
 def dumps_obj(disc: PolyhedralDisc) -> str:

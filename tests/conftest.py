@@ -350,7 +350,10 @@ def loads_obj_by_token_columns(text: str) -> PolyhedralDisc:
             for tok, col in tokens[1:]:
                 if not re.match(r"[0-9]+\Z", tok):
                     raise ParseError(f"bad vertex index {tok!r}", number, col)
-                i = int(tok)
+                try:
+                    i = int(tok)
+                except ValueError:  # past the interpreter's digit limit for int()
+                    raise ParseError(f"vertex index has {len(tok)} digits", number, col) from None
                 if i < 1:
                     raise ParseError("vertex indices are 1-based", number, col)
                 ids.append(i - 1)

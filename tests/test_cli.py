@@ -126,6 +126,23 @@ def test_optimize_exits_0_only_at_the_certified_exit(tmp_path, capsys):
     assert data["flip_cap_exceeded"] is False and data["unresolved_violations"] == 0
 
 
+@pytest.mark.parametrize(
+    "data,where",
+    [
+        (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 " + b"9" * 5000 + b"\n", "line 4, column 7"),
+        (b"v 0 0 0\n\xff\xfe 1 0 0\n", "line 2, column 1"),
+    ],
+    ids=["5000-digit index", "not UTF-8"],
+)
+def test_certify_names_the_line_of_a_bad_file(tmp_path, capsys, data, where):
+    path = tmp_path / "bad.obj"
+    path.write_bytes(data)
+    assert main(["certify", "--in", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ")
+    assert len(err) < 100
+
+
 def test_certify_exit_codes(tmp_path, capsys):
     flat = tmp_path / "flat.obj"
     save_obj(fan_disc(8, apex=(0.0, 0.0, 0.0)), flat)
@@ -294,7 +311,7 @@ def test_error_exit_codes(tmp_path, capsys):
 
 
 FUZZ_TOKENS = ["nan", "1e400", "-1", "1/2", "0", "7", str(10**30), "1" + "0" * 400,
-               "1e200", "1e-200", "v", "f", "vt", "usemtl", "#", "x"]
+               "9" * 5000, "1e200", "1e-200", "v", "f", "vt", "usemtl", "#", "x"]
 # a saddle and a non-saddle disc
 FUZZ_BASES = [dumps_obj(random_instance(7, nonplanarity=0.3, seed=5)), dumps_obj(fan_disc(7))]
 

@@ -19,7 +19,14 @@ from discmin import (
     save_obj,
     vertex_descent_step,
 )
-from discmin.errors import DegenerateParameters, DisconnectedComplex, DiscminError, ParseError
+from discmin import meshio
+from discmin.errors import (
+    DegenerateParameters,
+    DisconnectedComplex,
+    DiscminError,
+    InvariantViolation,
+    ParseError,
+)
 from test_cli import mutated_obj
 
 SINGLE = """\
@@ -118,6 +125,15 @@ TRIANGLE_VERTICES = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
         ("v 0 0 0\r\nv 1 0 0\r\nv 0 1 0\r\n", 3, 1, "no faces in file"),
         ("v 0 0 0\rv 1 0 0\rv 0 1 0\r", 3, 1, "no faces in file"),
         ("", 1, 1, "no faces in file"),
+        # past int()'s digit limit the message gives the count, not the 5,000 digits
+        pytest.param(TRIANGLE_VERTICES + "f 1 2 " + "9" * 5000 + "\n", 4, 7,
+                     "vertex index has 5000 digits", id="5000-digit index"),
+        pytest.param(TRIANGLE_VERTICES + f"f 1 2 {10**30}\n", 4, 1,
+                     f"face references vertex {10**30} of 3", id="index 10**30"),
+        # int() takes these, the index check does not; each face also reaches vertex 3
+        (TRIANGLE_VERTICES + "f 1 +2 3\n", 4, 5, "bad vertex index '+2'"),
+        (TRIANGLE_VERTICES + "f 1 \u0662 3\n", 4, 5, "bad vertex index '\u0662'"),
+        (TRIANGLE_VERTICES + "f 0 2 3\n", 4, 3, "vertex indices are 1-based"),
     ],
 )
 def test_parse_error_columns_count_tabs_and_leading_spaces(text, line, column, message):
@@ -127,11 +143,62 @@ def test_parse_error_columns_count_tabs_and_leading_spaces(text, line, column, m
     assert str(err.value) == f"line {line}, column {column}: {message}"
 
 
+@pytest.mark.parametrize(
+    "text,line,column,message",
+    [
+        ("v 0 0 0\nv 1 0 zero\nv 0 1 0\nvn 1 2 3\n", 2, 7, "bad coordinate 'zero'"),
+        ("v 0 0 0\nvn 1 2 3\nv 0 1 0\nv 1 0 zero\n", 2, 1, "unsupported directive 'vn'"),
+        (TRIANGLE_VERTICES + "f 1 x 3\nv 0 0\n", 4, 5, "bad vertex index 'x'"),
+        ("v 0 0 0\nv 0 0\nv 1 0 0\nv 0 1 0\nf 1 x 3\n", 2, 1,
+         "vertex line has 2 fields, expected 3"),
+        (TRIANGLE_VERTICES + "f 1 1 2\nv 0 0 nope\n", 4, 5, "repeated vertex index '1'"),
+        (TRIANGLE_VERTICES + "v 0 0 nope\nf 1 1 2\n", 4, 7, "bad coordinate 'nope'"),
+        (TRIANGLE_VERTICES + "f 1 2 3\nf 1 2 9\nf 1 1 2\n", 6, 5, "repeated vertex index '1'"),
+        # a face's range is checked once every line has passed, so a later bad line wins
+        (TRIANGLE_VERTICES + "f 1 2 9\nv 1 1 x\n", 5, 7, "bad coordinate 'x'"),
+    ],
+)
+def test_the_first_error_in_line_order_wins(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        loads_obj(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_a_byte_that_is_not_utf8_is_a_parse_error_at_its_line(tmp_path):
+    path = tmp_path / "latin.obj"
+    path.write_bytes(b"v 0 0 0\n\xff\xfe 1 0 0\n")
+    with pytest.raises(ParseError) as err:
+        load_obj(path)
+    assert (err.value.line, err.value.column) == (2, 1)
+    assert str(err.value) == "line 2, column 1: not UTF-8: invalid start byte"
+    path.write_bytes(b"v 0 0 0\r\nv 1 \xc3\n")  # a cut two-byte sequence, after a CRLF
+    with pytest.raises(ParseError) as err:
+        load_obj(path)
+    assert (err.value.line, err.value.column) == (2, 5)
+
+
+def test_a_valid_file_is_converted_without_the_line_checks(monkeypatch):
+    """The line-by-line reader runs only for a bad file; were it to accept
+    a file the bulk checks refused, the reader says so."""
+    calls = []
+    monkeypatch.setattr(meshio, "_first_error", calls.append)
+    for disc in (fan_disc(11), hexagon_with_violation()):
+        back = loads_obj(dumps_obj(disc))
+        assert back.complex == disc.complex
+    assert loads_obj(SINGLE).complex.triangles == ((0, 1, 2),)
+    assert calls == []
+    with pytest.raises(InvariantViolation):
+        loads_obj("v 0 0 0\n")
+    assert calls == ["v 0 0 0\n"]
+
+
 def repeats_an_index(text: str) -> bool:
     """Whether a face line repeats a vertex index among its fields."""
     for raw in text.splitlines():
         tokens = raw.split()
-        ids = [int(tok) for tok in tokens[1:] if re.fullmatch("[0-9]+", tok)]
+        # digit strings without leading zeros: int() refuses a 5,000-digit index
+        ids = [tok.lstrip("0") for tok in tokens[1:] if re.fullmatch("[0-9]+", tok)]
         if tokens[:1] == ["f"] and len(set(ids)) < len(ids):
             return True
     return False
