@@ -19,7 +19,8 @@ never increases area either (project the region onto the triangle's
 plane).
 
 Every edit of the triangle list lives here: ``flip`` and ``flip_pass``
-share one table edit, and flips and reductions one rebuild check.
+share one table edit, and flips and reductions one rebuild check of the
+topology; a flip's disc carries over the geometry that the edit checked.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     _is_number,
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, build_from_triangles, edge_key
-from .mesh import _area, _directed_edges, _triangle, area_rows, canonical_triangle
+from .mesh import _area, _directed_edges, _real_array, _triangle, area_rows, canonical_triangle
 from .mesh import cross_rows, row_norms
 
 
@@ -98,15 +99,11 @@ def _hinge_points(points, ndim: int) -> np.ndarray:
     """The points a, b, x, y stacked into one float array; InvalidInput
     unless they are four finite real arrays of one shape, (n, 3) when
     ``ndim`` is 2 and (3,) when it is 1."""
-    try:
-        q = np.array(points)
-    except (TypeError, ValueError):
-        q = None
-    if (q is None or q.dtype.kind not in "iuf" or q.ndim != ndim + 1
-            or q.shape[-1] != 3 or not np.all(np.isfinite(q))):
+    q = _real_array(points)
+    if q is None or q.ndim != ndim + 1 or q.shape[-1] != 3 or not np.all(np.isfinite(q)):
         shape = "(n, 3)" if ndim == 2 else "(3,)"
         raise InvalidInput(f"hinge points must be four finite real arrays of shape {shape}")
-    return q.astype(float)
+    return q
 
 
 def bulk_hinges(a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +204,7 @@ def can_flip(disc: PolyhedralDisc, edge) -> FlipCheck:
 
 def _flip_edit(
     triangles: list[Triangle], edge_faces: dict[Edge, tuple[int, ...]], edge: Edge,
-    positions: np.ndarray, floor: float,
+    positions: np.ndarray, floor: float, areas: np.ndarray | None = None,
 ) -> tuple[int, int]:
     """Flip the interior hinge ``edge`` (a sorted key) in mutable tables.
 
@@ -215,8 +212,8 @@ def _flip_edit(
     oriented like the surrounding complex and rotated the way
     ``build_from_triangles`` stores them.  ``edge_faces`` loses the
     hinge, gains the diagonal and moves the two quad sides that change
-    face; every face tuple stays ascending.  Returns the opposite
-    vertices (x, y) in face-index order.
+    face; every face tuple stays ascending; ``areas``, if given, takes
+    the two new areas.  Returns the opposite vertices (x, y) in face-index order.
 
     Raises FlipForbidden when x and y are already joined, and
     DegenerateTriangle when a new triangle's area falls below
@@ -235,13 +232,15 @@ def _flip_edit(
     if (a, b) not in _directed_edges(triangles[forward]):
         forward, backward, p, q = backward, forward, y, x
     new = (canonical_triangle((p, a, q)), canonical_triangle((q, b, p)))
-    for t, corners in zip(new, positions[np.array(new, dtype=np.intp)].tolist()):
-        area = _area(*corners)
+    new_areas = [_area(*corners) for corners in positions[np.array(new, dtype=np.intp)].tolist()]
+    for t, area in zip(new, new_areas):
         if area < floor:
             raise DegenerateTriangle(
                 f"flip of {edge}: triangle {t} has area {area:.6e}, below the floor {floor:.6e}"
             )
     triangles[forward], triangles[backward] = new
+    if areas is not None:
+        areas[forward], areas[backward] = new_areas
     del edge_faces[edge]
     edge_faces[edge_key(x, y)] = faces
     # (b, p) leaves the forward face for the backward one, (a, q) the reverse.
@@ -252,13 +251,15 @@ def _flip_edit(
 
 
 def _rebuilt(
-    disc: PolyhedralDisc, triangles: list[Triangle], what: str, vertex_map: dict | None = None
+    disc: PolyhedralDisc, triangles: list[Triangle], what: str, vertex_map: dict | None = None,
+    areas: np.ndarray | None = None,
 ) -> PolyhedralDisc:
     """``disc`` with its triangles replaced by the edited ``triangles``,
     renumbered by ``vertex_map`` (kept old ids, ascending, to new ones)
     if given, and validated by ``build_from_triangles``; raises
     InvariantViolation if the boundary cycle changed (a defect, never
-    expected).  The one check of every topology edit."""
+    expected).  The one check of every topology edit.  Given the ``areas``
+    that ``_flip_edit`` checked, the geometry is carried over unvalidated."""
     cycle, positions = disc.complex.boundary_cycle, disc.positions
     if vertex_map is not None:
         triangles = [tuple(vertex_map[v] for v in t) for t in triangles]
@@ -267,6 +268,8 @@ def _rebuilt(
     new_complex = build_from_triangles(triangles)
     if new_complex.boundary_cycle != cycle:
         raise InvariantViolation(f"{what} changed the boundary cycle")
+    if areas is not None:
+        return PolyhedralDisc._checked(new_complex, positions, areas, disc.diameter, disc.eps_deg)
     return PolyhedralDisc(new_complex, positions, disc.eps_deg)
 
 
@@ -283,10 +286,10 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
     """
     cx = disc.complex
     a, b, _, _ = _hinge_vertices(disc, edge)
-    triangles = list(cx.triangles)
+    triangles, areas = list(cx.triangles), disc._areas.copy()
     floor = disc.eps_deg * disc.diameter * disc.diameter
-    _flip_edit(triangles, _edge_faces(cx), (a, b), disc.positions, floor)
-    return _rebuilt(disc, triangles, f"flip of {(a, b)}")
+    _flip_edit(triangles, _edge_faces(cx), (a, b), disc.positions, floor, areas)
+    return _rebuilt(disc, triangles, f"flip of {(a, b)}", areas=areas)
 
 
 @dataclass(frozen=True)
@@ -322,8 +325,8 @@ def flip_pass(
     and ``cap_exceeded`` says that it left a flip the pass would have
     made.  Flips that ``flip`` would refuse (opposite vertices already
     joined, or a new triangle below the area floor) are skipped.  The
-    edited triangles are validated once, at the end, into the returned
-    disc.
+    edited triangles are rebuilt and checked once, at the end, into the
+    returned disc, which carries over the geometry the pass checked.
     ``eps_flip`` must be a finite number >= 0, ``cap`` an integer >= 0.
     """
     _check_tolerance("eps_flip", eps_flip)
@@ -342,18 +345,18 @@ def flip_pass(
                         zip(sigma[kept].tolist(), gain[kept].tolist())))
     if cap is None:
         cap = 100 * len(cx.edges)
-    triangles = list(cx.triangles)
+    triangles, areas = list(cx.triangles), disc._areas.copy()
     edge_faces = _edge_faces(cx)
     floor = disc.eps_deg * disc.diameter * disc.diameter
     records: list[FlipRecord] = []
     cap_exceeded = False
     while not cap_exceeded:
         for e in sorted(eligible):
-            # at the cap, a flip is only tried, on copies of the tables
+            # at the cap, a flip is only tried, on copies of the tables, writing no area
             at_cap = len(records) >= cap
             tables = (list(triangles), dict(edge_faces)) if at_cap else (triangles, edge_faces)
             try:
-                x, y = _flip_edit(*tables, e, p, floor)
+                x, y = _flip_edit(*tables, e, p, floor, None if at_cap else areas)
             except (FlipForbidden, DegenerateTriangle):
                 continue
             if at_cap:
@@ -373,7 +376,7 @@ def flip_pass(
         else:
             break
     if records:
-        disc = _rebuilt(disc, triangles, f"flip pass of {len(records)} flips")
+        disc = _rebuilt(disc, triangles, f"flip pass of {len(records)} flips", areas=areas)
     return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
 
 
@@ -384,8 +387,9 @@ def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
     ``tol * L**3`` with L the largest pairwise distance; convexity
     requires every corner turn of the projected polygon to agree with
     the Newell normal up to ``-tol``.  Raises InvalidInput unless each
-    point is three finite real coordinates.
+    point is three finite real coordinates and ``tol`` a finite number >= 0.
     """
+    _check_tolerance("tol", tol)
     pts = _hinge_points((a, x, b, y), 1)
     diffs = pts[:, None, :] - pts[None, :, :]
     scale = float(row_norms(diffs).max())

@@ -74,6 +74,7 @@ from .errors import (
     DegenerateTriangle,
     DisconnectedComplex,
     InvalidInput,
+    InvariantViolation,
     MultipleBoundaryComponents,
     NonManifoldEdge,
     WrongEuler,
@@ -191,6 +192,16 @@ def _check_index(name: str, value, count: int) -> None:
     """InvalidInput unless ``value`` is an integer 0 to ``count - 1``."""
     _check(name, value, _is_number(value, integer=True) and 0 <= value < count,
            f"an integer 0 to {count - 1}")
+
+
+def _real_array(value) -> np.ndarray | None:
+    """``value`` as a float array, or None unless numpy reads it as real
+    numbers (no strings, objects, complex numbers or bools)."""
+    try:
+        array = np.array(value)
+    except (TypeError, ValueError):
+        return None
+    return array.astype(float, copy=False) if array.dtype.kind in "iuf" else None
 
 
 def _edge(ids) -> Edge:
@@ -527,10 +538,11 @@ class PolyhedralDisc:
 
     def __post_init__(self):
         _check_tolerance("eps_deg", self.eps_deg)
-        pos = np.array(self.positions, dtype=float)
-        if pos.shape != (self.complex.vertex_count, 3):
+        _check("complex", self.complex, isinstance(self.complex, DiscComplex), "a DiscComplex")
+        pos = _real_array(self.positions)
+        if pos is None or pos.shape != (self.complex.vertex_count, 3):
             raise InvalidInput(
-                f"positions shape {pos.shape}, expected ({self.complex.vertex_count}, 3)"
+                f"positions must be real numbers of shape ({self.complex.vertex_count}, 3)"
             )
         if not (np.abs(pos) <= _MAX_COORDINATE).all():
             raise InvalidInput(f"positions must be finite and at most {_MAX_COORDINATE:g} in size")
@@ -549,6 +561,21 @@ class PolyhedralDisc:
             )
         object.__setattr__(self, "_areas", areas)
 
+    @classmethod
+    def _checked(cls, complex: DiscComplex, positions: np.ndarray, areas: np.ndarray,
+                 diameter: float, eps_deg: float) -> "PolyhedralDisc":
+        """The disc of geometry checked as construction checks it: float ``positions``
+        within the coordinate bound, made read-only here, their ``triangle_areas`` and
+        box diagonal.  Only the floor is tested again (InvariantViolation: a defect)."""
+        if not (diameter > 0.0 and areas.min() >= eps_deg * diameter * diameter):
+            raise InvariantViolation("a disc built from checked state is below the area floor")
+        disc = object.__new__(cls)
+        positions.setflags(write=False)
+        for name, value in (("complex", complex), ("positions", positions), ("eps_deg", eps_deg),
+                            ("_diameter", diameter), ("_areas", areas)):
+            object.__setattr__(disc, name, value)
+        return disc
+
     # -- measurements -------------------------------------------------
 
     @property
@@ -559,18 +586,26 @@ class PolyhedralDisc:
     def total_area(self) -> float:
         return float(self._areas.sum())
 
+    def _vertices(self, tri) -> Triangle:
+        """The triangle index ``tri`` as its stored vertex triple, or the
+        triple ``tri`` checked as three distinct vertex ids of the disc."""
+        if np.ndim(tri) == 0:
+            _check_index("triangle", tri, len(self._areas))
+            return self.complex.triangles[tri]
+        for v in (tri := _triangle(tri)):
+            _check_index("vertex", v, len(self.positions))
+        return tri
+
     def triangle_area(self, tri) -> float:
         """Area of triangle index ``tri``, or of any vertex id triple."""
         if np.ndim(tri) == 0:
             _check_index("triangle", tri, len(self._areas))
             return float(self._areas[tri])
-        return float(area_rows(*(self.positions[v] for v in tri)))
+        return float(area_rows(*(self.positions[v] for v in self._vertices(tri))))
 
     def angle_at(self, tri, v: int) -> float:
         """Interior angle of triangle ``tri`` (index or triple) at vertex ``v``."""
-        if np.ndim(tri) == 0:
-            _check_index("triangle", tri, len(self._areas))
-            tri = self.complex.triangles[tri]
+        tri = self._vertices(tri)
         if v not in tri:
             raise InvalidInput(f"vertex {v} not in triangle {tri}")
         p, q = (w for w in tri if w != v)
@@ -592,6 +627,6 @@ class PolyhedralDisc:
     def moved(self, v: int, point) -> "PolyhedralDisc":
         """Copy with vertex ``v`` relocated to ``point``."""
         _check_index("vertex", v, len(self.positions))
-        pos = np.array(self.positions)
-        pos[v] = point
+        pos = self.positions.tolist()
+        pos[v] = point  # checked with the rest by the constructor
         return self.with_positions(pos)

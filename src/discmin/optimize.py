@@ -20,9 +20,9 @@ Python floats, under the checks a ``PolyhedralDisc`` makes: the
 coordinate bound, and the degeneracy floor of the trial's own
 diameter, which re-checks the faces outside the star only when the
 trial grows the diameter.  An accepted trial is written into the
-state, and one validated disc is built when the sweep ends.  Every
-float is formed in the operations the numpy rows of ``mesh`` use, so
-a run is bit-identical to one that validated a disc per trial.
+state, and its disc is built from the state, unvalidated, when the sweep
+ends.  Every float is formed in the operations the numpy rows of ``mesh``
+use, so a run is bit-identical to one that validated a disc per trial.
 
 The loop exits in one of three ways, which the trace records as its
 ``stop_reason``.  *stationary*: an iteration whose reductions and flips
@@ -313,7 +313,7 @@ class _Sweep:
     A line-search trial moves one vertex and is scored from that
     vertex's star alone (:meth:`trial`); an accepted trial, with the
     box and diameter it measured, is written back (:meth:`apply`), and
-    :meth:`disc` validates the state once, when the sweep ends.  The
+    :meth:`disc` builds the disc of the checked state, not validating it again.  The
     stars and Newton steps it computes (:meth:`newton`) are kept until
     a move changes them, so the stationarity test hands its work to the
     sweep that follows it.
@@ -406,7 +406,8 @@ class _Sweep:
         return tuple(p - q for p, q in zip(point, star.points[0]))
 
     def disc(self) -> PolyhedralDisc:
-        return PolyhedralDisc(self.complex, self.positions, self.eps_deg)
+        return PolyhedralDisc._checked(self.complex, self.positions.copy(), np.array(self.areas),
+                                       self.diameter, self.eps_deg)
 
 
 def _line_search(

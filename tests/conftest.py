@@ -5,11 +5,13 @@ from the library's (textbook Heron vs the sorted Kahan form, arccos vs
 atan2, shoelace vs cross products) so that agreement means something.
 """
 
+import contextlib
 import itertools
 import math
 import re
 from collections import deque
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 
@@ -482,6 +484,36 @@ def newton_step_reference(hessian, gradient):
     if not np.any(gradient):
         return None
     return -np.linalg.solve(hessian + 1e-8 * np.trace(hessian) * np.eye(3), gradient)
+
+
+def same_bits(got, expected) -> bool:
+    """Equal arrays with equal bytes, so that -0.0 and 0.0 differ."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+
+
+@contextlib.contextmanager
+def checked_discs_match_validation():
+    """Within the block, every disc that ``PolyhedralDisc._checked`` builds
+    from carried-over state must equal, bit for bit in its positions,
+    triangle areas and diameter, the disc that full validation of the
+    same complex and positions builds, and its positions must be
+    read-only.  Yields the list of the discs so checked."""
+    checked = PolyhedralDisc.__dict__["_checked"].__func__
+    discs = []
+
+    def compared(cls, complex, positions, areas, diameter, eps_deg):
+        disc = checked(cls, complex, positions, areas, diameter, eps_deg)
+        expected = PolyhedralDisc(complex, positions, eps_deg)
+        assert same_bits(disc.positions, expected.positions)
+        assert same_bits(disc._areas, expected._areas)
+        assert same_bits(disc.diameter, expected.diameter)
+        assert not disc.positions.flags.writeable
+        discs.append(disc)
+        return disc
+
+    with mock.patch.object(PolyhedralDisc, "_checked", classmethod(compared)):
+        yield discs
 
 
 def flip_pass_sorting_every_hinge(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None):

@@ -35,6 +35,10 @@ from discmin import (
 
 FAN = fan_disc(6)
 TRIANGLE = build_from_triangles([(0, 1, 2)])
+# an 8-gon fan: rim vertices 0 to 7 and the apex 8
+RIM = random_instance(8, 0.3, seed=1)
+# the unit square as the hinge (a, b) = its diagonal, with x and y the other corners
+SQUARE = ([0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 # Unchecked, a NaN eps_saddle leaves Wolfe's search undecided until its
 # major-cycle cap on this star and on the 8-fan's apex, and a negative
 # eps_flip flips the 8-gon's hinges back and forth until the flip cap.
@@ -73,6 +77,27 @@ BAD_ARGUMENTS = {
     "eps_deg None": lambda: PolyhedralDisc(TRIANGLE, np.eye(3), None),
     "eps_deg True": lambda: PolyhedralDisc(TRIANGLE, np.eye(3), True),
     "angle at a vertex off the triangle": lambda: FAN.angle_at(0, 3),
+    "positions a string": lambda: PolyhedralDisc(RIM.complex, "abc"),
+    "positions with a ragged row": lambda: PolyhedralDisc(
+        RIM.complex, [*RIM.positions[:-1].tolist(), [0.0, 1.0]]
+    ),
+    "positions a dict": lambda: PolyhedralDisc(RIM.complex, {}),
+    "complex positions": lambda: PolyhedralDisc(RIM.complex, RIM.positions + 0j),
+    "boolean positions": lambda: PolyhedralDisc(TRIANGLE, np.eye(3, dtype=bool)),
+    "complex None": lambda: PolyhedralDisc(None, RIM.positions),
+    "complex a triangle list": lambda: PolyhedralDisc([(0, 1, 2)], np.eye(3)),
+    "move to two coordinates": lambda: RIM.moved(8, (1, 2)),
+    "move to a string": lambda: RIM.moved(8, "abc"),
+    "move to a complex point": lambda: RIM.moved(8, (0.0, 0.0, 1j)),
+    "move to a numeric string": lambda: RIM.moved(8, ("0", "0", "1")),
+    "area of a triple with a negative vertex": lambda: RIM.triangle_area((0, 1, -1)),
+    "area of a triple with a vertex out of range": lambda: RIM.triangle_area((0, 1, 99)),
+    "area of a triple with a fractional vertex": lambda: RIM.triangle_area((0, 1, 1.5)),
+    "area of a pair": lambda: RIM.triangle_area((0, 1)),
+    "area of a triple with a repeated vertex": lambda: RIM.triangle_area((0, 1, 1)),
+    "angle in a triple with a negative vertex": lambda: RIM.angle_at((0, 1, -1), 0),
+    "angle in a triple with a vertex out of range": lambda: RIM.angle_at((0, 1, 99), 0),
+    "angle in a pair": lambda: RIM.angle_at((0, 1), 0),
     "config value": lambda: OptimizerConfig(eps_flip=-1.0),
     "unknown config key": lambda: OptimizerConfig.from_dict({"budget": 10}),
     "config not an object": lambda: OptimizerConfig.from_dict([]),
@@ -121,6 +146,15 @@ BAD_ARGUMENTS = {
     "hinge point a string": lambda: hinge_from_points("0 0 0", *HINGES[1:, 0]),
     "NaN quad point": lambda: flat_convex_quad(*HINGES[:3, 0], (0.0, np.nan, 1.0)),
     "quad point a string": lambda: flat_convex_quad("0 0 0", *HINGES[1:, 0]),
+    # unchecked, a NaN tol calls the square convex and a negative one not
+    "NaN quad tol": lambda: flat_convex_quad(*SQUARE, tol=float("nan")),
+    "negative quad tol": lambda: flat_convex_quad(*SQUARE, tol=-1.0),
+    "string quad tol": lambda: flat_convex_quad(*SQUARE, tol="x"),
+    "quad tol None": lambda: flat_convex_quad(*SQUARE, tol=None),
+    "NaN tol of a flat convex check": lambda: flat_convex_check(FAN, (0, 6), tol=float("nan")),
+    "negative tol of a flat convex check": lambda: flat_convex_check(FAN, (0, 6), tol=-1.0),
+    "string tol of a flat convex check": lambda: flat_convex_check(FAN, (0, 6), tol="x"),
+    "tol None of a flat convex check": lambda: flat_convex_check(FAN, (0, 6), tol=None),
     "no lattice samples": lambda: brute_force_cutting_direction(STAR, samples=0),
     "negative lattice samples": lambda: brute_force_cutting_direction(STAR, samples=-1),
     "fractional lattice samples": lambda: brute_force_cutting_direction(STAR, samples=1.5),
@@ -150,6 +184,7 @@ def test_the_library_raises_no_bare_value_error():
 
 def test_tolerances_at_their_bounds_are_accepted():
     assert PolyhedralDisc(TRIANGLE, np.eye(3), 0.0).eps_deg == 0.0
+    assert flat_convex_quad(*SQUARE, tol=0.0)
     assert cutting_direction(STAR, 0.0).margin > 0.0
     assert len(flip_pass(random_instance(8, seed=1), 0.0).flips) == 2
     assert vertex_descent_step(FAN, 6, eps_area=0)[1] > 0.0

@@ -3,6 +3,8 @@
 The hinge kernel, ``triangle_areas``, the sweep's Newton step and the
 flip selection of ``flip_pass`` each make fewer numpy calls than the
 references in ``conftest`` but must give every float they give.  The
+discs that flips and sweeps build from state they already checked, not
+validating it again, must equal the validated discs bit for bit.  The
 checks run on the acceptance-c4 fans, the grid workload's discs,
 ``perturbed_grid_disc`` draws and random hinge stacks, and along whole
 ``minimize`` runs on them, so a kernel whose bits depend on the SIMD
@@ -15,17 +17,21 @@ import numpy as np
 import pytest
 
 from conftest import (
+    checked_discs_match_validation,
     fan_disc,
     flip_pass_sorting_every_hinge,
     hinge_rows_three_gathers,
     newton_step_reference,
     perturbed_grid_disc,
+    same_bits,
     saddle_grid_disc,
     star_area_by_arrays,
     triangle_areas_by_columns,
 )
 from discmin import OptimizerConfig, PolyhedralDisc, build_from_triangles, flip_pass, minimize
+from discmin import can_flip, certify_saddle, flip, vertex_descent_step
 from discmin import flips, mesh, optimize, random_instance
+from discmin.errors import DegenerateTriangle, DegenerationBlocked, InvariantViolation
 
 FANS = {f"c4_fan{s}": random_instance(8 + s % 9, nonplanarity=0.3, seed=s) for s in range(20)}
 GRIDS = {f"grid_n{n}": saddle_grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)}
@@ -46,12 +52,6 @@ def rough_grid_disc(s: int) -> PolyhedralDisc:
 
 ROUGH = {f"rough{s}": rough_grid_disc(s) for s in (3, 15)}
 DISCS = {**FANS, **GRIDS, **PERTURBED, **ROUGH}
-
-
-def same_bits(got, expected) -> bool:
-    """Equal arrays with equal bytes, so that -0.0 and 0.0 differ."""
-    got, expected = np.asarray(got), np.asarray(expected)
-    return np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
 
 
 def hinge_points(disc):
@@ -179,3 +179,66 @@ def test_a_pass_with_no_eligible_hinge_builds_no_table():
         # a pass with an eligible hinge builds the table once
         assert flip_pass(GRIDS["grid_n4"]).flips
         assert edge_faces.call_count == 1
+
+
+@pytest.mark.parametrize("disc", DISCS.values(), ids=list(DISCS))
+def test_checked_discs_of_a_run_match_validation(disc):
+    """Every disc a 12-iteration run builds from carried-over state: the
+    flip passes' and the sweeps'."""
+    with checked_discs_match_validation() as checked:
+        minimize(disc, OptimizerConfig(max_outer_iterations=12))
+    assert checked
+
+
+@pytest.mark.parametrize("disc", DISCS.values(), ids=list(DISCS))
+def test_checked_discs_of_flips_and_descent_steps_match_validation(disc):
+    """A flip pass, every flip the disc admits, and a cut move at each
+    non-saddle vertex each build one disc from carried-over state."""
+    cx = disc.complex
+    with checked_discs_match_validation() as checked:
+        passed = flip_pass(disc)
+        flipped = 0
+        for e in cx.interior_edges():
+            if can_flip(disc, e):
+                try:
+                    flip(disc, e)
+                except DegenerateTriangle:
+                    continue
+                flipped += 1
+        assert len(checked) == bool(passed.flips) + flipped
+        cut = [v.vertex for v in certify_saddle(disc).verdicts if not v.is_saddle]
+        for v in cut:
+            try:
+                moved, decrease = vertex_descent_step(disc, v)
+            except DegenerationBlocked:
+                continue
+            assert (moved is checked[-1]) == (decrease > 0.0)
+    assert flipped
+    assert not cut or len(checked) > bool(passed.flips) + flipped
+
+
+@pytest.mark.parametrize("name", ["c4_fan0", "grid_n4", "perturbed5", "rough15"])
+def test_sweeps_that_move_past_the_box_build_the_validated_disc(name):
+    """Each interior vertex in turn goes past the box, which grows the
+    diameter, and the disc is built; then back to where it was, which
+    shrinks the box again."""
+    disc = DISCS[name]
+    sweep = optimize._Sweep(disc)
+    with checked_discs_match_validation() as checked:
+        for v in disc.complex.interior_vertices():
+            start = tuple(sweep.positions[v].tolist())
+            for point in (tuple((sweep.positions[v] + [0.0, 0.0, disc.diameter]).tolist()), start):
+                diameter = sweep.diameter
+                sweep.apply(v, (point, *sweep.trial(v, point)))
+                assert sweep.disc().diameter != diameter
+    assert len(checked) == 2 * len(disc.complex.interior_vertices())
+
+
+def test_a_checked_disc_below_the_floor_is_a_defect():
+    disc = FANS["c4_fan0"]
+    areas = disc._areas.copy()
+    areas[3] = 0.0
+    for bad, diameter in ((areas, disc.diameter), (disc._areas, 0.0), (disc._areas, np.nan)):
+        positions = disc.positions.copy()
+        with pytest.raises(InvariantViolation, match="area floor"):
+            PolyhedralDisc._checked(disc.complex, positions, bad, diameter, disc.eps_deg)
