@@ -1,13 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 on success (for ``optimize``, success means the run
-stopped ``stationary``, at the certified exit; for ``certify``, it
+converged: it stopped ``stationary``, at the certified exit; for ``certify``, it
 means every interior vertex is saddle), 1 when ``certify`` finds a
 cutting plane, 2 when ``optimize`` stops any other way (``stalled`` or
-``iteration_cap``, even where a stalled run reports converged), 4 for
-unusable input (parse errors, non-disc topology,
-degenerate geometry, bad configuration, and flags that are missing,
-unknown or malformed or have bad values).
+``iteration_cap``), 4 for unusable input (parse errors, non-disc
+topology, degenerate geometry, bad configuration, and flags that are
+missing, unknown or malformed or have bad values).
 """
 
 from __future__ import annotations

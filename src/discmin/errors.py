@@ -23,15 +23,15 @@ class InvalidInput(DiscminError, ValueError):
     """An argument has the wrong type, shape or value."""
 
 
-def _is_number(x, integer: bool = False) -> bool:
-    """A finite real (an integer when ``integer``); bools excluded."""
+def _is_number(x, integer: bool = False, finite: bool = True) -> bool:
+    """A real, finite unless not ``finite`` (an integer when ``integer``); bools excluded."""
     if type(x) is int:  # the common cases, without the abstract-class checks below
         return True
     if type(x) is float:
-        return not integer and math.isfinite(x)
+        return not integer and (not finite or math.isfinite(x))
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return False
-    return isinstance(x, numbers.Integral) or (not integer and math.isfinite(x))
+    return isinstance(x, numbers.Integral) or (not integer and (not finite or math.isfinite(x)))
 
 
 def _check(name: str, value, ok: bool, wanted: str) -> None:

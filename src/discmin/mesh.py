@@ -194,11 +194,12 @@ def _check_index(name: str, value, count: int) -> None:
            f"an integer 0 to {count - 1}")
 
 
-def _real_array(value) -> np.ndarray | None:
-    """``value`` as a float array, or None unless numpy reads it as real
-    numbers (no strings, objects, complex numbers or bools)."""
+def _real_array(value, copy: bool = True) -> np.ndarray | None:
+    """``value`` as a new float array (without ``copy``, ``value`` itself
+    when it is one), or None unless numpy reads it as real numbers (no
+    strings, objects, complex numbers or bools)."""
     try:
-        array = np.array(value)
+        array = np.array(value) if copy else np.asarray(value)
     except (TypeError, ValueError):
         return None
     return array.astype(float, copy=False) if array.dtype.kind in "iuf" else None

@@ -32,6 +32,12 @@ from .saddle import VertexVerdict
 _INDEX_RE = re.compile(r"[0-9]+\Z")
 
 
+def _plain(tokens: str) -> bool:
+    """Whether ``tokens``, one or many joined, avoid the spellings ``float`` reads and C does
+    not: ``_`` between digits and non-ASCII digits."""
+    return tokens.isascii() and "_" not in tokens
+
+
 def _column(raw: str, k: int) -> int:
     """1-based column of ``raw.split()[k]``: ``\\s`` is the whitespace ``str.split`` splits at."""
     return [m.start() for m in re.finditer(r"\S+", raw)][k] + 1
@@ -57,7 +63,7 @@ def _first_error(text: str) -> None:
         if head == "v":
             for k, tok in enumerate(fields, start=1):
                 try:
-                    float(tok)
+                    float(tok if _plain(tok) else "_")  # which float() refuses
                 except ValueError:
                     raise ParseError(f"bad coordinate {tok!r}", number, _column(raw, k)) from None
             vertex_count += 1
@@ -90,9 +96,9 @@ def _first_error(text: str) -> None:
 
 def loads_obj(text: str) -> PolyhedralDisc:
     """Parse an OBJ string into a disc in one pass: a ``float`` and an ``int`` map over all
-    ``v`` and ``f`` tokens, then array checks; a file that fails them goes to ``_first_error``,
-    which reports its first error in line order.  Raises ParseError, the topology errors and
-    DegenerateTriangle."""
+    ``v`` and ``f`` tokens, each kind screened as one joined string, then array checks; a file
+    that fails them goes to ``_first_error``, which reports its first error in line order.
+    Raises ParseError, the topology errors and DegenerateTriangle."""
     coords, indices = [], []
     for raw in text.splitlines():
         tokens = raw.split()
@@ -105,7 +111,7 @@ def loads_obj(text: str) -> PolyhedralDisc:
     else:
         joined = "".join(indices)  # all digits exactly when every token matches _INDEX_RE
         try:
-            xyz = list(map(float, coords))
+            xyz = list(map(float, coords)) if _plain("".join(coords)) else []
             ids = list(map(int, indices)) if joined.isascii() and joined.isdigit() else []
         except ValueError:
             ids = []
@@ -173,11 +179,14 @@ class TentScenario:
 def make_tent(height: float = 1.25, ridge_skew: float = 0.25, seed: int = 0) -> TentScenario:
     """Build and optimize the tent scenario.
 
-    Raises DegenerateParameters when the inputs are out of range or
-    fail either postcondition: the fan apex must come to rest at a
-    non-saddle point, and the chord disc must beat the optimized fan's
-    area by more than a relative 1e-6.
+    Raises InvalidInput unless ``height`` and ``ridge_skew`` are real
+    numbers, and DegenerateParameters when they are out of range or
+    fail a postcondition: the fan apex must come to rest at a
+    non-saddle point, and the chord disc must stop stationary and beat
+    the optimized fan's area by more than a relative 1e-6.
     """
+    for name, value in (("height", height), ("ridge_skew", ridge_skew)):
+        _check(name, value, _is_number(value, finite=False), "a real number")
     if not (np.isfinite(height) and height > 0.0):
         raise DegenerateParameters(f"height must be positive, got {height}")
     if not (np.isfinite(ridge_skew) and 0.0 < ridge_skew < 1.0):
@@ -202,8 +211,8 @@ def make_tent(height: float = 1.25, ridge_skew: float = 0.25, seed: int = 0) -> 
     fan_config = OptimizerConfig(enable_flips=False, enable_reductions=False, seed=seed)
     fan_optimized, fan_trace = minimize(fan_disc, fan_config)
     chord_optimized, chord_trace = minimize(chord_disc, OptimizerConfig(seed=seed))
-    if not (fan_trace.converged and chord_trace.converged):
-        raise DegenerateParameters("tent optimization failed to converge")
+    if fan_trace.stop_reason == "iteration_cap" or chord_trace.stop_reason != "stationary":
+        raise DegenerateParameters("tent optimization did not come to rest")
 
     apex_verdict = next(
         v for v in fan_trace.certificate.verdicts if v.vertex == 12
@@ -239,8 +248,10 @@ def make_tent(height: float = 1.25, ridge_skew: float = 0.25, seed: int = 0) -> 
 def random_instance(m: int, nonplanarity: float = 0.3, seed: int = 0) -> PolyhedralDisc:
     """Random fan over a wobbly m-gon rim: radii in [0.6, 1.4], heights
     in [-nonplanarity, nonplanarity], apex at the rim centroid.  ``m``
-    must be an integer >= 3 and ``seed`` an integer >= 0."""
+    must be an integer >= 3, ``nonplanarity`` a finite number and
+    ``seed`` an integer >= 0."""
     _check("m", m, _is_number(m, integer=True) and m >= 3, "an integer >= 3")
+    _check("nonplanarity", nonplanarity, _is_number(nonplanarity), "a finite number")
     _check("seed", seed, _is_number(seed, integer=True) and seed >= 0, "an integer >= 0")
     rng = np.random.default_rng(seed)
     theta = 2.0 * np.pi * np.arange(m) / m

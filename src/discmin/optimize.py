@@ -32,13 +32,12 @@ every interior vertex has a Newton decrement with lambda^2 / 2 at most
 the saddle certificate of the disc is saddle.  Along any line, the
 quadratic model of a star area falls by at most lambda^2 / 2, so no
 trial of that sweep would lower the area by more than ``eps_area``: the
-sweep is skipped, the iteration is recorded without moves, the run has
-*converged*, and the certificate is the trace's.  Where the test fails,
-the stars and Newton steps it computed are handed to the sweep, so
-nothing is computed twice.  *stalled*: an iteration decreased total
-area by no more than ``eps_area``; the run *converged* when that
-iteration also performed no combinatorial moves and its flip pass
-stopped short of the flip cap.  *iteration_cap*: neither happened.
+sweep is skipped, the iteration is recorded without moves, and the
+certificate is the trace's.  Where the test fails, the stars and Newton
+steps it computed are handed to the sweep, so nothing is computed
+twice.  *stalled*: an iteration decreased total area by no more than
+``eps_area``.  *iteration_cap*: neither happened.  The run has
+*converged* exactly when it stopped stationary.
 
 An interior vertex is jittered once before the first iteration to
 knock the input off razor-edge symmetric configurations; the amplitude
@@ -53,12 +52,9 @@ flipped away (or expose an empty triangle and get cut).  The position
 gradient of the star area is minus the sum of these derivatives times
 the unit star directions, so where the Newton steps bring it to zero,
 the origin lies in the hull of the star directions and the vertex is
-saddle, unless every incident derivative vanishes.  Likewise, moving a
-non-saddle vertex along its cutting direction shortens every star edge
-at once, so while any incident hinge has sigma strictly above pi the
-move strictly decreases area.  Stalling while non-saddle therefore
-requires every incident hinge to sit at sigma = pi simultaneously,
-which the jitter makes vanishingly unlikely.
+saddle, unless every incident derivative vanishes.  A stall proves no
+such thing: a line search that finds no step can leave vertices
+non-saddle, pinned as the tent's apex is or on slivered stars.
 """
 
 from __future__ import annotations
@@ -217,7 +213,8 @@ class IterationRecord:
 class OptimizationTrace:
     """The record of a :func:`minimize` run.  ``stop_reason`` says why
     it ended: "stationary" (the certified exit), "stalled" (an iteration
-    lowered the area by at most ``eps_area``) or "iteration_cap"."""
+    lowered the area by at most ``eps_area``) or "iteration_cap";
+    ``converged`` is true exactly when it is "stationary"."""
 
     iterations: tuple[IterationRecord, ...]
     converged: bool
@@ -646,8 +643,10 @@ def minimize(
 
     Returns the final disc and a trace whose ``certificate`` reports
     the cutting-plane test at every interior vertex of the result.
+    ``config`` must be an OptimizerConfig or None (InvalidInput).
     """
     cfg = config if config is not None else OptimizerConfig()
+    _check("config", cfg, isinstance(cfg, OptimizerConfig), "an OptimizerConfig or None")
     if (
         cfg.triangle_budget is not None
         and len(disc.complex.triangles) > cfg.triangle_budget
@@ -677,7 +676,7 @@ def minimize(
             pass  # a degenerate triangle or past the coordinate bound: keep the input
 
     iterations: list[IterationRecord] = []
-    converged, stop_reason = False, "iteration_cap"
+    stop_reason = "iteration_cap"
     scanned, violations = None, []
     for index in range(1, cfg.max_outer_iterations + 1):
         area_start = disc.total_area()
@@ -706,11 +705,11 @@ def minimize(
 
         sweep = _Sweep(disc)
         vertices = disc.complex.interior_vertices()
-        settled = not flipped.flips and not reductions and not flipped.cap_exceeded
-        if settled and _stationary(sweep, vertices, eps_area):
+        if (not flipped.flips and not reductions and not flipped.cap_exceeded
+                and _stationary(sweep, vertices, eps_area)):
             certificate = certify_saddle(disc, cfg.eps_saddle)
             if certificate.saddle:  # the sweep would move nothing: skip it
-                converged, stop_reason, vertices = True, "stationary", ()
+                stop_reason, vertices = "stationary", ()
         for v in vertices:
             mode, trial, decrease, blocked = _vertex_move(
                 sweep, v, cfg.eps_saddle, cfg.line_search, eps_area
@@ -738,12 +737,12 @@ def minimize(
         if stop_reason == "stationary":
             break
         if area_start - area_end <= eps_area:
-            converged, stop_reason = settled, "stalled"
+            stop_reason = "stalled"
             break
 
     trace = OptimizationTrace(
         iterations=tuple(iterations),
-        converged=converged,
+        converged=stop_reason == "stationary",
         stop_reason=stop_reason,
         initial_area=initial_area,
         final_area=disc.total_area(),

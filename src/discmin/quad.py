@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, InvalidSpec
+from .errors import AlphaOutOfRange, InvalidInput, InvalidSpec, _check, _is_number
+from .mesh import _real_array
 
 _BISECTION_STEPS = 64
 _RANGE_SLACK = 1e-9
@@ -37,7 +38,7 @@ _RANGE_SLACK = 1e-9
 class QuadSpec:
     """Side lengths of the family: p, q on one side of the hinge, r, s
     on the other.  The diagonal runs between the p-q and r-s apexes'
-    shared endpoints."""
+    shared endpoints.  Each must be a real number (InvalidInput)."""
 
     p: float
     q: float
@@ -46,6 +47,8 @@ class QuadSpec:
 
     def __post_init__(self):
         sides = (self.p, self.q, self.r, self.s)
+        for name, x in zip("pqrs", sides):
+            _check(name, x, _is_number(x, finite=False), "a real number")
         if not all(np.isfinite(x) and x > 0.0 for x in sides):
             raise InvalidSpec(f"side lengths must be positive and finite, got {sides}")
         if not self.diagonal_max - self.diagonal_min > 0.0:
@@ -140,10 +143,13 @@ def diagonal_from_alpha(spec: QuadSpec, alpha: float) -> HingeState:
 
     Raises
     ------
+    InvalidInput
+        If ``alpha`` is not a real number.
     AlphaOutOfRange
         If ``alpha`` lies outside the feasible interval by more than a
         relative 1e-9 slack.  Values inside the slack are clamped.
     """
+    _check("alpha", alpha, _is_number(alpha, finite=False), "a real number")
     d = float(_invert_alpha(spec, _clamped(spec, np.array([alpha], dtype=float)))[0])
     ax, ay = _angles(spec, np.float64(d))
     return HingeState(
@@ -165,15 +171,19 @@ def area_curve(spec: QuadSpec, alphas) -> tuple[np.ndarray, np.ndarray]:
     Parameters
     ----------
     alphas:
-        Array of angle sums; all must lie in the feasible interval (up
-        to the same slack as :func:`diagonal_from_alpha`).
+        Array of real angle sums (InvalidInput otherwise); all must lie
+        in the feasible interval (up to the same slack as
+        :func:`diagonal_from_alpha`).
 
     Returns
     -------
     (diagonals, areas):
         Arrays of the same shape as ``alphas``.
     """
-    d = _invert_alpha(spec, _clamped(spec, np.asarray(alphas, dtype=float)))
+    array = _real_array(alphas)
+    if array is None:
+        raise InvalidInput(f"alphas must be real numbers, got {alphas!r}")
+    d = _invert_alpha(spec, _clamped(spec, array))
     ax, ay = _angles(spec, d)
     return d, _area(spec, ax, ay)
 

@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import EmptyStar, InvalidInput, InvariantViolation, _check, _check_tolerance
 from .errors import _is_number
-from .mesh import PolyhedralDisc
+from .mesh import PolyhedralDisc, _real_array
 
 SADDLE = "saddle"
 NON_SADDLE = "non_saddle"
@@ -262,8 +262,11 @@ def _min_norm_point(
 def _unit_directions(directions) -> list[tuple[float, float, float]]:
     """The rows of ``directions`` (k x 3) scaled to unit length, as
     Python floats.  ``math.hypot`` measures each row without squaring
-    it, so lengths from 1e-300 to 1e300 neither underflow nor overflow."""
-    e = np.asarray(directions, dtype=float)
+    it, so lengths from 1e-300 to 1e300 neither underflow nor overflow.
+    A float array is read in place, not copied."""
+    e = _real_array(directions, copy=False)
+    if e is None:
+        raise InvalidInput("edge directions must be real numbers")
     if e.ndim != 2 or e.shape[1] != 3:
         raise InvalidInput(f"expected (k, 3) directions, got shape {e.shape}")
     if len(e) == 0:

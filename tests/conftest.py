@@ -338,6 +338,9 @@ def loads_obj_by_token_columns(text: str) -> PolyhedralDisc:
                 )
             coords = []
             for tok, col in tokens[1:]:
+                # float() also reads "1_0" and non-ASCII digits, which C's strtod does not
+                if not re.fullmatch(r"[\x21-\x7e]+", tok) or "_" in tok:
+                    raise ParseError(f"bad coordinate {tok!r}", number, col)
                 try:
                     coords.append(float(tok))
                 except ValueError:
@@ -490,6 +493,16 @@ def same_bits(got, expected) -> bool:
     """Equal arrays with equal bytes, so that -0.0 and 0.0 differ."""
     got, expected = np.asarray(got), np.asarray(expected)
     return np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+
+
+def stalled_at_rest(trace) -> bool:
+    """Whether ``trace`` stalled in an iteration that made no flip and
+    no fan reduction and whose flip pass stopped short of the cap: the
+    stall of a run that came to rest, read from its last record.  Such
+    a run has not converged all the same; only a stationary stop has."""
+    last = trace.iterations[-1]
+    return (trace.stop_reason == "stalled" and not last.flips and not last.reductions
+            and not last.flip_cap_exceeded)
 
 
 @contextlib.contextmanager

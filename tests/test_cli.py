@@ -97,10 +97,11 @@ def test_optimize_zero_eps_area_converges(tmp_path):
 
 
 def test_optimize_exits_0_only_at_the_certified_exit(tmp_path, capsys):
-    """The tent's chord disc stops stationary and exits 0.  Its fan with
-    flips and reductions off stalls with a non-saddle apex: converged by
-    the area test, yet it exits 2.  The status line names the stop, and
-    the summary the vertex closest to failing certification."""
+    """The tent's chord disc stops stationary, converged, and exits 0.
+    Its fan with flips and reductions off stalls at rest with a
+    non-saddle apex: not converged, and it exits 2.  The status line
+    names the stop, and the summary the vertex closest to failing
+    certification."""
     out_dir = tmp_path / "tent"
     assert main(["tent", "--out-dir", str(out_dir)]) == 0
     report = json.loads((out_dir / "report.json").read_text())
@@ -113,14 +114,16 @@ def test_optimize_exits_0_only_at_the_certified_exit(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("converged (stationary) after")
     data = json.loads(summary.read_text())
     assert data["stop_reason"] == "stationary" and data["saddle"] is True
+    assert data["converged"] is True
     assert data["max_margin"] is None and data["max_margin_vertex"] is None
 
     fan = ["optimize", "--in", str(out_dir / "fan.obj"), "--config", str(cfg), "--summary", str(summary)]
     assert main(fan) == 2
     out = capsys.readouterr().out
-    assert out.startswith("converged (stalled) after") and "saddle=no" in out
+    assert out.startswith("stopped (stalled) after") and "saddle=no" in out
     data = json.loads(summary.read_text())
-    assert data["converged"] is True and data["saddle"] is False
+    assert data["stop_reason"] == "stalled"
+    assert data["converged"] is False and data["saddle"] is False
     assert data["max_margin_vertex"] == report["apex"]["id"] == 12
     assert data["max_margin"] == pytest.approx(report["apex"]["margin"], rel=1e-6)
     assert data["flip_cap_exceeded"] is False and data["unresolved_violations"] == 0
@@ -311,7 +314,9 @@ def test_error_exit_codes(tmp_path, capsys):
 
 
 FUZZ_TOKENS = ["nan", "1e400", "-1", "1/2", "0", "7", str(10**30), "1" + "0" * 400,
-               "9" * 5000, "1e200", "1e-200", "v", "f", "vt", "usemtl", "#", "x"]
+               "9" * 5000, "1e200", "1e-200", "v", "f", "vt", "usemtl", "#", "x",
+               # float() reads these, the OBJ reader refuses them
+               "1_0", "1e0_0", "\u0661\u0662", "\uff11"]
 # a saddle and a non-saddle disc
 FUZZ_BASES = [dumps_obj(random_instance(7, nonplanarity=0.3, seed=5)), dumps_obj(fan_disc(7))]
 
@@ -379,7 +384,7 @@ FUZZ_CONFIGS = st.one_of(
 def test_cli_survives_mutated_inputs(tmp_path_factory, text, config, command, eps):
     folder = tmp_path_factory.getbasetemp()
     obj, cfg = folder / "fuzz.obj", folder / "fuzz.json"
-    obj.write_text(text)
+    obj.write_text(text, encoding="utf-8")
     cfg.write_text(json.dumps(config))
     argv = [command, "--in", str(obj)]
     if command == "optimize":

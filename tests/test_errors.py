@@ -13,12 +13,17 @@ from discmin import (
     InvalidInput,
     OptimizerConfig,
     PolyhedralDisc,
+    QuadSpec,
+    area_curve,
+    area_of_alpha,
     brute_force_cutting_direction,
     build_from_triangles,
     bulk_hinges,
     can_flip,
     certify_saddle,
     cutting_direction,
+    d_area_d_alpha,
+    diagonal_from_alpha,
     edge_length_area_derivative,
     edge_length_area_gradient,
     flat_convex_check,
@@ -26,7 +31,9 @@ from discmin import (
     flip,
     flip_pass,
     hinge_from_points,
+    make_tent,
     measure_hinge,
+    minimize,
     position_area_gradient,
     random_instance,
     reduce_fan,
@@ -43,6 +50,7 @@ SQUARE = ([0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 # major-cycle cap on this star and on the 8-fan's apex, and a negative
 # eps_flip flips the 8-gon's hinges back and forth until the flip cap.
 STAR = np.array([[1, 0, 0.2], [-1, 0, 0.2], [0, 1, 0.2], [0, -1, 0.2]])
+UNIT = QuadSpec(1.0, 1.0, 1.0, 1.0)
 # Two hinges, stacked as bulk_hinges takes them: a, b, x, y of shape (2, 3) each.
 HINGES = np.array([[[0, 0, 0], [1, 0, 0]], [[1, 1, 0], [1, 0, 1]],
                    [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]], dtype=float)
@@ -160,6 +168,26 @@ BAD_ARGUMENTS = {
     "fractional lattice samples": lambda: brute_force_cutting_direction(STAR, samples=1.5),
     "infinite eps_area": lambda: vertex_descent_step(FAN, 6, eps_area=float("inf")),
     "negative eps_area": lambda: vertex_descent_step(FAN, 6, eps_area=-1.0),
+    "string side length": lambda: QuadSpec("a", 1, 1, 1),
+    "side length None": lambda: QuadSpec(None, 1, 1, 1),
+    "side length True": lambda: QuadSpec(True, 1, 1, 1),
+    "string alpha": lambda: diagonal_from_alpha(UNIT, "x"),
+    "alpha None": lambda: diagonal_from_alpha(UNIT, None),
+    "string alpha for the area": lambda: area_of_alpha(UNIT, "x"),
+    "string alpha for the slope": lambda: d_area_d_alpha(UNIT, "x"),
+    "string alphas for the curve": lambda: area_curve(UNIT, ["x"]),
+    "string tent height": lambda: make_tent(height="a"),
+    "tent height None": lambda: make_tent(height=None),
+    "tent height True": lambda: make_tent(height=True),
+    "string ridge skew": lambda: make_tent(ridge_skew="x"),
+    "string nonplanarity": lambda: random_instance(5, nonplanarity="x"),
+    "directions a string": lambda: cutting_direction("abc"),
+    "directions with a ragged row": lambda: cutting_direction([[1, 0, 0], [0, 1]]),
+    "complex directions": lambda: cutting_direction(STAR + 0j),
+    "lattice directions a string": lambda: brute_force_cutting_direction("abc"),
+    "lattice directions with a ragged row": lambda: brute_force_cutting_direction([[1, 0, 0], [0, 1]]),
+    "complex lattice directions": lambda: brute_force_cutting_direction(STAR + 0j),
+    "config a dict": lambda: minimize(FAN, {"seed": 1}),
 }
 
 

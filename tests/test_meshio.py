@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fan_disc, hexagon_with_violation, loads_obj_by_token_columns
+from conftest import fan_disc, hexagon_with_violation, loads_obj_by_token_columns, stalled_at_rest
 from discmin import (
     certify_saddle,
     dumps_obj,
@@ -134,6 +134,12 @@ TRIANGLE_VERTICES = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
         (TRIANGLE_VERTICES + "f 1 +2 3\n", 4, 5, "bad vertex index '+2'"),
         (TRIANGLE_VERTICES + "f 1 \u0662 3\n", 4, 5, "bad vertex index '\u0662'"),
         (TRIANGLE_VERTICES + "f 0 2 3\n", 4, 3, "vertex indices are 1-based"),
+        # float() reads these as 10, 12, 1 and 1; each file is otherwise valid
+        ("v 0 0 0\nv 1_0 0 0\nv 0 1 0\nf 1 2 3\n", 2, 3, "bad coordinate '1_0'"),
+        ("v 0 0 0\nv 1 0 0\nv 0 \u0661\u0662 0\nf 1 2 3\n", 3, 5,
+         "bad coordinate '\u0661\u0662'"),
+        ("v 0 0 1e0_0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", 1, 7, "bad coordinate '1e0_0'"),
+        ("v 0 0 0\nv\t\uff11 0 0\nv 0 1 0\nf 1 2 3\n", 2, 3, "bad coordinate '\uff11'"),
     ],
 )
 def test_parse_error_columns_count_tabs_and_leading_spaces(text, line, column, message):
@@ -296,7 +302,9 @@ def test_tent_rim_mirror_symmetries(tent):
 
 
 def test_tent_gap_and_certificates(tent):
-    assert tent.fan_trace.converged and tent.chord_trace.converged
+    assert tent.fan_trace.stop_reason == "stalled" and stalled_at_rest(tent.fan_trace)
+    assert not tent.fan_trace.converged
+    assert tent.chord_trace.stop_reason == "stationary"
     assert tent.chord_area < tent.fan_area
     assert tent.area_gap > 1e-6 * tent.fan_area
     assert tent.area_gap == pytest.approx(tent.fan_area - tent.chord_area)

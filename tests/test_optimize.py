@@ -27,6 +27,7 @@ from conftest import (
     regular_polygon,
     saddle_grid_disc,
     shoelace,
+    stalled_at_rest,
     star_area_by_arrays,
     trial_by_rebuild,
 )
@@ -739,15 +740,22 @@ def test_a_flat_symmetric_vertex_has_no_move():
     assert np.array_equal(out.positions, disc.positions)
 
 
-def test_minimize_planar_convex_boundary_reaches_polygon_area():
-    rng = np.random.default_rng(31)
+def planar_nonagon_fan() -> PolyhedralDisc:
+    """A fan over a planar regular 9-gon, its apex lifted off-centre."""
     rim = regular_polygon(9, radius=1.3)
-    disc = PolyhedralDisc(
+    return PolyhedralDisc(
         build_from_triangles([(i, (i + 1) % 9, 9) for i in range(9)]),
         np.vstack([rim, [[0.2, -0.1, 0.8]]]),
     )
+
+
+def test_minimize_planar_convex_boundary_reaches_polygon_area():
+    disc = planar_nonagon_fan()
+    rim = disc.positions[:9]
     out, trace = minimize(disc)
-    assert trace.converged
+    # the apex comes to rest non-saddle, its margin 4.2e-7 above eps_saddle = 1e-7
+    assert trace.stop_reason == "stalled" and stalled_at_rest(trace)
+    assert not trace.converged
     target = shoelace(rim[:, :2])
     assert abs(out.total_area() - target) <= 1e-8 * target
     assert np.array_equal(out.positions[:9], disc.positions[:9])
@@ -836,10 +844,14 @@ def test_zero_eps_area_stops_a_stationary_run():
     traces = [minimize(disc, OptimizerConfig(eps_area=0.0))[1]
               for disc in (triangle, random_instance(10, seed=3))]
     for trace in traces:
-        assert trace.converged and trace.certificate.saddle
+        assert trace.certificate.saddle
         areas = [trace.initial_area] + [rec.area for rec in trace.iterations]
         assert areas[-1] >= areas[-2]
+    assert traces[0].stop_reason == "stationary" and traces[0].converged
     assert len(traces[0].iterations) == 1
+    # the fan stops once a sweep lowers its area by nothing at all
+    assert traces[1].stop_reason == "stalled" and stalled_at_rest(traces[1])
+    assert not traces[1].converged
 
 
 @pytest.mark.parametrize(
@@ -914,7 +926,9 @@ def minimize_both_ways(disc, config):
     with mock.patch.object(optimize, "_stationary", lambda *args: False):
         old_out, old_trace = minimize(disc, config)
     assert trace.csv_text() == old_trace.csv_text()
-    assert trace.converged == old_trace.converged
+    # a run ends at rest the same way either way: stationary, or stalled at rest without the exit
+    assert (trace.converged or stalled_at_rest(trace)) == stalled_at_rest(old_trace)
+    assert not old_trace.converged
     assert out.complex.triangles == old_out.complex.triangles
     assert out.positions.tobytes() == old_out.positions.tobytes()
     assert json.dumps(trace.certificate.to_dict()) == json.dumps(old_trace.certificate.to_dict())
@@ -958,7 +972,8 @@ def test_a_non_saddle_certificate_falls_through_to_the_sweep(monkeypatch):
     decrement test but is pinned non-saddle, so the certified exit is
     declined, the sweep runs and the area test stops the run."""
     tent = make_tent()
-    assert tent.fan_trace.stop_reason == "stalled" and tent.fan_trace.converged
+    assert tent.fan_trace.stop_reason == "stalled" and stalled_at_rest(tent.fan_trace)
+    assert not tent.fan_trace.converged
     assert tent.chord_trace.stop_reason == "stationary"
     certificates = []
     certify = optimize.certify_saddle
@@ -969,7 +984,8 @@ def test_a_non_saddle_certificate_falls_through_to_the_sweep(monkeypatch):
 
     monkeypatch.setattr(optimize, "certify_saddle", logged)
     _, trace = minimize(tent.fan_disc, OptimizerConfig(enable_flips=False, enable_reductions=False))
-    assert trace.stop_reason == "stalled" and trace.converged
+    assert trace.stop_reason == "stalled" and stalled_at_rest(trace)
+    assert not trace.converged
     assert not trace.certificate.saddle
     # one declined exit, then the end-of-run certificate
     assert [c.saddle for c in certificates] == [False, False]
@@ -980,6 +996,38 @@ def test_a_grid_with_non_saddle_vertices_is_never_stationary():
     _, trace = minimize(disc, OptimizerConfig(max_outer_iterations=400))
     assert sum(not v.is_saddle for v in trace.certificate.verdicts) > 0
     assert trace.stop_reason == "stalled"
+
+
+def assert_converged_means_stationary(trace) -> None:
+    assert trace.converged is (trace.stop_reason == "stationary")
+    summary = trace.summary_dict()
+    assert summary["converged"] is (summary["stop_reason"] == "stationary")
+    assert not trace.converged or trace.certificate.saddle
+
+
+FIXED_TOPOLOGY = OptimizerConfig(enable_flips=False, enable_reductions=False)
+STOP_REASON_RUNS = {
+    "tent chord": (lambda: minimize(make_tent().chord_disc)[1], "stationary"),
+    "tent fan, fixed topology": (lambda: minimize(make_tent().fan_disc, FIXED_TOPOLOGY)[1], "stalled"),
+    "workload grid 4, 12 iterations": (
+        lambda: minimize(WORKLOAD_GRIDS[4], OptimizerConfig(max_outer_iterations=12))[1],
+        "iteration_cap",
+    ),
+    "planar 9-gon fan": (lambda: minimize(planar_nonagon_fan())[1], "stalled"),
+    # stalls after 136 iterations with one vertex non-saddle
+    "saddle grid 8, draw 1": (
+        lambda: minimize(saddle_grid_disc(8, np.random.default_rng([1, 8])),
+                         OptimizerConfig(max_outer_iterations=400))[1],
+        "stalled",
+    ),
+}
+
+
+@pytest.mark.parametrize("run,stop_reason", STOP_REASON_RUNS.values(), ids=list(STOP_REASON_RUNS))
+def test_converged_means_the_run_stopped_stationary(run, stop_reason):
+    trace = run()
+    assert trace.stop_reason == stop_reason
+    assert_converged_means_stationary(trace)
 
 
 def test_a_move_drops_the_newton_steps_of_its_star():
@@ -1025,6 +1073,7 @@ def test_minimize_invariants_on_subdivided_grids(n, seed, subdivisions, rng_seed
     disc = perturbed_grid_disc(n, seed, subdivisions=subdivisions)
     with checked_discs_match_validation():
         out, trace = minimize(disc, OptimizerConfig(max_outer_iterations=5, seed=rng_seed))
+    assert_converged_means_stationary(trace)
     ring = boundary_ring(disc)
     assert boundary_ring(out, ring[0]) == ring
     # compared from the first iteration on: the seeded jitter before it
