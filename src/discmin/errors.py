@@ -127,10 +127,6 @@ class DegenerationBlocked(DiscminError):
     """Every candidate descent step would degenerate a star triangle."""
 
 
-class BudgetExceeded(DiscminError):
-    """The triangle budget was exhausted before the move could apply."""
-
-
 class InvariantViolation(DiscminError):
     """A guarantee the package checks for itself broke: a flip, flip pass or
     fan reduction changed the boundary cycle, a fan reduction increased

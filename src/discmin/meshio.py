@@ -207,8 +207,8 @@ def make_tent(height: float = 1.25, ridge_skew: float = 0.25, seed: int = 0) -> 
     cap = [(0, 2, 4), (0, 4, 6), (0, 6, 8), (0, 8, 10)]
     chord_disc = PolyhedralDisc(build_from_triangles(skirt + cap), rim)
 
-    # The fan run keeps its combinatorics: the apex alone moves.
-    fan_config = OptimizerConfig(enable_flips=False, enable_reductions=False, seed=seed)
+    # Flips disabled; the fan has no empty triangle to cut, so the apex alone moves.
+    fan_config = OptimizerConfig(enable_flips=False, seed=seed)
     fan_optimized, fan_trace = minimize(fan_disc, fan_config)
     chord_optimized, chord_trace = minimize(chord_disc, OptimizerConfig(seed=seed))
     if fan_trace.stop_reason == "iteration_cap" or chord_trace.stop_reason != "stationary":

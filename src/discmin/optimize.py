@@ -4,14 +4,16 @@ Each outer iteration runs three passes:
 
 1. fan reductions: cut along empty triangles while any can be cut; the
    scan for them reads only the topology and runs once per complex;
-2. flips: ``flips.flip_pass`` flips hinges whose adjacent angle sum is
-   below pi, first eligible edge in sorted order after every flip;
+2. flips, unless ``enable_flips`` is false: ``flips.flip_pass`` flips
+   hinges whose adjacent angle sum is below pi, first eligible edge in
+   sorted order after every flip;
 3. vertex sweep: for every interior vertex in ascending order, a damped
    Newton step on the star area, which is convex in the vertex; where
    no trial of it lowers the area by more than ``eps_area``, the cut
    move where the shared vertex test finds the star non-saddle and the
-   gradient move otherwise.  Each is searched by backtracking and
-   recorded as blocked when every trial step degenerates the star.
+   gradient move otherwise.  Each is searched by backtracking, halving
+   the step at most 30 times, and recorded as blocked when every trial
+   step degenerates the star.
 
 The sweep works on one mutable state: a positions array, the triangle
 areas and the bounding box as Python floats, and the diameter.  A
@@ -66,7 +68,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     DegenerateTriangle,
     DegenerationBlocked,
     InvalidInput,
@@ -81,6 +82,7 @@ from .mesh import _MAX_COORDINATE, PolyhedralDisc, _area, _check_index, area_row
 from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdicts, certify_saddle
 
 _EYE = np.eye(3)  # damps every star Hessian
+_STEP, _SHRINK, _MAX_BACKTRACKS = 0.5, 0.5, 30  # the schedule of _line_search
 
 
 # =====================================================================
@@ -89,47 +91,25 @@ _EYE = np.eye(3)  # damps every star Hessian
 
 
 @dataclass(frozen=True)
-class LineSearch:
-    """Backtracking schedule: multiply the trial step by ``shrink`` on
-    rejection, at most ``max_backtracks`` times.  ``step`` scales the
-    first trial of the cut and steepest-descent moves, which start from
-    the shortest star edge; Newton's first trial is the full Newton
-    step."""
-
-    step: float = 0.5
-    shrink: float = 0.5
-    max_backtracks: int = 30
-
-
-def _reject_unknown(what: str, data: dict, cls) -> None:
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise InvalidInput(f"unknown {what} keys: {sorted(unknown)}")
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of :func:`minimize`.
+    """Knobs of :func:`minimize`: ``eps_flip``, ``eps_saddle``,
+    ``eps_area``, ``max_outer_iterations``, ``jitter_amplitude``,
+    ``seed`` and ``enable_flips``.
 
     ``eps_area`` of None resolves to ``1e-12 * diameter**2`` of the
-    input disc.  ``triangle_budget`` rejects oversized inputs up
-    front; no move ever increases the triangle count.
+    input disc.  ``enable_flips`` false keeps the flips out; fan
+    reductions always run.
     """
 
-    triangle_budget: Optional[int] = None
     eps_flip: float = 1e-9
     eps_saddle: float = 1e-7
     eps_area: Optional[float] = None
     max_outer_iterations: int = 10000
-    line_search: LineSearch = LineSearch()
     jitter_amplitude: float = 1e-9
     seed: int = 0
     enable_flips: bool = True
-    enable_reductions: bool = True
 
     def __post_init__(self):
-        ls = self.line_search
-        _check("line_search", ls, isinstance(ls, LineSearch), "a LineSearch")
         for name, value in (
             ("eps_flip", self.eps_flip),
             ("eps_saddle", self.eps_saddle),
@@ -140,39 +120,23 @@ class OptimizerConfig:
         jitter = self.jitter_amplitude
         _check("jitter_amplitude", jitter, _is_number(jitter) and 0.0 <= jitter <= 1.0,
                "a number between 0 and 1")
-        budget = 1 if self.triangle_budget is None else self.triangle_budget
-        for name, value, low in (
-            ("triangle_budget", budget, 1),
-            ("max_outer_iterations", self.max_outer_iterations, 1),
-            ("line_search.max_backtracks", ls.max_backtracks, 0),
-            ("seed", self.seed, 0),
-        ):
+        for name, value, low in (("max_outer_iterations", self.max_outer_iterations, 1),
+                                 ("seed", self.seed, 0)):
             ok = _is_number(value, integer=True) and value >= low
             _check(name, value, ok, f"an integer >= {low}")
-        step, shrink = ls.step, ls.shrink
-        _check("line_search.step", step, _is_number(step) and step > 0.0, "a finite number > 0")
-        _check("line_search.shrink", shrink, _is_number(shrink) and 0.0 < shrink < 1.0,
-               "strictly between 0 and 1")
-        for name in ("enable_flips", "enable_reductions"):
-            value = getattr(self, name)
-            _check(name, value, isinstance(value, bool), "true or false")
+        flips = self.enable_flips
+        _check("enable_flips", flips, isinstance(flips, bool), "true or false")
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
-        """Build from a JSON-style dict keyed by the field names, with
-        ``line_search`` a dict keyed by LineSearch's; unknown keys are
-        an error, and a missing or null ``line_search`` the default."""
+        """Build from a JSON-style dict keyed by the field names;
+        unknown keys are an error."""
         if not isinstance(data, dict):
             raise InvalidInput(f"config must be a JSON object, got {type(data).__name__}")
-        kwargs = dict(data)
-        ls = kwargs.pop("line_search", None)
-        if ls is not None:
-            if not isinstance(ls, dict):
-                raise InvalidInput(f"line_search must be a JSON object, got {ls!r}")
-            _reject_unknown("line_search", ls, LineSearch)
-            kwargs["line_search"] = LineSearch(**ls)
-        _reject_unknown("config", kwargs, cls)
-        return cls(**kwargs)
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise InvalidInput(f"unknown config keys: {sorted(unknown, key=str)}")
+        return cls(**data)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -409,13 +373,13 @@ class _Sweep:
 
 def _line_search(
     sweep: _Sweep, v: int, first: np.ndarray, gradient: np.ndarray,
-    line_search: LineSearch, floor: float, scale: Optional[float] = None,
-    shorten: bool = False,
+    floor: float, scale: Optional[float] = None, shorten: bool = False,
 ) -> tuple[Optional[tuple], float, bool]:
     """Backtracking search for vertex ``v``: the displacement ``first``,
-    then shorter ones by factors of ``line_search.shrink``.  Given a
-    ``scale``, ``first`` is a unit direction, and the first trial goes
-    ``line_search.step * scale`` times the shortest star edge along it.
+    then at most ``_MAX_BACKTRACKS`` shorter ones by factors of
+    ``_SHRINK``.  Given a ``scale``, ``first`` is a unit direction, and
+    the first trial goes ``_STEP * scale`` times the shortest star edge
+    along it.
 
     A trial is accepted when the star stays nondegenerate, every star
     edge got shorter (if ``shorten``, which needs a ``scale``), and the
@@ -431,13 +395,13 @@ def _line_search(
     x, neighbors = star.points[0], star.points[1:]
     if scale is not None:
         lengths = _lengths(x, neighbors)
-        first = line_search.step * scale * min(lengths) * first
+        first = _STEP * scale * min(lengths) * first
     slope = -float(gradient @ first)
     before = sum(sweep.areas[f] for f in star.faces)
     direction = first.tolist()
     tried = nondegenerate = False
     step = 1.0
-    for _ in range(line_search.max_backtracks + 1):
+    for _ in range(_MAX_BACKTRACKS + 1):
         if step * slope <= floor:
             break
         tried = True
@@ -445,29 +409,28 @@ def _line_search(
         try:
             areas, box = sweep.trial(v, point)
         except (DegenerateTriangle, InvalidInput):
-            step *= line_search.shrink
+            step *= _SHRINK
             continue
         nondegenerate = True
         if not shorten or all(new < old for new, old in zip(_lengths(point, neighbors), lengths)):
             decrease = before - sum(areas)
             if decrease > floor:
                 return (point, areas, box), decrease, False
-        step *= line_search.shrink
+        step *= _SHRINK
     return None, 0.0, tried and not nondegenerate
 
 
 def _cut_move(
-    sweep: _Sweep, verdict: VertexVerdict, gradient: np.ndarray,
-    line_search: LineSearch, floor: float,
+    sweep: _Sweep, verdict: VertexVerdict, gradient: np.ndarray, floor: float
 ) -> tuple[Optional[tuple], float, bool]:
     """The paper's move of a non-saddle vertex: along its cutting
     direction from half the margin, every star edge shortening."""
-    return _line_search(sweep, verdict.vertex, verdict.cut_normal, gradient, line_search, floor,
+    return _line_search(sweep, verdict.vertex, verdict.cut_normal, gradient, floor,
                         scale=0.5 * verdict.margin, shorten=True)
 
 
 def _vertex_move(
-    sweep: _Sweep, v: int, eps_saddle: float, line_search: LineSearch, floor: float
+    sweep: _Sweep, v: int, eps_saddle: float, floor: float
 ) -> tuple[str, Optional[tuple], float, bool]:
     """Pick and search the move of interior vertex ``v``.
 
@@ -484,16 +447,16 @@ def _vertex_move(
     """
     _, g, newton = sweep.newton(v)
     if newton is not None:
-        trial, decrease, _ = _line_search(sweep, v, newton, g, line_search, floor)
+        trial, decrease, _ = _line_search(sweep, v, newton, g, floor)
         if trial is not None:
             return "gradient", trial, decrease, False
     (verdict,) = _vertex_verdicts(sweep, (v,), eps_saddle)
     if not verdict.is_saddle:
-        return ("cut", *_cut_move(sweep, verdict, g, line_search, floor))
+        return ("cut", *_cut_move(sweep, verdict, g, floor))
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         return "gradient", None, 0.0, False
-    return ("gradient", *_line_search(sweep, v, -g / norm, g, line_search, floor, scale=1.0))
+    return ("gradient", *_line_search(sweep, v, -g / norm, g, floor, scale=1.0))
 
 
 def _stationary(sweep: _Sweep, vertices, eps_area: float) -> bool:
@@ -513,13 +476,12 @@ def vertex_descent_step(
     disc: PolyhedralDisc,
     v: int,
     eps_saddle: float = 1e-7,
-    line_search: LineSearch = LineSearch(),
     eps_area: Optional[float] = None,
 ) -> tuple[PolyhedralDisc, float]:
     """Move vertex ``v`` along its cutting direction.
 
-    The first trial step is line_search.step * margin * (shortest
-    star edge) / 2, well inside the range where every star edge strictly
+    The first trial step is ``_STEP`` * margin * (shortest star edge)
+    / 2, well inside the range where every star edge strictly
     shortens.  A trial is accepted when the star stays nondegenerate,
     every star edge got shorter, and the star area dropped by more
     than ``eps_area``, a finite number >= 0 (None means any positive drop).
@@ -539,7 +501,7 @@ def vertex_descent_step(
         raise NotCuttable(f"vertex {v} admits no cutting plane")
     gradient = position_area_gradient(disc, v)
     sweep = _Sweep(disc)
-    trial, decrease, blocked = _cut_move(sweep, verdict, gradient, line_search, floor)
+    trial, decrease, blocked = _cut_move(sweep, verdict, gradient, floor)
     if blocked:
         raise DegenerationBlocked(f"every step at vertex {v} degenerates its star")
     if trial is None:
@@ -647,14 +609,6 @@ def minimize(
     """
     cfg = config if config is not None else OptimizerConfig()
     _check("config", cfg, isinstance(cfg, OptimizerConfig), "an OptimizerConfig or None")
-    if (
-        cfg.triangle_budget is not None
-        and len(disc.complex.triangles) > cfg.triangle_budget
-    ):
-        raise BudgetExceeded(
-            f"{len(disc.complex.triangles)} triangles exceed the budget "
-            f"of {cfg.triangle_budget}"
-        )
     rng = np.random.default_rng(cfg.seed)
     eps_area = (
         cfg.eps_area if cfg.eps_area is not None else 1e-12 * disc.diameter**2
@@ -682,9 +636,8 @@ def minimize(
         area_start = disc.total_area()
         reductions: list[FanReduction] = []
         moves: list[MoveRecord] = []
-        unresolved = 0
 
-        while cfg.enable_reductions:
+        while True:
             if disc.complex is not scanned:  # the scan reads only the topology
                 scanned, violations = disc.complex, disc.complex.no_triangle_violations()
             unresolved = 0  # the refusals of the last scan, which cut nothing
@@ -711,9 +664,7 @@ def minimize(
             if certificate.saddle:  # the sweep would move nothing: skip it
                 stop_reason, vertices = "stationary", ()
         for v in vertices:
-            mode, trial, decrease, blocked = _vertex_move(
-                sweep, v, cfg.eps_saddle, cfg.line_search, eps_area
-            )
+            mode, trial, decrease, blocked = _vertex_move(sweep, v, cfg.eps_saddle, eps_area)
             if trial is None and not blocked:
                 continue
             disp = (0.0, 0.0, 0.0) if trial is None else sweep.apply(v, trial)

@@ -98,7 +98,7 @@ def test_optimize_zero_eps_area_converges(tmp_path):
 
 def test_optimize_exits_0_only_at_the_certified_exit(tmp_path, capsys):
     """The tent's chord disc stops stationary, converged, and exits 0.
-    Its fan with flips and reductions off stalls at rest with a
+    Its fan with flips off stalls at rest with a
     non-saddle apex: not converged, and it exits 2.  The status line
     names the stop, and the summary the vertex closest to failing
     certification."""
@@ -106,7 +106,7 @@ def test_optimize_exits_0_only_at_the_certified_exit(tmp_path, capsys):
     assert main(["tent", "--out-dir", str(out_dir)]) == 0
     report = json.loads((out_dir / "report.json").read_text())
     cfg = tmp_path / "fixed.json"
-    cfg.write_text(json.dumps({"enable_flips": False, "enable_reductions": False}))
+    cfg.write_text(json.dumps({"enable_flips": False}))
     summary = tmp_path / "summary.json"
     capsys.readouterr()
 
@@ -350,18 +350,12 @@ FUZZ_VALUES = st.one_of(
 )
 TOLERANCE = st.floats(0.0, 1e-3)
 PLAUSIBLE_KEYS = {
-    "triangle_budget": st.integers(1, 40),
     "eps_flip": TOLERANCE,
     "eps_saddle": TOLERANCE,
     "eps_area": TOLERANCE,
     "jitter_amplitude": TOLERANCE,
     "seed": st.integers(0, 2**40),
     "enable_flips": st.booleans(),
-    "enable_reductions": st.booleans(),
-    "line_search": st.fixed_dictionaries({}, optional={
-        "step": st.floats(1e-3, 2.0), "shrink": st.floats(0.1, 0.9),
-        "max_backtracks": st.integers(0, 5),
-    }),
 }
 # At most 3 iterations: every other value is refused before the run.
 # Half the configs are plausible, so that runs get past validation.

@@ -109,7 +109,8 @@ BAD_ARGUMENTS = {
     "config value": lambda: OptimizerConfig(eps_flip=-1.0),
     "unknown config key": lambda: OptimizerConfig.from_dict({"budget": 10}),
     "config not an object": lambda: OptimizerConfig.from_dict([]),
-    "line_search not an object": lambda: OptimizerConfig.from_dict({"line_search": 1}),
+    "removed line_search key": lambda: OptimizerConfig.from_dict({"line_search": {}}),
+    "config keys of mixed types": lambda: OptimizerConfig.from_dict({1: 2, "a": 3}),
     "descent at a boundary vertex": lambda: vertex_descent_step(FAN, 0),
     "descent at a fractional vertex": lambda: vertex_descent_step(FAN, 6.5),
     "edge gradient at a boundary vertex": lambda: edge_length_area_gradient(FAN, 0),

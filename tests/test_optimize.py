@@ -32,7 +32,6 @@ from conftest import (
     trial_by_rebuild,
 )
 from discmin import (
-    LineSearch,
     OptimizerConfig,
     PolyhedralDisc,
     build_from_triangles,
@@ -51,7 +50,6 @@ from discmin import (
 )
 from discmin import flips, optimize
 from discmin.errors import (
-    BudgetExceeded,
     DegenerateTriangle,
     DegenerationBlocked,
     FlipForbidden,
@@ -638,23 +636,17 @@ def test_flip_pass_matches_rebuild_oracle(case, monkeypatch):
 
 def test_config_round_trip():
     cfg = OptimizerConfig(
-        triangle_budget=500,
         eps_flip=1e-8,
         eps_saddle=1e-6,
         eps_area=1e-13,
         max_outer_iterations=123,
-        line_search=LineSearch(0.4, 0.6, 12),
         jitter_amplitude=0.0,
         seed=9,
         enable_flips=False,
-        enable_reductions=True,
     )
     assert OptimizerConfig.from_dict(cfg.to_dict()) == cfg
     assert OptimizerConfig.from_dict({}) == OptimizerConfig()
     assert OptimizerConfig.from_dict({"seed": 3}).seed == 3
-    partial = OptimizerConfig.from_dict({"line_search": {"step": 0.3}})
-    assert partial.line_search.step == 0.3
-    assert partial.line_search.shrink == LineSearch.shrink
 
 
 def test_readme_config_block_is_the_default_config():
@@ -668,10 +660,12 @@ def test_readme_config_block_is_the_default_config():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        OptimizerConfig.from_dict({"budget": 10})
-    with pytest.raises(ValueError):
-        OptimizerConfig.from_dict({"line_search": {"stepsize": 0.1}})
+    """A key that names no field, among them the removed ``line_search``,
+    ``triangle_budget`` and ``enable_reductions``, is refused by name."""
+    for key, value in (("budget", 10), ("line_search", {"stepsize": 0.1}), ("line_search", {}),
+                       ("triangle_budget", 500), ("enable_reductions", False)):
+        with pytest.raises(InvalidInput, match=f"unknown config keys: \\['{key}'\\]"):
+            OptimizerConfig.from_dict({key: value})
 
 
 @pytest.mark.parametrize(
@@ -683,18 +677,18 @@ def test_config_rejects_unknown_keys():
         {"eps_flip": "x"},
         {"max_outer_iterations": 0},
         {"max_outer_iterations": 2.0},
-        {"triangle_budget": True},
-        {"triangle_budget": 0},
         {"jitter_amplitude": -1.0},
         {"jitter_amplitude": 1.5},
         {"jitter_amplitude": 1e80},
         {"seed": -1},
-        {"enable_reductions": 1},
-        {"line_search": LineSearch(shrink=1.0)},
-        {"line_search": LineSearch(shrink=0.0)},
-        {"line_search": LineSearch(step=0.0)},
-        {"line_search": LineSearch(max_backtracks=-1)},
-        {"line_search": {"step": 0.5}},
+        {"enable_flips": 1},
+        {"eps_area": -1.0},
+        {"eps_saddle": float("inf")},
+        {"max_outer_iterations": True},
+        {"seed": 1.5},
+        {"jitter_amplitude": float("nan")},
+        {"enable_flips": None},
+        {"enable_flips": "true"},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -731,7 +725,7 @@ def test_a_flat_symmetric_vertex_has_no_move():
         build_from_triangles([(i, (i + 1) % 4, 4) for i in range(4)]),
         np.array([*rim, (0, 0, 0)], dtype=float),
     )
-    move = optimize._vertex_move(optimize._Sweep(disc), 4, 1e-7, LineSearch(), 1e-12)
+    move = optimize._vertex_move(optimize._Sweep(disc), 4, 1e-7, 1e-12)
     assert move == ("gradient", None, 0.0, False)
     out, trace = minimize(disc, OptimizerConfig(jitter_amplitude=0.0))
     assert len(trace.iterations) == 1
@@ -771,6 +765,16 @@ def test_minimize_reduces_hexagon_violation_to_flat_hexagon():
     assert out.complex.no_triangle_violations() == []
 
 
+def test_fan_reductions_run_with_flips_disabled():
+    """``enable_flips`` is the one topology switch: with it off, the
+    empty triangle is still cut, and no hinge is flipped."""
+    out, trace = minimize(hexagon_with_violation(), OptimizerConfig(enable_flips=False))
+    assert [r.triple for r in trace.iterations[0].reductions] == [(0, 2, 4)]
+    assert sum(len(r.flips) for r in trace.iterations) == 0
+    assert len(out.complex.triangles) == 4
+    assert out.complex.no_triangle_violations() == []
+
+
 def test_minimize_counts_a_refused_reduction_as_unresolved(monkeypatch):
     def refuse(disc, triple):
         raise DegenerateTriangle(f"refused {triple}")
@@ -800,11 +804,6 @@ def test_summary_reports_the_flip_cap_and_the_closest_vertex(monkeypatch):
     assert trace.summary_dict()["flip_cap_exceeded"] is True
     assert trace.summary_dict()["max_margin"] is None
     assert trace.stop_reason == "stalled" and not trace.converged
-
-
-def test_minimize_respects_triangle_budget():
-    with pytest.raises(BudgetExceeded):
-        minimize(fan_disc(12), OptimizerConfig(triangle_budget=5))
 
 
 def test_minimize_trace_is_monotone_and_deterministic():
@@ -968,7 +967,7 @@ def test_the_certified_exit_changes_no_run_of_a_subdivided_grid(n, seed, subdivi
 
 
 def test_a_non_saddle_certificate_falls_through_to_the_sweep(monkeypatch):
-    """The tent's fan with flips and reductions off: its apex passes the
+    """The tent's fan with flips off: its apex passes the
     decrement test but is pinned non-saddle, so the certified exit is
     declined, the sweep runs and the area test stops the run."""
     tent = make_tent()
@@ -983,7 +982,7 @@ def test_a_non_saddle_certificate_falls_through_to_the_sweep(monkeypatch):
         return certificates[-1]
 
     monkeypatch.setattr(optimize, "certify_saddle", logged)
-    _, trace = minimize(tent.fan_disc, OptimizerConfig(enable_flips=False, enable_reductions=False))
+    _, trace = minimize(tent.fan_disc, OptimizerConfig(enable_flips=False))
     assert trace.stop_reason == "stalled" and stalled_at_rest(trace)
     assert not trace.converged
     assert not trace.certificate.saddle
@@ -1005,7 +1004,7 @@ def assert_converged_means_stationary(trace) -> None:
     assert not trace.converged or trace.certificate.saddle
 
 
-FIXED_TOPOLOGY = OptimizerConfig(enable_flips=False, enable_reductions=False)
+FIXED_TOPOLOGY = OptimizerConfig(enable_flips=False)
 STOP_REASON_RUNS = {
     "tent chord": (lambda: minimize(make_tent().chord_disc)[1], "stationary"),
     "tent fan, fixed topology": (lambda: minimize(make_tent().fan_disc, FIXED_TOPOLOGY)[1], "stalled"),
@@ -1041,7 +1040,7 @@ def test_a_move_drops_the_newton_steps_of_its_star():
     assert optimize._stationary(sweep, interior, 0.0) is False
     assert all(sweep.newton(v)[0] is before[v][0] for v in interior)
     v = interior[len(interior) // 2]
-    _, trial, _, _ = optimize._vertex_move(sweep, v, 1e-7, LineSearch(), 0.0)
+    _, trial, _, _ = optimize._vertex_move(sweep, v, 1e-7, 0.0)
     assert trial is not None
     sweep.apply(v, trial)
     star = {v, *disc.complex.vertex_star(v)}
