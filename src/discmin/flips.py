@@ -18,14 +18,16 @@ encloses is deleted and the flat triangle put in its place, which
 never increases area either (project the region onto the triangle's
 plane).
 
-Every edit of the triangle list lives here: ``flip`` and ``flip_pass``
-share one table edit, and flips and reductions one rebuild check of the
-topology; a flip's disc carries over the geometry that the edit checked.
+Every edit of the triangle list lives here.  ``flip`` and ``flip_pass``
+share one edit of a mutable edge table and assemble the flipped disc
+from it (see ``_assembled``); ``build_from_triangles`` validates each
+reduction, like every input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -42,8 +44,8 @@ from .errors import (
     _is_number,
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, build_from_triangles, edge_key
-from .mesh import _area, _directed_edges, _real_array, _triangle, area_rows, canonical_triangle
-from .mesh import cross_rows, row_norms
+from .mesh import _ZERO, _area, _directed_edges, _real_array, _triangle, area_rows
+from .mesh import canonical_triangle, cross_rows, row_norms
 
 
 # =====================================================================
@@ -84,11 +86,14 @@ def _hinge_rows(q):
     of the current triangles abx and aby.  The sides are one gather
     through ``_HINGE_CORNERS`` less the apexes, and sigma sums the angles
     in order.  Each angle and area is the same float operations as
-    ``angle_rows`` and ``area_rows`` give it.
+    ``angle_rows`` and ``area_rows`` give it: the cross lengths are the
+    products and sums of ``cross_rows`` and ``row_norms``, in components.
     """
     corners = q[_HINGE_CORNERS]
     u, w = corners[:2] - corners[2]
-    norms = row_norms(cross_rows(u, w))
+    (u0, u1, u2), (w0, w1, w2) = u.T, w.T
+    c0, c1, c2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+    norms = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2).T
     angles = np.arctan2(norms[:4], np.einsum("...i,...i->...", u[:4], w[:4]))
     areas = 0.5 * norms
     gain = areas[2] + areas[3] - areas[4] - areas[5]
@@ -142,16 +147,12 @@ def hinge_from_points(a, b, x, y) -> HingeMeasurement:
     )
 
 
-def _edge_faces(cx: DiscComplex) -> dict[Edge, tuple[int, ...]]:
-    """The edge -> faces table of ``cx`` as a mutable dict, each edge's
-    one or two faces ascending: the layout ``_flip_edit`` keeps."""
-    return {e: (f, g) if g >= 0 else (f,)
-            for e, (f, g) in zip(cx.edges, cx.edge_face_array.tolist())}
-
-
-def _opposite(triangles, edge_faces, edge: Edge) -> tuple[int, ...]:
-    """The vertex opposite the sorted ``edge`` in each of its faces, in face-index order."""
-    return tuple(sum(triangles[f]) - sum(edge) for f in edge_faces[edge])
+def _edge_table(cx: DiscComplex) -> dict[Edge, tuple[tuple[int, int], tuple[int, int]]]:
+    """The rows of ``edge_face_array`` and ``opposite_array`` as a mutable
+    dict: each sorted edge to its two (face, opposite vertex) pairs, faces
+    ascending, (-1, -1) second on the boundary; the layout ``_flip_edit`` keeps."""
+    faces, opposite = cx.edge_face_array.T.tolist(), cx.opposite_array.T.tolist()
+    return dict(zip(cx.edges, zip(zip(faces[0], opposite[0]), zip(faces[1], opposite[1]))))
 
 
 def _hinge_vertices(disc: PolyhedralDisc, edge) -> tuple[int, int, int, int]:
@@ -202,37 +203,34 @@ def can_flip(disc: PolyhedralDisc, edge) -> FlipCheck:
     return FlipCheck(False, "OppositeVerticesAdjacent")
 
 
-def _flip_edit(
-    triangles: list[Triangle], edge_faces: dict[Edge, tuple[int, ...]], edge: Edge,
-    positions: np.ndarray, floor: float, areas: np.ndarray | None = None,
-) -> tuple[int, int]:
+def _flip_edit(triangles: list[Triangle], table: dict, edge: Edge, points: list, floor: float,
+               areas: np.ndarray | None = None, anchors: dict | None = None) -> tuple[int, int]:
     """Flip the interior hinge ``edge`` (a sorted key) in mutable tables.
 
     The triangles abx, aby become axy, bxy in the same two slots,
     oriented like the surrounding complex and rotated the way
-    ``build_from_triangles`` stores them.  ``edge_faces`` loses the
-    hinge, gains the diagonal and moves the two quad sides that change
-    face; every face tuple stays ascending; ``areas``, if given, takes
-    the two new areas.  Returns the opposite vertices (x, y) in face-index order.
+    ``build_from_triangles`` stores them.  ``table`` (``_edge_table``'s
+    layout) loses the hinge, gains the diagonal, and gives each quad side
+    its new face and opposite vertex; ``areas``, if given, takes the two
+    new areas, from ``points``, the positions as Python floats, and
+    ``anchors`` each of the four vertices' ``_ring`` start.  Returns the
+    opposite vertices (x, y) in face-index order.
 
     Raises FlipForbidden when x and y are already joined, and
     DegenerateTriangle when a new triangle's area falls below
     ``floor``; a refused flip edits nothing.
     """
     a, b = edge
-    faces = edge_faces[edge]
-    x, y = _opposite(triangles, edge_faces, edge)
-    if edge_key(x, y) in edge_faces:
+    (f, x), (g, y) = table[edge]
+    if edge_key(x, y) in table:
         raise FlipForbidden(f"flip of {edge}: OppositeVerticesAdjacent")
-    forward, backward = faces
-    p, q = x, y
     # The face traversing a -> b contributes p, the other one q; that
     # choice makes the replacements (p, a, q), (q, b, p) match the
     # orientation of the surrounding complex.
-    if (a, b) not in _directed_edges(triangles[forward]):
-        forward, backward, p, q = backward, forward, y, x
+    t = triangles[f]
+    forward, backward, p, q = (f, g, x, y) if t[t.index(a) - 2] == b else (g, f, y, x)
     new = (canonical_triangle((p, a, q)), canonical_triangle((q, b, p)))
-    new_areas = [_area(*corners) for corners in positions[np.array(new, dtype=np.intp)].tolist()]
+    new_areas = [_area(*map(points.__getitem__, t)) for t in new]
     for t, area in zip(new, new_areas):
         if area < floor:
             raise DegenerateTriangle(
@@ -241,55 +239,115 @@ def _flip_edit(
     triangles[forward], triangles[backward] = new
     if areas is not None:
         areas[forward], areas[backward] = new_areas
-    del edge_faces[edge]
-    edge_faces[edge_key(x, y)] = faces
-    # (b, p) leaves the forward face for the backward one, (a, q) the reverse.
-    for side, left, joined in ((edge_key(b, p), forward, backward),
-                               (edge_key(a, q), backward, forward)):
-        edge_faces[side] = tuple(sorted(joined if f == left else f for f in edge_faces[side]))
+    del table[edge]
+    table[edge_key(x, y)] = ((f, a), (g, b)) if f == forward else ((f, b), (g, a))
+    # the side (u, w) trades the old face opposite w for the new face at u
+    for u, w, old, pair in ((a, p, forward, (forward, q)), (a, q, backward, (forward, p)),
+                            (b, p, forward, (backward, q)), (b, q, backward, (backward, p))):
+        first, second = table[side := edge_key(u, w)]
+        first, second = (pair, second) if first[0] == old else (first, pair)
+        table[side] = (first, second) if second[0] < 0 or first[0] < second[0] else (second, first)
+    if anchors is not None:
+        anchors.update({a: (p, forward), b: (q, backward), p: (q, forward), q: (p, backward)})
     return x, y
 
 
-def _rebuilt(
-    disc: PolyhedralDisc, triangles: list[Triangle], what: str, vertex_map: dict | None = None,
-    areas: np.ndarray | None = None,
-) -> PolyhedralDisc:
+def _ring(table: dict, v: int, start: tuple[int, int], degree: int) -> tuple[list, list]:
+    """The ``degree`` neighbours of ``v`` and faces of its ring (see
+    ``mesh``) read off ``table`` from ``start``: a neighbour w and the
+    face right of v -> w, -1 for the boundary successor.  The face left
+    of v -> w is the other face of its edge, and its opposite vertex is
+    next.  InvariantViolation (a defect) unless the ring closes: each
+    edge holds the face it is reached through, and ``degree`` distinct
+    neighbours end back at w or, on the boundary, at face -1."""
+    (w, right), ring, faces = start, [], []
+    for _ in range(degree):
+        (f, x), (g, y) = table.get((v, w) if v < w else (w, v), ((-1, -1), (-1, -1)))
+        if f == right:
+            f, x = g, y
+        elif g != right:
+            break
+        ring.append(w)
+        faces.append(f)
+        if f < 0:
+            break
+        w, right = x, f
+    boundary = start[1] < 0
+    if not (0 < len(set(ring)) == len(ring) == degree and (faces[-1] < 0) == boundary
+            and (boundary or w == ring[0])):
+        raise InvariantViolation(f"the flipped ring of vertex {v} does not close")
+    k = 0 if boundary else ring.index(min(ring))
+    return ring[k:] + ring[:k], faces[k:] + faces[:k]
+
+
+def _assembled(disc: PolyhedralDisc, triangles: list[Triangle], table: dict, anchors: dict,
+               areas: np.ndarray) -> PolyhedralDisc:
+    """``disc`` flipped into the edited ``triangles`` and ``table``,
+    without a rebuild: flips keep V, E, F and the boundary cycle, so the
+    edge, opposite and face arrays come from the sorted table, and only
+    the rings of the flipped vertices, the keys of ``anchors``, are walked
+    again by ``_ring``; every other ring slice is copied.  The positions
+    and diameter carry over, with the ``areas`` the edits checked."""
+    cx = disc.complex
+    edges = sorted(table)
+    pairs = chain.from_iterable(chain.from_iterable(map(table.__getitem__, edges)))
+    pairs = np.fromiter(pairs, np.intp, 4 * len(edges)).reshape(-1, 2, 2)
+    edge_array = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
+    ring_offsets = np.concatenate((_ZERO, np.add.accumulate(np.bincount(edge_array.ravel()))))
+    old, new = cx.ring_offsets.tolist(), ring_offsets.tolist()
+    vertices, faces = cx.ring_vertices.tolist(), cx.ring_faces.tolist()
+    ring_vertices, ring_faces, copied = [], [], 0
+    for v in sorted(anchors):
+        ring_vertices += vertices[old[copied]:old[v]]
+        ring_faces += faces[old[copied]:old[v]]
+        start = (vertices[old[v]], -1) if v in cx.boundary_vertices else anchors[v]
+        ring, left = _ring(table, v, start, new[v + 1] - new[v])
+        ring_vertices += ring
+        ring_faces += left
+        copied = v + 1
+    ring_vertices += vertices[old[copied]:]
+    ring_faces += faces[old[copied]:]
+    triangle_array = np.fromiter(chain.from_iterable(triangles), np.intp, 3 * len(triangles))
+    arrays = (triangle_array.reshape(-1, 3), edge_array, pairs[..., 1].copy(), pairs[..., 0].copy(),
+              ring_offsets, np.fromiter(ring_vertices, np.intp), np.fromiter(ring_faces, np.intp))
+    for array in arrays:
+        array.setflags(write=False)
+    flipped = DiscComplex(cx.vertex_count, tuple(triangles), tuple(edges), cx.boundary_cycle,
+                          cx.boundary_vertices, *arrays)
+    return PolyhedralDisc._checked(flipped, disc.positions, areas, disc.diameter, disc.eps_deg)
+
+
+def _rebuilt(disc: PolyhedralDisc, triangles: list, what: str, vertex_map: dict) -> PolyhedralDisc:
     """``disc`` with its triangles replaced by the edited ``triangles``,
-    renumbered by ``vertex_map`` (kept old ids, ascending, to new ones)
-    if given, and validated by ``build_from_triangles``; raises
+    renumbered by ``vertex_map`` (kept old ids, ascending, to new ones),
+    and validated in full, by ``build_from_triangles`` first; raises
     InvariantViolation if the boundary cycle changed (a defect, never
-    expected).  The one check of every topology edit.  Given the ``areas``
-    that ``_flip_edit`` checked, the geometry is carried over unvalidated."""
-    cycle, positions = disc.complex.boundary_cycle, disc.positions
-    if vertex_map is not None:
-        triangles = [tuple(vertex_map[v] for v in t) for t in triangles]
-        cycle = tuple(vertex_map.get(v) for v in cycle)
-        positions = positions[list(vertex_map)]
+    expected).  The one check of every fan reduction."""
+    triangles = [tuple(vertex_map[v] for v in t) for t in triangles]
     new_complex = build_from_triangles(triangles)
-    if new_complex.boundary_cycle != cycle:
+    if new_complex.boundary_cycle != tuple(vertex_map.get(v) for v in disc.complex.boundary_cycle):
         raise InvariantViolation(f"{what} changed the boundary cycle")
-    if areas is not None:
-        return PolyhedralDisc._checked(new_complex, positions, areas, disc.diameter, disc.eps_deg)
-    return PolyhedralDisc(new_complex, positions, disc.eps_deg)
+    return PolyhedralDisc(new_complex, disc.positions[list(vertex_map)], disc.eps_deg)
 
 
 def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
     """Replace the hinge triangles abx, aby by axy, bxy.
 
     The two new triangles occupy the old face slots, every other
-    triangle is untouched, and the boundary cycle is preserved.
+    triangle is untouched, and the boundary cycle is preserved.  The
+    complex is assembled from the edited edge table, not rebuilt.
 
     Raises BoundaryEdge or FlipForbidden when the combinatorial
     precondition fails, DegenerateTriangle when the flipped geometry
-    falls below the area floor, and InvariantViolation if the rebuilt
-    complex has another boundary cycle (a defect, never expected).
+    falls below the area floor, and InvariantViolation if a flipped
+    vertex's ring does not close (a defect, never expected).
     """
     cx = disc.complex
     a, b, _, _ = _hinge_vertices(disc, edge)
-    triangles, areas = list(cx.triangles), disc._areas.copy()
+    triangles, table, anchors, areas = list(cx.triangles), _edge_table(cx), {}, disc._areas.copy()
     floor = disc.eps_deg * disc.diameter * disc.diameter
-    _flip_edit(triangles, _edge_faces(cx), (a, b), disc.positions, floor, areas)
-    return _rebuilt(disc, triangles, f"flip of {(a, b)}", areas=areas)
+    _flip_edit(triangles, table, (a, b), disc.positions.tolist(), floor, areas, anchors)
+    return _assembled(disc, triangles, table, anchors, areas)
 
 
 @dataclass(frozen=True)
@@ -311,22 +369,22 @@ def flip_pass(
 ) -> FlipPassResult:
     """Flip hinges with sigma < pi - eps_flip until none remain.
 
-    Works on plain tables: the triangle list, the edge -> faces map and
-    the sigma and gain of each eligible hinge.  The first scan measures
-    the interior rows of the complex's ``edge_array`` and
-    ``opposite_array`` by one gather and kernel call and keeps the
-    eligible ones by one mask; with none, ``disc`` is returned and no
-    table built.  After each flip the hinges it touched, the new
-    diagonal and the interior quad sides, are re-measured from the
-    mutable tables, by one more gather and call, and join or leave the
-    eligible ones.  The first eligible edge in sorted order is flipped
+    Works on plain tables: the triangle list, ``_edge_table``'s edge ->
+    (face, opposite vertex) pairs and the sigma and gain of each eligible
+    hinge.  The first scan measures the interior rows of the complex's
+    ``edge_array`` and ``opposite_array`` by one gather and kernel call
+    and keeps the eligible ones by one mask; with none, ``disc`` is
+    returned and no table built.  After each flip the hinges it touched,
+    the new diagonal and the interior quad sides, are re-measured from
+    their rows of the edge table, by one more gather and call, and join
+    or leave the eligible ones.  The first eligible edge in sorted order is flipped
     each time.  Each flip strictly decreases area, so the pass
     terminates; ``cap`` (default 100 edges' worth) is a safety stop,
     and ``cap_exceeded`` says that it left a flip the pass would have
     made.  Flips that ``flip`` would refuse (opposite vertices already
     joined, or a new triangle below the area floor) are skipped.  The
-    edited triangles are rebuilt and checked once, at the end, into the
-    returned disc, which carries over the geometry the pass checked.
+    returned disc is assembled once, at the end, from the edited tables
+    by ``_assembled``, and carries over the geometry the pass checked.
     ``eps_flip`` must be a finite number >= 0, ``cap`` an integer >= 0.
     """
     _check_tolerance("eps_flip", eps_flip)
@@ -345,18 +403,18 @@ def flip_pass(
                         zip(sigma[kept].tolist(), gain[kept].tolist())))
     if cap is None:
         cap = 100 * len(cx.edges)
-    triangles, areas = list(cx.triangles), disc._areas.copy()
-    edge_faces = _edge_faces(cx)
-    floor = disc.eps_deg * disc.diameter * disc.diameter
+    triangles, table, anchors, areas = list(cx.triangles), _edge_table(cx), {}, disc._areas.copy()
+    points, floor = p.tolist(), disc.eps_deg * disc.diameter * disc.diameter
     records: list[FlipRecord] = []
     cap_exceeded = False
     while not cap_exceeded:
         for e in sorted(eligible):
-            # at the cap, a flip is only tried, on copies of the tables, writing no area
+            # at the cap, a flip is only tried, on shallow copies of the tables, writing no area
             at_cap = len(records) >= cap
-            tables = (list(triangles), dict(edge_faces)) if at_cap else (triangles, edge_faces)
+            edit = ((list(triangles), dict(table), e, points, floor) if at_cap
+                    else (triangles, table, e, points, floor, areas, anchors))
             try:
-                x, y = _flip_edit(*tables, e, p, floor, None if at_cap else areas)
+                x, y = _flip_edit(*edit)
             except (FlipForbidden, DegenerateTriangle):
                 continue
             if at_cap:
@@ -365,18 +423,17 @@ def flip_pass(
                 records.append(FlipRecord(e, *eligible.pop(e)))
                 a, b = e
                 touched = [edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))]
-                hinges = [h for h in touched if len(edge_faces[h]) == 2]
-                rows = [(*h, *_opposite(triangles, edge_faces, h)) for h in hinges]
+                rows = [(*h, o1, o2) for h in touched for (_, o1), (g, o2) in [table[h]] if g >= 0]
                 _, sigma, gain = _hinge_rows(p[np.array(rows, dtype=np.intp).T])
-                for h, s, g in zip(hinges, sigma.tolist(), gain.tolist()):
-                    eligible.pop(h, None)
+                for row, s, g in zip(rows, sigma.tolist(), gain.tolist()):
+                    eligible.pop(row[:2], None)
                     if s < threshold:
-                        eligible[h] = (s, g)
+                        eligible[row[:2]] = (s, g)
             break
         else:
             break
     if records:
-        disc = _rebuilt(disc, triangles, f"flip pass of {len(records)} flips", areas=areas)
+        disc = _assembled(disc, triangles, table, anchors, areas)
     return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
 
 
@@ -475,16 +532,15 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
         except InvalidInput:
             raise NotAViolation(f"{t} is missing edge {e}") from None
 
-    edge_faces = _edge_faces(cx)
-    outside = {f for e, faces in edge_faces.items()
-               if len(faces) == 1 and e not in cycle_edges for f in faces}
+    table = _edge_table(cx)
+    outside = {f for e, ((f, _), (g, _)) in table.items() if g < 0 and e not in cycle_edges}
     stack = list(outside)
     while stack:
         for a, b in _directed_edges(cx.triangles[stack.pop()]):
             e = edge_key(a, b)
             if e not in cycle_edges:
-                for g in edge_faces[e]:
-                    if g not in outside:
+                for g, _ in table[e]:
+                    if g >= 0 and g not in outside:
                         outside.add(g)
                         stack.append(g)
     if len(outside) == len(cx.triangles):

@@ -6,9 +6,9 @@ purely combinatorial queries (stars, boundary cycle, empty triangles).
 ``PolyhedralDisc`` pairs a complex with vertex positions in R^3 and
 enforces a uniform nondegeneracy floor on triangle areas.
 
-``build_from_triangles`` is the only supported way to obtain a
-``DiscComplex``.  It runs the structural checks in a fixed order so the
-raised error names the first property that fails:
+``build_from_triangles`` validates every triangle list into a
+``DiscComplex`` (flips edit theirs, see ``flips``).  It runs the checks
+in a fixed order so the raised error names the first property that fails:
 
 1. well-formed input              -> InvalidInput
 2. every edge in at most 2 faces  -> NonManifoldEdge
@@ -231,7 +231,7 @@ def _directed_edges(tri: Triangle):
 class DiscComplex:
     """A validated triangulation of a disc.
 
-    Do not construct directly; use :func:`build_from_triangles`.
+    Do not construct directly; use :func:`build_from_triangles` or a flip.
     Triangles are stored in input order, rotated so the smallest vertex
     comes first, and are consistently oriented; ``triangle_array`` holds
     them once more as a read-only (F, 3) index array.  ``edge_array``

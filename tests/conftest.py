@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 
-from discmin import PolyhedralDisc, build_from_triangles, edge_key, flips
+from discmin import PolyhedralDisc, build_from_triangles, edge_key
 from discmin.errors import (
     CycleBoundsBoundary,
     DegenerateTriangle,
@@ -27,9 +27,10 @@ from discmin.errors import (
     ParseError,
     WrongEuler,
 )
-from discmin.flips import FlipPassResult, FlipRecord, bulk_hinges, flip
+from discmin.flips import FlipPassResult, FlipRecord, bulk_hinges, can_flip
 from discmin.mesh import (
     DiscComplex,
+    _area,
     _directed_edges,
     _triangle,
     angle_rows,
@@ -420,12 +421,44 @@ def hinge_rows_by_corners(a, b, x, y):
     return angles, sum(angles), gain
 
 
+def flip_by_rebuild(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
+    """Oracle for ``flip``: the two hinge faces replaced in their slots,
+    each turned like the face it replaces, and the whole disc rebuilt by
+    ``build_from_triangles`` and validated, instead of assembled from
+    edited tables.  Raises FlipForbidden when the opposite vertices are
+    joined, and DegenerateTriangle below the area floor."""
+    cx = disc.complex
+    (a, b), (x, y) = cx.opposite_vertices(edge)
+    if not can_flip(disc, (a, b)):
+        raise FlipForbidden(f"flip of {(a, b)}: OppositeVerticesAdjacent")
+    f, g = cx.edge_face_array[cx.edges.index((a, b))].tolist()
+    if (a, b) not in _directed_edges(cx.triangles[f]):
+        f, g, x, y = g, f, y, x
+    triangles = list(cx.triangles)
+    triangles[f], triangles[g] = canonical_triangle((x, a, y)), canonical_triangle((y, b, x))
+    return PolyhedralDisc(build_from_triangles(triangles), disc.positions, disc.eps_deg)
+
+
+def assert_same_complex(got: DiscComplex, expected: DiscComplex) -> None:
+    """``got`` equals ``expected`` in all twelve fields of a complex: the
+    vertex count, triangles, edges, boundary cycle and boundary vertices,
+    and each of the seven index arrays, read-only and of the same dtype,
+    shape and entries."""
+    for name in ("vertex_count", "triangles", "edges", "boundary_cycle", "boundary_vertices"):
+        assert getattr(got, name) == getattr(expected, name), name
+    for name in ("triangle_array", "edge_array", "opposite_array", "edge_face_array",
+                 "ring_offsets", "ring_vertices", "ring_faces"):
+        g, e = getattr(got, name), getattr(expected, name)
+        assert g.dtype == e.dtype and g.shape == e.shape and np.array_equal(g, e), name
+        assert not g.flags.writeable, name
+
+
 def flip_pass_by_rebuild(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None) -> FlipPassResult:
     """Oracle for ``flip_pass``: rescan every interior hinge with one
     ``bulk_hinges`` call and rebuild and validate the whole disc through
-    ``flip`` after each flip, instead of editing tables in place.  At the
-    cap, the flip that would come next is made and dropped, and the cap
-    counts as exceeded only if there is one."""
+    ``flip_by_rebuild`` after each flip, instead of editing tables in
+    place.  At the cap, the flip that would come next is made and
+    dropped, and the cap counts as exceeded only if there is one."""
     if cap is None:
         cap = 100 * len(disc.complex.edges)
     records = []
@@ -440,7 +473,7 @@ def flip_pass_by_rebuild(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None)
         for k in np.flatnonzero(sigma < np.pi - eps_flip):
             e = edges[k]
             try:
-                flipped = flip(disc, e)
+                flipped = flip_by_rebuild(disc, e)
             except (FlipForbidden, DegenerateTriangle):
                 continue
             if len(records) >= cap:
@@ -529,16 +562,60 @@ def checked_discs_match_validation():
         yield discs
 
 
+def edge_faces_by_rows(cx: DiscComplex) -> dict:
+    """Bitwise reference for ``flips._edge_table``'s faces: the edge ->
+    faces table of ``cx`` as a mutable dict, each edge's one or two faces
+    ascending."""
+    return {e: (f, g) if g >= 0 else (f,)
+            for e, (f, g) in zip(cx.edges, cx.edge_face_array.tolist())}
+
+
+def opposite_by_sums(triangles, edge_faces, edge) -> tuple:
+    """The vertex opposite the sorted ``edge`` in each of its faces, in
+    face-index order, from the vertex sums of the faces."""
+    return tuple(sum(triangles[f]) - sum(edge) for f in edge_faces[edge])
+
+
+def flip_edit_by_gather(triangles, edge_faces, edge, positions, floor):
+    """Bitwise reference for ``flips._flip_edit`` on the tables of
+    ``edge_faces_by_rows``: the opposite vertices from the face sums and
+    the two new areas from one numpy gather of their corners.  Returns
+    (x, y) in face-index order; a refused flip edits nothing."""
+    a, b = edge
+    faces = edge_faces[edge]
+    x, y = opposite_by_sums(triangles, edge_faces, edge)
+    if edge_key(x, y) in edge_faces:
+        raise FlipForbidden(f"flip of {edge}: OppositeVerticesAdjacent")
+    forward, backward = faces
+    p, q = x, y
+    if (a, b) not in _directed_edges(triangles[forward]):
+        forward, backward, p, q = backward, forward, y, x
+    new = (canonical_triangle((p, a, q)), canonical_triangle((q, b, p)))
+    corners = positions[np.array(new, dtype=np.intp)].tolist()
+    for t, area in zip(new, (_area(*c) for c in corners)):
+        if area < floor:
+            raise DegenerateTriangle(f"flip of {edge}: triangle {t} has area {area:.6e}")
+    triangles[forward], triangles[backward] = new
+    del edge_faces[edge]
+    edge_faces[edge_key(x, y)] = faces
+    # (b, p) leaves the forward face for the backward one, (a, q) the reverse.
+    for side, left, joined in ((edge_key(b, p), forward, backward),
+                               (edge_key(a, q), backward, forward)):
+        edge_faces[side] = tuple(sorted(joined if f == left else f for f in edge_faces[side]))
+    return x, y
+
+
 def flip_pass_sorting_every_hinge(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None):
-    """Bitwise reference for ``flip_pass``: the same table edits, but the
-    tables built up front, every interior hinge kept with its sigma and
-    gain from ``hinge_rows_three_gathers``, and each flip chosen by
-    sorting all of them."""
+    """Bitwise reference for ``flip_pass``: the tables and edits of
+    ``edge_faces_by_rows`` and ``flip_edit_by_gather``, built up front,
+    every interior hinge kept with its sigma and gain from
+    ``hinge_rows_three_gathers``, each flip chosen by sorting all of
+    them, and the disc rebuilt and validated at the end."""
     cx, p = disc.complex, disc.positions
     if cap is None:
         cap = 100 * len(cx.edges)
     triangles = list(cx.triangles)
-    edge_faces = flips._edge_faces(cx)
+    edge_faces = edge_faces_by_rows(cx)
     floor = disc.eps_deg * disc.diameter * disc.diameter
     threshold = np.pi - eps_flip
     hinges = {}
@@ -557,7 +634,7 @@ def flip_pass_sorting_every_hinge(disc: PolyhedralDisc, eps_flip: float = 1e-9, 
             at_cap = len(records) >= cap
             tables = (list(triangles), dict(edge_faces)) if at_cap else (triangles, edge_faces)
             try:
-                x, y = flips._flip_edit(*tables, e, p, floor)
+                x, y = flip_edit_by_gather(*tables, e, p, floor)
             except (FlipForbidden, DegenerateTriangle):
                 continue
             if at_cap:
@@ -566,14 +643,14 @@ def flip_pass_sorting_every_hinge(disc: PolyhedralDisc, eps_flip: float = 1e-9, 
                 records.append(FlipRecord(e, *hinges.pop(e)))
                 a, b = e
                 touched = [edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))]
-                rows = [(*h, *flips._opposite(triangles, edge_faces, h))
+                rows = [(*h, *opposite_by_sums(triangles, edge_faces, h))
                         for h in touched if len(edge_faces[h]) == 2]
                 measure([r[:2] for r in rows], np.array(rows, dtype=np.intp))
             break
         else:
             break
     if records:
-        disc = flips._rebuilt(disc, triangles, f"flip pass of {len(records)} flips")
+        disc = PolyhedralDisc(build_from_triangles(triangles), disc.positions, disc.eps_deg)
     return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
 
 

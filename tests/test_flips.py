@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     angle_between,
     assert_edge_table,
+    assert_same_complex,
     assert_rings,
     cross_area,
     double_interior_disc,
@@ -28,9 +31,11 @@ from discmin import (
     build_from_triangles,
     bulk_hinges,
     can_flip,
+    edge_key,
     flat_convex_check,
     flat_convex_quad,
     flip,
+    flip_pass,
     hinge_from_points,
     measure_hinge,
     reduce_fan,
@@ -318,21 +323,67 @@ def test_flat_convex_quad_matches_corner_oracle():
     assert 2000 <= sum(verdicts) <= 8000
 
 
-def test_flip_reports_a_changed_boundary_cycle(monkeypatch, tmp_path, capsys):
+def test_reduce_reports_a_changed_boundary_cycle(monkeypatch, tmp_path, capsys):
     build = flips.build_from_triangles
     monkeypatch.setattr(flips, "build_from_triangles", lambda tris: build([t[::-1] for t in tris]))
-    # a flip and a fan reduction, each with the CLI command that makes it
-    cases = [
-        (hinge_disc(**ASYM), lambda d: flip(d, (0, 1)), "flip-pass"),
-        (hexagon_with_violation(), lambda d: reduce_fan(d, (0, 2, 4)), "optimize"),
-    ]
-    for disc, move, command in cases:
-        with pytest.raises(InvariantViolation, match="boundary cycle"):
-            move(disc)
-        path = tmp_path / f"{command}.obj"
-        save_obj(disc, path)
-        assert main([command, "--in", str(path)]) == 4
-        assert "boundary cycle" in capsys.readouterr().err
+    disc = hexagon_with_violation()
+    with pytest.raises(InvariantViolation, match="boundary cycle"):
+        reduce_fan(disc, (0, 2, 4))
+    path = tmp_path / "hexagon.obj"
+    save_obj(disc, path)
+    assert main(["optimize", "--in", str(path)]) == 4
+    assert "boundary cycle" in capsys.readouterr().err
+
+
+def with_swapped_diagonal(table, x, y):
+    """A copy of the edge ``table`` whose diagonal (x, y) has the
+    opposite vertices of its two faces swapped."""
+    (f, a), (g, b) = table[edge_key(x, y)]
+    return {**table, edge_key(x, y): ((f, b), (g, a))}
+
+
+def test_flip_reports_a_ring_that_does_not_close(monkeypatch, tmp_path, capsys):
+    """A flip whose edited table is corrupted before the assembly, with
+    the CLI command that makes it."""
+    assembled = flips._assembled
+    monkeypatch.setattr(flips, "_assembled", lambda disc, triangles, table, anchors, areas: (
+        assembled(disc, triangles, with_swapped_diagonal(table, 2, 3), anchors, areas)))
+    disc = hinge_disc(**ASYM)
+    with pytest.raises(InvariantViolation, match="does not close"):
+        flip(disc, (0, 1))
+    path = tmp_path / "hinge.obj"
+    save_obj(disc, path)
+    assert main(["flip-pass", "--in", str(path)]) == 4
+    assert "does not close" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, seed, subdivisions", [(4, 0, 0), (5, 1, 2), (6, 3, 4)])
+def test_a_corrupted_table_fails_the_assembly(n, seed, subdivisions):
+    """After each flip the disc admits, a table with the new diagonal's
+    opposite vertices swapped, or with a quad side missing, fails the
+    re-walk of the flipped rings; the uncorrupted table assembles the
+    disc a rebuild gives."""
+    disc = perturbed_grid_disc(n, seed=seed, subdivisions=subdivisions)
+    cx = disc.complex
+    floor = disc.eps_deg * disc.diameter * disc.diameter
+    flipped = 0
+    for e in cx.interior_edges():
+        triangles, table, anchors = list(cx.triangles), flips._edge_table(cx), {}
+        areas = disc._areas.copy()
+        try:
+            x, y = flips._flip_edit(triangles, table, e, disc.positions.tolist(), floor, areas,
+                                    anchors)
+        except (FlipForbidden, DegenerateTriangle):
+            continue
+        missing = dict(table)
+        del missing[edge_key(e[0], x)]
+        for corrupted in (with_swapped_diagonal(table, x, y), missing):
+            with pytest.raises(InvariantViolation, match="does not close"):
+                flips._assembled(disc, triangles, corrupted, anchors, areas)
+        out = flips._assembled(disc, triangles, table, anchors, areas)
+        assert_same_complex(out.complex, build_from_triangles(triangles))
+        flipped += 1
+    assert flipped > 10
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-5])
@@ -348,6 +399,23 @@ def test_reduce_reports_an_area_increase_at_any_scale(monkeypatch, scale):
     disc = disc.with_positions(scale * disc.positions)
     with pytest.raises(InvariantViolation, match="increased area"):
         reduce_fan(disc, (0, 2, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 6), seed=st.integers(0, 2**16), subdivisions=st.integers(0, 4))
+def test_flips_of_a_subdivided_grid_assemble_what_a_rebuild_builds(n, seed, subdivisions):
+    """The complexes of a flip pass, uncapped and capped at one flip,
+    and of the flip of each of the first interior edges the disc lets
+    flip, against ``build_from_triangles`` of their triangles, field for field."""
+    disc = perturbed_grid_disc(n, seed=seed, subdivisions=subdivisions)
+    discs = [flip_pass(disc).disc, flip_pass(disc, cap=1).disc]
+    for e in disc.complex.interior_edges()[:12]:
+        try:
+            discs.append(flip(disc, e))
+        except (FlipForbidden, DegenerateTriangle):
+            continue
+    for d in discs:
+        assert_same_complex(d.complex, build_from_triangles(list(d.complex.triangles)))
 
 
 def test_reduce_hexagon_fan():

@@ -4,7 +4,9 @@ The hinge kernel, ``triangle_areas``, the sweep's Newton step and the
 flip selection of ``flip_pass`` each make fewer numpy calls than the
 references in ``conftest`` but must give every float they give.  The
 discs that flips and sweeps build from state they already checked, not
-validating it again, must equal the validated discs bit for bit.  The
+validating it again, must equal the validated discs bit for bit, and
+the complexes that flips assemble from edited tables must equal a
+rebuild of their triangles field for field.  The
 checks run on the acceptance-c4 fans, the grid workload's discs,
 ``perturbed_grid_disc`` draws and random hinge stacks, and along whole
 ``minimize`` runs on them, so a kernel whose bits depend on the SIMD
@@ -17,9 +19,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_same_complex,
     checked_discs_match_validation,
     fan_disc,
     flip_pass_sorting_every_hinge,
+    hexagon_with_violation,
     hinge_rows_three_gathers,
     newton_step_reference,
     perturbed_grid_disc,
@@ -29,7 +33,7 @@ from conftest import (
     triangle_areas_by_columns,
 )
 from discmin import OptimizerConfig, PolyhedralDisc, build_from_triangles, flip_pass, minimize
-from discmin import can_flip, certify_saddle, flip, vertex_descent_step
+from discmin import can_flip, certify_saddle, flip, reduce_fan, vertex_descent_step
 from discmin import flips, mesh, optimize, random_instance
 from discmin.errors import DegenerateTriangle, DegenerationBlocked, InvariantViolation
 
@@ -171,14 +175,78 @@ def test_minimize_runs_match_the_references_at_every_call(disc, monkeypatch):
 
 def test_a_pass_with_no_eligible_hinge_builds_no_table():
     disc = fan_disc(6)
-    with mock.patch.object(flips, "_edge_faces", wraps=flips._edge_faces) as edge_faces:
+    with mock.patch.object(flips, "_edge_table", wraps=flips._edge_table) as edge_table:
         result = flip_pass(disc)
         assert result.disc is disc and result.flips == () and not result.cap_exceeded
         assert not flip_pass(disc, cap=0).cap_exceeded
-        assert edge_faces.call_count == 0
+        assert edge_table.call_count == 0
         # a pass with an eligible hinge builds the table once
         assert flip_pass(GRIDS["grid_n4"]).flips
-        assert edge_faces.call_count == 1
+        assert edge_table.call_count == 1
+
+
+def assert_assembled_as_rebuilt(disc):
+    """The complex of ``disc`` equals ``build_from_triangles`` of its triangles, field for field."""
+    assert_same_complex(disc.complex, build_from_triangles(list(disc.complex.triangles)))
+
+
+@pytest.mark.parametrize("disc", DISCS.values(), ids=list(DISCS))
+def test_flipped_complexes_equal_a_rebuild_field_for_field(disc):
+    """The complex of a flip pass, capped and not, and of every flip the
+    disc admits: each assembled from edited tables, not rebuilt."""
+    for cap in (None, 0, 1, 3):
+        assert_assembled_as_rebuilt(flip_pass(disc, cap=cap).disc)
+    for e in disc.complex.interior_edges():
+        if can_flip(disc, e):
+            try:
+                assert_assembled_as_rebuilt(flip(disc, e))
+            except DegenerateTriangle:
+                continue
+
+
+@pytest.mark.parametrize("name", ["c4_fan3", "grid_n6", "perturbed4", "rough15"])
+def test_a_pass_of_k_flips_measures_k_plus_one_times_and_builds_nothing(name):
+    """The first scan and one re-measurement per flip are the kernel
+    calls, capped or not; no flip pass calls ``build_from_triangles``,
+    while a fan reduction still builds once."""
+    disc = DISCS[name]
+    with mock.patch.object(flips, "_hinge_rows", wraps=flips._hinge_rows) as kernel, \
+            mock.patch.object(flips, "build_from_triangles", wraps=build_from_triangles) as build:
+        for cap in (None, 2):
+            kernel.reset_mock()
+            result = flip_pass(disc, cap=cap)
+            assert result.flips and kernel.call_count == len(result.flips) + 1
+        assert build.call_count == 0
+        reduce_fan(hexagon_with_violation(), (0, 2, 4))
+        assert build.call_count == 1
+
+
+def test_the_trial_at_the_cap_leaves_the_tables_unchanged():
+    """The trial edit past the cap works on shallow copies: the tables
+    the pass assembles from are those after its last flip, and the
+    trial's own are other objects."""
+    edits, assemblies = [], []
+    flip_edit, assembled = flips._flip_edit, flips._assembled
+
+    def recorded_edit(triangles, table, *rest):
+        edits.append((triangles, table, list(triangles), dict(table)))
+        return flip_edit(triangles, table, *rest)
+
+    def recorded_assembly(disc, triangles, table, *rest):
+        assemblies.append((triangles, table))
+        return assembled(disc, triangles, table, *rest)
+
+    with mock.patch.object(flips, "_flip_edit", recorded_edit), \
+            mock.patch.object(flips, "_assembled", recorded_assembly):
+        result = flip_pass(GRIDS["grid_n8"], cap=3)
+    assert result.cap_exceeded and len(result.flips) == 3
+    (triangles, table), = assemblies
+    passed = [e for e in edits if e[0] is triangles and e[1] is table]
+    trials = edits[len(passed):]
+    assert len(passed) >= 3 and trials and all(e is p for e, p in zip(edits, passed))
+    for trial_triangles, trial_table, before_triangles, before_table in trials:
+        assert trial_triangles is not triangles and trial_table is not table
+        assert before_triangles == triangles and before_table == table
 
 
 @pytest.mark.parametrize("disc", DISCS.values(), ids=list(DISCS))
