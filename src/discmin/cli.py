@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (DiscminError, ValueError, OSError) as exc:
+    except (DiscminError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

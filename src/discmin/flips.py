@@ -44,7 +44,7 @@ from .errors import (
     _is_number,
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, build_from_triangles, edge_key
-from .mesh import _ZERO, _area, _directed_edges, _real_array, _triangle, area_rows
+from .mesh import _MAX_COORDINATE, _ZERO, _area, _directed_edges, _real_array, _triangle, area_rows
 from .mesh import canonical_triangle, cross_rows, row_norms
 
 
@@ -102,12 +102,17 @@ def _hinge_rows(q):
 
 def _hinge_points(points, ndim: int) -> np.ndarray:
     """The points a, b, x, y stacked into one float array; InvalidInput
-    unless they are four finite real arrays of one shape, (n, 3) when
-    ``ndim`` is 2 and (3,) when it is 1."""
+    unless they are four real arrays of one shape, (n, 3) when ``ndim``
+    is 2 and (3,) when it is 1, with no coordinate past the bound that
+    ``PolyhedralDisc`` puts on positions, so no cross product overflows."""
     q = _real_array(points)
-    if q is None or q.ndim != ndim + 1 or q.shape[-1] != 3 or not np.all(np.isfinite(q)):
+    if (q is None or q.ndim != ndim + 1 or q.shape[-1] != 3
+            or not (np.abs(q) <= _MAX_COORDINATE).all()):
         shape = "(n, 3)" if ndim == 2 else "(3,)"
-        raise InvalidInput(f"hinge points must be four finite real arrays of shape {shape}")
+        raise InvalidInput(
+            f"hinge points must be four real arrays of shape {shape} "
+            f"with finite coordinates at most {_MAX_COORDINATE:g} in size"
+        )
     return q
 
 
@@ -117,7 +122,8 @@ def bulk_hinges(a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
     Each argument is an (n, 3) array; row i holds one hinge [a_i, b_i]
     with opposite vertices x_i, y_i.  Returns (sigma, gain) arrays.
     No degeneracy checking; raises InvalidInput unless the arguments are
-    finite real arrays of one shape (n, 3).
+    real arrays of one shape (n, 3) with finite coordinates of at most
+    1e75 in size.
     """
     _, sigma, gain = _hinge_rows(_hinge_points((a, b, x, y), 2))
     return sigma, gain
@@ -129,7 +135,7 @@ def hinge_from_points(a, b, x, y) -> HingeMeasurement:
     Raises DegenerateTriangle if either current triangle has zero area
     or the hinge has zero length.  The flipped triangles may be
     degenerate; the gain is still defined.  Raises InvalidInput unless
-    each point is three finite real coordinates.
+    each point is three finite real coordinates of at most 1e75 in size.
     """
     q = _hinge_points((a, b, x, y), 1).reshape(4, 1, 3)
     a, b, x, y = q
@@ -443,11 +449,17 @@ def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
     Coplanarity compares the tetrahedron determinant against
     ``tol * L**3`` with L the largest pairwise distance; convexity
     requires every corner turn of the projected polygon to agree with
-    the Newell normal up to ``-tol``.  Raises InvalidInput unless each
-    point is three finite real coordinates and ``tol`` a finite number >= 0.
+    the Newell normal up to ``-tol``.  Both tests are scale-free, so they
+    run on the quad moved to put a at the origin and scaled by the power
+    of two that brings its largest coordinate near 1: the scaling is
+    exact, and no product over- or underflows at any scale.  Raises
+    InvalidInput unless each point is three finite real coordinates of at
+    most 1e75 in size and ``tol`` a finite number >= 0.
     """
     _check_tolerance("tol", tol)
     pts = _hinge_points((a, x, b, y), 1)
+    pts = pts - pts[0]
+    pts = np.ldexp(pts, -np.frexp(np.abs(pts).max())[1])
     diffs = pts[:, None, :] - pts[None, :, :]
     scale = float(row_norms(diffs).max())
     det = float(np.linalg.det(np.stack([pts[2] - pts[0], pts[1] - pts[0], pts[3] - pts[0]])))

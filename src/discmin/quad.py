@@ -28,17 +28,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaOutOfRange, InvalidInput, InvalidSpec, _check, _is_number
-from .mesh import _real_array
+from .mesh import _MAX_COORDINATE, _real_array
 
 _BISECTION_STEPS = 64
 _RANGE_SLACK = 1e-9
+# 1 / _MAX_COORDINATE: within these bounds no p**2, 2 p q or p q r s over- or underflows
+_MIN_SIDE = 1e-75
 
 
 @dataclass(frozen=True)
 class QuadSpec:
     """Side lengths of the family: p, q on one side of the hinge, r, s
     on the other.  The diagonal runs between the p-q and r-s apexes'
-    shared endpoints.  Each must be a real number (InvalidInput)."""
+    shared endpoints.  Each must be a real number (InvalidInput) in
+    [1e-75, 1e75], the bound that ``PolyhedralDisc`` puts on coordinates,
+    so no law-of-cosines term over- or underflows (InvalidSpec)."""
 
     p: float
     q: float
@@ -49,8 +53,11 @@ class QuadSpec:
         sides = (self.p, self.q, self.r, self.s)
         for name, x in zip("pqrs", sides):
             _check(name, x, _is_number(x, finite=False), "a real number")
-        if not all(np.isfinite(x) and x > 0.0 for x in sides):
-            raise InvalidSpec(f"side lengths must be positive and finite, got {sides}")
+        if not all(_MIN_SIDE <= x <= _MAX_COORDINATE for x in sides):
+            raise InvalidSpec(
+                f"side lengths must lie in [{_MIN_SIDE:g}, {_MAX_COORDINATE:g}], "
+                f"got {sides}"
+            )
         if not self.diagonal_max - self.diagonal_min > 0.0:
             raise InvalidSpec(
                 f"sides {sides} admit no open interval of diagonals "

@@ -1039,59 +1039,6 @@ def perturbed_grid_disc(
     return PolyhedralDisc(build_from_triangles(triangles), positions)
 
 
-def saddle_grid_disc(n: int, rng) -> PolyhedralDisc:
-    """The benchmark's grid disc: an (n+1) x (n+1) grid on [-1, 1]^2 at
-    height 0.3 (x^2 - y^2), interior heights shifted by up to 0.1, and
-    six seeded triangles stellar-subdivided with a centre lifted half a
-    cell to a cell.  ``rng = np.random.default_rng([0, n])`` gives the
-    grid workload's disc at seed 0."""
-    xs = np.linspace(-1.0, 1.0, n + 1)
-    x, y = np.meshgrid(xs, xs, indexing="ij")
-    z = 0.3 * (x * x - y * y)
-    z[1:-1, 1:-1] += rng.uniform(-0.1, 0.1, (n - 1, n - 1))
-    positions = [p for p in np.stack([x, y, z], axis=-1).reshape(-1, 3)]
-    triangles = []
-    for i in range(n):
-        for j in range(n):
-            v00 = i * (n + 1) + j
-            v10 = v00 + n + 1
-            triangles += [(v00, v10, v10 + 1), (v00, v10 + 1, v00 + 1)]
-    cell = 2.0 / n
-    for t in sorted(rng.choice(len(triangles), 6, replace=False)):
-        a, b, c = triangles[t]
-        centre = (positions[a] + positions[b] + positions[c]) / 3.0
-        centre[2] += rng.uniform(0.5, 1.0) * cell
-        m = len(positions)
-        positions.append(centre)
-        triangles[t] = (a, b, m)
-        triangles += [(b, c, m), (c, a, m)]
-    return PolyhedralDisc(build_from_triangles(triangles), np.array(positions))
-
-
-def wheel_disc(degree: int, rng, height: float = 0.3) -> PolyhedralDisc:
-    """The benchmark's certify wheel: centre vertex 0 of the given degree
-    and three rings of ``degree`` vertices at radii 1/3, 2/3 and 1 and
-    seeded heights in [-height, height]; ring r holds ids
-    1 + r*degree ... and is rotated by half a step against ring r - 1."""
-    d = degree
-    points = [(0.0, 0.0, rng.uniform(-height, height))]
-    for r in range(3):
-        theta = 2.0 * np.pi * (np.arange(d) + 0.5 * r) / d
-        radius = (r + 1) / 3.0
-        heights = rng.uniform(-height, height, d)
-        points += zip(radius * np.cos(theta), radius * np.sin(theta), heights)
-
-    def ring(r: int, k: int) -> int:
-        return 1 + r * d + k % d
-
-    triangles = [(0, ring(0, k), ring(0, k + 1)) for k in range(d)]
-    for r in range(2):
-        for k in range(d):
-            triangles.append((ring(r, k), ring(r + 1, k), ring(r, k + 1)))
-            triangles.append((ring(r, k + 1), ring(r + 1, k), ring(r + 1, k + 1)))
-    return PolyhedralDisc(build_from_triangles(triangles), np.array(points))
-
-
 def reduce_fan_by_components(disc: PolyhedralDisc, triple):
     """Oracle for ``reduce_fan``: label every face component left after
     cutting the cycle's interior edges, and take the one component whose

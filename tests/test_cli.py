@@ -302,6 +302,14 @@ def test_error_exit_codes(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"--samples must be an integer >= 1, got {samples}" in captured.err
+    # sides whose law-of-cosines terms leave the float range, and a sample
+    # count that numpy refuses before it allocates any of it
+    for side, samples in (("1e200", "3"), ("1e308", "3"), ("1e-320", "3"), ("1", str(10**18))):
+        argv = ["quad-curve", "--samples", samples, *(a for n in "pqrs" for a in (f"--{n}", side))]
+        assert main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
     for argv in BAD_ARGV:
         assert main([a.format(good=good) for a in argv]) == 4, argv
         captured = capsys.readouterr()

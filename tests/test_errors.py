@@ -54,6 +54,8 @@ UNIT = QuadSpec(1.0, 1.0, 1.0, 1.0)
 # Two hinges, stacked as bulk_hinges takes them: a, b, x, y of shape (2, 3) each.
 HINGES = np.array([[[0, 0, 0], [1, 0, 0]], [[1, 1, 0], [1, 0, 1]],
                    [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]], dtype=float)
+# Unchecked, this hinge's gain overflows to NaN; PolyhedralDisc refuses its positions.
+HUGE_HINGE = np.array([[0, 0, 0], [1e200, 0, 0], [0, 1e200, 0], [0, -1e200, 1]])
 
 BAD_ARGUMENTS = {
     "triangle of two vertices": lambda: build_from_triangles([(0, 1)]),
@@ -153,6 +155,9 @@ BAD_ARGUMENTS = {
     "hinge point of two coordinates": lambda: hinge_from_points((0, 0), *HINGES[1:, 0]),
     "NaN hinge point": lambda: hinge_from_points(*HINGES[:3, 0], (0.0, np.nan, 1.0)),
     "hinge point a string": lambda: hinge_from_points("0 0 0", *HINGES[1:, 0]),
+    "hinge point past the coordinate bound": lambda: hinge_from_points(*HUGE_HINGE),
+    "hinge rows past the coordinate bound": lambda: bulk_hinges(*HUGE_HINGE[:, None]),
+    "quad point past the coordinate bound": lambda: flat_convex_quad(*HUGE_HINGE),
     "NaN quad point": lambda: flat_convex_quad(*HINGES[:3, 0], (0.0, np.nan, 1.0)),
     "quad point a string": lambda: flat_convex_quad("0 0 0", *HINGES[1:, 0]),
     # unchecked, a NaN tol calls the square convex and a negative one not

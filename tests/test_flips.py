@@ -288,6 +288,24 @@ def test_flat_convex_quad():
     assert not flat_convex_check(hinge_disc(**LIFTED), (0, 1))
 
 
+@pytest.mark.parametrize("exponent", [-200, -100, -80, -1, 0, 1, 40, 70])
+def test_flat_convex_quad_keeps_its_verdicts_at_every_scale(exponent):
+    # below 1e-80 the squared Newell normal of the unscaled quad underflows to 0
+    scale = 10.0 ** exponent
+    for quad, verdict in ((FLAT, True), (REFLEX, False), (LIFTED, False)):
+        assert flat_convex_quad(**quad) is verdict
+        scaled = {k: np.multiply(v, scale) for k, v in quad.items()}
+        assert flat_convex_quad(**scaled) is verdict, quad
+
+
+def test_the_hinge_kernel_stays_finite_at_the_coordinate_bound():
+    # past the bound the points are InvalidInput (see test_errors)
+    bound = dict(a=(0, 0, 0), b=(1e75, 0, 0), x=(0, 1e75, 0), y=(0, -1e75, 1))
+    assert math.isfinite(hinge_from_points(**bound).gain)
+    sigma, gain = bulk_hinges(*(np.array([v], dtype=float) for v in bound.values()))
+    assert np.isfinite(sigma).all() and np.isfinite(gain).all()
+
+
 def seeded_quads(rng, count):
     """Quads (a, x, b, y in polygon order) of six kinds: on a circle
     (convex and planar), 1e-9 and 4e-6 off their plane, with random

@@ -18,6 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from bench.workloads import grid_disc
 from conftest import (
     assert_same_complex,
     checked_discs_match_validation,
@@ -28,7 +29,6 @@ from conftest import (
     newton_step_reference,
     perturbed_grid_disc,
     same_bits,
-    saddle_grid_disc,
     star_area_by_arrays,
     triangle_areas_by_columns,
 )
@@ -38,7 +38,7 @@ from discmin import flips, mesh, optimize, random_instance
 from discmin.errors import DegenerateTriangle, DegenerationBlocked, InvariantViolation
 
 FANS = {f"c4_fan{s}": random_instance(8 + s % 9, nonplanarity=0.3, seed=s) for s in range(20)}
-GRIDS = {f"grid_n{n}": saddle_grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)}
+GRIDS = {f"grid_n{n}": grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)}
 PERTURBED = {
     f"perturbed{s}": perturbed_grid_disc(3 + s % 4, seed=s, subdivisions=s % 5) for s in range(8)
 }

@@ -5,6 +5,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
+from bench.workloads import grid_disc, wheel_disc
 from conftest import (
     assert_edge_table,
     assert_rings,
@@ -17,9 +18,7 @@ from conftest import (
     perturbed_grid_disc,
     random_rotation,
     regular_polygon,
-    saddle_grid_disc,
     tetra_cap,
-    wheel_disc,
 )
 from discmin import (
     PolyhedralDisc,
@@ -507,7 +506,7 @@ def test_edge_table_matches_the_dict_views():
     rng = np.random.default_rng(17)
     discs = [fan_disc(m) for m in range(3, 17)]
     discs += [perturbed_grid_disc(n, seed, subdivisions=seed % 5) for n in (2, 4, 6) for seed in range(3)]
-    discs += [saddle_grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)]
+    discs += [grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)]
     discs += [wheel_disc(d, rng) for d in (3, 8, 24)]
     discs += [hexagon_with_violation(), tetra_cap(), double_interior_disc()]
     for disc in discs:
@@ -523,7 +522,7 @@ def test_rings_match_the_successor_walk():
     rng = np.random.default_rng(21)
     discs = [fan_disc(m) for m in range(3, 17)]
     discs += [perturbed_grid_disc(n, seed, subdivisions=seed % 5) for n in (2, 4, 6) for seed in range(3)]
-    discs += [saddle_grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)]
+    discs += [grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)]
     discs += [wheel_disc(d, rng) for d in (3, 8, 12, 24)]
     discs += [hexagon_with_violation(), tetra_cap(), double_interior_disc()]
     lists = [list(disc.complex.triangles) for disc in discs] + [[(0, 1, 2)]]

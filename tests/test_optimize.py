@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench.workloads import grid_disc
 from conftest import (
     angle_between,
     assert_edge_table,
@@ -26,7 +27,6 @@ from conftest import (
     position_gradient_by_faces,
     random_rotation,
     regular_polygon,
-    saddle_grid_disc,
     shoelace,
     stalled_at_rest,
     star_area_by_arrays,
@@ -604,7 +604,7 @@ def test_flip_pass_matches_rebuild_oracle(case, monkeypatch):
     if case.startswith("grid-n"):
         # the grid workload at seed 0: the disc, then every pass of its run
         n = int(case[-1])
-        disc = saddle_grid_disc(n, np.random.default_rng([0, n]))
+        disc = grid_disc(n, np.random.default_rng([0, n]))
         assert assert_flip_pass_matches_rebuild(disc).flips
         flipped = _check_passes_of_minimize(
             monkeypatch, disc, OptimizerConfig(max_outer_iterations=12))
@@ -628,7 +628,7 @@ def test_flip_pass_matches_rebuild_oracle(case, monkeypatch):
         assert [r.edge for r in result.flips] == [(4, 5)]
     else:
         cap = int(case[-1])
-        for disc in (saddle_grid_disc(8, np.random.default_rng([0, 8])),
+        for disc in (grid_disc(8, np.random.default_rng([0, 8])),
                      perturbed_grid_disc(5, seed=1, subdivisions=2)):
             result = assert_flip_pass_matches_rebuild(disc, cap=cap)
             assert result.cap_exceeded and len(result.flips) == cap
@@ -914,7 +914,7 @@ def test_trace_csv_shape():
 
 ACCEPTANCE_FANS = GRIDS_AND_FANS[6:]
 # the grid workload's discs at seed 0
-WORKLOAD_GRIDS = {n: saddle_grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)}
+WORKLOAD_GRIDS = {n: grid_disc(n, np.random.default_rng([0, n])) for n in (4, 6, 8)}
 
 
 def minimize_both_ways(disc, config):
@@ -991,7 +991,7 @@ def test_a_non_saddle_certificate_falls_through_to_the_sweep(monkeypatch):
 
 
 def test_a_grid_with_non_saddle_vertices_is_never_stationary():
-    disc = saddle_grid_disc(10, np.random.default_rng([0, 10]))
+    disc = grid_disc(10, np.random.default_rng([0, 10]))
     _, trace = minimize(disc, OptimizerConfig(max_outer_iterations=400))
     assert sum(not v.is_saddle for v in trace.certificate.verdicts) > 0
     assert trace.stop_reason == "stalled"
@@ -1015,7 +1015,7 @@ STOP_REASON_RUNS = {
     "planar 9-gon fan": (lambda: minimize(planar_nonagon_fan())[1], "stalled"),
     # stalls after 136 iterations with one vertex non-saddle
     "saddle grid 8, draw 1": (
-        lambda: minimize(saddle_grid_disc(8, np.random.default_rng([1, 8])),
+        lambda: minimize(grid_disc(8, np.random.default_rng([1, 8])),
                          OptimizerConfig(max_outer_iterations=400))[1],
         "stalled",
     ),

@@ -46,6 +46,22 @@ def test_invalid_specs():
     # |p - q| >= r + s: no diagonal closes both triangles
     with pytest.raises(InvalidSpec):
         QuadSpec(3.0, 0.2, 0.2, 0.2)
+    # p**2 overflows at 1e200, p + q at 1e308, and 2 p q is 0 at 1e-320
+    for side in (1e200, 1e308, 1e-320):
+        with pytest.raises(InvalidSpec, match="must lie in"):
+            QuadSpec(side, side, side, side)
+
+
+@pytest.mark.parametrize("side", [1e-75, 1e75])
+def test_sides_at_the_bounds_give_a_finite_curve(side):
+    inward = 1.5 if side < 1.0 else 2.0 / 3.0
+    for spec in (QuadSpec(side, side, side, side),
+                 QuadSpec(side, side * inward, side, side * inward**2)):
+        lo, hi = alpha_range(spec)
+        diagonals, areas = area_curve(spec, np.linspace(lo, hi, 5))
+        assert np.isfinite([lo, hi]).all() and lo < hi
+        assert np.isfinite(diagonals).all() and np.isfinite(areas).all()
+        assert math.isfinite(d_area_d_alpha(spec, math.pi))
 
 
 def test_alpha_range_anchors():

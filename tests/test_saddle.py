@@ -5,6 +5,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from bench.workloads import grid_disc, wheel_disc
 from conftest import (
     affine_weights_by_lstsq,
     affine_weights_reference,
@@ -19,9 +20,7 @@ from conftest import (
     perturbed_grid_disc,
     random_rotation,
     regular_polygon,
-    saddle_grid_disc,
     verdict_bits,
-    wheel_disc,
 )
 from discmin import (
     NON_SADDLE,
@@ -436,7 +435,7 @@ def reference_discs():
     for seed in range(4):
         for degree in (12, 16, 20, 24):
             yield wheel_disc(degree, np.random.default_rng([seed, degree])), None
-    runs = [(saddle_grid_disc(n, np.random.default_rng([0, n])), 12) for n in (4, 6)]
+    runs = [(grid_disc(n, np.random.default_rng([0, n])), 12) for n in (4, 6)]
     runs += [(random_instance(m, nonplanarity=0.3, seed=m), 10000) for m in (6, 9, 12)]
     for disc, cap in runs:
         yield minimize(disc, OptimizerConfig(max_outer_iterations=cap))
