@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +36,7 @@ def _write_or_print(text: str, path: str | None) -> None:
 def _cmd_optimize(args) -> int:
     disc = load_obj(args.input)
     data = json.loads(Path(args.config).read_text()) if args.config else {}
-    config = OptimizerConfig.from_dict(data)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    result, trace = minimize(disc, config)
+    result, trace = minimize(disc, OptimizerConfig.from_dict(data))
     if args.output:
         save_obj(result, args.output)
     if args.trace:
@@ -163,7 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="input OBJ file")
     p.add_argument("-o", "--out", dest="output", help="write the optimized disc here")
     p.add_argument("--config", help="JSON optimizer configuration")
-    p.add_argument("--seed", type=int, help="override the configured seed")
     p.add_argument(
         "--trace",
         help="write the per-iteration CSV here "

@@ -70,6 +70,8 @@ class HingeMeasurement:
     gain: float
 
 
+# the relative tolerance of flat_convex_quad's coplanarity and convexity tests
+_FLAT_TOL = 1e-6
 # for each cross of ``_hinge_rows``, the rows of q at its sides' ends and apex
 _HINGE_CORNERS = np.array([[0, 0, 1, 1, 2, 2], [2, 3, 2, 3, 3, 3], [1, 1, 0, 0, 0, 1]])
 
@@ -443,27 +445,26 @@ def flip_pass(
     return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
 
 
-def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
+def flat_convex_quad(a, b, x, y) -> bool:
     """Whether the hinge quadrilateral a, x, b, y is coplanar and convex.
 
     Coplanarity compares the tetrahedron determinant against
-    ``tol * L**3`` with L the largest pairwise distance; convexity
+    ``_FLAT_TOL * L**3`` with L the largest pairwise distance; convexity
     requires every corner turn of the projected polygon to agree with
-    the Newell normal up to ``-tol``.  Both tests are scale-free, so they
+    the Newell normal up to ``-_FLAT_TOL``.  Both tests are scale-free, so they
     run on the quad moved to put a at the origin and scaled by the power
     of two that brings its largest coordinate near 1: the scaling is
     exact, and no product over- or underflows at any scale.  Raises
     InvalidInput unless each point is three finite real coordinates of at
-    most 1e75 in size and ``tol`` a finite number >= 0.
+    most 1e75 in size.
     """
-    _check_tolerance("tol", tol)
     pts = _hinge_points((a, x, b, y), 1)
     pts = pts - pts[0]
     pts = np.ldexp(pts, -np.frexp(np.abs(pts).max())[1])
     diffs = pts[:, None, :] - pts[None, :, :]
     scale = float(row_norms(diffs).max())
     det = float(np.linalg.det(np.stack([pts[2] - pts[0], pts[1] - pts[0], pts[3] - pts[0]])))
-    if abs(det) > tol * scale**3:
+    if abs(det) > _FLAT_TOL * scale**3:
         return False
     normal = cross_rows(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
     norm = float(row_norms(normal))
@@ -475,14 +476,14 @@ def flat_convex_quad(a, b, x, y, tol: float = 1e-6) -> bool:
         return False
     unit = sides / lengths[:, None]
     turns = cross_rows(unit, np.roll(unit, -1, axis=0)) @ (normal / norm)
-    return not np.any(turns < -tol)
+    return not np.any(turns < -_FLAT_TOL)
 
 
-def flat_convex_check(disc: PolyhedralDisc, edge, tol: float = 1e-6) -> bool:
+def flat_convex_check(disc: PolyhedralDisc, edge) -> bool:
     """Apply :func:`flat_convex_quad` to a hinge of ``disc``."""
     a, b, x, y = _hinge_vertices(disc, edge)
     p = disc.positions
-    return flat_convex_quad(p[a], p[b], p[x], p[y], tol=tol)
+    return flat_convex_quad(p[a], p[b], p[x], p[y])
 
 
 # =====================================================================

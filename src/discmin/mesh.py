@@ -261,6 +261,8 @@ class DiscComplex:
     # -- basic queries -------------------------------------------------
 
     def is_boundary_vertex(self, v: int) -> bool:
+        """Raises InvalidInput unless ``v`` is a vertex id."""
+        _check_index("vertex", v, self.vertex_count)
         return v in self.boundary_vertices
 
     def opposite_vertices(self, edge) -> tuple[Edge, tuple[int, ...]]:
@@ -607,6 +609,7 @@ class PolyhedralDisc:
     def angle_at(self, tri, v: int) -> float:
         """Interior angle of triangle ``tri`` (index or triple) at vertex ``v``."""
         tri = self._vertices(tri)
+        _check_index("vertex", v, len(self.positions))
         if v not in tri:
             raise InvalidInput(f"vertex {v} not in triangle {tri}")
         p, q = (w for w in tri if w != v)

@@ -83,6 +83,9 @@ from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdicts, certify_
 
 _EYE = np.eye(3)  # damps every star Hessian
 _STEP, _SHRINK, _MAX_BACKTRACKS = 0.5, 0.5, 30  # the schedule of _line_search
+# flip below sigma = pi - _EPS_FLIP; a cut needs a margin above _EPS_SADDLE;
+# the jitter is relative to the disc diameter
+_EPS_FLIP, _EPS_SADDLE, _JITTER = 1e-9, 1e-7, 1e-9
 
 
 # =====================================================================
@@ -92,8 +95,7 @@ _STEP, _SHRINK, _MAX_BACKTRACKS = 0.5, 0.5, 30  # the schedule of _line_search
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of :func:`minimize`: ``eps_flip``, ``eps_saddle``,
-    ``eps_area``, ``max_outer_iterations``, ``jitter_amplitude``,
+    """Knobs of :func:`minimize`: ``eps_area``, ``max_outer_iterations``,
     ``seed`` and ``enable_flips``.
 
     ``eps_area`` of None resolves to ``1e-12 * diameter**2`` of the
@@ -101,25 +103,13 @@ class OptimizerConfig:
     reductions always run.
     """
 
-    eps_flip: float = 1e-9
-    eps_saddle: float = 1e-7
     eps_area: Optional[float] = None
     max_outer_iterations: int = 10000
-    jitter_amplitude: float = 1e-9
     seed: int = 0
     enable_flips: bool = True
 
     def __post_init__(self):
-        for name, value in (
-            ("eps_flip", self.eps_flip),
-            ("eps_saddle", self.eps_saddle),
-            ("eps_area", 0.0 if self.eps_area is None else self.eps_area),
-        ):
-            _check_tolerance(name, value)
-        # relative to the disc diameter: above 1 the jitter outgrows the disc
-        jitter = self.jitter_amplitude
-        _check("jitter_amplitude", jitter, _is_number(jitter) and 0.0 <= jitter <= 1.0,
-               "a number between 0 and 1")
+        _check_tolerance("eps_area", 0.0 if self.eps_area is None else self.eps_area)
         for name, value, low in (("max_outer_iterations", self.max_outer_iterations, 1),
                                  ("seed", self.seed, 0)):
             ok = _is_number(value, integer=True) and value >= low
@@ -430,7 +420,7 @@ def _cut_move(
 
 
 def _vertex_move(
-    sweep: _Sweep, v: int, eps_saddle: float, floor: float
+    sweep: _Sweep, v: int, floor: float
 ) -> tuple[str, Optional[tuple], float, bool]:
     """Pick and search the move of interior vertex ``v``.
 
@@ -450,7 +440,7 @@ def _vertex_move(
         trial, decrease, _ = _line_search(sweep, v, newton, g, floor)
         if trial is not None:
             return "gradient", trial, decrease, False
-    (verdict,) = _vertex_verdicts(sweep, (v,), eps_saddle)
+    (verdict,) = _vertex_verdicts(sweep, (v,), _EPS_SADDLE)
     if not verdict.is_saddle:
         return ("cut", *_cut_move(sweep, verdict, g, floor))
     norm = float(np.linalg.norm(g))
@@ -472,36 +462,27 @@ def _stationary(sweep: _Sweep, vertices, eps_area: float) -> bool:
     return True
 
 
-def vertex_descent_step(
-    disc: PolyhedralDisc,
-    v: int,
-    eps_saddle: float = 1e-7,
-    eps_area: Optional[float] = None,
-) -> tuple[PolyhedralDisc, float]:
+def vertex_descent_step(disc: PolyhedralDisc, v: int) -> tuple[PolyhedralDisc, float]:
     """Move vertex ``v`` along its cutting direction.
 
     The first trial step is ``_STEP`` * margin * (shortest star edge)
     / 2, well inside the range where every star edge strictly
     shortens.  A trial is accepted when the star stays nondegenerate,
-    every star edge got shorter, and the star area dropped by more
-    than ``eps_area``, a finite number >= 0 (None means any positive drop).
+    every star edge got shorter, and the star area dropped at all.
 
     Returns (new disc, decrease); (same disc, 0.0) when no trial was
     acceptable.  Raises InvalidInput unless ``v`` is an interior vertex
     id, NotCuttable for a saddle vertex and DegenerationBlocked when
     every trial degenerated the star.
     """
-    floor = 0.0 if eps_area is None else eps_area
-    _check_tolerance("eps_area", floor)
-    _check_index("vertex", v, disc.complex.vertex_count)
     if disc.complex.is_boundary_vertex(v):
         raise InvalidInput(f"vertex {v} is on the boundary")
-    (verdict,) = _vertex_verdicts(disc, (v,), eps_saddle)
+    (verdict,) = _vertex_verdicts(disc, (v,), _EPS_SADDLE)
     if verdict.is_saddle:
         raise NotCuttable(f"vertex {v} admits no cutting plane")
     gradient = position_area_gradient(disc, v)
     sweep = _Sweep(disc)
-    trial, decrease, blocked = _cut_move(sweep, verdict, gradient, floor)
+    trial, decrease, blocked = _cut_move(sweep, verdict, gradient, 0.0)
     if blocked:
         raise DegenerationBlocked(f"every step at vertex {v} degenerates its star")
     if trial is None:
@@ -616,9 +597,9 @@ def minimize(
     initial_area = disc.total_area()
 
     interior = disc.complex.interior_vertices()
-    if cfg.jitter_amplitude > 0.0 and interior:
+    if interior:
         offsets = (
-            cfg.jitter_amplitude
+            _JITTER
             * disc.diameter
             * rng.uniform(-1.0, 1.0, (len(interior), 3))
         )
@@ -652,7 +633,7 @@ def minimize(
             else:
                 break
 
-        flipped = (flip_pass(disc, cfg.eps_flip) if cfg.enable_flips
+        flipped = (flip_pass(disc, _EPS_FLIP) if cfg.enable_flips
                    else FlipPassResult(disc, (), False))
         disc = flipped.disc
 
@@ -660,11 +641,11 @@ def minimize(
         vertices = disc.complex.interior_vertices()
         if (not flipped.flips and not reductions and not flipped.cap_exceeded
                 and _stationary(sweep, vertices, eps_area)):
-            certificate = certify_saddle(disc, cfg.eps_saddle)
+            certificate = certify_saddle(disc, _EPS_SADDLE)
             if certificate.saddle:  # the sweep would move nothing: skip it
                 stop_reason, vertices = "stationary", ()
         for v in vertices:
-            mode, trial, decrease, blocked = _vertex_move(sweep, v, cfg.eps_saddle, eps_area)
+            mode, trial, decrease, blocked = _vertex_move(sweep, v, eps_area)
             if trial is None and not blocked:
                 continue
             disp = (0.0, 0.0, 0.0) if trial is None else sweep.apply(v, trial)
@@ -700,6 +681,6 @@ def minimize(
         eps_area=eps_area,
         seed=cfg.seed,
         certificate=(certificate if stop_reason == "stationary"
-                     else certify_saddle(disc, cfg.eps_saddle)),
+                     else certify_saddle(disc, _EPS_SADDLE)),
     )
     return disc, trace

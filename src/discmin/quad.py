@@ -17,8 +17,14 @@ decreases beyond it, which is the engine behind every flip inequality
 in this package: any pair of triangles sharing an edge in R^3 is a
 member of such a family, whichever diagonal you hinge on.
 
-The inversion alpha -> d has no closed form; ``diagonal_from_alpha``
-uses bisection on the strictly increasing map d -> alpha(d).
+Equating the law of cosines for d in both triangles gives theta_x in
+closed form as a root of
+
+    (2pq - 2rs cos alpha) cos theta_x - 2rs sin alpha sin theta_x
+        = p^2 + q^2 - r^2 - s^2,
+
+but this module inverts alpha -> d by bisection: ``diagonal_from_alpha``
+bisects the strictly increasing map d -> alpha(d).
 """
 
 from __future__ import annotations

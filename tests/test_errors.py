@@ -44,8 +44,6 @@ FAN = fan_disc(6)
 TRIANGLE = build_from_triangles([(0, 1, 2)])
 # an 8-gon fan: rim vertices 0 to 7 and the apex 8
 RIM = random_instance(8, 0.3, seed=1)
-# the unit square as the hinge (a, b) = its diagonal, with x and y the other corners
-SQUARE = ([0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 # Unchecked, a NaN eps_saddle leaves Wolfe's search undecided until its
 # major-cycle cap on this star and on the 8-fan's apex, and a negative
 # eps_flip flips the 8-gon's hinges back and forth until the flip cap.
@@ -108,7 +106,13 @@ BAD_ARGUMENTS = {
     "angle in a triple with a negative vertex": lambda: RIM.angle_at((0, 1, -1), 0),
     "angle in a triple with a vertex out of range": lambda: RIM.angle_at((0, 1, 99), 0),
     "angle in a pair": lambda: RIM.angle_at((0, 1), 0),
-    "config value": lambda: OptimizerConfig(eps_flip=-1.0),
+    "angle at vertex True": lambda: FAN.angle_at(0, True),
+    "angle at a float vertex": lambda: FAN.angle_at(0, 1.0),
+    "boundary query of vertex True": lambda: FAN.complex.is_boundary_vertex(True),
+    "boundary query of a negative vertex": lambda: FAN.complex.is_boundary_vertex(-1),
+    "boundary query of a vertex out of range": lambda: FAN.complex.is_boundary_vertex(10**9),
+    "boundary query of a fractional vertex": lambda: FAN.complex.is_boundary_vertex(1.5),
+    "config value": lambda: OptimizerConfig(max_outer_iterations=0),
     "unknown config key": lambda: OptimizerConfig.from_dict({"budget": 10}),
     "config not an object": lambda: OptimizerConfig.from_dict([]),
     "removed line_search key": lambda: OptimizerConfig.from_dict({"line_search": {}}),
@@ -136,7 +140,6 @@ BAD_ARGUMENTS = {
     "NaN eps_saddle to certify no interior vertex": lambda: certify_saddle(
         PolyhedralDisc(TRIANGLE, np.eye(3)), np.nan
     ),
-    "NaN eps_saddle to a descent step": lambda: vertex_descent_step(FAN, 6, eps_saddle=np.nan),
     "negative eps_flip": lambda: flip_pass(random_instance(8, seed=1), -10.0),
     "NaN eps_flip": lambda: flip_pass(random_instance(8, seed=1), float("nan")),
     "string eps_flip": lambda: flip_pass(FAN, "1e-9"),
@@ -160,20 +163,11 @@ BAD_ARGUMENTS = {
     "quad point past the coordinate bound": lambda: flat_convex_quad(*HUGE_HINGE),
     "NaN quad point": lambda: flat_convex_quad(*HINGES[:3, 0], (0.0, np.nan, 1.0)),
     "quad point a string": lambda: flat_convex_quad("0 0 0", *HINGES[1:, 0]),
-    # unchecked, a NaN tol calls the square convex and a negative one not
-    "NaN quad tol": lambda: flat_convex_quad(*SQUARE, tol=float("nan")),
-    "negative quad tol": lambda: flat_convex_quad(*SQUARE, tol=-1.0),
-    "string quad tol": lambda: flat_convex_quad(*SQUARE, tol="x"),
-    "quad tol None": lambda: flat_convex_quad(*SQUARE, tol=None),
-    "NaN tol of a flat convex check": lambda: flat_convex_check(FAN, (0, 6), tol=float("nan")),
-    "negative tol of a flat convex check": lambda: flat_convex_check(FAN, (0, 6), tol=-1.0),
-    "string tol of a flat convex check": lambda: flat_convex_check(FAN, (0, 6), tol="x"),
-    "tol None of a flat convex check": lambda: flat_convex_check(FAN, (0, 6), tol=None),
     "no lattice samples": lambda: brute_force_cutting_direction(STAR, samples=0),
     "negative lattice samples": lambda: brute_force_cutting_direction(STAR, samples=-1),
     "fractional lattice samples": lambda: brute_force_cutting_direction(STAR, samples=1.5),
-    "infinite eps_area": lambda: vertex_descent_step(FAN, 6, eps_area=float("inf")),
-    "negative eps_area": lambda: vertex_descent_step(FAN, 6, eps_area=-1.0),
+    "infinite eps_area": lambda: OptimizerConfig(eps_area=float("inf")),
+    "negative eps_area": lambda: OptimizerConfig(eps_area=-1.0),
     "string side length": lambda: QuadSpec("a", 1, 1, 1),
     "side length None": lambda: QuadSpec(None, 1, 1, 1),
     "side length True": lambda: QuadSpec(True, 1, 1, 1),
@@ -218,7 +212,6 @@ def test_the_library_raises_no_bare_value_error():
 
 def test_tolerances_at_their_bounds_are_accepted():
     assert PolyhedralDisc(TRIANGLE, np.eye(3), 0.0).eps_deg == 0.0
-    assert flat_convex_quad(*SQUARE, tol=0.0)
     assert cutting_direction(STAR, 0.0).margin > 0.0
     assert len(flip_pass(random_instance(8, seed=1), 0.0).flips) == 2
-    assert vertex_descent_step(FAN, 6, eps_area=0)[1] > 0.0
+    assert OptimizerConfig(eps_area=0).eps_area == 0

@@ -117,11 +117,12 @@ def test_a_zero_gradient_has_no_newton_step():
     assert newton_step_reference(star_area_by_arrays(disc, 4)[2], g) is None
 
 
-def assert_flip_pass_matches_sorting(disc, **kwargs):
+def assert_flip_pass_matches_sorting(disc, *args, **kwargs):
     """``flip_pass`` against ``flip_pass_sorting_every_hinge``: the same
     triangles and cap flag, and the same records (edge, sigma, gain)
     bit for bit.  Returns the result."""
-    result, expected = flip_pass(disc, **kwargs), flip_pass_sorting_every_hinge(disc, **kwargs)
+    result = flip_pass(disc, *args, **kwargs)
+    expected = flip_pass_sorting_every_hinge(disc, *args, **kwargs)
     assert result.disc.complex.triangles == expected.disc.complex.triangles
     assert result.cap_exceeded == expected.cap_exceeded
     assert [r.edge for r in result.flips] == [r.edge for r in expected.flips]
@@ -146,9 +147,9 @@ def test_minimize_runs_match_the_references_at_every_call(disc, monkeypatch):
     checked = {"flip_pass": 0, "newton": 0, "triangle_areas": 0}
     newton, triangle_areas = optimize._Sweep.newton, mesh.triangle_areas
 
-    def checked_flip_pass(d, eps_flip=1e-9, cap=None):
+    def checked_flip_pass(*args, **kwargs):
         checked["flip_pass"] += 1
-        return assert_flip_pass_matches_sorting(d, eps_flip=eps_flip, cap=cap)
+        return assert_flip_pass_matches_sorting(*args, **kwargs)
 
     def checked_newton(sweep, v):
         star, g, step = newton(sweep, v)

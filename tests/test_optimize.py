@@ -518,11 +518,11 @@ def test_flip_pass_cap():
     assert assert_flip_pass_matches_rebuild(degenerate_refusal_disc(), cap=0).cap_exceeded
 
 
-def assert_flip_pass_matches_rebuild(disc, **kwargs):
+def assert_flip_pass_matches_rebuild(disc, *args, **kwargs):
     """``flip_pass`` against ``flip_pass_by_rebuild``: the same cap flag,
     the same records with sigma and gain equal bit for bit, and the
     assembled complex equal to the rebuilt one field for field."""
-    result, expected = flip_pass(disc, **kwargs), flip_pass_by_rebuild(disc, **kwargs)
+    result, expected = flip_pass(disc, *args, **kwargs), flip_pass_by_rebuild(disc, *args, **kwargs)
     assert_same_complex(result.disc.complex, expected.disc.complex)
     assert result.cap_exceeded == expected.cap_exceeded
 
@@ -579,8 +579,8 @@ def _check_passes_of_minimize(monkeypatch, disc, config):
     oracle; returns the number of flips."""
     flipped = []
 
-    def checked(d, eps_flip=1e-9, cap=None):
-        result = assert_flip_pass_matches_rebuild(d, eps_flip=eps_flip, cap=cap)
+    def checked(*args, **kwargs):
+        result = assert_flip_pass_matches_rebuild(*args, **kwargs)
         flipped.append(len(result.flips))
         return result
 
@@ -635,15 +635,7 @@ def test_flip_pass_matches_rebuild_oracle(case, monkeypatch):
 
 
 def test_config_round_trip():
-    cfg = OptimizerConfig(
-        eps_flip=1e-8,
-        eps_saddle=1e-6,
-        eps_area=1e-13,
-        max_outer_iterations=123,
-        jitter_amplitude=0.0,
-        seed=9,
-        enable_flips=False,
-    )
+    cfg = OptimizerConfig(eps_area=1e-13, max_outer_iterations=123, seed=9, enable_flips=False)
     assert OptimizerConfig.from_dict(cfg.to_dict()) == cfg
     assert OptimizerConfig.from_dict({}) == OptimizerConfig()
     assert OptimizerConfig.from_dict({"seed": 3}).seed == 3
@@ -661,9 +653,11 @@ def test_readme_config_block_is_the_default_config():
 
 def test_config_rejects_unknown_keys():
     """A key that names no field, among them the removed ``line_search``,
-    ``triangle_budget`` and ``enable_reductions``, is refused by name."""
+    ``triangle_budget``, ``enable_reductions``, ``eps_flip``, ``eps_saddle``
+    and ``jitter_amplitude``, is refused by name."""
     for key, value in (("budget", 10), ("line_search", {"stepsize": 0.1}), ("line_search", {}),
-                       ("triangle_budget", 500), ("enable_reductions", False)):
+                       ("triangle_budget", 500), ("enable_reductions", False), ("eps_flip", 1e-9),
+                       ("eps_saddle", 1e-7), ("jitter_amplitude", 1e-9)):
         with pytest.raises(InvalidInput, match=f"unknown config keys: \\['{key}'\\]"):
             OptimizerConfig.from_dict({key: value})
 
@@ -671,22 +665,22 @@ def test_config_rejects_unknown_keys():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"eps_flip": float("nan")},
-        {"eps_saddle": -1e-7},
+        {"eps_area": float("nan")},
+        {"eps_area": "x"},
         {"eps_area": float("inf")},
-        {"eps_flip": "x"},
+        {"eps_area": True},
         {"max_outer_iterations": 0},
         {"max_outer_iterations": 2.0},
-        {"jitter_amplitude": -1.0},
-        {"jitter_amplitude": 1.5},
-        {"jitter_amplitude": 1e80},
+        {"max_outer_iterations": None},
+        {"max_outer_iterations": float("inf")},
+        {"seed": None},
         {"seed": -1},
         {"enable_flips": 1},
         {"eps_area": -1.0},
-        {"eps_saddle": float("inf")},
+        {"seed": True},
         {"max_outer_iterations": True},
         {"seed": 1.5},
-        {"jitter_amplitude": float("nan")},
+        {"seed": "1"},
         {"enable_flips": None},
         {"enable_flips": "true"},
     ],
@@ -696,10 +690,11 @@ def test_config_rejects_bad_values(kwargs):
         OptimizerConfig(**kwargs)
 
 
-def test_full_jitter_at_the_coordinate_bound_keeps_the_input():
+def test_full_jitter_at_the_coordinate_bound_keeps_the_input(monkeypatch):
+    monkeypatch.setattr(optimize, "_JITTER", 1.0)
     disc = fan_disc(8, apex=(0.1, 0.0, 0.5))
     disc = disc.with_positions(disc.positions * 0.9e75)
-    out, trace = minimize(disc, OptimizerConfig(jitter_amplitude=1.0, max_outer_iterations=1))
+    out, trace = minimize(disc, OptimizerConfig(max_outer_iterations=1))
     assert len(trace.iterations) == 1
     assert np.array_equal(out.positions[:8], disc.positions[:8])
 
@@ -716,7 +711,7 @@ def test_minimize_without_interior_vertices_is_a_fixed_point():
     assert trace.final_area == pytest.approx(trace.initial_area)
 
 
-def test_a_flat_symmetric_vertex_has_no_move():
+def test_a_flat_symmetric_vertex_has_no_move(monkeypatch):
     """The apex of a flat square fan has an exactly zero area gradient
     and a saddle star: it gets no Newton step and no gradient move, and
     without jitter the run converges after one iteration without a move."""
@@ -725,9 +720,10 @@ def test_a_flat_symmetric_vertex_has_no_move():
         build_from_triangles([(i, (i + 1) % 4, 4) for i in range(4)]),
         np.array([*rim, (0, 0, 0)], dtype=float),
     )
-    move = optimize._vertex_move(optimize._Sweep(disc), 4, 1e-7, 1e-12)
+    move = optimize._vertex_move(optimize._Sweep(disc), 4, 1e-12)
     assert move == ("gradient", None, 0.0, False)
-    out, trace = minimize(disc, OptimizerConfig(jitter_amplitude=0.0))
+    monkeypatch.setattr(optimize, "_JITTER", 0.0)
+    out, trace = minimize(disc)
     assert len(trace.iterations) == 1
     assert trace.converged and trace.certificate.saddle
     assert trace.iterations[0].moves == ()
@@ -799,7 +795,8 @@ def test_summary_reports_the_flip_cap_and_the_closest_vertex(monkeypatch):
     assert summary["max_margin"] == max(margins)
     assert summary["max_margin_vertex"] == trace.certificate.verdicts[margins.index(max(margins))].vertex
 
-    monkeypatch.setattr(optimize, "flip_pass", lambda disc, eps: flips.flip_pass(disc, eps, cap=0))
+    monkeypatch.setattr(optimize, "flip_pass",
+                        lambda *args, **kwargs: flips.flip_pass(*args, **kwargs, cap=0))
     _, trace = minimize(hinge_disc(**ASYM))
     assert trace.summary_dict()["flip_cap_exceeded"] is True
     assert trace.summary_dict()["max_margin"] is None
@@ -834,6 +831,19 @@ def test_minimize_converged_output_is_flip_stable_and_saddle():
     assert out.complex.no_triangle_violations() == []
     assert certify_saddle(out).saddle
     assert trace.certificate.saddle
+
+
+def test_the_recorded_eps_area_is_resolved_from_the_input_before_the_jitter():
+    """The default ``eps_area`` is 1e-12 * diameter**2 of the disc passed
+    in: the jitter moves the apex, which sets the height of the
+    bounding box, but not the recorded value.  A set value is recorded
+    as it is."""
+    disc = fan_disc(8, apex=(0.1, 0.0, 0.6))
+    for config, expected in ((None, 1e-12 * disc.diameter**2),
+                             (OptimizerConfig(eps_area=0.0), 0.0)):
+        _, trace = minimize(disc, config)
+        assert trace.eps_area == expected
+        assert trace.summary_dict()["eps_area"] == expected
 
 
 def test_zero_eps_area_stops_a_stationary_run():
@@ -1040,7 +1050,7 @@ def test_a_move_drops_the_newton_steps_of_its_star():
     assert optimize._stationary(sweep, interior, 0.0) is False
     assert all(sweep.newton(v)[0] is before[v][0] for v in interior)
     v = interior[len(interior) // 2]
-    _, trial, _, _ = optimize._vertex_move(sweep, v, 1e-7, 0.0)
+    _, trial, _, _ = optimize._vertex_move(sweep, v, 0.0)
     assert trial is not None
     sweep.apply(v, trial)
     star = {v, *disc.complex.vertex_star(v)}
