@@ -7,16 +7,21 @@ Each outer iteration runs three passes:
 2. flips, unless ``enable_flips`` is false: ``flips.flip_pass`` flips
    hinges whose adjacent angle sum is below pi, first eligible edge in
    sorted order after every flip;
-3. vertex sweep: for every interior vertex in ascending order, a damped
-   Newton step on the star area, which is convex in the vertex; where
-   no trial of it lowers the area by more than ``eps_area``, the cut
-   move where the shared vertex test finds the star non-saddle and the
-   gradient move otherwise.  Each is searched by backtracking, halving
-   the step at most 30 times, and recorded as blocked when every trial
-   step degenerates the star.
+3. vertex sweep: for every interior vertex, colour class by colour
+   class, a damped Newton step on the star area, which is convex in the
+   vertex; where no trial of it lowers the area by more than
+   ``eps_area``, the cut move where the shared vertex test finds the
+   star non-saddle and the gradient move otherwise.  Each is searched
+   by backtracking, halving the step at most 30 times, and recorded as
+   blocked when every trial step degenerates the star.
 
-The sweep works on one mutable state: a positions array, the triangle
-areas and the bounding box as Python floats, and the diameter.  A
+No colour class holds two neighbors, and two vertices that share no
+edge share no face, so no move in a class changes the star of another:
+each class takes its Newton steps from one call of the star kernel and
+one stacked solve, a multicolour Gauss-Seidel sweep (Adams, SC 2001).
+
+The sweep works on one mutable state: a positions array, the positions,
+triangle areas and bounding box as Python floats, and the diameter.  A
 line-search trial is scored from the moved vertex's star alone, on
 Python floats, under the checks a ``PolyhedralDisc`` makes: the
 coordinate bound, and the degeneracy floor of the trial's own
@@ -25,6 +30,9 @@ trial grows the diameter.  An accepted trial is written into the
 state, and its disc is built from the state, unvalidated, when the sweep
 ends.  Every float is formed in the operations the numpy rows of ``mesh``
 use, so a run is bit-identical to one that validated a disc per trial.
+The kernel gives each star the bits it gives that star alone, so a run
+is also bit-identical to one that sweeps in the same order a vertex at
+a time.
 
 The loop exits in one of three ways, which the trace records as its
 ``stop_reason``.  *stationary*: an iteration whose reductions and flips
@@ -61,6 +69,7 @@ non-saddle, pinned as the tent's apex is or on slivered stars.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -79,6 +88,7 @@ from .errors import (
 from .flips import FanReduction, FlipPassResult, FlipRecord
 from .flips import flip_pass, reduce_fan
 from .mesh import _MAX_COORDINATE, PolyhedralDisc, _area, _check_index, area_rows, edge_key
+from .mesh import row_norms
 from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdicts, certify_saddle
 
 _EYE = np.eye(3)  # damps every star Hessian
@@ -142,7 +152,8 @@ class MoveRecord:
     """One vertex update.  ``mode`` is "cut" for the cutting-plane move
     or "gradient" for a descent step on the smooth star area: damped
     Newton, with steepest descent as fallback.  ``blocked`` is None for
-    an applied move, or the reason it was abandoned."""
+    an applied move, or the reason it was abandoned.  An iteration
+    records its moves in sweep order: colour class by colour class."""
 
     vertex: int
     displacement: tuple[float, float, float]
@@ -220,97 +231,148 @@ class OptimizationTrace:
 # =====================================================================
 
 
-@dataclass
-class _Star:
-    """The star of a vertex: the ids ``ids`` of the vertex (first) and its
-    neighbors in ring order, their ``points`` as Python floats, and the faces
-    around it, each with its corners as indices into both.  The faces stay
-    ascending, the order whose float sums the star area and trials keep bit for bit."""
+class _Stars:
+    """The stars of ``vertices`` in a complex, one row per vertex.  Row r
+    holds the faces ``faces[bounds[r]:bounds[r + 1]]``, ascending, the
+    order in which its sums add them; ``corners`` are those triangles as
+    stored, and ``xab`` the same rotated to start at the row's vertex.
+    ``classes`` are the row ranges that a sweep moves together."""
 
-    ids: list[int]
-    faces: list[int]
-    corners: list[tuple[int, int, int]]
-    points: list[list[float]]
-
-    @classmethod
-    def around(cls, state, v: int) -> "_Star":
-        """The star of ``v`` in ``state``, a PolyhedralDisc or the
-        sweep's working state: only its complex and positions are read."""
-        cx = state.complex
-        lo, hi = cx.ring_offsets[v:v + 2].tolist()
-        ids = [v, *cx.ring_vertices[lo:hi].tolist()]
-        faces = sorted(f for f in cx.ring_faces[lo:hi].tolist() if f >= 0)
-        slot = {u: i for i, u in enumerate(ids)}
-        corners = [(slot[a], slot[b], slot[c]) for a, b, c in map(cx.triangles.__getitem__, faces)]
-        return cls(ids, faces, corners, state.positions[ids].tolist())
+    def __init__(self, cx, vertices, classes=()):
+        self.vertices, self.classes = list(vertices), classes
+        offsets, ring = cx.ring_offsets.tolist(), cx.ring_faces.tolist()
+        self.faces, self.xab, self.bounds = [], [], [0]
+        for v in self.vertices:
+            faces = sorted(ring[offsets[v]:offsets[v + 1]])
+            if faces[0] < 0:  # a boundary vertex's last ring slot has no face
+                del faces[0]
+            self.faces += faces
+            self.bounds.append(len(self.faces))
+            for t in map(cx.triangles.__getitem__, faces):
+                k = t.index(v)
+                self.xab.append((v, t[k - 2], t[k - 1]))
+        self.corners = list(map(cx.triangles.__getitem__, self.faces))
 
 
-def _lengths(x, points) -> list[float]:
-    """Distances from ``x`` to each of ``points``, as ``row_norms`` computes them."""
-    x0, x1, x2 = x
-    lengths = []
-    for p0, p1, p2 in points:
-        d0, d1, d2 = p0 - x0, p1 - x1, p2 - x2
-        lengths.append(math.sqrt(d0 * d0 + d1 * d1 + d2 * d2))
-    return lengths
+def _sweep_stars(cx) -> _Stars:
+    """The stars of the interior vertices of ``cx``, one class of rows per
+    colour.  Largest degree first, ties by id, each vertex takes the
+    smallest colour that no neighbor coloured before it holds (Welsh &
+    Powell, *Computer J.* 10, 1967); each class keeps that order."""
+    ring, offsets = cx.ring_vertices.tolist(), cx.ring_offsets.tolist()
+    colour: dict[int, int] = {}
+    classes: list[list[int]] = []
+    for v in sorted(cx.interior_vertices(), key=lambda v: (offsets[v] - offsets[v + 1], v)):
+        taken, c = {colour.get(u) for u in ring[offsets[v]:offsets[v + 1]]}, 0
+        while c in taken:
+            c += 1
+        colour[v] = c
+        if c == len(classes):
+            classes.append([])
+        classes[c].append(v)
+    ends = list(itertools.accumulate(map(len, classes), initial=0))
+    return _Stars(cx, [v for c in classes for v in c], list(zip(ends, ends[1:])))
+
+
+def _star_terms(points: list, stars: _Stars, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the star area in the vertex position, for
+    the stars of rows ``r0`` to ``r1`` of ``stars`` at ``points`` (the
+    positions as Python floats): arrays of shape (m, 3) and (m, 3, 3).
+
+    An incident triangle (v, a, b) has normal n = (a - x) x (b - x)
+    = a x b + x x d with d = a - b, so the star area f = 1/2 sum |n| is
+    convex in x, with gradient 1/2 sum d x n^ (n^ = n / |n|) and Hessian
+    1/2 sum [d]x^T (I - n^ n^T) [d]x / |n|.  As d lies in the triangle's
+    plane, the Hessian term is |d|^2 / |n| n^ n^T: only moves off the
+    plane curve the triangle's area.
+
+    One loop forms each face's terms on Python floats, in the operations
+    of ``cross_rows`` and ``row_norms``, and adds the gradient in face
+    order as numpy's row sum does; d, n^ and |n| of all the rows become
+    one table.  |d|^2 is one ``einsum`` over it, and the Hessians of each
+    run of rows of one degree one stacked matmul, with no padding: a
+    row's floats depend on its own star alone.
+    """
+    bounds, xab, corners = stars.bounds, stars.xab, stars.corners
+    rows, gradients = [], []
+    for lo, hi in zip(bounds[r0:r1], bounds[r0 + 1:r1 + 1]):
+        g0 = g1 = g2 = -0.0
+        for f, (x, a, b) in enumerate(xab[lo:hi], lo):
+            x0, x1, x2 = points[x]
+            a0, a1, a2 = points[a]
+            b0, b1, b2 = points[b]
+            u0, u1, u2 = a0 - x0, a1 - x1, a2 - x2
+            w0, w1, w2 = b0 - x0, b1 - x1, b2 - x2
+            n0, n1, n2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+            norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+            if norm == 0.0:
+                raise DegenerateTriangle(f"triangle {corners[f]} has zero area")
+            e0, e1, e2 = n0 / norm, n1 / norm, n2 / norm
+            d0, d1, d2 = a0 - b0, a1 - b1, a2 - b2
+            g0 += d1 * e2 - d2 * e1
+            g1 += d2 * e0 - d0 * e2
+            g2 += d0 * e1 - d1 * e0
+            rows += (d0, d1, d2, e0, e1, e2, norm)
+        gradients += (0.5 * g0, 0.5 * g1, 0.5 * g2)
+    table = np.array(rows).reshape(-1, 7)
+    d, unit, norms = table[:, :3], table[:, 3:6], table[:, 6]
+    weights = np.einsum("ij,ij->i", d, d) / norms
+    hessians, lo = [], 0
+    for k, run in itertools.groupby(b - a for a, b in zip(bounds[r0:r1], bounds[r0 + 1:r1 + 1])):
+        hi = lo + k * len(list(run))  # the faces of a run of stars of degree k
+        star = unit[lo:hi].reshape(-1, k, 3)
+        hessians.append(0.5 * (star.transpose(0, 2, 1) * weights[lo:hi].reshape(-1, 1, k)) @ star)
+        lo = hi
+    return np.array(gradients).reshape(-1, 3), np.concatenate(hessians)
 
 
 class _Sweep:
-    """The working state of one vertex sweep: a disc's complex, a
-    writable copy of its positions, its triangle areas as Python floats,
-    its bounding box and its diameter, always as valid as a
-    PolyhedralDisc of them.
+    """The working state of one vertex sweep: a disc's complex, the
+    ``_Stars`` it sweeps, a writable copy of its positions (also as
+    Python floats), its triangle areas as Python floats, its bounding box
+    and its diameter, always as valid as a PolyhedralDisc of them.
 
-    A line-search trial moves one vertex and is scored from that
-    vertex's star alone (:meth:`trial`); an accepted trial, with the
-    box and diameter it measured, is written back (:meth:`apply`), and
-    :meth:`disc` builds the disc of the checked state, not validating it again.  The
-    stars and Newton steps it computes (:meth:`newton`) are kept until
-    a move changes them, so the stationarity test hands its work to the
-    sweep that follows it.
+    A line-search trial moves the vertex of one row and is scored from
+    its star alone (:meth:`trial`); an accepted trial, with the box and
+    diameter it measured, is written back (:meth:`apply`), and
+    :meth:`disc` builds the disc of the checked state, not validating it
+    again.  The gradients and Newton steps of a row range
+    (:meth:`newton`) are kept until a move is applied, so the
+    stationarity test hands its work to the sweep's first class.
     """
 
-    def __init__(self, disc: PolyhedralDisc):
-        self.complex = disc.complex
+    def __init__(self, disc: PolyhedralDisc, stars: _Stars):
+        self.complex, self.stars = disc.complex, stars
         self.eps_deg = disc.eps_deg
         self.positions = np.array(disc.positions)
+        self.points = self.positions.tolist()
         self.areas = disc._areas.tolist()
         self.lo = self.positions.min(axis=0).tolist()
         self.hi = self.positions.max(axis=0).tolist()
         self.diameter = disc.diameter
-        self._stars: dict[int, _Star] = {}
-        self._steps: dict[int, tuple[np.ndarray, Optional[np.ndarray]]] = {}
+        self._newton: Optional[tuple] = None
 
-    def star(self, v: int) -> _Star:
-        """The star of ``v``, kept until a move in it is applied."""
-        star = self._stars.get(v)
-        if star is None:
-            star = self._stars[v] = _Star.around(self, v)
-        return star
+    def newton(self, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+        """The gradients g of the star areas of rows ``r0`` to ``r1`` and
+        their damped Newton steps -(H + 1e-8 tr(H) I)^-1 g, from one
+        stacked solve (a zero g has a zero step), kept until a move is
+        applied.  A row's Newton decrement is -g.step."""
+        if self._newton is None or self._newton[0] != (r0, r1):
+            g, h = _star_terms(self.points, self.stars, r0, r1)
+            damped = h + (1e-8 * h.trace(axis1=1, axis2=2))[:, None, None] * _EYE
+            self._newton = (r0, r1), g, -np.linalg.solve(damped, g[:, :, None])[:, :, 0]
+        return self._newton[1:]
 
-    def newton(self, v: int) -> tuple[_Star, np.ndarray, Optional[np.ndarray]]:
-        """The star of ``v``, the gradient g of its area and the damped
-        Newton step -(H + 1e-8 tr(H) I)^-1 g (None where g is zero),
-        kept until a move in the star is applied.  The Newton decrement
-        is -g.step."""
-        star = self.star(v)
-        entry = self._steps.get(v)
-        if entry is None:
-            _, g, h = _star_area(star)
-            step = -np.linalg.solve(h + 1e-8 * h.trace() * _EYE, g) if g.any() else None
-            entry = self._steps[v] = (g, step)
-        return (star, *entry)
-
-    def trial(self, v: int, point) -> tuple[list[float], tuple[list[float], list[float], float]]:
-        """The areas of the star faces of ``v`` and the moved box
-        (``lo``, ``hi``, diameter), with ``v`` moved to ``point`` (three
-        Python floats).
+    def trial(self, r: int, point) -> tuple[list[float], tuple[list[float], list[float], float]]:
+        """The areas of the star faces of row ``r`` and the moved box
+        (``lo``, ``hi``, diameter), with its vertex moved to ``point``
+        (three Python floats).
 
         Raises what constructing the moved disc would: InvalidInput for
         a coordinate that is not finite or past the bound, and
         DegenerateTriangle for an area below ``eps_deg * diameter**2``.
-        Where ``v`` is strictly inside the box, the other vertices span
-        all of it, so a ``point`` inside keeps the box and diameter;
+        Where the vertex is strictly inside the box, the other vertices
+        span all of it, so a ``point`` inside keeps the box and diameter;
         otherwise the moved positions are measured as a PolyhedralDisc
         measures them.  Only the star's areas change, and the floor
         rises only with the diameter; the other faces are checked again
@@ -320,9 +382,9 @@ class _Sweep:
         bound = _MAX_COORDINATE
         if not (abs(x) <= bound and abs(y) <= bound and abs(z) <= bound):
             raise InvalidInput(f"positions must be finite and at most {bound:g} in size")
-        star = self.star(v)
+        stars, v, points = self.stars, self.stars.vertices[r], self.points
         (lx, ly, lz), (hx, hy, hz) = self.lo, self.hi
-        x0, x1, x2 = star.points[0]
+        x0, x1, x2 = points[v]
         if (lx < x0 < hx and ly < x1 < hy and lz < x2 < hz
                 and lx <= x <= hx and ly <= y <= hy and lz <= z <= hz):
             lo, hi, diameter = self.lo, self.hi, self.diameter
@@ -333,28 +395,29 @@ class _Sweep:
             span = high - low
             lo, hi, diameter = low.tolist(), high.tolist(), math.sqrt(span.dot(span))
         floor = self.eps_deg * diameter * diameter
-        points = [point, *star.points[1:]]
-        areas = [_area(points[i], points[j], points[k]) for i, j, k in star.corners]
-        if diameter <= 0.0 or min(areas) < floor or diameter > self.diameter and any(
-                a < floor for f, a in enumerate(self.areas) if f not in star.faces):
+        first, last = stars.bounds[r], stars.bounds[r + 1]
+        start, points[v] = points[v], point  # the star's faces, with v at the trial point
+        areas = [_area(points[i], points[j], points[k]) for i, j, k in stars.corners[first:last]]
+        points[v] = start
+        if diameter <= 0.0 or min(areas) < floor or diameter > self.diameter and (
+                np.delete(self.areas, stars.faces[first:last]) < floor).any():
             raise DegenerateTriangle(
                 f"vertex {v} at {point} leaves a triangle below the floor {floor:.6e}"
             )
         return areas, (lo, hi, diameter)
 
-    def apply(self, v: int, trial) -> tuple[float, float, float]:
-        """Move ``v`` as the accepted ``trial`` (point, star areas, box)
-        says, dropping the stars and steps of ``v`` and its neighbors;
-        returns the displacement."""
+    def apply(self, r: int, trial) -> tuple[float, float, float]:
+        """Move the vertex of row ``r`` as the accepted ``trial`` (point,
+        star areas, box) says, dropping the kept Newton steps; returns
+        the displacement."""
         point, areas, (self.lo, self.hi, self.diameter) = trial
-        star = self.star(v)
-        self.positions[v] = point
-        for f, area in zip(star.faces, areas):
+        v, stars = self.stars.vertices[r], self.stars
+        start = self.points[v]
+        self.positions[v] = self.points[v] = list(point)
+        for f, area in zip(stars.faces[stars.bounds[r]:stars.bounds[r + 1]], areas):
             self.areas[f] = area
-        for u in star.ids:
-            self._stars.pop(u, None)
-            self._steps.pop(u, None)
-        return tuple(p - q for p, q in zip(point, star.points[0]))
+        self._newton = None
+        return tuple(p - q for p, q in zip(point, start))
 
     def disc(self) -> PolyhedralDisc:
         return PolyhedralDisc._checked(self.complex, self.positions.copy(), np.array(self.areas),
@@ -362,14 +425,14 @@ class _Sweep:
 
 
 def _line_search(
-    sweep: _Sweep, v: int, first: np.ndarray, gradient: np.ndarray,
+    sweep: _Sweep, r: int, first: np.ndarray, gradient: np.ndarray,
     floor: float, scale: Optional[float] = None, shorten: bool = False,
 ) -> tuple[Optional[tuple], float, bool]:
-    """Backtracking search for vertex ``v``: the displacement ``first``,
-    then at most ``_MAX_BACKTRACKS`` shorter ones by factors of
-    ``_SHRINK``.  Given a ``scale``, ``first`` is a unit direction, and
-    the first trial goes ``_STEP * scale`` times the shortest star edge
-    along it.
+    """Backtracking search for the vertex of row ``r``: the displacement
+    ``first``, then at most ``_MAX_BACKTRACKS`` shorter ones by factors
+    of ``_SHRINK``.  Given a ``scale``, ``first`` is a unit direction,
+    and the first trial goes ``_STEP * scale`` times the shortest star
+    edge along it.
 
     A trial is accepted when the star stays nondegenerate, every star
     edge got shorter (if ``shorten``, which needs a ``scale``), and the
@@ -381,13 +444,14 @@ def _line_search(
     blocked), the trial being what ``_Sweep.apply`` takes, with
     ``blocked`` true when every trial made degenerated the star.
     """
-    star = sweep.star(v)
-    x, neighbors = star.points[0], star.points[1:]
+    stars, v = sweep.stars, sweep.stars.vertices[r]
+    x = sweep.points[v]
     if scale is not None:
-        lengths = _lengths(x, neighbors)
-        first = _STEP * scale * min(lengths) * first
+        neighbors = sweep.positions[list(sweep.complex.vertex_star(v))]
+        lengths = row_norms(neighbors - sweep.positions[v])
+        first = _STEP * scale * float(lengths.min()) * first
     slope = -float(gradient @ first)
-    before = sum(sweep.areas[f] for f in star.faces)
+    before = sum(sweep.areas[f] for f in stars.faces[stars.bounds[r]:stars.bounds[r + 1]])
     direction = first.tolist()
     tried = nondegenerate = False
     step = 1.0
@@ -397,12 +461,12 @@ def _line_search(
         tried = True
         point = tuple(c + step * d for c, d in zip(x, direction))
         try:
-            areas, box = sweep.trial(v, point)
+            areas, box = sweep.trial(r, point)
         except (DegenerateTriangle, InvalidInput):
             step *= _SHRINK
             continue
         nondegenerate = True
-        if not shorten or all(new < old for new, old in zip(_lengths(point, neighbors), lengths)):
+        if not shorten or (row_norms(neighbors - point) < lengths).all():
             decrease = before - sum(areas)
             if decrease > floor:
                 return (point, areas, box), decrease, False
@@ -411,53 +475,51 @@ def _line_search(
 
 
 def _cut_move(
-    sweep: _Sweep, verdict: VertexVerdict, gradient: np.ndarray, floor: float
+    sweep: _Sweep, r: int, verdict: VertexVerdict, gradient: np.ndarray, floor: float
 ) -> tuple[Optional[tuple], float, bool]:
-    """The paper's move of a non-saddle vertex: along its cutting
-    direction from half the margin, every star edge shortening."""
-    return _line_search(sweep, verdict.vertex, verdict.cut_normal, gradient, floor,
+    """The paper's move of a non-saddle vertex (row ``r``): along its
+    cutting direction from half the margin, every star edge shortening."""
+    return _line_search(sweep, r, verdict.cut_normal, gradient, floor,
                         scale=0.5 * verdict.margin, shorten=True)
 
 
 def _vertex_move(
-    sweep: _Sweep, v: int, floor: float
+    sweep: _Sweep, r: int, gradient: np.ndarray, newton: np.ndarray, floor: float
 ) -> tuple[str, Optional[tuple], float, bool]:
-    """Pick and search the move of interior vertex ``v``.
+    """Pick and search the move of the vertex of row ``r``.
 
-    The damped Newton step -(H + 1e-8 tr(H) I)^-1 g on the star area
-    comes first: in full, then shrinking.  Only where no trial of it
-    lowers the star area by more than ``floor`` does the shared vertex
-    test decide: the cut move where the star is non-saddle, the
-    gradient move along -g (from the shortest star edge) otherwise.
-    The gradient move applies where a sliver in the star defeats
-    Newton: every trial pushes it through the degeneracy floor, or
-    across the kink of its area.  Returns (mode, trial or None,
-    decrease, blocked), ``mode`` being "cut" or "gradient", the latter
-    for Newton steps too.
+    The damped Newton step ``newton`` on the star area comes first: in
+    full, then shrinking.  Only where no trial of it lowers the star
+    area by more than ``floor`` does the shared vertex test decide: the
+    cut move where the star is non-saddle, the gradient move along -g
+    (from the shortest star edge) otherwise.  The gradient move applies
+    where a sliver in the star defeats Newton: every trial pushes it
+    through the degeneracy floor, or across the kink of its area.
+    Returns (mode, trial or None, decrease, blocked), ``mode`` being
+    "cut" or "gradient", the latter for Newton steps too.
     """
-    _, g, newton = sweep.newton(v)
-    if newton is not None:
-        trial, decrease, _ = _line_search(sweep, v, newton, g, floor)
-        if trial is not None:
-            return "gradient", trial, decrease, False
-    (verdict,) = _vertex_verdicts(sweep, (v,), _EPS_SADDLE)
+    trial, decrease, _ = _line_search(sweep, r, newton, gradient, floor)
+    if trial is not None:
+        return "gradient", trial, decrease, False
+    (verdict,) = _vertex_verdicts(sweep, (sweep.stars.vertices[r],), _EPS_SADDLE)
     if not verdict.is_saddle:
-        return ("cut", *_cut_move(sweep, verdict, g, floor))
-    norm = float(np.linalg.norm(g))
+        return ("cut", *_cut_move(sweep, r, verdict, gradient, floor))
+    norm = float(np.linalg.norm(gradient))
     if norm == 0.0:
         return "gradient", None, 0.0, False
-    return ("gradient", *_line_search(sweep, v, -g / norm, g, floor, scale=1.0))
+    return ("gradient", *_line_search(sweep, r, -gradient / norm, gradient, floor, scale=1.0))
 
 
-def _stationary(sweep: _Sweep, vertices, eps_area: float) -> bool:
-    """Whether every vertex of ``vertices`` has a Newton decrement
+def _stationary(sweep: _Sweep, eps_area: float) -> bool:
+    """Whether every vertex the sweep would move has a Newton decrement
     lambda^2 = g^T (H + 1e-8 tr(H) I)^-1 g = -g.step with lambda^2 / 2 at
     most ``eps_area`` (Boyd & Vandenberghe, *Convex Optimization*,
-    9.5.1), stopping at the first that does not.  The steps stay in
-    ``sweep`` for its moves."""
-    for v in vertices:
-        _, g, step = sweep.newton(v)
-        if step is not None and -0.5 * float(g @ step) > eps_area:
+    9.5.1), taken class by class from one batched call each and stopping
+    at the first class that has one above.  The steps of the class it
+    stops at stay in ``sweep``: the sweep's first class takes them over."""
+    for r0, r1 in sweep.stars.classes:
+        g, step = sweep.newton(r0, r1)
+        if any(-0.5 * float(gv @ sv) > eps_area for gv, sv in zip(g, step)):
             return False
     return True
 
@@ -481,13 +543,13 @@ def vertex_descent_step(disc: PolyhedralDisc, v: int) -> tuple[PolyhedralDisc, f
     if verdict.is_saddle:
         raise NotCuttable(f"vertex {v} admits no cutting plane")
     gradient = position_area_gradient(disc, v)
-    sweep = _Sweep(disc)
-    trial, decrease, blocked = _cut_move(sweep, verdict, gradient, 0.0)
+    sweep = _Sweep(disc, _Stars(disc.complex, (v,)))
+    trial, decrease, blocked = _cut_move(sweep, 0, verdict, gradient, 0.0)
     if blocked:
         raise DegenerationBlocked(f"every step at vertex {v} degenerates its star")
     if trial is None:
         return disc, 0.0
-    sweep.apply(v, trial)
+    sweep.apply(0, trial)
     return sweep.disc(), decrease
 
 
@@ -522,56 +584,12 @@ def edge_length_area_gradient(
     ]
 
 
-def _star_area(star: _Star) -> tuple[float, np.ndarray, np.ndarray]:
-    """Area of the star of a vertex with its gradient and Hessian in
-    the position x of the vertex.
-
-    An incident triangle (v, a, b) has normal n = (a - x) x (b - x)
-    = a x b + x x d with d = a - b, so the star area f = 1/2 sum |n| is
-    convex in x, with gradient 1/2 sum d x n^ (n^ = n / |n|) and Hessian
-    1/2 sum [d]x^T (I - n^ n^T) [d]x / |n|.  As d lies in the triangle's
-    plane, the Hessian term is |d|^2 / |n| n^ n^T: only moves off the
-    plane curve the triangle's area.
-
-    Each triangle's terms are Python floats, in the operations
-    ``cross_rows`` and ``row_norms`` perform, and the gradient adds them
-    in order as numpy's row sum does; d, n^ and |n| become one (k, 7)
-    array, whose column views serve the rest: |d|^2 stays an ``einsum``,
-    which adds the squares in an order of its own, and the Hessian one matmul.
-    """
-    points = star.points
-    x0, x1, x2 = points[0]
-    g0 = g1 = g2 = -0.0
-    rows = []
-    for corner in star.corners:
-        k = corner.index(0)
-        a0, a1, a2 = points[corner[(k + 1) % 3]]
-        b0, b1, b2 = points[corner[(k + 2) % 3]]
-        u0, u1, u2 = a0 - x0, a1 - x1, a2 - x2
-        w0, w1, w2 = b0 - x0, b1 - x1, b2 - x2
-        n0, n1, n2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
-        norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
-        if norm == 0.0:
-            triangle = tuple(star.ids[i] for i in corner)
-            raise DegenerateTriangle(f"triangle {triangle} has zero area")
-        e0, e1, e2 = n0 / norm, n1 / norm, n2 / norm
-        d0, d1, d2 = a0 - b0, a1 - b1, a2 - b2
-        g0 += d1 * e2 - d2 * e1
-        g1 += d2 * e0 - d0 * e2
-        g2 += d0 * e1 - d1 * e0
-        rows += (d0, d1, d2, e0, e1, e2, norm)
-    table = np.array(rows).reshape(-1, 7)
-    d, unit, norms = table[:, :3], table[:, 3:6], table[:, 6]
-    hessian = 0.5 * (unit.T * (np.einsum("ij,ij->i", d, d) / norms)) @ unit
-    return 0.5 * float(norms.sum()), np.array([0.5 * g0, 0.5 * g1, 0.5 * g2]), hessian
-
-
 def position_area_gradient(disc: PolyhedralDisc, v: int) -> np.ndarray:
     """Exact gradient of total area with respect to the position of
     ``v``: sum over incident triangles (v, a, b) of (a - b) x n / 2
     with n the triangle's unit normal."""
     _check_index("vertex", v, disc.complex.vertex_count)
-    return _star_area(_Star.around(disc, v))[1]
+    return _star_terms(disc.positions.tolist(), _Stars(disc.complex, (v,)), 0, 1)[0][0]
 
 
 # =====================================================================
@@ -613,6 +631,7 @@ def minimize(
     iterations: list[IterationRecord] = []
     stop_reason = "iteration_cap"
     scanned, violations = None, []
+    swept = stars = None
     for index in range(1, cfg.max_outer_iterations + 1):
         area_start = disc.total_area()
         reductions: list[FanReduction] = []
@@ -637,19 +656,25 @@ def minimize(
                    else FlipPassResult(disc, (), False))
         disc = flipped.disc
 
-        sweep = _Sweep(disc)
-        vertices = disc.complex.interior_vertices()
+        if disc.complex is not swept:  # the colouring reads only the topology
+            swept, stars = disc.complex, _sweep_stars(disc.complex)
+        sweep = _Sweep(disc, stars)
+        classes = stars.classes
         if (not flipped.flips and not reductions and not flipped.cap_exceeded
-                and _stationary(sweep, vertices, eps_area)):
+                and _stationary(sweep, eps_area)):
             certificate = certify_saddle(disc, _EPS_SADDLE)
             if certificate.saddle:  # the sweep would move nothing: skip it
-                stop_reason, vertices = "stationary", ()
-        for v in vertices:
-            mode, trial, decrease, blocked = _vertex_move(sweep, v, eps_area)
-            if trial is None and not blocked:
-                continue
-            disp = (0.0, 0.0, 0.0) if trial is None else sweep.apply(v, trial)
-            moves.append(MoveRecord(v, disp, decrease, mode, "degeneration" if blocked else None))
+                stop_reason, classes = "stationary", ()
+        for r0, r1 in classes:  # no move in a class changes the star of another
+            g, step = sweep.newton(r0, r1)
+            for r in range(r0, r1):
+                mode, trial, decrease, blocked = _vertex_move(sweep, r, g[r - r0], step[r - r0],
+                                                              eps_area)
+                if trial is None and not blocked:
+                    continue
+                disp = (0.0, 0.0, 0.0) if trial is None else sweep.apply(r, trial)
+                moves.append(MoveRecord(stars.vertices[r], disp, decrease, mode,
+                                        "degeneration" if blocked else None))
         if any(m.blocked is None for m in moves):  # a blocked move leaves v in place
             disc = sweep.disc()
 

@@ -140,10 +140,11 @@ def position_gradient_by_faces(disc: PolyhedralDisc, v: int) -> np.ndarray:
 
 
 def star_area_by_arrays(disc, v: int):
-    """Oracle for ``optimize._star_area``: the star's area, gradient and
+    """Oracle for ``optimize._star_terms``: the star's area, gradient and
     Hessian in the position of ``v`` on numpy rows, one array per
-    quantity, as the sweep computed them before it moved to Python
-    floats.  Only ``disc.complex`` and ``disc.positions`` are read."""
+    quantity and one star at a time, as the sweep computed them before
+    it moved to Python floats.  Only ``disc.complex`` and
+    ``disc.positions`` are read."""
     cx, p = disc.complex, disc.positions
     faces = [cx.triangles[i] for i in faces_of(cx, v)]
     rotated = np.array([t[t.index(v):] + t[:t.index(v)] for t in faces], dtype=np.intp)

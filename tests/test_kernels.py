@@ -96,25 +96,35 @@ def test_triangle_areas_match_the_per_column_form(disc):
                          triangle_areas_by_columns(positions, triangles))
 
 
+def assert_newton_steps(sweep, r0, r1, g, step):
+    """The gradients and steps of rows ``r0`` to ``r1`` of ``sweep``
+    against the numpy oracle and ``newton_step_reference``, star by star;
+    a zero gradient, which has no reference step, has a zero step."""
+    for r in range(r0, r1):
+        _, gradient, hessian = star_area_by_arrays(sweep, sweep.stars.vertices[r])
+        assert same_bits(g[r - r0], gradient)
+        expected = newton_step_reference(hessian, gradient)
+        assert not step[r - r0].any() if expected is None else same_bits(step[r - r0], expected)
+
+
 @pytest.mark.parametrize("disc", DISCS.values(), ids=list(DISCS))
 def test_newton_steps_match_the_trace_and_eye_form(disc):
-    sweep = optimize._Sweep(disc)
-    for v in disc.complex.interior_vertices():
-        _, g, step = sweep.newton(v)
-        _, gradient, hessian = star_area_by_arrays(disc, v)
-        assert same_bits(g, gradient)
-        expected = newton_step_reference(hessian, gradient)
-        assert (step is None) == (expected is None)
-        assert step is None or same_bits(step, expected)
+    """Every interior vertex's step from one batched call, and each colour
+    class's from its own."""
+    stars = optimize._sweep_stars(disc.complex)
+    sweep = optimize._Sweep(disc, stars)
+    for r0, r1 in [(0, len(stars.vertices)), *stars.classes]:
+        sweep._newton = None
+        assert_newton_steps(sweep, r0, r1, *sweep.newton(r0, r1))
 
 
 def test_a_zero_gradient_has_no_newton_step():
     # a flat square fan: every float of the gradient sums to zero exactly
     positions = [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 0]]
     disc = PolyhedralDisc(build_from_triangles([(i, (i + 1) % 4, 4) for i in range(4)]), positions)
-    _, g, step = optimize._Sweep(disc).newton(4)
-    assert not g.any() and step is None
-    assert newton_step_reference(star_area_by_arrays(disc, 4)[2], g) is None
+    g, step = optimize._Sweep(disc, optimize._sweep_stars(disc.complex)).newton(0, 1)
+    assert not g.any() and not step.any()
+    assert newton_step_reference(star_area_by_arrays(disc, 4)[2], g[0]) is None
 
 
 def assert_flip_pass_matches_sorting(disc, *args, **kwargs):
@@ -151,15 +161,11 @@ def test_minimize_runs_match_the_references_at_every_call(disc, monkeypatch):
         checked["flip_pass"] += 1
         return assert_flip_pass_matches_sorting(*args, **kwargs)
 
-    def checked_newton(sweep, v):
-        star, g, step = newton(sweep, v)
-        _, gradient, hessian = optimize._star_area(star)
-        assert same_bits(g, gradient)
-        expected = newton_step_reference(hessian, gradient)
-        assert (step is None) == (expected is None)
-        assert step is None or same_bits(step, expected)
+    def checked_newton(sweep, r0, r1):
+        g, step = newton(sweep, r0, r1)
+        assert_newton_steps(sweep, r0, r1, g, step)
         checked["newton"] += 1
-        return star, g, step
+        return g, step
 
     def checked_triangle_areas(positions, triangles):
         areas = triangle_areas(positions, triangles)
@@ -292,13 +298,13 @@ def test_sweeps_that_move_past_the_box_build_the_validated_disc(name):
     diameter, and the disc is built; then back to where it was, which
     shrinks the box again."""
     disc = DISCS[name]
-    sweep = optimize._Sweep(disc)
+    sweep = optimize._Sweep(disc, optimize._Stars(disc.complex, disc.complex.interior_vertices()))
     with checked_discs_match_validation() as checked:
-        for v in disc.complex.interior_vertices():
+        for r, v in enumerate(sweep.stars.vertices):
             start = tuple(sweep.positions[v].tolist())
             for point in (tuple((sweep.positions[v] + [0.0, 0.0, disc.diameter]).tolist()), start):
                 diameter = sweep.diameter
-                sweep.apply(v, (point, *sweep.trial(v, point)))
+                sweep.apply(r, (point, *sweep.trial(r, point)))
                 assert sweep.disc().diameter != diameter
     assert len(checked) == 2 * len(disc.complex.interior_vertices())
 
