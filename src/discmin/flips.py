@@ -353,8 +353,7 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
     cx = disc.complex
     a, b, _, _ = _hinge_vertices(disc, edge)
     triangles, table, anchors, areas = list(cx.triangles), _edge_table(cx), {}, disc._areas.copy()
-    floor = disc.eps_deg * disc.diameter * disc.diameter
-    _flip_edit(triangles, table, (a, b), disc.positions.tolist(), floor, areas, anchors)
+    _flip_edit(triangles, table, (a, b), disc.positions.tolist(), disc._floor, areas, anchors)
     return _assembled(disc, triangles, table, anchors, areas)
 
 
@@ -412,7 +411,7 @@ def flip_pass(
     if cap is None:
         cap = 100 * len(cx.edges)
     triangles, table, anchors, areas = list(cx.triangles), _edge_table(cx), {}, disc._areas.copy()
-    points, floor = p.tolist(), disc.eps_deg * disc.diameter * disc.diameter
+    points, floor = p.tolist(), disc._floor
     records: list[FlipRecord] = []
     cap_exceeded = False
     while not cap_exceeded:

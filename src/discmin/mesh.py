@@ -4,7 +4,10 @@ Combinatorics and geometry live in separate types.  ``DiscComplex``
 stores a validated triangulation of a topological disc and answers
 purely combinatorial queries (stars, boundary cycle, empty triangles).
 ``PolyhedralDisc`` pairs a complex with vertex positions in R^3 and
-enforces a uniform nondegeneracy floor on triangle areas.
+enforces a uniform nondegeneracy floor on triangle areas, scaled by the
+boundary polygon's bounding box: every move of the library pins the
+boundary, so a moved interior vertex leaves the floor as it was, and
+only the faces of its star need checking again.
 
 ``build_from_triangles`` validates every triangle list into a
 ``DiscComplex`` (flips edit theirs, see ``flips``).  It runs the checks
@@ -83,7 +86,8 @@ from .errors import (
     _is_number,
 )
 
-# Triangles whose area falls below eps_deg * diameter^2 are refused.
+# Triangles whose area falls below eps_deg * diameter^2 are refused, the
+# diameter being the boundary polygon's (``PolyhedralDisc._floor``).
 DEGENERACY_EPS = 1e-12
 
 # Areas square the cross products of coordinate differences, which
@@ -529,10 +533,11 @@ class PolyhedralDisc:
     """A disc complex embedded in R^3.
 
     ``positions`` has one row per vertex.  Construction fails with
-    ``DegenerateTriangle`` unless every triangle area clears
+    ``DegenerateTriangle`` unless every triangle area clears the floor
     ``eps_deg * diameter**2``, where the diameter is the bounding box
-    diagonal.  Instances are immutable; movement goes through
-    :meth:`with_positions` or :meth:`moved`, which re-validate.
+    diagonal of the boundary polygon, so no interior vertex moves it.
+    Instances are immutable; movement goes through :meth:`with_positions`
+    or :meth:`moved`, which re-validate.
     """
 
     complex: DiscComplex
@@ -551,11 +556,13 @@ class PolyhedralDisc:
             raise InvalidInput(f"positions must be finite and at most {_MAX_COORDINATE:g} in size")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-        span = pos.max(axis=0) - pos.min(axis=0)
+        rim = pos.take(self.complex.boundary_cycle, axis=0)
+        span = rim.max(axis=0) - rim.min(axis=0)
         diameter = math.sqrt(span.dot(span))
-        object.__setattr__(self, "_diameter", diameter)
-        areas = triangle_areas(pos, self.complex.triangle_array)
         floor = self.eps_deg * diameter * diameter
+        object.__setattr__(self, "_diameter", diameter)
+        object.__setattr__(self, "_floor", floor)
+        areas = triangle_areas(pos, self.complex.triangle_array)
         if diameter <= 0.0 or areas.min() < floor:
             worst = int(np.argmin(areas))
             raise DegenerateTriangle(
@@ -569,13 +576,14 @@ class PolyhedralDisc:
                  diameter: float, eps_deg: float) -> "PolyhedralDisc":
         """The disc of geometry checked as construction checks it: float ``positions``
         within the coordinate bound, made read-only here, their ``triangle_areas`` and
-        box diagonal.  Only the floor is tested again (InvariantViolation: a defect)."""
-        if not (diameter > 0.0 and areas.min() >= eps_deg * diameter * diameter):
+        boundary box diagonal.  Only the floor is tested again (InvariantViolation: a defect)."""
+        floor = eps_deg * diameter * diameter
+        if not (diameter > 0.0 and areas.min() >= floor):
             raise InvariantViolation("a disc built from checked state is below the area floor")
         disc = object.__new__(cls)
         positions.setflags(write=False)
         for name, value in (("complex", complex), ("positions", positions), ("eps_deg", eps_deg),
-                            ("_diameter", diameter), ("_areas", areas)):
+                            ("_diameter", diameter), ("_floor", floor), ("_areas", areas)):
             object.__setattr__(disc, name, value)
         return disc
 
@@ -583,7 +591,8 @@ class PolyhedralDisc:
 
     @property
     def diameter(self) -> float:
-        """Bounding box diagonal; the global length scale."""
+        """Bounding box diagonal of the boundary polygon; the global length
+        scale, fixed while the boundary is pinned."""
         return self._diameter
 
     def total_area(self) -> float:

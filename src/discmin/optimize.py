@@ -16,20 +16,21 @@ Each outer iteration runs three passes:
    blocked when every trial step degenerates the star.
 
 No colour class holds two neighbors, and two vertices that share no
-edge share no face, so no move in a class changes the star of another:
-each class takes its Newton steps from one call of the star kernel and
-one stacked solve, a multicolour Gauss-Seidel sweep (Adams, SC 2001).
+edge share no face, so no move in a class changes the star of another;
+the degeneracy floor is measured on the pinned boundary, so no move
+changes another star's floor either.  Each class takes its Newton steps
+from one call of the star kernel and one stacked solve, a multicolour
+Gauss-Seidel sweep (Adams, SC 2001).
 
-The sweep works on one mutable state: a positions array, the positions,
-triangle areas and bounding box as Python floats, and the diameter.  A
-line-search trial is scored from the moved vertex's star alone, on
-Python floats, under the checks a ``PolyhedralDisc`` makes: the
-coordinate bound, and the degeneracy floor of the trial's own
-diameter, which re-checks the faces outside the star only when the
-trial grows the diameter.  An accepted trial is written into the
-state, and its disc is built from the state, unvalidated, when the sweep
-ends.  Every float is formed in the operations the numpy rows of ``mesh``
-use, so a run is bit-identical to one that validated a disc per trial.
+The sweep works on one mutable state: a positions array, and the
+positions and triangle areas as Python floats.  A line-search trial is
+scored and checked on the moved vertex's star alone, on Python floats,
+under the checks a ``PolyhedralDisc`` makes: the coordinate bound, and
+the disc's degeneracy floor, which no interior move changes.  An
+accepted trial is written into the state, and its disc is built from
+the state, unvalidated, when the sweep ends.  Every float is formed in
+the operations the numpy rows of ``mesh`` use, so a run is
+bit-identical to one that validated a disc per trial.
 The kernel gives each star the bits it gives that star alone, so a run
 is also bit-identical to one that sweeps in the same order a vertex at
 a time.
@@ -109,7 +110,8 @@ class OptimizerConfig:
     ``seed`` and ``enable_flips``.
 
     ``eps_area`` of None resolves to ``1e-12 * diameter**2`` of the
-    input disc.  ``enable_flips`` false keeps the flips out; fan
+    input disc, the diameter of its pinned boundary, so it holds for the
+    whole run.  ``enable_flips`` false keeps the flips out; fan
     reductions always run.
     """
 
@@ -329,27 +331,25 @@ def _star_terms(points: list, stars: _Stars, r0: int, r1: int) -> tuple[np.ndarr
 class _Sweep:
     """The working state of one vertex sweep: a disc's complex, the
     ``_Stars`` it sweeps, a writable copy of its positions (also as
-    Python floats), its triangle areas as Python floats, its bounding box
-    and its diameter, always as valid as a PolyhedralDisc of them.
+    Python floats) and its triangle areas as Python floats, always as
+    valid as a PolyhedralDisc of them; its diameter and floor stay the
+    disc's, as the sweep moves only interior vertices.
 
-    A line-search trial moves the vertex of one row and is scored from
-    its star alone (:meth:`trial`); an accepted trial, with the box and
-    diameter it measured, is written back (:meth:`apply`), and
-    :meth:`disc` builds the disc of the checked state, not validating it
-    again.  The gradients and Newton steps of a row range
-    (:meth:`newton`) are kept until a move is applied, so the
-    stationarity test hands its work to the sweep's first class.
+    A line-search trial moves the vertex of one row and is scored and
+    checked on its star alone (:meth:`trial`); an accepted trial is
+    written back (:meth:`apply`), and :meth:`disc` builds the disc of
+    the checked state, not validating it again.  The gradients and
+    Newton steps of a row range (:meth:`newton`) are kept until a move
+    is applied, so the stationarity test hands its work to the sweep's
+    first class.
     """
 
     def __init__(self, disc: PolyhedralDisc, stars: _Stars):
         self.complex, self.stars = disc.complex, stars
-        self.eps_deg = disc.eps_deg
+        self.eps_deg, self.diameter, self.floor = disc.eps_deg, disc.diameter, disc._floor
         self.positions = np.array(disc.positions)
         self.points = self.positions.tolist()
         self.areas = disc._areas.tolist()
-        self.lo = self.positions.min(axis=0).tolist()
-        self.hi = self.positions.max(axis=0).tolist()
-        self.diameter = disc.diameter
         self._newton: Optional[tuple] = None
 
     def newton(self, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -363,54 +363,35 @@ class _Sweep:
             self._newton = (r0, r1), g, -np.linalg.solve(damped, g[:, :, None])[:, :, 0]
         return self._newton[1:]
 
-    def trial(self, r: int, point) -> tuple[list[float], tuple[list[float], list[float], float]]:
-        """The areas of the star faces of row ``r`` and the moved box
-        (``lo``, ``hi``, diameter), with its vertex moved to ``point``
-        (three Python floats).
+    def trial(self, r: int, point) -> list[float]:
+        """The areas of the star faces of row ``r``, with its vertex moved
+        to ``point`` (three Python floats).
 
         Raises what constructing the moved disc would: InvalidInput for
         a coordinate that is not finite or past the bound, and
-        DegenerateTriangle for an area below ``eps_deg * diameter**2``.
-        Where the vertex is strictly inside the box, the other vertices
-        span all of it, so a ``point`` inside keeps the box and diameter;
-        otherwise the moved positions are measured as a PolyhedralDisc
-        measures them.  Only the star's areas change, and the floor
-        rises only with the diameter; the other faces are checked again
-        only then.
+        DegenerateTriangle for a star area below the disc's floor, which
+        the move leaves as it is, with every face outside the star.
         """
         x, y, z = point
         bound = _MAX_COORDINATE
         if not (abs(x) <= bound and abs(y) <= bound and abs(z) <= bound):
             raise InvalidInput(f"positions must be finite and at most {bound:g} in size")
         stars, v, points = self.stars, self.stars.vertices[r], self.points
-        (lx, ly, lz), (hx, hy, hz) = self.lo, self.hi
-        x0, x1, x2 = points[v]
-        if (lx < x0 < hx and ly < x1 < hy and lz < x2 < hz
-                and lx <= x <= hx and ly <= y <= hy and lz <= z <= hz):
-            lo, hi, diameter = self.lo, self.hi, self.diameter
-        else:
-            moved = self.positions.copy()
-            moved[v] = point
-            low, high = moved.min(axis=0), moved.max(axis=0)
-            span = high - low
-            lo, hi, diameter = low.tolist(), high.tolist(), math.sqrt(span.dot(span))
-        floor = self.eps_deg * diameter * diameter
-        first, last = stars.bounds[r], stars.bounds[r + 1]
         start, points[v] = points[v], point  # the star's faces, with v at the trial point
-        areas = [_area(points[i], points[j], points[k]) for i, j, k in stars.corners[first:last]]
+        areas = [_area(points[i], points[j], points[k])
+                 for i, j, k in stars.corners[stars.bounds[r]:stars.bounds[r + 1]]]
         points[v] = start
-        if diameter <= 0.0 or min(areas) < floor or diameter > self.diameter and (
-                np.delete(self.areas, stars.faces[first:last]) < floor).any():
+        if min(areas) < self.floor:
             raise DegenerateTriangle(
-                f"vertex {v} at {point} leaves a triangle below the floor {floor:.6e}"
+                f"vertex {v} at {point} leaves a triangle below the floor {self.floor:.6e}"
             )
-        return areas, (lo, hi, diameter)
+        return areas
 
     def apply(self, r: int, trial) -> tuple[float, float, float]:
         """Move the vertex of row ``r`` as the accepted ``trial`` (point,
-        star areas, box) says, dropping the kept Newton steps; returns
-        the displacement."""
-        point, areas, (self.lo, self.hi, self.diameter) = trial
+        star areas) says, dropping the kept Newton steps; returns the
+        displacement."""
+        point, areas = trial
         v, stars = self.stars.vertices[r], self.stars
         start = self.points[v]
         self.positions[v] = self.points[v] = list(point)
@@ -441,8 +422,9 @@ def _line_search(
     lowers it by at most -t g.first, and the search ends once that is
     no more than ``floor``.  A trial past the coordinate bound is
     refused as a degenerate one is.  Returns (trial or None, decrease,
-    blocked), the trial being what ``_Sweep.apply`` takes, with
-    ``blocked`` true when every trial made degenerated the star.
+    blocked), the trial being the (point, star areas) that
+    ``_Sweep.apply`` takes, with ``blocked`` true when every trial made
+    degenerated the star.
     """
     stars, v = sweep.stars, sweep.stars.vertices[r]
     x = sweep.points[v]
@@ -461,7 +443,7 @@ def _line_search(
         tried = True
         point = tuple(c + step * d for c, d in zip(x, direction))
         try:
-            areas, box = sweep.trial(r, point)
+            areas = sweep.trial(r, point)
         except (DegenerateTriangle, InvalidInput):
             step *= _SHRINK
             continue
@@ -469,7 +451,7 @@ def _line_search(
         if not shorten or (row_norms(neighbors - point) < lengths).all():
             decrease = before - sum(areas)
             if decrease > floor:
-                return (point, areas, box), decrease, False
+                return (point, areas), decrease, False
         step *= _SHRINK
     return None, 0.0, tried and not nondegenerate
 

@@ -543,8 +543,8 @@ def stalled_at_rest(trace) -> bool:
 def checked_discs_match_validation():
     """Within the block, every disc that ``PolyhedralDisc._checked`` builds
     from carried-over state must equal, bit for bit in its positions,
-    triangle areas and diameter, the disc that full validation of the
-    same complex and positions builds, and its positions must be
+    triangle areas, diameter and floor, the disc that full validation of
+    the same complex and positions builds, and its positions must be
     read-only.  Yields the list of the discs so checked."""
     checked = PolyhedralDisc.__dict__["_checked"].__func__
     discs = []
@@ -555,6 +555,7 @@ def checked_discs_match_validation():
         assert same_bits(disc.positions, expected.positions)
         assert same_bits(disc._areas, expected._areas)
         assert same_bits(disc.diameter, expected.diameter)
+        assert same_bits(disc._floor, expected._floor)
         assert not disc.positions.flags.writeable
         discs.append(disc)
         return disc

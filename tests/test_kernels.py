@@ -294,9 +294,9 @@ def test_checked_discs_of_flips_and_descent_steps_match_validation(disc):
 
 @pytest.mark.parametrize("name", ["c4_fan0", "grid_n4", "perturbed5", "rough15"])
 def test_sweeps_that_move_past_the_box_build_the_validated_disc(name):
-    """Each interior vertex in turn goes past the box, which grows the
-    diameter, and the disc is built; then back to where it was, which
-    shrinks the box again."""
+    """Each interior vertex in turn goes past the box, which leaves the
+    diameter of the pinned boundary as it was, and the disc is built;
+    then back to where it was."""
     disc = DISCS[name]
     sweep = optimize._Sweep(disc, optimize._Stars(disc.complex, disc.complex.interior_vertices()))
     with checked_discs_match_validation() as checked:
@@ -304,8 +304,8 @@ def test_sweeps_that_move_past_the_box_build_the_validated_disc(name):
             start = tuple(sweep.positions[v].tolist())
             for point in (tuple((sweep.positions[v] + [0.0, 0.0, disc.diameter]).tolist()), start):
                 diameter = sweep.diameter
-                sweep.apply(r, (point, *sweep.trial(r, point)))
-                assert sweep.disc().diameter != diameter
+                sweep.apply(r, (point, sweep.trial(r, point)))
+                assert sweep.disc().diameter == diameter
     assert len(checked) == 2 * len(disc.complex.interior_vertices())
 
 

@@ -552,6 +552,37 @@ def test_moved_leaves_original_untouched():
     assert np.array_equal(moved.positions[:5], before[:5])
 
 
+def test_the_diameter_is_the_boundary_polygons_box_diagonal():
+    """The floor's length scale is measured on the boundary polygon: each
+    of these discs has an interior vertex outside its boundary's box,
+    which the diameter leaves out."""
+    for disc in (fan_disc(apex=(0, 0, 0.5)), tetra_cap(),
+                 perturbed_grid_disc(4, seed=0, subdivisions=2)):
+        rim = disc.positions[list(disc.complex.boundary_cycle)]
+        span = rim.max(axis=0) - rim.min(axis=0)
+        assert disc.diameter == math.sqrt(span.dot(span))
+        assert disc._floor == disc.eps_deg * disc.diameter * disc.diameter
+        span = np.ptp(disc.positions, axis=0)
+        assert disc.diameter < math.sqrt(span.dot(span))
+
+
+def test_moving_an_interior_vertex_keeps_the_diameter():
+    """Near and far, at scales from 1e-70 to the coordinate bound, an
+    interior vertex moved by ``moved`` leaves the diameter and the floor
+    bit for bit."""
+    rng = np.random.default_rng(41)
+    for base in (fan_disc(apex=(0, 0, 0.5)), tetra_cap(),
+                 perturbed_grid_disc(4, seed=0, subdivisions=2)):
+        for scale in (1e-70, 1.0, 1e73):
+            disc = base.with_positions(scale * base.positions)
+            for v in disc.complex.interior_vertices():
+                for step in (1e-6, 1.0, 10.0):
+                    point = disc.positions[v] + step * scale * rng.normal(size=3)
+                    moved = disc.moved(v, tuple(point.tolist()))
+                    assert moved.diameter.hex() == disc.diameter.hex()
+                    assert moved._floor.hex() == disc._floor.hex()
+
+
 def test_edge_queries():
     cx = fan_disc(6).complex
     assert cx.is_interior_edge(0, 6)

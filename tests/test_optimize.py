@@ -228,11 +228,9 @@ def _same_trial(sweep, disc, r, point):
         with pytest.raises(DegenerateTriangle):
             sweep.trial(r, point)
         return None
-    areas, (lo, hi, diameter) = sweep.trial(r, point)
+    areas = sweep.trial(r, point)
     assert areas == expected
-    assert diameter == moved.diameter
-    assert lo == moved.positions.min(axis=0).tolist()
-    assert hi == moved.positions.max(axis=0).tolist()
+    assert moved.diameter == sweep.diameter
     faces = stars.faces[stars.bounds[r]:stars.bounds[r + 1]]
     assert sum(sweep.areas[f] for f in faces) - sum(areas) == decrease
     return moved
@@ -248,18 +246,20 @@ TOP = perturbed_grid_disc(4, seed=0)
 )
 def test_star_trials_match_the_rebuild_oracle(disc, lowered):
     """Trials scored from the star alone get the verdict, star areas,
-    decrease and box that validating the whole moved disc gives;
+    decrease and diameter that validating the whole moved disc gives;
     applying the accepted ones keeps the working state equal to the
     oracle's disc.  The vertex ``lowered``, the only one at the top of
-    the box, first moves straight down, so applying it shrinks the box."""
+    the box of all vertices, first moves straight down, which shrinks
+    that box and leaves the diameter."""
     rng = np.random.default_rng(7)
     sweep = optimize._Sweep(disc, optimize._Stars(disc.complex, disc.complex.interior_vertices()))
     verdicts = set()
     for r, v in enumerate(sweep.stars.vertices):
         p = disc.positions
         a, b = disc.complex.vertex_star(v)[:2]
-        # small to far past the box, then onto a neighbor and onto a star edge
-        points = [p[v] + s * disc.diameter * rng.normal(size=3) for s in (1e-4, 1e-2, 0.3, 2.0)]
+        # small to 10 diameters past the boundary's box, then onto a neighbor and a star edge
+        points = [p[v] + s * disc.diameter * rng.normal(size=3)
+                  for s in (1e-4, 1e-2, 0.3, 2.0, 10.0)]
         points += [p[a], 0.5 * (p[a] + p[b])]
         if v == lowered:
             points[0] = p[v] - [0.0, 0.0, 1e-4 * disc.diameter]
@@ -267,56 +267,38 @@ def test_star_trials_match_the_rebuild_oracle(disc, lowered):
         verdicts.update(moved is not None for moved in outcomes)
         if outcomes[0] is not None:
             point = tuple(points[0].tolist())
-            sweep.apply(r, (point, *sweep.trial(r, point)))
-            assert v != lowered or outcomes[0].diameter < disc.diameter
+            sweep.apply(r, (point, sweep.trial(r, point)))
             disc = outcomes[0]
             assert sweep.areas == [disc.triangle_area(f) for f in range(len(disc.complex.triangles))]
-            assert sweep.diameter == disc.diameter
-            assert sweep.lo == disc.positions.min(axis=0).tolist()
-            assert sweep.hi == disc.positions.max(axis=0).tolist()
     assert verdicts == {True, False}
     final = sweep.disc()
     assert np.array_equal(final.positions, disc.positions)
     assert final.total_area() == disc.total_area()
 
 
-def test_a_trial_that_grows_the_box_rechecks_the_faces_outside_the_star():
+def test_the_floor_of_a_trial_is_the_disc_floor():
+    """Lifting a vertex 3 diameters out of the box keeps the floor, here
+    at half the smallest face, which lies outside the vertex's star; a
+    trial that puts a star face below that floor is refused."""
     base = perturbed_grid_disc(4, seed=0)
     cx, p = base.complex, base.positions
     areas = [base.triangle_area(f) for f in range(len(cx.triangles))]
     smallest = int(np.argmin(areas))
     v = next(u for u in cx.interior_vertices() if smallest not in faces_of(cx, u))
-    # the floor sits at half the smallest area, outside the star of v
     disc = PolyhedralDisc(cx, p, eps_deg=0.5 * areas[smallest] / base.diameter**2)
-    point = (float(p[v, 0]), float(p[v, 1]), float(p[v, 2]) + 3.0 * base.diameter)
-    star_areas, _, lifted = trial_by_rebuild(base, v, point)
-    # lifting v far out of the box raises the floor past that face alone
-    assert min(star_areas) >= disc.eps_deg * lifted.diameter**2 > areas[smallest]
+    sweep = one_row_sweep(disc, v)
+    point = (float(p[v, 0]), float(p[v, 1]), float(p[v, 2]) + 3.0 * disc.diameter)
+    star_areas, _, lifted = trial_by_rebuild(disc, v, point)
+    assert lifted._floor == disc._floor == sweep.floor
+    assert sweep.trial(0, point) == star_areas
+    a, b = cx.vertex_star(v)[:2]
+    # next to the middle of a star edge: one star face falls below the floor
+    middle = 0.5 * (p[a] + p[b])
+    point = tuple((middle + 1e-9 * (p[v] - middle)).tolist())
     with pytest.raises(DegenerateTriangle):
         trial_by_rebuild(disc, v, point)
     with pytest.raises(DegenerateTriangle):
-        one_row_sweep(disc, v).trial(0, point)
-
-
-def test_a_trial_that_shrinks_the_box_lowers_the_floor():
-    base = perturbed_grid_disc(4, seed=0)
-    cx, p = base.complex, base.positions
-    v = int(np.argmax(p[:, 2]))  # the rim lies in z = 0, so v is interior
-    assert not cx.is_boundary_vertex(v) and np.sum(p[:, 2] == p[v, 2]) == 1
-    a, b = cx.vertex_star(v)[:2]
-    middle = 0.5 * (p[a] + p[b])
-    # next to the middle of a star edge: lower, and with a sliver in the star
-    point = tuple((middle + 1e-3 * (p[v] - middle)).tolist())
-    star_areas, _, lowered = trial_by_rebuild(base, v, point)
-    sliver = min(star_areas)
-    eps_deg = (1.0 - 1e-6) * sliver / lowered.diameter**2
-    disc = PolyhedralDisc(cx, p, eps_deg=eps_deg)
-    # the floor of the disc before the move would refuse the sliver
-    assert eps_deg * disc.diameter**2 > sliver
-    expected, _, moved = trial_by_rebuild(disc, v, point)
-    areas, (_, _, diameter) = one_row_sweep(disc, v).trial(0, point)
-    assert areas == expected
-    assert diameter == moved.diameter < disc.diameter
+        sweep.trial(0, point)
 
 
 def test_a_trial_past_the_coordinate_bound_is_invalid_input():
@@ -331,13 +313,18 @@ def test_a_trial_past_the_coordinate_bound_is_invalid_input():
 
 def test_a_disc_near_the_coordinate_bound_converges_as_at_unit_scale():
     """Line-search trials past the coordinate bound are refused like
-    degenerate ones, so a fan scaled to 3e74 is minimized as at scale 1."""
+    degenerate ones, so a fan scaled to 3e74 is minimized as at scale 1.
+    Scaled by 2**246, every float of the run scales exactly, and so does
+    its final area; scaled by 1e74, whose products round, the apex comes
+    to rest elsewhere on the flat minimum, and the area within an ulp."""
     base = fan_disc(8, apex=(0.0, 0.0, 3.0))
     runs = []
-    for scale in (1.0, 1e74):
+    for scale in (1.0, 2.0**246, 1e74):
         _, trace = minimize(base.with_positions(scale * base.positions))
         runs.append((len(trace.iterations), trace.converged, trace.final_area / scale**2))
-    assert runs[0] == runs[1] == (7, True, 2.8284271247461903)
+    assert runs[0] == runs[1] == (7, True, 2.82842712474619)
+    assert runs[2] == (7, True, 2.8284271247461903)
+    assert abs(runs[2][2] - runs[0][2]) <= math.ulp(runs[0][2])
 
 
 def test_position_gradient_zero_area_face():
@@ -849,9 +836,8 @@ def test_minimize_converged_output_is_flip_stable_and_saddle():
 
 def test_the_recorded_eps_area_is_resolved_from_the_input_before_the_jitter():
     """The default ``eps_area`` is 1e-12 * diameter**2 of the disc passed
-    in: the jitter moves the apex, which sets the height of the
-    bounding box, but not the recorded value.  A set value is recorded
-    as it is."""
+    in, the diameter of its pinned boundary, which the jitter of the
+    apex leaves.  A set value is recorded as it is."""
     disc = fan_disc(8, apex=(0.1, 0.0, 0.6))
     for config, expected in ((None, 1e-12 * disc.diameter**2),
                              (OptimizerConfig(eps_area=0.0), 0.0)):
@@ -908,7 +894,7 @@ def test_gradient_fallback_moves_where_newton_trials_degenerate(monkeypatch):
     monkeypatch.setattr(optimize, "_vertex_move", grouped_move)
     monkeypatch.setattr(optimize, "_line_search", logged_search)
     disc = perturbed_grid_disc(6, seed=35, subdivisions=4)
-    minimize(disc, OptimizerConfig(max_outer_iterations=21, seed=35))
+    minimize(disc, OptimizerConfig(max_outer_iterations=23, seed=35))
     # a Newton search whose every trial degenerated, then an applied gradient move
     assert [(False, False, True), (False, True, False)] in searches
 
@@ -1037,11 +1023,17 @@ STOP_REASON_RUNS = {
         "iteration_cap",
     ),
     "planar 9-gon fan": (lambda: minimize(planar_nonagon_fan())[1], "stalled"),
-    # stalls after 230 iterations with one vertex non-saddle
+    # stalls after 183 iterations with 2 of 49 vertices non-saddle
+    "saddle grid 8, draw 2": (
+        lambda: minimize(grid_disc(8, np.random.default_rng([2, 8])),
+                         OptimizerConfig(max_outer_iterations=400))[1],
+        "stalled",
+    ),
+    # stops stationary after 99 iterations
     "saddle grid 8, draw 3": (
         lambda: minimize(grid_disc(8, np.random.default_rng([3, 8])),
                          OptimizerConfig(max_outer_iterations=400))[1],
-        "stalled",
+        "stationary",
     ),
 }
 
