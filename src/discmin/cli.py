@@ -12,6 +12,7 @@ missing, unknown or malformed or have bad values).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -19,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DiscminError, InvalidInput, _check, _check_tolerance
-from .flips import flip_pass
+from .flips import EPS_FLIP, flip_pass
 from .meshio import load_obj, make_tent, save_obj
 from .optimize import OptimizerConfig, minimize
 from .quad import QuadSpec, alpha_range, area_curve
-from .saddle import certify_saddle
+from .saddle import EPS_SADDLE, certify_saddle
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -170,13 +171,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="cutting-plane test at every interior vertex")
     p.add_argument("--in", dest="input", required=True, help="input OBJ file")
-    p.add_argument("--eps", dest="eps_saddle", type=float, default=1e-7)
+    p.add_argument("--eps", dest="eps_saddle", type=float, default=EPS_SADDLE)
     p.add_argument("-o", "--out", dest="output", help="write the certificate JSON here")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("flip-pass", help="flip every hinge with angle sum below pi")
     p.add_argument("--in", dest="input", required=True, help="input OBJ file")
-    p.add_argument("--eps-flip", type=float, default=1e-9)
+    p.add_argument("--eps-flip", type=float, default=EPS_FLIP)
     p.add_argument("-o", "--out", dest="output", help="write the flipped disc here")
     p.set_defaults(func=_cmd_flip_pass)
 
@@ -196,9 +197,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quad_curve)
 
     p = sub.add_parser("tent", help="build, optimize and report the tent scenario")
-    p.add_argument("--height", type=float, default=1.25)
-    p.add_argument("--ridge-skew", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
+    tent = inspect.signature(make_tent).parameters  # the flags default to make_tent's defaults
+    p.add_argument("--height", type=float, default=tent["height"].default)
+    p.add_argument("--ridge-skew", type=float, default=tent["ridge_skew"].default)
+    p.add_argument("--seed", type=int, default=tent["seed"].default)
     p.add_argument("--out-dir", default="tent_out")
     p.set_defaults(func=_cmd_tent)
 

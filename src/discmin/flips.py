@@ -70,6 +70,8 @@ class HingeMeasurement:
     gain: float
 
 
+# the default margin of flip_pass: it flips the hinges with sigma < pi - EPS_FLIP
+EPS_FLIP = 1e-9
 # the relative tolerance of flat_convex_quad's coplanarity and convexity tests
 _FLAT_TOL = 1e-6
 # for each cross of ``_hinge_rows``, the rows of q at its sides' ends and apex
@@ -295,7 +297,8 @@ def _assembled(disc: PolyhedralDisc, triangles: list[Triangle], table: dict, anc
     edge, opposite and face arrays come from the sorted table, and only
     the rings of the flipped vertices, the keys of ``anchors``, are walked
     again by ``_ring``; every other ring slice is copied.  The positions
-    and diameter carry over, with the ``areas`` the edits checked."""
+    and the floor carry over (``PolyhedralDisc._derived``), with the
+    ``areas`` the edits checked."""
     cx = disc.complex
     edges = sorted(table)
     pairs = chain.from_iterable(chain.from_iterable(map(table.__getitem__, edges)))
@@ -322,7 +325,7 @@ def _assembled(disc: PolyhedralDisc, triangles: list[Triangle], table: dict, anc
         array.setflags(write=False)
     flipped = DiscComplex(cx.vertex_count, tuple(triangles), tuple(edges), cx.boundary_cycle,
                           cx.boundary_vertices, *arrays)
-    return PolyhedralDisc._checked(flipped, disc.positions, areas, disc.diameter, disc.eps_deg)
+    return disc._derived(flipped, disc.positions, areas)
 
 
 def _rebuilt(disc: PolyhedralDisc, triangles: list, what: str, vertex_map: dict) -> PolyhedralDisc:
@@ -372,7 +375,7 @@ class FlipPassResult:
 
 
 def flip_pass(
-    disc: PolyhedralDisc, eps_flip: float = 1e-9, cap: int | None = None
+    disc: PolyhedralDisc, eps_flip: float = EPS_FLIP, cap: int | None = None
 ) -> FlipPassResult:
     """Flip hinges with sigma < pi - eps_flip until none remain.
 

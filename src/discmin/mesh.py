@@ -172,8 +172,7 @@ def triangle_areas(positions: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     under the vertex embedding ``positions`` (shape (V, 3)), as
     ``area_rows`` computes them, from one gather of the corners."""
     corners = positions[triangles]
-    sides = corners[:, 1:] - corners[:, :1]
-    return 0.5 * row_norms(cross_rows(sides[:, 0], sides[:, 1]))
+    return area_rows(corners[:, 0], corners[:, 1], corners[:, 2])
 
 
 def _triangle(ids) -> Triangle:
@@ -536,6 +535,8 @@ class PolyhedralDisc:
     ``DegenerateTriangle`` unless every triangle area clears the floor
     ``eps_deg * diameter**2``, where the diameter is the bounding box
     diagonal of the boundary polygon, so no interior vertex moves it.
+    The floor is computed here alone: a disc that flips or the vertex
+    sweep derive from this one (:meth:`_derived`) inherits it.
     Instances are immutable; movement goes through :meth:`with_positions`
     or :meth:`moved`, which re-validate.
     """
@@ -571,19 +572,20 @@ class PolyhedralDisc:
             )
         object.__setattr__(self, "_areas", areas)
 
-    @classmethod
-    def _checked(cls, complex: DiscComplex, positions: np.ndarray, areas: np.ndarray,
-                 diameter: float, eps_deg: float) -> "PolyhedralDisc":
-        """The disc of geometry checked as construction checks it: float ``positions``
-        within the coordinate bound, made read-only here, their ``triangle_areas`` and
-        boundary box diagonal.  Only the floor is tested again (InvariantViolation: a defect)."""
-        floor = eps_deg * diameter * diameter
-        if not (diameter > 0.0 and areas.min() >= floor):
+    def _derived(self, complex: DiscComplex, positions: np.ndarray,
+                 areas: np.ndarray) -> "PolyhedralDisc":
+        """The disc of geometry derived from this one and checked as
+        construction checks it: float ``positions`` within the coordinate
+        bound, made read-only here, and their ``triangle_areas``, with this
+        disc's boundary polygon, so its ``eps_deg``, diameter and floor carry
+        over.  Only the floor is tested again (InvariantViolation: a defect)."""
+        if not areas.min() >= self._floor:
             raise InvariantViolation("a disc built from checked state is below the area floor")
-        disc = object.__new__(cls)
+        disc = object.__new__(type(self))
         positions.setflags(write=False)
-        for name, value in (("complex", complex), ("positions", positions), ("eps_deg", eps_deg),
-                            ("_diameter", diameter), ("_floor", floor), ("_areas", areas)):
+        for name, value in (("complex", complex), ("positions", positions), ("_areas", areas),
+                            ("eps_deg", self.eps_deg), ("_diameter", self._diameter),
+                            ("_floor", self._floor)):
             object.__setattr__(disc, name, value)
         return disc
 

@@ -50,6 +50,14 @@ twice.  *stalled*: an iteration decreased total area by no more than
 ``eps_area``.  *iteration_cap*: neither happened.  The run has
 *converged* exactly when it stopped stationary.
 
+Where each threshold lives: ``eps_area``, the one a caller sets, is
+resolved here and is every line search's ``min_gain`` and the stall
+and stationarity tests' bound; the flip margin is ``flips.EPS_FLIP``;
+the margin above which a star is cut, as the certificate decides it,
+is ``saddle.EPS_SADDLE``; the degeneracy floor is ``PolyhedralDisc._floor``,
+set by the pinned boundary, which every disc a flip or sweep derives
+inherits; the jitter amplitude ``_JITTER`` is this module's.
+
 An interior vertex is jittered once before the first iteration to
 knock the input off razor-edge symmetric configurations; the amplitude
 is relative to the disc diameter and the generator is seeded, so runs
@@ -86,17 +94,15 @@ from .errors import (
     _check_tolerance,
     _is_number,
 )
-from .flips import FanReduction, FlipPassResult, FlipRecord
+from .flips import EPS_FLIP, FanReduction, FlipPassResult, FlipRecord
 from .flips import flip_pass, reduce_fan
 from .mesh import _MAX_COORDINATE, PolyhedralDisc, _area, _check_index, area_rows, edge_key
 from .mesh import row_norms
-from .saddle import SaddleCertificate, VertexVerdict, _vertex_verdicts, certify_saddle
+from .saddle import EPS_SADDLE, SaddleCertificate, VertexVerdict, _vertex_verdicts, certify_saddle
 
 _EYE = np.eye(3)  # damps every star Hessian
 _STEP, _SHRINK, _MAX_BACKTRACKS = 0.5, 0.5, 30  # the schedule of _line_search
-# flip below sigma = pi - _EPS_FLIP; a cut needs a margin above _EPS_SADDLE;
-# the jitter is relative to the disc diameter
-_EPS_FLIP, _EPS_SADDLE, _JITTER = 1e-9, 1e-7, 1e-9
+_JITTER = 1e-9  # relative to the disc diameter
 
 
 # =====================================================================
@@ -332,8 +338,10 @@ class _Sweep:
     """The working state of one vertex sweep: a disc's complex, the
     ``_Stars`` it sweeps, a writable copy of its positions (also as
     Python floats) and its triangle areas as Python floats, always as
-    valid as a PolyhedralDisc of them; its diameter and floor stay the
-    disc's, as the sweep moves only interior vertices.
+    valid as a PolyhedralDisc of them.  It keeps the disc it was built
+    from as ``source``, whose floor (``PolyhedralDisc._floor``) every
+    trial is checked against and every built disc inherits, as the
+    sweep moves only interior vertices.
 
     A line-search trial moves the vertex of one row and is scored and
     checked on its star alone (:meth:`trial`); an accepted trial is
@@ -345,8 +353,7 @@ class _Sweep:
     """
 
     def __init__(self, disc: PolyhedralDisc, stars: _Stars):
-        self.complex, self.stars = disc.complex, stars
-        self.eps_deg, self.diameter, self.floor = disc.eps_deg, disc.diameter, disc._floor
+        self.source, self.complex, self.stars = disc, disc.complex, stars
         self.positions = np.array(disc.positions)
         self.points = self.positions.tolist()
         self.areas = disc._areas.tolist()
@@ -369,8 +376,8 @@ class _Sweep:
 
         Raises what constructing the moved disc would: InvalidInput for
         a coordinate that is not finite or past the bound, and
-        DegenerateTriangle for a star area below the disc's floor, which
-        the move leaves as it is, with every face outside the star.
+        DegenerateTriangle for a star area below the floor of ``source``,
+        which the move leaves as it is, with every face outside the star.
         """
         x, y, z = point
         bound = _MAX_COORDINATE
@@ -381,9 +388,10 @@ class _Sweep:
         areas = [_area(points[i], points[j], points[k])
                  for i, j, k in stars.corners[stars.bounds[r]:stars.bounds[r + 1]]]
         points[v] = start
-        if min(areas) < self.floor:
+        floor = self.source._floor
+        if min(areas) < floor:
             raise DegenerateTriangle(
-                f"vertex {v} at {point} leaves a triangle below the floor {self.floor:.6e}"
+                f"vertex {v} at {point} leaves a triangle below the floor {floor:.6e}"
             )
         return areas
 
@@ -401,13 +409,12 @@ class _Sweep:
         return tuple(p - q for p, q in zip(point, start))
 
     def disc(self) -> PolyhedralDisc:
-        return PolyhedralDisc._checked(self.complex, self.positions.copy(), np.array(self.areas),
-                                       self.diameter, self.eps_deg)
+        return self.source._derived(self.complex, self.positions.copy(), np.array(self.areas))
 
 
 def _line_search(
     sweep: _Sweep, r: int, first: np.ndarray, gradient: np.ndarray,
-    floor: float, scale: Optional[float] = None, shorten: bool = False,
+    min_gain: float, scale: Optional[float] = None, shorten: bool = False,
 ) -> tuple[Optional[tuple], float, bool]:
     """Backtracking search for the vertex of row ``r``: the displacement
     ``first``, then at most ``_MAX_BACKTRACKS`` shorter ones by factors
@@ -415,13 +422,15 @@ def _line_search(
     and the first trial goes ``_STEP * scale`` times the shortest star
     edge along it.
 
-    A trial is accepted when the star stays nondegenerate, every star
-    edge got shorter (if ``shorten``, which needs a ``scale``), and the
-    star area dropped by more than ``floor``.  As the star area is
-    convex, with ``gradient`` g at the start, the trial ``t * first``
-    lowers it by at most -t g.first, and the search ends once that is
-    no more than ``floor``.  A trial past the coordinate bound is
-    refused as a degenerate one is.  Returns (trial or None, decrease,
+    A trial is accepted when the star stays nondegenerate (its faces
+    clear the floor of ``sweep.source``), every star edge got shorter
+    (if ``shorten``, which needs a ``scale``), and the star area dropped
+    by more than ``min_gain``: the run's ``eps_area`` in the loop, 0 in
+    ``vertex_descent_step``.  As the star area is convex, with
+    ``gradient`` g at the start, the trial ``t * first`` lowers it by at
+    most -t g.first, and the search ends once that is no more than
+    ``min_gain``.  A trial past the coordinate bound is refused as a
+    degenerate one is.  Returns (trial or None, decrease,
     blocked), the trial being the (point, star areas) that
     ``_Sweep.apply`` takes, with ``blocked`` true when every trial made
     degenerated the star.
@@ -438,7 +447,7 @@ def _line_search(
     tried = nondegenerate = False
     step = 1.0
     for _ in range(_MAX_BACKTRACKS + 1):
-        if step * slope <= floor:
+        if step * slope <= min_gain:
             break
         tried = True
         point = tuple(c + step * d for c, d in zip(x, direction))
@@ -450,29 +459,29 @@ def _line_search(
         nondegenerate = True
         if not shorten or (row_norms(neighbors - point) < lengths).all():
             decrease = before - sum(areas)
-            if decrease > floor:
+            if decrease > min_gain:
                 return (point, areas), decrease, False
         step *= _SHRINK
     return None, 0.0, tried and not nondegenerate
 
 
 def _cut_move(
-    sweep: _Sweep, r: int, verdict: VertexVerdict, gradient: np.ndarray, floor: float
+    sweep: _Sweep, r: int, verdict: VertexVerdict, gradient: np.ndarray, min_gain: float
 ) -> tuple[Optional[tuple], float, bool]:
     """The paper's move of a non-saddle vertex (row ``r``): along its
     cutting direction from half the margin, every star edge shortening."""
-    return _line_search(sweep, r, verdict.cut_normal, gradient, floor,
+    return _line_search(sweep, r, verdict.cut_normal, gradient, min_gain,
                         scale=0.5 * verdict.margin, shorten=True)
 
 
 def _vertex_move(
-    sweep: _Sweep, r: int, gradient: np.ndarray, newton: np.ndarray, floor: float
+    sweep: _Sweep, r: int, gradient: np.ndarray, newton: np.ndarray, min_gain: float
 ) -> tuple[str, Optional[tuple], float, bool]:
     """Pick and search the move of the vertex of row ``r``.
 
     The damped Newton step ``newton`` on the star area comes first: in
     full, then shrinking.  Only where no trial of it lowers the star
-    area by more than ``floor`` does the shared vertex test decide: the
+    area by more than ``min_gain`` does the shared vertex test decide: the
     cut move where the star is non-saddle, the gradient move along -g
     (from the shortest star edge) otherwise.  The gradient move applies
     where a sliver in the star defeats Newton: every trial pushes it
@@ -480,16 +489,16 @@ def _vertex_move(
     Returns (mode, trial or None, decrease, blocked), ``mode`` being
     "cut" or "gradient", the latter for Newton steps too.
     """
-    trial, decrease, _ = _line_search(sweep, r, newton, gradient, floor)
+    trial, decrease, _ = _line_search(sweep, r, newton, gradient, min_gain)
     if trial is not None:
         return "gradient", trial, decrease, False
-    (verdict,) = _vertex_verdicts(sweep, (sweep.stars.vertices[r],), _EPS_SADDLE)
+    (verdict,) = _vertex_verdicts(sweep, (sweep.stars.vertices[r],), EPS_SADDLE)
     if not verdict.is_saddle:
-        return ("cut", *_cut_move(sweep, r, verdict, gradient, floor))
+        return ("cut", *_cut_move(sweep, r, verdict, gradient, min_gain))
     norm = float(np.linalg.norm(gradient))
     if norm == 0.0:
         return "gradient", None, 0.0, False
-    return ("gradient", *_line_search(sweep, r, -gradient / norm, gradient, floor, scale=1.0))
+    return ("gradient", *_line_search(sweep, r, -gradient / norm, gradient, min_gain, scale=1.0))
 
 
 def _stationary(sweep: _Sweep, eps_area: float) -> bool:
@@ -521,7 +530,7 @@ def vertex_descent_step(disc: PolyhedralDisc, v: int) -> tuple[PolyhedralDisc, f
     """
     if disc.complex.is_boundary_vertex(v):
         raise InvalidInput(f"vertex {v} is on the boundary")
-    (verdict,) = _vertex_verdicts(disc, (v,), _EPS_SADDLE)
+    (verdict,) = _vertex_verdicts(disc, (v,), EPS_SADDLE)
     if verdict.is_saddle:
         raise NotCuttable(f"vertex {v} admits no cutting plane")
     gradient = position_area_gradient(disc, v)
@@ -634,7 +643,7 @@ def minimize(
             else:
                 break
 
-        flipped = (flip_pass(disc, _EPS_FLIP) if cfg.enable_flips
+        flipped = (flip_pass(disc, EPS_FLIP) if cfg.enable_flips
                    else FlipPassResult(disc, (), False))
         disc = flipped.disc
 
@@ -644,7 +653,7 @@ def minimize(
         classes = stars.classes
         if (not flipped.flips and not reductions and not flipped.cap_exceeded
                 and _stationary(sweep, eps_area)):
-            certificate = certify_saddle(disc, _EPS_SADDLE)
+            certificate = certify_saddle(disc, EPS_SADDLE)
             if certificate.saddle:  # the sweep would move nothing: skip it
                 stop_reason, classes = "stationary", ()
         for r0, r1 in classes:  # no move in a class changes the star of another
@@ -688,6 +697,6 @@ def minimize(
         eps_area=eps_area,
         seed=cfg.seed,
         certificate=(certificate if stop_reason == "stationary"
-                     else certify_saddle(disc, _EPS_SADDLE)),
+                     else certify_saddle(disc, EPS_SADDLE)),
     )
     return disc, trace

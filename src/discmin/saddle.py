@@ -63,6 +63,10 @@ from .mesh import PolyhedralDisc, _real_array
 SADDLE = "saddle"
 NON_SADDLE = "non_saddle"
 
+# The default margin of the certificate: a star is non-saddle when a
+# cutting plane clears every unit edge direction by more than this.
+EPS_SADDLE = 1e-7
+
 # Wolfe's optimality gap: |x|^2 - min_j <x, u_j> <= _WOLFE_GAP * max_j |u_j|^2.
 _WOLFE_GAP = 1e-12
 # Major cycles allowed per point before the solver gives up; the random,
@@ -198,7 +202,7 @@ def _affine_weights(simplex) -> list[float]:
 
 
 def _min_norm_point(
-    points, eps_saddle: float = 1e-7
+    points, eps_saddle: float = EPS_SADDLE
 ) -> tuple[tuple[float, float, float], np.ndarray]:
     """Minimum-norm point of the convex hull of ``points`` (k 3-vectors)
     and the convex coefficients realizing it (length k), by Wolfe's
@@ -282,7 +286,7 @@ def _unit_directions(directions) -> list[tuple[float, float, float]]:
     return unit
 
 
-def cutting_direction(directions, eps_saddle: float = 1e-7) -> StarVerdict:
+def cutting_direction(directions, eps_saddle: float = EPS_SADDLE) -> StarVerdict:
     """Classify a star given its edge direction vectors (k x 3).
 
     Directions need not be normalized.  The verdict is decided by the
@@ -393,7 +397,7 @@ class SaddleCertificate:
         }
 
 
-def certify_saddle(disc: PolyhedralDisc, eps_saddle: float = 1e-7) -> SaddleCertificate:
+def certify_saddle(disc: PolyhedralDisc, eps_saddle: float = EPS_SADDLE) -> SaddleCertificate:
     """Run the cutting-plane test at every interior vertex.
 
     ``saddle`` is True when no interior vertex admits a cutting plane

@@ -541,17 +541,17 @@ def stalled_at_rest(trace) -> bool:
 
 @contextlib.contextmanager
 def checked_discs_match_validation():
-    """Within the block, every disc that ``PolyhedralDisc._checked`` builds
+    """Within the block, every disc that ``PolyhedralDisc._derived`` builds
     from carried-over state must equal, bit for bit in its positions,
     triangle areas, diameter and floor, the disc that full validation of
     the same complex and positions builds, and its positions must be
     read-only.  Yields the list of the discs so checked."""
-    checked = PolyhedralDisc.__dict__["_checked"].__func__
+    derived = PolyhedralDisc._derived
     discs = []
 
-    def compared(cls, complex, positions, areas, diameter, eps_deg):
-        disc = checked(cls, complex, positions, areas, diameter, eps_deg)
-        expected = PolyhedralDisc(complex, positions, eps_deg)
+    def compared(source, complex, positions, areas):
+        disc = derived(source, complex, positions, areas)
+        expected = PolyhedralDisc(complex, positions, source.eps_deg)
         assert same_bits(disc.positions, expected.positions)
         assert same_bits(disc._areas, expected._areas)
         assert same_bits(disc.diameter, expected.diameter)
@@ -560,7 +560,7 @@ def checked_discs_match_validation():
         discs.append(disc)
         return disc
 
-    with mock.patch.object(PolyhedralDisc, "_checked", classmethod(compared)):
+    with mock.patch.object(PolyhedralDisc, "_derived", compared):
         yield discs
 
 
@@ -618,7 +618,7 @@ def flip_pass_sorting_every_hinge(disc: PolyhedralDisc, eps_flip: float = 1e-9, 
         cap = 100 * len(cx.edges)
     triangles = list(cx.triangles)
     edge_faces = edge_faces_by_rows(cx)
-    floor = disc.eps_deg * disc.diameter * disc.diameter
+    floor = disc._floor
     threshold = np.pi - eps_flip
     hinges = {}
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import edge_faces_of, fan_disc
-from discmin import dumps_obj, load_obj, random_instance, save_obj
+from discmin import certify_saddle, dumps_obj, load_obj, make_tent, random_instance, save_obj
 from discmin.cli import main
 
 
@@ -154,6 +155,8 @@ def test_certify_exit_codes(tmp_path, capsys):
     data = json.loads(report.read_text())
     assert data["saddle"] is False
     assert data["vertices"][0]["id"] == 8
+    # without --eps, the margin is certify_saddle's own default
+    assert data["eps_saddle"] == inspect.signature(certify_saddle).parameters["eps_saddle"].default
 
 
 def test_certify_eps_flag(tmp_path):
@@ -214,6 +217,9 @@ def test_tent_command(tmp_path, capsys):
     rc = main(["tent", "--out-dir", str(out_dir)])
     assert rc == 0
     report = json.loads((out_dir / "report.json").read_text())
+    defaults = inspect.signature(make_tent).parameters
+    assert report["height"] == defaults["height"].default
+    assert report["ridge_skew"] == defaults["ridge_skew"].default
     assert report["apex"]["status"] == "non_saddle"
     assert report["fan"]["stop_reason"] == "stalled"
     assert report["chord"]["stop_reason"] == "stationary"

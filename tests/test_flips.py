@@ -383,7 +383,7 @@ def test_a_corrupted_table_fails_the_assembly(n, seed, subdivisions):
     disc a rebuild gives."""
     disc = perturbed_grid_disc(n, seed=seed, subdivisions=subdivisions)
     cx = disc.complex
-    floor = disc.eps_deg * disc.diameter * disc.diameter
+    floor = disc._floor
     flipped = 0
     for e in cx.interior_edges():
         triangles, table, anchors = list(cx.triangles), flips._edge_table(cx), {}

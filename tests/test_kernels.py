@@ -303,9 +303,8 @@ def test_sweeps_that_move_past_the_box_build_the_validated_disc(name):
         for r, v in enumerate(sweep.stars.vertices):
             start = tuple(sweep.positions[v].tolist())
             for point in (tuple((sweep.positions[v] + [0.0, 0.0, disc.diameter]).tolist()), start):
-                diameter = sweep.diameter
                 sweep.apply(r, (point, sweep.trial(r, point)))
-                assert sweep.disc().diameter == diameter
+                assert sweep.disc().diameter == disc.diameter
     assert len(checked) == 2 * len(disc.complex.interior_vertices())
 
 
@@ -313,7 +312,5 @@ def test_a_checked_disc_below_the_floor_is_a_defect():
     disc = FANS["c4_fan0"]
     areas = disc._areas.copy()
     areas[3] = 0.0
-    for bad, diameter in ((areas, disc.diameter), (disc._areas, 0.0), (disc._areas, np.nan)):
-        positions = disc.positions.copy()
-        with pytest.raises(InvariantViolation, match="area floor"):
-            PolyhedralDisc._checked(disc.complex, positions, bad, diameter, disc.eps_deg)
+    with pytest.raises(InvariantViolation, match="area floor"):
+        disc._derived(disc.complex, disc.positions.copy(), areas)

@@ -230,7 +230,7 @@ def _same_trial(sweep, disc, r, point):
         return None
     areas = sweep.trial(r, point)
     assert areas == expected
-    assert moved.diameter == sweep.diameter
+    assert moved.diameter == sweep.source.diameter
     faces = stars.faces[stars.bounds[r]:stars.bounds[r + 1]]
     assert sum(sweep.areas[f] for f in faces) - sum(areas) == decrease
     return moved
@@ -289,7 +289,7 @@ def test_the_floor_of_a_trial_is_the_disc_floor():
     sweep = one_row_sweep(disc, v)
     point = (float(p[v, 0]), float(p[v, 1]), float(p[v, 2]) + 3.0 * disc.diameter)
     star_areas, _, lifted = trial_by_rebuild(disc, v, point)
-    assert lifted._floor == disc._floor == sweep.floor
+    assert lifted._floor == disc._floor and sweep.source is disc
     assert sweep.trial(0, point) == star_areas
     a, b = cx.vertex_star(v)[:2]
     # next to the middle of a star edge: one star face falls below the floor
@@ -299,6 +299,44 @@ def test_the_floor_of_a_trial_is_the_disc_floor():
         trial_by_rebuild(disc, v, point)
     with pytest.raises(DegenerateTriangle):
         sweep.trial(0, point)
+
+
+@pytest.mark.parametrize(
+    "disc",
+    [GRIDS_AND_FANS[6], grid_disc(4, np.random.default_rng([0, 4])),
+     perturbed_grid_disc(4, seed=0, subdivisions=2)],
+    ids=["c4_fan0", "workload_grid4", "perturbed_subdivided"],
+)
+def test_trials_that_bracket_the_floor_match_the_rebuild_oracle(disc):
+    """Each interior vertex walks toward the middle of a star edge, where
+    a star face has area 0, and bisection along that ray finds the last
+    point whose disc the rebuild accepts and the first it refuses: the
+    smallest star area there brackets the disc's floor.  The sweep's
+    trial accepts the first, with the rebuild's areas, and refuses the
+    second, so its floor is the disc's to within that bracket."""
+    sweep = optimize._Sweep(disc, optimize._Stars(disc.complex, disc.complex.interior_vertices()))
+    p = disc.positions
+    for r, v in enumerate(sweep.stars.vertices):
+        a, b = disc.complex.vertex_star(v)[:2]
+        direction = 0.5 * (p[a] + p[b]) - p[v]
+
+        def accepted(t):
+            try:
+                return trial_by_rebuild(disc, v, tuple((p[v] + t * direction).tolist()))[0]
+            except DegenerateTriangle:
+                return None
+
+        lo, hi = 0.0, 1.0
+        assert accepted(lo) is not None and accepted(hi) is None
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if accepted(mid) is not None else (lo, mid)
+        above, below = (tuple((p[v] + t * direction).tolist()) for t in (lo, hi))
+        areas = accepted(lo)
+        assert disc._floor <= min(areas) < 1.01 * disc._floor
+        assert sweep.trial(r, above) == areas
+        with pytest.raises(DegenerateTriangle):
+            sweep.trial(r, below)
 
 
 def test_a_trial_past_the_coordinate_bound_is_invalid_input():
