@@ -20,8 +20,8 @@ plane).
 
 Every edit of the triangle list lives here.  ``flip`` and ``flip_pass``
 share one edit of a mutable edge table and assemble the flipped disc
-from it (see ``_assembled``); ``build_from_triangles`` validates each
-reduction, like every input.
+from it (see ``_assembled``); ``build_from_triangles`` checks each
+reduction's topology, and ``reduce_fan`` derives its geometry.
 """
 
 from __future__ import annotations
@@ -328,19 +328,6 @@ def _assembled(disc: PolyhedralDisc, triangles: list[Triangle], table: dict, anc
     return disc._derived(flipped, disc.positions, areas)
 
 
-def _rebuilt(disc: PolyhedralDisc, triangles: list, what: str, vertex_map: dict) -> PolyhedralDisc:
-    """``disc`` with its triangles replaced by the edited ``triangles``,
-    renumbered by ``vertex_map`` (kept old ids, ascending, to new ones),
-    and validated in full, by ``build_from_triangles`` first; raises
-    InvariantViolation if the boundary cycle changed (a defect, never
-    expected).  The one check of every fan reduction."""
-    triangles = [tuple(vertex_map[v] for v in t) for t in triangles]
-    new_complex = build_from_triangles(triangles)
-    if new_complex.boundary_cycle != tuple(vertex_map.get(v) for v in disc.complex.boundary_cycle):
-        raise InvariantViolation(f"{what} changed the boundary cycle")
-    return PolyhedralDisc(new_complex, disc.positions[list(vertex_map)], disc.eps_deg)
-
-
 def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
     """Replace the hinge triangles abx, aby by axy, bxy.
 
@@ -523,6 +510,10 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
     disc, keeping its direction.  Surviving vertices are renumbered
     compactly, preserving their relative order.
 
+    ``build_from_triangles`` validates the reduced topology; the kept
+    faces keep their areas and the floor carries over
+    (``PolyhedralDisc._derived``), so only the flat triangle is checked.
+
     Raises
     ------
     InvalidInput
@@ -533,6 +524,8 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
         The flood reached every face, so the cycle bounds nothing.
         Unreachable for genuine violations of a valid disc; kept as a
         defensive check.
+    DegenerateTriangle
+        The flat triangle's area is below the disc's floor.
     InvariantViolation
         The reduced disc has another boundary cycle, or more area than
         the input (a defect, never expected).
@@ -561,12 +554,20 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
     if len(outside) == len(cx.triangles):
         raise CycleBoundsBoundary(f"cycle {t} bounds no face the boundary cannot reach")
     area_before = disc.total_area()
-    new_tris = [tri for i, tri in enumerate(cx.triangles) if i in outside]
+    new_tris = [cx.triangles[i] for i in sorted(outside)]
     new_tris.append(t if outside else cx.boundary_cycle)
 
     keep = sorted({v for tri in new_tris for v in tri})
     vertex_map = {old: new for new, old in enumerate(keep)}
-    new_disc = _rebuilt(disc, new_tris, f"fan reduction along {t}", vertex_map)
+    new_complex = build_from_triangles([tuple(vertex_map[v] for v in tri) for tri in new_tris])
+    if new_complex.boundary_cycle != tuple(vertex_map.get(v) for v in cx.boundary_cycle):
+        raise InvariantViolation(f"fan reduction along {t} changed the boundary cycle")
+    positions, flat = disc.positions[keep], new_complex.triangles[-1]
+    area = _area(*positions[list(flat)].tolist())
+    if area < disc._floor:
+        raise DegenerateTriangle(f"triangle {flat} has area {area:.6e}, "
+                                 f"below the floor {disc._floor:.6e}")
+    new_disc = disc._derived(new_complex, positions, np.append(disc._areas[sorted(outside)], area))
 
     area_after = new_disc.total_area()
     decrease = area_before - area_after

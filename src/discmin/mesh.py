@@ -167,12 +167,28 @@ def _area(p0, p1, p2) -> float:
     return 0.5 * math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
-def triangle_areas(positions: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Areas of the triangles ``triangles`` (integer array of shape (F, 3))
-    under the vertex embedding ``positions`` (shape (V, 3)), as
-    ``area_rows`` computes them, from one gather of the corners."""
+def _triangle_areas(positions: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """``triangle_areas`` without its checks, from one gather of the corners."""
     corners = positions[triangles]
     return area_rows(corners[:, 0], corners[:, 1], corners[:, 2])
+
+
+def triangle_areas(positions, triangles) -> np.ndarray:
+    """Areas of the triangles ``triangles`` (integer vertex ids of shape
+    (F, 3)) under the vertex embedding ``positions`` (real, of shape
+    (V, 3)), as ``area_rows`` computes them.  Raises InvalidInput unless
+    both have those shapes and every id lies in 0 to V - 1."""
+    pos = _real_array(positions, copy=False)
+    if pos is None or pos.ndim != 2 or pos.shape[1] != 3:
+        raise InvalidInput("positions must be real numbers of shape (V, 3)")
+    try:
+        tri = np.asarray(triangles)
+    except (TypeError, ValueError):  # ragged rows
+        tri = np.empty(0)
+    if not (tri.dtype.kind in "iu" and tri.ndim == 2 and tri.shape[1] == 3
+            and ((0 <= tri) & (tri < len(pos))).all()):
+        raise InvalidInput(f"triangles must be integers 0 to {len(pos) - 1} of shape (F, 3)")
+    return _triangle_areas(pos, tri)
 
 
 def _triangle(ids) -> Triangle:
@@ -535,8 +551,8 @@ class PolyhedralDisc:
     ``DegenerateTriangle`` unless every triangle area clears the floor
     ``eps_deg * diameter**2``, where the diameter is the bounding box
     diagonal of the boundary polygon, so no interior vertex moves it.
-    The floor is computed here alone: a disc that flips or the vertex
-    sweep derive from this one (:meth:`_derived`) inherits it.
+    The floor is computed here alone: a disc that flips, fan reductions
+    or the vertex sweep derive from this one (:meth:`_derived`) inherits it.
     Instances are immutable; movement goes through :meth:`with_positions`
     or :meth:`moved`, which re-validate.
     """
@@ -563,7 +579,7 @@ class PolyhedralDisc:
         floor = self.eps_deg * diameter * diameter
         object.__setattr__(self, "_diameter", diameter)
         object.__setattr__(self, "_floor", floor)
-        areas = triangle_areas(pos, self.complex.triangle_array)
+        areas = _triangle_areas(pos, self.complex.triangle_array)
         if diameter <= 0.0 or areas.min() < floor:
             worst = int(np.argmin(areas))
             raise DegenerateTriangle(

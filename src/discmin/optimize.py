@@ -26,11 +26,13 @@ The sweep works on one mutable state: a positions array, and the
 positions and triangle areas as Python floats.  A line-search trial is
 scored and checked on the moved vertex's star alone, on Python floats,
 under the checks a ``PolyhedralDisc`` makes: the coordinate bound, and
-the disc's degeneracy floor, which no interior move changes.  An
-accepted trial is written into the state, and its disc is built from
-the state, unvalidated, when the sweep ends.  Every float is formed in
-the operations the numpy rows of ``mesh`` use, so a run is
-bit-identical to one that validated a disc per trial.
+the disc's degeneracy floor, which no interior move changes; a trial
+failing them is refused as None.  An accepted trial is written into the
+state, and its disc is built from the state, unvalidated, when the sweep
+ends; fan reductions check only their flat triangle, so a run validates
+a disc in full only at the jitter.  Every float is formed in the
+operations the numpy rows of ``mesh`` use, so a run is bit-identical to
+one that validated a disc per trial.
 The kernel gives each star the bits it gives that star alone, so a run
 is also bit-identical to one that sweeps in the same order a vertex at
 a time.
@@ -55,8 +57,8 @@ resolved here and is every line search's ``min_gain`` and the stall
 and stationarity tests' bound; the flip margin is ``flips.EPS_FLIP``;
 the margin above which a star is cut, as the certificate decides it,
 is ``saddle.EPS_SADDLE``; the degeneracy floor is ``PolyhedralDisc._floor``,
-set by the pinned boundary, which every disc a flip or sweep derives
-inherits; the jitter amplitude ``_JITTER`` is this module's.
+set by the pinned boundary, which every disc a flip, fan reduction or
+sweep derives inherits; the jitter amplitude ``_JITTER`` is this module's.
 
 An interior vertex is jittered once before the first iteration to
 knock the input off razor-edge symmetric configurations; the amplitude
@@ -370,30 +372,21 @@ class _Sweep:
             self._newton = (r0, r1), g, -np.linalg.solve(damped, g[:, :, None])[:, :, 0]
         return self._newton[1:]
 
-    def trial(self, r: int, point) -> list[float]:
+    def trial(self, r: int, point) -> Optional[list[float]]:
         """The areas of the star faces of row ``r``, with its vertex moved
-        to ``point`` (three Python floats).
-
-        Raises what constructing the moved disc would: InvalidInput for
-        a coordinate that is not finite or past the bound, and
-        DegenerateTriangle for a star area below the floor of ``source``,
-        which the move leaves as it is, with every face outside the star.
+        to ``point`` (three Python floats), or None wherever constructing
+        the moved disc would fail: a coordinate that is not finite or past
+        the bound, or a star area below the floor of ``source``, which the
+        move leaves as it is, with every face outside the star.
         """
-        x, y, z = point
-        bound = _MAX_COORDINATE
-        if not (abs(x) <= bound and abs(y) <= bound and abs(z) <= bound):
-            raise InvalidInput(f"positions must be finite and at most {bound:g} in size")
+        if not all(abs(c) <= _MAX_COORDINATE for c in point):
+            return None
         stars, v, points = self.stars, self.stars.vertices[r], self.points
         start, points[v] = points[v], point  # the star's faces, with v at the trial point
         areas = [_area(points[i], points[j], points[k])
                  for i, j, k in stars.corners[stars.bounds[r]:stars.bounds[r + 1]]]
         points[v] = start
-        floor = self.source._floor
-        if min(areas) < floor:
-            raise DegenerateTriangle(
-                f"vertex {v} at {point} leaves a triangle below the floor {floor:.6e}"
-            )
-        return areas
+        return areas if min(areas) >= self.source._floor else None
 
     def apply(self, r: int, trial) -> tuple[float, float, float]:
         """Move the vertex of row ``r`` as the accepted ``trial`` (point,
@@ -422,18 +415,17 @@ def _line_search(
     and the first trial goes ``_STEP * scale`` times the shortest star
     edge along it.
 
-    A trial is accepted when the star stays nondegenerate (its faces
-    clear the floor of ``sweep.source``), every star edge got shorter
-    (if ``shorten``, which needs a ``scale``), and the star area dropped
-    by more than ``min_gain``: the run's ``eps_area`` in the loop, 0 in
+    A trial is accepted when ``_Sweep.trial`` returns its star areas,
+    not None (its faces clear the floor of ``sweep.source`` and it stays
+    within the coordinate bound), every star edge got shorter (if
+    ``shorten``, which needs a ``scale``), and the star area dropped by
+    more than ``min_gain``: the run's ``eps_area`` in the loop, 0 in
     ``vertex_descent_step``.  As the star area is convex, with
     ``gradient`` g at the start, the trial ``t * first`` lowers it by at
     most -t g.first, and the search ends once that is no more than
-    ``min_gain``.  A trial past the coordinate bound is refused as a
-    degenerate one is.  Returns (trial or None, decrease,
-    blocked), the trial being the (point, star areas) that
-    ``_Sweep.apply`` takes, with ``blocked`` true when every trial made
-    degenerated the star.
+    ``min_gain``.  Returns (trial or None, decrease, blocked), the trial
+    being the (point, star areas) that ``_Sweep.apply`` takes, with
+    ``blocked`` true when ``_Sweep.trial`` refused every trial made.
     """
     stars, v = sweep.stars, sweep.stars.vertices[r]
     x = sweep.points[v]
@@ -451,16 +443,13 @@ def _line_search(
             break
         tried = True
         point = tuple(c + step * d for c, d in zip(x, direction))
-        try:
-            areas = sweep.trial(r, point)
-        except (DegenerateTriangle, InvalidInput):
-            step *= _SHRINK
-            continue
-        nondegenerate = True
-        if not shorten or (row_norms(neighbors - point) < lengths).all():
-            decrease = before - sum(areas)
-            if decrease > min_gain:
-                return (point, areas), decrease, False
+        areas = sweep.trial(r, point)
+        if areas is not None:
+            nondegenerate = True
+            if not shorten or (row_norms(neighbors - point) < lengths).all():
+                decrease = before - sum(areas)
+                if decrease > min_gain:
+                    return (point, areas), decrease, False
         step *= _SHRINK
     return None, 0.0, tried and not nondegenerate
 
@@ -533,8 +522,8 @@ def vertex_descent_step(disc: PolyhedralDisc, v: int) -> tuple[PolyhedralDisc, f
     (verdict,) = _vertex_verdicts(disc, (v,), EPS_SADDLE)
     if verdict.is_saddle:
         raise NotCuttable(f"vertex {v} admits no cutting plane")
-    gradient = position_area_gradient(disc, v)
     sweep = _Sweep(disc, _Stars(disc.complex, (v,)))
+    gradient = _star_terms(sweep.points, sweep.stars, 0, 1)[0][0]
     trial, decrease, blocked = _cut_move(sweep, 0, verdict, gradient, 0.0)
     if blocked:
         raise DegenerationBlocked(f"every step at vertex {v} degenerates its star")
@@ -569,6 +558,7 @@ def edge_length_area_gradient(
     area in that edge's length with all other lengths frozen."""
     if disc.complex.is_boundary_vertex(v):
         raise InvalidInput(f"vertex {v} is on the boundary")
+    v = int(v)  # a numpy integer id still gives keys of Python ints
     return [
         (edge_key(v, u), edge_length_area_derivative(disc, (v, u)))
         for u in disc.complex.vertex_star(v)
@@ -595,8 +585,10 @@ def minimize(
 
     Returns the final disc and a trace whose ``certificate`` reports
     the cutting-plane test at every interior vertex of the result.
-    ``config`` must be an OptimizerConfig or None (InvalidInput).
+    ``disc`` must be a PolyhedralDisc and ``config`` an OptimizerConfig
+    or None (InvalidInput).
     """
+    _check("disc", disc, isinstance(disc, PolyhedralDisc), "a PolyhedralDisc")
     cfg = config if config is not None else OptimizerConfig()
     _check("config", cfg, isinstance(cfg, OptimizerConfig), "an OptimizerConfig or None")
     rng = np.random.default_rng(cfg.seed)

@@ -37,6 +37,7 @@ from discmin import (
     position_area_gradient,
     random_instance,
     reduce_fan,
+    triangle_areas,
     vertex_descent_step,
 )
 
@@ -188,6 +189,18 @@ BAD_ARGUMENTS = {
     "lattice directions with a ragged row": lambda: brute_force_cutting_direction([[1, 0, 0], [0, 1]]),
     "complex lattice directions": lambda: brute_force_cutting_direction(STAR + 0j),
     "config a dict": lambda: minimize(FAN, {"seed": 1}),
+    "disc a string": lambda: minimize("x"),
+    "disc None": lambda: minimize(None),
+    # unchecked, a negative id wraps: this one read as the area of (0, 1, 2)
+    "triangle areas of a negative vertex id": lambda: triangle_areas(np.eye(3), [[0, 1, -1]]),
+    "triangle areas of a vertex id past V": lambda: triangle_areas(np.eye(3), [[0, 1, 3]]),
+    "triangle areas of float vertex ids": lambda: triangle_areas(np.eye(3), [[0.0, 1.0, 2.0]]),
+    "triangle areas of one bare triangle": lambda: triangle_areas(np.eye(3), [0, 1, 2]),
+    "triangle areas of a pair": lambda: triangle_areas(np.eye(3), [[0, 1]]),
+    "triangle areas of ragged triangles": lambda: triangle_areas(np.eye(3), [[0, 1, 2], [0, 1]]),
+    "triangle areas of positions of two coordinates": lambda: triangle_areas(
+        np.eye(3)[:, :2], [[0, 1, 2]]
+    ),
 }
 
 

@@ -10,6 +10,7 @@ from conftest import (
     assert_edge_table,
     assert_same_complex,
     assert_rings,
+    checked_discs_match_validation,
     cross_area,
     double_interior_disc,
     edge_faces_of,
@@ -407,12 +408,11 @@ def test_a_corrupted_table_fails_the_assembly(n, seed, subdivisions):
 @pytest.mark.parametrize("scale", [1.0, 1e-5])
 def test_reduce_reports_an_area_increase_at_any_scale(monkeypatch, scale):
     """The area check is relative to the area before the reduction: a
-    rebuild that raises the area by 19% is a defect on a unit hexagon
-    and on one scaled by 1e-5 alike."""
-    rebuilt = flips._rebuilt
-    monkeypatch.setattr(
-        flips, "_rebuilt", lambda *args: (d := rebuilt(*args)).with_positions(1.2 * d.positions)
-    )
+    derived disc whose areas are 1.2**2 times the reduced ones is a
+    defect on a unit hexagon and on one scaled by 1e-5 alike."""
+    derived = PolyhedralDisc._derived
+    monkeypatch.setattr(PolyhedralDisc, "_derived",
+                        lambda d, cx, p, areas: derived(d, cx, p, 1.44 * areas))
     disc = hexagon_with_violation()
     disc = disc.with_positions(scale * disc.positions)
     with pytest.raises(InvariantViolation, match="increased area"):
@@ -545,6 +545,36 @@ def test_reduce_matches_component_labelling_oracle():
             lobes += any(len(edge_faces[e]) == 1 for e in ((a, b), (a, c), (b, c)))
     assert cases == 3 + 12 * 8
     assert lobes > 10
+
+
+def test_a_reduced_disc_is_the_disc_its_validation_builds():
+    """``reduce_fan`` derives its disc: the kept faces keep their areas
+    and the floor carries over, so it equals, bit for bit, the disc that
+    validating the reduced complex and positions in full builds."""
+    discs = [hexagon_with_violation(), tetra_cap(), double_interior_disc()]
+    discs += [perturbed_grid_disc(n, seed, subdivisions=8) for n in (3, 4, 5) for seed in range(4)]
+    reduced = []
+    with checked_discs_match_validation() as checked:
+        for disc in discs:
+            for triple in disc.complex.no_triangle_violations():
+                try:
+                    reduced.append(reduce_fan(disc, triple)[0])
+                except CycleBoundsBoundary:
+                    continue
+    assert checked == reduced and len(reduced) == 3 + 12 * 8
+
+
+def test_a_degenerate_flat_triangle_is_refused_as_validation_refuses_it():
+    """Only the flat triangle is checked against the floor: a sliver rim
+    cut as the whole boundary raises the DegenerateTriangle, message and
+    all, that validating the reduced disc in full raises."""
+    positions = np.array([[0, 0, 0], [1, 0, 0], [2, 1e-13, 0], [1, 1, 1]], dtype=float)
+    disc = PolyhedralDisc(build_from_triangles([(0, 1, 3), (1, 2, 3), (2, 0, 3)]), positions)
+    with pytest.raises(DegenerateTriangle) as full:
+        PolyhedralDisc(build_from_triangles([disc.complex.boundary_cycle]), positions[:3])
+    with pytest.raises(DegenerateTriangle) as derived:
+        reduce_fan(disc, (0, 1, 2))
+    assert str(derived.value) == str(full.value)
 
 
 def test_reduce_rejects_non_violations():

@@ -155,7 +155,7 @@ def test_minimize_runs_match_the_references_at_every_call(disc, monkeypatch):
     """Each flip pass, Newton step and validated disc of a whole run
     against its reference."""
     checked = {"flip_pass": 0, "newton": 0, "triangle_areas": 0}
-    newton, triangle_areas = optimize._Sweep.newton, mesh.triangle_areas
+    newton, triangle_areas = optimize._Sweep.newton, mesh._triangle_areas
 
     def checked_flip_pass(*args, **kwargs):
         checked["flip_pass"] += 1
@@ -175,7 +175,7 @@ def test_minimize_runs_match_the_references_at_every_call(disc, monkeypatch):
 
     monkeypatch.setattr(optimize, "flip_pass", checked_flip_pass)
     monkeypatch.setattr(optimize._Sweep, "newton", checked_newton)
-    monkeypatch.setattr(mesh, "triangle_areas", checked_triangle_areas)
+    monkeypatch.setattr(mesh, "_triangle_areas", checked_triangle_areas)
     minimize(disc, OptimizerConfig(max_outer_iterations=12))
     assert min(checked.values()) > 0, checked
 
@@ -259,7 +259,7 @@ def test_the_trial_at_the_cap_leaves_the_tables_unchanged():
 @pytest.mark.parametrize("disc", DISCS.values(), ids=list(DISCS))
 def test_checked_discs_of_a_run_match_validation(disc):
     """Every disc a 12-iteration run builds from carried-over state: the
-    flip passes' and the sweeps'."""
+    fan reductions', the flip passes' and the sweeps'."""
     with checked_discs_match_validation() as checked:
         minimize(disc, OptimizerConfig(max_outer_iterations=12))
     assert checked

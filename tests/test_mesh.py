@@ -18,6 +18,7 @@ from conftest import (
     perturbed_grid_disc,
     random_rotation,
     regular_polygon,
+    same_bits,
     tetra_cap,
 )
 from discmin import (
@@ -25,6 +26,7 @@ from discmin import (
     build_from_triangles,
     canonical_triangle,
     edge_key,
+    triangle_areas,
 )
 from discmin.mesh import cross_rows, row_norms
 from discmin.errors import (
@@ -600,3 +602,15 @@ def test_edge_queries():
     assert edge_key(4, 1) == (1, 4)
     assert canonical_triangle((2, 0, 1)) == (0, 1, 2)
     assert canonical_triangle((2, 1, 0)) == (0, 2, 1)
+
+
+def test_triangle_areas_takes_any_integer_ids_and_gives_the_disc_areas():
+    """The checked ``triangle_areas`` gives the areas that validation
+    stores, for ids as stored, as int32 and as lists; bad ids are in
+    ``test_errors``."""
+    disc = perturbed_grid_disc(4, seed=0, subdivisions=2)
+    ids = disc.complex.triangle_array
+    for given in (ids, ids.astype(np.int32), ids.tolist()):
+        assert same_bits(triangle_areas(disc.positions, given), disc._areas)
+    assert triangle_areas(disc.positions.tolist(), ids).tolist() == disc._areas.tolist()
+    assert triangle_areas(np.eye(3), np.zeros((0, 3), dtype=int)).shape == (0,)

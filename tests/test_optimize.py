@@ -124,6 +124,15 @@ def test_edge_gradient_per_vertex():
         edge_length_area_gradient(disc, 0)
 
 
+def test_edge_gradient_keys_are_python_ints():
+    """A numpy vertex id gives the keys a Python one gives, which JSON takes."""
+    disc = double_interior_disc()
+    entries = edge_length_area_gradient(disc, np.int64(6))
+    assert entries == edge_length_area_gradient(disc, 6)
+    assert all(type(u) is int for e, _ in entries for u in e)
+    assert json.loads(json.dumps(entries)) == [[list(e), d] for e, d in entries]
+
+
 def test_position_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -220,13 +229,12 @@ def test_star_area_matches_the_array_oracle(disc):
 def _same_trial(sweep, disc, r, point):
     """Score ``point`` for the vertex of row ``r`` in the working state
     and in the oracle; returns the oracle's moved disc, or None where
-    both refuse the trial."""
+    the oracle raises and the trial returns None."""
     v, stars = sweep.stars.vertices[r], sweep.stars
     try:
         expected, decrease, moved = trial_by_rebuild(disc, v, point)
     except DegenerateTriangle:
-        with pytest.raises(DegenerateTriangle):
-            sweep.trial(r, point)
+        assert sweep.trial(r, point) is None
         return None
     areas = sweep.trial(r, point)
     assert areas == expected
@@ -245,8 +253,9 @@ TOP = perturbed_grid_disc(4, seed=0)
     ids=GRIDS_AND_FANS_IDS + ["grid0_top_lowered"],
 )
 def test_star_trials_match_the_rebuild_oracle(disc, lowered):
-    """Trials scored from the star alone get the verdict, star areas,
-    decrease and diameter that validating the whole moved disc gives;
+    """Trials scored from the star alone get the verdict (None where the
+    whole moved disc fails validation), star areas, decrease and
+    diameter that validating the whole moved disc gives;
     applying the accepted ones keeps the working state equal to the
     oracle's disc.  The vertex ``lowered``, the only one at the top of
     the box of all vertices, first moves straight down, which shrinks
@@ -279,7 +288,7 @@ def test_star_trials_match_the_rebuild_oracle(disc, lowered):
 def test_the_floor_of_a_trial_is_the_disc_floor():
     """Lifting a vertex 3 diameters out of the box keeps the floor, here
     at half the smallest face, which lies outside the vertex's star; a
-    trial that puts a star face below that floor is refused."""
+    trial that puts a star face below that floor returns None."""
     base = perturbed_grid_disc(4, seed=0)
     cx, p = base.complex, base.positions
     areas = [base.triangle_area(f) for f in range(len(cx.triangles))]
@@ -297,8 +306,7 @@ def test_the_floor_of_a_trial_is_the_disc_floor():
     point = tuple((middle + 1e-9 * (p[v] - middle)).tolist())
     with pytest.raises(DegenerateTriangle):
         trial_by_rebuild(disc, v, point)
-    with pytest.raises(DegenerateTriangle):
-        sweep.trial(0, point)
+    assert sweep.trial(0, point) is None
 
 
 @pytest.mark.parametrize(
@@ -312,8 +320,8 @@ def test_trials_that_bracket_the_floor_match_the_rebuild_oracle(disc):
     a star face has area 0, and bisection along that ray finds the last
     point whose disc the rebuild accepts and the first it refuses: the
     smallest star area there brackets the disc's floor.  The sweep's
-    trial accepts the first, with the rebuild's areas, and refuses the
-    second, so its floor is the disc's to within that bracket."""
+    trial accepts the first, with the rebuild's areas, and returns None
+    for the second, so its floor is the disc's to within that bracket."""
     sweep = optimize._Sweep(disc, optimize._Stars(disc.complex, disc.complex.interior_vertices()))
     p = disc.positions
     for r, v in enumerate(sweep.stars.vertices):
@@ -335,18 +343,17 @@ def test_trials_that_bracket_the_floor_match_the_rebuild_oracle(disc):
         areas = accepted(lo)
         assert disc._floor <= min(areas) < 1.01 * disc._floor
         assert sweep.trial(r, above) == areas
-        with pytest.raises(DegenerateTriangle):
-            sweep.trial(r, below)
+        assert sweep.trial(r, below) is None
 
 
 def test_a_trial_past_the_coordinate_bound_is_invalid_input():
+    """Where the moved disc is InvalidInput, the trial returns None."""
     disc = fan_disc(8, apex=(0.1, 0.0, 0.5))
     sweep = one_row_sweep(disc, 8)
     for point in ((2e75, 0.0, 0.5), (0.1, 0.0, math.nan), (0.1, -math.inf, 0.5)):
         with pytest.raises(InvalidInput):
             trial_by_rebuild(disc, 8, point)
-        with pytest.raises(InvalidInput):
-            sweep.trial(0, point)
+        assert sweep.trial(0, point) is None
 
 
 def test_a_disc_near_the_coordinate_bound_converges_as_at_unit_scale():
@@ -446,7 +453,7 @@ def test_vertex_descent_step_refuses_a_saddle_vertex_before_any_trial(monkeypatc
 
 
 def _refuse_every_move(sweep, r, point):
-    raise DegenerateTriangle(f"vertex {sweep.stars.vertices[r]} may not move")
+    return None  # as a trial that degenerates the star
 
 
 def test_vertex_descent_step_reports_a_blocked_cut(monkeypatch):
@@ -1154,6 +1161,23 @@ def test_colour_classes_after_fan_reductions_and_flips():
         assert_colour_classes(flip_pass(disc).disc.complex)
         for triple in disc.complex.no_triangle_violations():
             assert_colour_classes(reduce_fan(disc, triple)[0].complex)
+
+
+@pytest.mark.parametrize("disc", [hexagon_with_violation(), *WORKLOAD_GRIDS.values()],
+                         ids=["hexagon", *(f"workload{n}" for n in WORKLOAD_GRIDS)])
+def test_a_run_validates_a_disc_in_full_only_at_the_jitter(disc, monkeypatch):
+    """Fan reductions, flips and sweeps derive their discs from checked
+    state, so a run validates one disc in full: the jittered input."""
+    validated, post_init = [], PolyhedralDisc.__post_init__
+
+    def counted(self):
+        validated.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PolyhedralDisc, "__post_init__", counted)
+    _, trace = minimize(disc, OptimizerConfig(max_outer_iterations=12))
+    assert len(validated) == 1
+    assert any(rec.reductions for rec in trace.iterations)
 
 
 SWEEP_STARS = optimize._sweep_stars
