@@ -45,7 +45,7 @@ from .errors import (
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, build_from_triangles, edge_key
 from .mesh import _MAX_COORDINATE, _ZERO, _area, _directed_edges, _real_array, _triangle, area_rows
-from .mesh import canonical_triangle, cross_rows, row_norms
+from .mesh import _check_disc, canonical_triangle, cross_rows, row_norms
 
 
 # =====================================================================
@@ -166,6 +166,7 @@ def _edge_table(cx: DiscComplex) -> dict[Edge, tuple[tuple[int, int], tuple[int,
 
 
 def _hinge_vertices(disc: PolyhedralDisc, edge) -> tuple[int, int, int, int]:
+    _check_disc(disc)
     e, opposite = disc.complex.opposite_vertices(edge)
     if len(opposite) == 1:
         raise BoundaryEdge(f"edge {e} lies on the boundary")
@@ -203,6 +204,7 @@ class FlipCheck:
 def can_flip(disc: PolyhedralDisc, edge) -> FlipCheck:
     """Whether ``edge`` admits a flip: interior, and the opposite
     vertices not already joined by an edge (a flip would double it)."""
+    _check_disc(disc)
     e, opposite = disc.complex.opposite_vertices(edge)
     if len(opposite) == 1:
         return FlipCheck(False, "BoundaryEdge")
@@ -340,8 +342,8 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
     falls below the area floor, and InvariantViolation if a flipped
     vertex's ring does not close (a defect, never expected).
     """
-    cx = disc.complex
     a, b, _, _ = _hinge_vertices(disc, edge)
+    cx = disc.complex
     triangles, table, anchors, areas = list(cx.triangles), _edge_table(cx), {}, disc._areas.copy()
     _flip_edit(triangles, table, (a, b), disc.positions.tolist(), disc._floor, areas, anchors)
     return _assembled(disc, triangles, table, anchors, areas)
@@ -384,6 +386,7 @@ def flip_pass(
     by ``_assembled``, and carries over the geometry the pass checked.
     ``eps_flip`` must be a finite number >= 0, ``cap`` an integer >= 0.
     """
+    _check_disc(disc)
     _check_tolerance("eps_flip", eps_flip)
     _check("cap", cap, cap is None or _is_number(cap, integer=True) and cap >= 0,
            "None or an integer >= 0")
@@ -517,7 +520,7 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
     Raises
     ------
     InvalidInput
-        ``triple`` is not three distinct integer vertex ids.
+        ``disc`` is not a PolyhedralDisc, or ``triple`` not three distinct integer vertex ids.
     NotAViolation
         ``triple`` is not an empty triangle of the complex.
     CycleBoundsBoundary
@@ -530,6 +533,7 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
         The reduced disc has another boundary cycle, or more area than
         the input (a defect, never expected).
     """
+    _check_disc(disc)
     t = tuple(sorted(_triangle(triple)))
     cx = disc.complex
     cycle_edges = (edge_key(t[0], t[1]), edge_key(t[0], t[2]), edge_key(t[1], t[2]))

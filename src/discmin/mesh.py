@@ -213,6 +213,11 @@ def _check_index(name: str, value, count: int) -> None:
            f"an integer 0 to {count - 1}")
 
 
+def _check_disc(disc) -> None:
+    """InvalidInput unless ``disc`` is a PolyhedralDisc."""
+    _check("disc", disc, isinstance(disc, PolyhedralDisc), "a PolyhedralDisc")
+
+
 def _real_array(value, copy: bool = True) -> np.ndarray | None:
     """``value`` as a new float array (without ``copy``, ``value`` itself
     when it is one), or None unless numpy reads it as real numbers (no

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (DegenerateParameters, DisconnectedComplex, InvariantViolation, ParseError,
                      _check, _is_number)
-from .mesh import PolyhedralDisc, build_from_triangles
+from .mesh import PolyhedralDisc, _check_disc, build_from_triangles
 from .optimize import OptimizationTrace, OptimizerConfig, minimize
 from .saddle import VertexVerdict
 
@@ -135,6 +135,7 @@ def load_obj(path) -> PolyhedralDisc:
 
 
 def dumps_obj(disc: PolyhedralDisc) -> str:
+    _check_disc(disc)
     lines = []
     for x, y, z in disc.positions:
         lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")

@@ -98,8 +98,8 @@ from .errors import (
 )
 from .flips import EPS_FLIP, FanReduction, FlipPassResult, FlipRecord
 from .flips import flip_pass, reduce_fan
-from .mesh import _MAX_COORDINATE, PolyhedralDisc, _area, _check_index, area_rows, edge_key
-from .mesh import row_norms
+from .mesh import _MAX_COORDINATE, PolyhedralDisc, _area, _check_disc, _check_index, area_rows
+from .mesh import edge_key, row_norms
 from .saddle import EPS_SADDLE, SaddleCertificate, VertexVerdict, _vertex_verdicts, certify_saddle
 
 _EYE = np.eye(3)  # damps every star Hessian
@@ -517,6 +517,7 @@ def vertex_descent_step(disc: PolyhedralDisc, v: int) -> tuple[PolyhedralDisc, f
     id, NotCuttable for a saddle vertex and DegenerationBlocked when
     every trial degenerated the star.
     """
+    _check_disc(disc)
     if disc.complex.is_boundary_vertex(v):
         raise InvalidInput(f"vertex {v} is on the boundary")
     (verdict,) = _vertex_verdicts(disc, (v,), EPS_SADDLE)
@@ -543,6 +544,7 @@ def edge_length_area_derivative(disc: PolyhedralDisc, edge) -> float:
     holding every other side length fixed: l/2 times the sum of the
     cotangents of the angles opposite the edge in its one or two
     triangles."""
+    _check_disc(disc)
     (u, v), opposite = disc.complex.opposite_vertices(edge)
     p = disc.positions
     w = p[list(opposite)]
@@ -556,6 +558,7 @@ def edge_length_area_gradient(
 ) -> list[tuple[tuple[int, int], float]]:
     """Per star edge of interior vertex ``v``, the derivative of total
     area in that edge's length with all other lengths frozen."""
+    _check_disc(disc)
     if disc.complex.is_boundary_vertex(v):
         raise InvalidInput(f"vertex {v} is on the boundary")
     v = int(v)  # a numpy integer id still gives keys of Python ints
@@ -569,6 +572,7 @@ def position_area_gradient(disc: PolyhedralDisc, v: int) -> np.ndarray:
     """Exact gradient of total area with respect to the position of
     ``v``: sum over incident triangles (v, a, b) of (a - b) x n / 2
     with n the triangle's unit normal."""
+    _check_disc(disc)
     _check_index("vertex", v, disc.complex.vertex_count)
     return _star_terms(disc.positions.tolist(), _Stars(disc.complex, (v,)), 0, 1)[0][0]
 
@@ -588,7 +592,7 @@ def minimize(
     ``disc`` must be a PolyhedralDisc and ``config`` an OptimizerConfig
     or None (InvalidInput).
     """
-    _check("disc", disc, isinstance(disc, PolyhedralDisc), "a PolyhedralDisc")
+    _check_disc(disc)
     cfg = config if config is not None else OptimizerConfig()
     _check("config", cfg, isinstance(cfg, OptimizerConfig), "an OptimizerConfig or None")
     rng = np.random.default_rng(cfg.seed)

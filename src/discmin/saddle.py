@@ -33,12 +33,12 @@ its cyclic forms, and ratios of signed volumes for a tetrahedron (the
 signed-volumes sub-algorithm of Montanari, Petrinic and Barbieri,
 "Improving the GJK algorithm for faster and more reliable distance
 queries between convex objects", ACM TOG 36(3), 2017, without its
-search over faces, which the minor cycle does), written out in
-components for a segment and a triangle.  A flat simplex takes the
-weights of its largest facet.  The directions are 3-tuples of Python
-floats and the active set, its points and weights Python lists, from
-which a minor cycle deletes the point it drops: with at most four
-points in play, numpy's per-call cost would exceed the arithmetic.
+search over faces, which the minor cycle does), all written out in
+components.  A flat simplex takes the weights of its largest facet.
+The directions are 3-tuples of Python floats and the active set, its
+points, weights and coefficients Python lists, from which a minor
+cycle deletes the point it drops: with at most four points in play,
+numpy's per-call cost would exceed the arithmetic.
 ``brute_force_cutting_direction`` is the independent check: it scans a
 Fibonacci lattice on the sphere and can only undershoot the true margin.
 
@@ -56,9 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyStar, InvalidInput, InvariantViolation, _check, _check_tolerance
-from .errors import _is_number
-from .mesh import PolyhedralDisc, _real_array
+from .errors import EmptyStar, InvalidInput, InvariantViolation, _check, _check_tolerance, _is_number
+from .mesh import PolyhedralDisc, _check_disc, _real_array
 
 SADDLE = "saddle"
 NON_SADDLE = "non_saddle"
@@ -111,18 +110,6 @@ class VertexVerdict(StarVerdict):
     star: tuple[int, ...] = ()
 
 
-def _sub(p, q) -> tuple[float, float, float]:
-    return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
-
-
-def _dot(p, q) -> float:
-    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
-
-
-def _cross(p, q) -> tuple[float, float, float]:
-    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
-
-
 def _combination(weights, points) -> tuple[float, float, float]:
     """sum_i weights[i] * points[i], summed in order."""
     x0 = x1 = x2 = 0.0
@@ -138,11 +125,15 @@ def _content(points) -> float:
     triangle, and 0 for a point."""
     if len(points) == 1:
         return 0.0
-    d1 = _sub(points[1], points[0])
+    a0, a1, a2 = points[0]
+    b0, b1, b2 = points[1]
+    u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
     if len(points) == 2:
-        return _dot(d1, d1)
-    n = _cross(d1, _sub(points[2], points[0]))
-    return _dot(n, n)
+        return u0 * u0 + u1 * u1 + u2 * u2
+    c0, c1, c2 = points[2]
+    w0, w1, w2 = c0 - a0, c1 - a1, c2 - a2
+    n0, n1, n2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+    return n0 * n0 + n1 * n1 + n2 * n2
 
 
 def _affine_weights(simplex) -> list[float]:
@@ -165,7 +156,7 @@ def _affine_weights(simplex) -> list[float]:
     m = len(simplex)
     if m == 1:
         return [1.0]
-    a0, a1, a2 = a = simplex[0]
+    a0, a1, a2 = simplex[0]
     b0, b1, b2 = simplex[1]
     u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
     uu = u0 * u0 + u1 * u1 + u2 * u2
@@ -173,27 +164,32 @@ def _affine_weights(simplex) -> list[float]:
         if uu > 0.0:
             t = -(a0 * u0 + a1 * u1 + a2 * u2) / uu
             return [1.0 - t, t]
-    elif m == 3:
+    else:
         c0, c1, c2 = simplex[2]
         w0, w1, w2 = c0 - a0, c1 - a1, c2 - a2
-        n0, n1, n2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
-        nn = n0 * n0 + n1 * n1 + n2 * n2
-        if nn > _FLAT**2 * uu * (w0 * w0 + w1 * w1 + w2 * w2):
-            # n.(d_2 x a) and n.(a x d_1)
-            wb = (n0 * (w1 * a2 - w2 * a1) + n1 * (w2 * a0 - w0 * a2)
-                  + n2 * (w0 * a1 - w1 * a0)) / nn
-            wc = (n0 * (a1 * u2 - a2 * u1) + n1 * (a2 * u0 - a0 * u2)
-                  + n2 * (a0 * u1 - a1 * u0)) / nn
-            return [1.0 - wb - wc, wb, wc]
-    else:
-        d = [_sub(p, a) for p in simplex[1:]]
-        c23 = _cross(d[1], d[2])
-        det = _dot(d[0], c23)
-        if det * det > _FLAT**2 * _dot(d[0], d[0]) * _dot(d[1], d[1]) * _dot(d[2], d[2]):
-            b1 = -_dot(a, c23) / det
-            b2 = -_dot(a, _cross(d[2], d[0])) / det
-            b3 = -_dot(a, _cross(d[0], d[1])) / det
-            return [1.0 - b1 - b2 - b3, b1, b2, b3]
+        ww = w0 * w0 + w1 * w1 + w2 * w2
+        n0, n1, n2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0  # d_1 x d_2
+        if m == 3:
+            nn = n0 * n0 + n1 * n1 + n2 * n2
+            if nn > _FLAT**2 * uu * ww:
+                # n.(d_2 x a) and n.(a x d_1)
+                wb = (n0 * (w1 * a2 - w2 * a1) + n1 * (w2 * a0 - w0 * a2)
+                      + n2 * (w0 * a1 - w1 * a0)) / nn
+                wc = (n0 * (a1 * u2 - a2 * u1) + n1 * (a2 * u0 - a0 * u2)
+                      + n2 * (a0 * u1 - a1 * u0)) / nn
+                return [1.0 - wb - wc, wb, wc]
+        else:
+            e0, e1, e2 = simplex[3]
+            v0, v1, v2 = e0 - a0, e1 - a1, e2 - a2
+            x0, x1, x2 = w1 * v2 - w2 * v1, w2 * v0 - w0 * v2, w0 * v1 - w1 * v0  # d_2 x d_3
+            det = u0 * x0 + u1 * x1 + u2 * x2
+            if det * det > _FLAT**2 * uu * ww * (v0 * v0 + v1 * v1 + v2 * v2):
+                # -a.(d_2 x d_3), -a.(d_3 x d_1) and -a.(d_1 x d_2)
+                b1 = -(a0 * x0 + a1 * x1 + a2 * x2) / det
+                b2 = -(a0 * (v1 * u2 - v2 * u1) + a1 * (v2 * u0 - v0 * u2)
+                       + a2 * (v0 * u1 - v1 * u0)) / det
+                b3 = -(a0 * n0 + a1 * n1 + a2 * n2) / det
+                return [1.0 - b1 - b2 - b3, b1, b2, b3]
     facets = [simplex[:i] + simplex[i + 1 :] for i in range(m)]
     i = max(range(m), key=lambda i: _content(facets[i]))
     weights = _affine_weights(facets[i])
@@ -203,13 +199,14 @@ def _affine_weights(simplex) -> list[float]:
 
 def _min_norm_point(
     points, eps_saddle: float = EPS_SADDLE
-) -> tuple[tuple[float, float, float], np.ndarray]:
+) -> tuple[tuple[float, float, float], list[float]]:
     """Minimum-norm point of the convex hull of ``points`` (k 3-vectors)
-    and the convex coefficients realizing it (length k), by Wolfe's
-    algorithm on Python floats.  Ties go to the lowest index.  The search
-    stops within the gap ``_WOLFE_GAP`` of optimal once x decides the
-    verdict: |x| <= eps_saddle, or min_j <x, u_j> > eps_saddle |x|, which
-    puts the whole hull farther than eps_saddle from the origin."""
+    and the convex coefficients realizing it (a list of k floats), by
+    Wolfe's algorithm on Python floats.  Ties go to the lowest index.
+    The search stops within the gap ``_WOLFE_GAP`` of optimal once x
+    decides the verdict: |x| <= eps_saddle, or min_j <x, u_j> >
+    eps_saddle |x|, which puts the whole hull farther than eps_saddle
+    from the origin."""
     k = len(points)
     sq_norms = [p0 * p0 + p1 * p1 + p2 * p2 for p0, p1, p2 in points]
     tol = _WOLFE_GAP * max(sq_norms)
@@ -260,7 +257,7 @@ def _min_norm_point(
     lam = [0.0] * k
     for i, w in zip(active, weights):
         lam[i] += w
-    return _combination(weights, simplex), np.array(lam)
+    return _combination(weights, simplex), lam
 
 
 def _unit_directions(directions) -> list[tuple[float, float, float]]:
@@ -291,9 +288,9 @@ def cutting_direction(directions, eps_saddle: float = EPS_SADDLE) -> StarVerdict
 
     Directions need not be normalized.  The verdict is decided by the
     recomputed margin: above ``eps_saddle`` the star is non-saddle and
-    the cutting normal is returned; otherwise the hull coefficients
-    and their residual certify the saddle.  ``eps_saddle`` must be a
-    finite number >= 0.
+    the cutting normal is returned; otherwise the hull coefficients and
+    their residual certify the saddle.  ``eps_saddle`` must be a finite
+    number >= 0.  ``_vertex_verdicts`` calls this once per star.
     """
     _check_tolerance("eps_saddle", eps_saddle)
     unit = _unit_directions(directions)
@@ -302,22 +299,10 @@ def cutting_direction(directions, eps_saddle: float = EPS_SADDLE) -> StarVerdict
     margin = 0.0
     if t > 0.0:
         n0, n1, n2 = point[0] / t, point[1] / t, point[2] / t
-        margin = min(n0 * u0 + n1 * u1 + n2 * u2 for u0, u1, u2 in unit)
+        margin = min([n0 * u0 + n1 * u1 + n2 * u2 for u0, u1, u2 in unit])
         if margin > eps_saddle:
-            return StarVerdict(
-                status=NON_SADDLE,
-                cut_normal=np.array([n0, n1, n2]),
-                margin=margin,
-                coefficients=None,
-                residual=None,
-            )
-    return StarVerdict(
-        status=SADDLE,
-        cut_normal=None,
-        margin=margin,
-        coefficients=lam,
-        residual=math.hypot(*_combination(lam.tolist(), unit)),
-    )
+            return StarVerdict(NON_SADDLE, np.array([n0, n1, n2]), margin, None, None)
+    return StarVerdict(SADDLE, None, margin, np.array(lam), math.hypot(*_combination(lam, unit)))
 
 
 def brute_force_cutting_direction(
@@ -404,6 +389,7 @@ def certify_saddle(disc: PolyhedralDisc, eps_saddle: float = EPS_SADDLE) -> Sadd
     with margin above ``eps_saddle``; a disc without interior vertices
     is vacuously saddle, but its ``eps_saddle`` is checked all the same.
     """
+    _check_disc(disc)
     _check_tolerance("eps_saddle", eps_saddle)
     verdicts = _vertex_verdicts(disc, disc.complex.interior_vertices(), eps_saddle)
     return SaddleCertificate(

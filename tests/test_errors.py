@@ -1,6 +1,7 @@
 """The error contract: every error the library raises is a DiscminError,
 and a malformed argument raises InvalidInput, which is a ValueError too."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from discmin import (
     cutting_direction,
     d_area_d_alpha,
     diagonal_from_alpha,
+    dumps_obj,
     edge_length_area_derivative,
     edge_length_area_gradient,
     flat_convex_check,
@@ -37,6 +39,7 @@ from discmin import (
     position_area_gradient,
     random_instance,
     reduce_fan,
+    save_obj,
     triangle_areas,
     vertex_descent_step,
 )
@@ -191,6 +194,21 @@ BAD_ARGUMENTS = {
     "config a dict": lambda: minimize(FAN, {"seed": 1}),
     "disc a string": lambda: minimize("x"),
     "disc None": lambda: minimize(None),
+    # unchecked, each of these raised AttributeError on the missing disc
+    "certify a string": lambda: certify_saddle("x"),
+    "flip pass of None": lambda: flip_pass(None),
+    "flip of a string": lambda: flip("x", (0, 6)),
+    "flip check of None": lambda: can_flip(None, (0, 6)),
+    "hinge of a string": lambda: measure_hinge("x", (0, 6)),
+    "fan reduction of None": lambda: reduce_fan(None, (0, 2, 4)),
+    "flat convex check of a string": lambda: flat_convex_check("x", (0, 6)),
+    "descent step of None": lambda: vertex_descent_step(None, 6),
+    "position gradient of a string": lambda: position_area_gradient("x", 6),
+    "edge gradient of None": lambda: edge_length_area_gradient(None, 6),
+    "edge derivative of a string": lambda: edge_length_area_derivative("x", (0, 6)),
+    "OBJ text of None": lambda: dumps_obj(None),
+    # refused before the file is opened
+    "OBJ file of a string": lambda: save_obj("x", os.devnull),
     # unchecked, a negative id wraps: this one read as the area of (0, 1, 2)
     "triangle areas of a negative vertex id": lambda: triangle_areas(np.eye(3), [[0, 1, -1]]),
     "triangle areas of a vertex id past V": lambda: triangle_areas(np.eye(3), [[0, 1, 3]]),

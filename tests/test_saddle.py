@@ -141,6 +141,7 @@ def test_min_norm_point_matches_enumeration_oracle(monkeypatch):
         point, lam = saddle._min_norm_point(unit)
         want_point, _ = min_norm_point_by_enumeration(unit)
         assert abs(np.linalg.norm(point) - np.linalg.norm(want_point)) <= 1e-12
+        lam = np.array(lam)
         assert np.all(lam >= 0.0) and abs(lam.sum() - 1.0) <= 1e-12
         assert np.count_nonzero(lam) <= 4
         got = cutting_direction(dirs)
@@ -173,6 +174,7 @@ def test_min_norm_point_matches_lstsq_oracle(monkeypatch):
         point, lam = saddle._min_norm_point(unit.tolist())
         want_point, _ = min_norm_point_by_lstsq(unit)
         assert abs(np.linalg.norm(point) - np.linalg.norm(want_point)) <= 1e-14
+        lam = np.array(lam)
         assert np.all(lam >= 0.0) and abs(lam.sum() - 1.0) <= 1e-12
         assert np.count_nonzero(lam) <= 4
         got = cutting_direction(dirs)
@@ -477,7 +479,8 @@ def test_cutting_direction_matches_the_reference_bit_for_bit(scale):
         unit = saddle._unit_directions(dirs)
         (point, lam), (want_point, want_lam) = (
             saddle._min_norm_point(unit), min_norm_point_reference(unit))
-        assert verdict_bits((np.array(point), lam)) == verdict_bits((np.array(want_point), want_lam))
+        assert verdict_bits((np.array(point), np.array(lam))) == verdict_bits(
+            (np.array(want_point), want_lam))
 
 
 def test_affine_weights_match_the_reference_bit_for_bit():
@@ -501,6 +504,76 @@ def test_affine_weights_match_the_reference_bit_for_bit():
         points = [tuple(p) for p in simplex.tolist()]
         got, want = saddle._affine_weights(points), affine_weights_reference(points)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def flat_switch(simplex_at, top: float) -> tuple[float, float]:
+    """Adjacent floats lo < hi between 0 and ``top`` such that the
+    reference takes the flat branch for ``simplex_at(lo)``, inserting an
+    exact 0 weight for the point it leaves out, and the closed form for
+    ``simplex_at(hi)``, found by bisection."""
+    def flat(h):
+        return 0.0 in affine_weights_reference(simplex_at(h))
+
+    lo, hi = 0.0, top
+    assert flat(lo) and not flat(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if flat(mid) else (lo, mid)
+    return lo, hi
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_affine_weights_match_the_reference_at_the_flat_switch(size):
+    """Random simplices never come near the flat test, which compares a
+    squared area or volume with _FLAT**2 times a product of squared edge
+    lengths.  Here each of 200 seeded triangles or tetrahedra has its
+    last point lifted by h off the plane z = z0 that holds the others
+    (for a triangle, its xy on the line of the first two).  z0 is about
+    1e-16, below the lifts at the switch (about 1e-14), so that h is
+    resolved to an ulp, and nonzero, so that the origin is off the plane
+    and every closed-form weight is nonzero.  Bisection finds the
+    adjacent lifts where the reference switches branch, and on both
+    sides the weights must be the reference's bit for bit.  A threshold
+    product associated in another order moves the switch and fails
+    here."""
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        base = rng.normal(size=(size, 3))
+        base[:, 2] = z0 = rng.uniform(1.0, 2.0) * 1e-16
+        if size == 3:
+            base[2] = base[0] + rng.uniform(-2.0, 2.0) * (base[1] - base[0])
+        points = [tuple(p) for p in base.tolist()]
+        x, y, _ = points[-1]
+
+        def simplex_at(h):
+            return points[:-1] + [(x, y, z0 + h)]
+
+        lo, hi = flat_switch(simplex_at, 1e-6)
+        assert hi == np.nextafter(lo, 1.0)
+        for h in (lo, hi):
+            got = saddle._affine_weights(simplex_at(h))
+            want = affine_weights_reference(simplex_at(h))
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("disc", [wheel_disc(24, np.random.default_rng([0, 24])),
+                                  grid_disc(4, np.random.default_rng([0, 4]))],
+                         ids=["wheel", "grid"])
+def test_a_certificate_tests_each_star_through_cutting_direction(disc, monkeypatch):
+    """The benchmark times stars by degree through the name
+    ``saddle.cutting_direction``: a certificate calls it exactly once
+    per interior vertex, in order, on that vertex's star."""
+    degrees = []
+    real = saddle.cutting_direction
+
+    def counted(directions, eps_saddle):
+        degrees.append(len(directions))
+        return real(directions, eps_saddle)
+
+    monkeypatch.setattr(saddle, "cutting_direction", counted)
+    cert = certify_saddle(disc)
+    interior = disc.complex.interior_vertices()
+    assert [v.vertex for v in cert.verdicts] == list(interior)
+    assert degrees == [len(disc.complex.vertex_star(v)) for v in interior]
 
 
 def test_a_zero_length_direction_fails_as_in_the_reference():
