@@ -98,7 +98,9 @@ def loads_obj(text: str) -> PolyhedralDisc:
     """Parse an OBJ string into a disc in one pass: a ``float`` and an ``int`` map over all
     ``v`` and ``f`` tokens, each kind screened as one joined string, then array checks; a file
     that fails them goes to ``_first_error``, which reports its first error in line order.
-    Raises ParseError, the topology errors and DegenerateTriangle."""
+    Raises InvalidInput unless ``text`` is a str, ParseError, the topology errors and
+    DegenerateTriangle."""
+    _check("text", text, isinstance(text, str), "a str")
     coords, indices = [], []
     for raw in text.splitlines():
         tokens = raw.split()

@@ -17,14 +17,21 @@ decreases beyond it, which is the engine behind every flip inequality
 in this package: any pair of triangles sharing an edge in R^3 is a
 member of such a family, whichever diagonal you hinge on.
 
-Equating the law of cosines for d in both triangles gives theta_x in
-closed form as a root of
+Equating the law of cosines for d in both triangles, with
+theta_y = alpha - theta_x, gives R cos(theta_x + phi) = C, where
 
-    (2pq - 2rs cos alpha) cos theta_x - 2rs sin alpha sin theta_x
-        = p^2 + q^2 - r^2 - s^2,
+    A = 2pq - 2rs cos alpha,  B = 2rs sin alpha,  C = p^2 + q^2 - r^2 - s^2,
+    R = hypot(A, B),  phi = atan2(B, A).
 
-but this module inverts alpha -> d by bisection: ``diagonal_from_alpha``
-bisects the strictly increasing map d -> alpha(d).
+``diagonal_from_alpha`` takes the root theta_x = arccos(C / R) - phi,
+where sin(theta_x + phi) > 0: on the feasible interval the gap
+C - R cos(theta_x + phi) between the two squared diagonals rises with
+theta_x.  Then d^2 = (p - q)^2 + 4pq sin^2(theta_x / 2), the law of
+cosines as a sum of two terms >= 0, so a short diagonal loses no digits
+to cancellation.  Both angles carry the same error, and each moves d by
+its triangle's area over d, so d comes from the triangle of smaller area
+(the r-s one with theta_y = alpha - theta_x when that is smaller).  The
+ends of the interval map to d_min and d_max exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ import numpy as np
 from .errors import AlphaOutOfRange, InvalidInput, InvalidSpec, _check, _is_number
 from .mesh import _MAX_COORDINATE, _real_array
 
-_BISECTION_STEPS = 64
 _RANGE_SLACK = 1e-9
 # 1 / _MAX_COORDINATE: within these bounds no p**2, 2 p q or p q r s over- or underflows
 _MIN_SIDE = 1e-75
@@ -107,48 +113,39 @@ def _angles(spec: QuadSpec, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arccos(np.clip(cx, -1.0, 1.0)), np.arccos(np.clip(cy, -1.0, 1.0))
 
 
-def _angle_sum(spec: QuadSpec, d: np.ndarray) -> np.ndarray:
-    ax, ay = _angles(spec, d)
-    return ax + ay
-
-
 def alpha_range(spec: QuadSpec) -> tuple[float, float]:
-    """Feasible interval of the opposite-angle sum."""
-    lo = float(_angle_sum(spec, np.float64(spec.diagonal_min)))
-    hi = float(_angle_sum(spec, np.float64(spec.diagonal_max)))
+    """Feasible interval of the opposite-angle sum; InvalidInput unless
+    ``spec`` is a QuadSpec, which every inversion checks through here."""
+    _check("spec", spec, isinstance(spec, QuadSpec), "a QuadSpec")
+    lo = float(np.add(*_angles(spec, np.float64(spec.diagonal_min))))
+    hi = float(np.add(*_angles(spec, np.float64(spec.diagonal_max))))
     return lo, hi
 
 
-def _clamped(spec: QuadSpec, alphas: np.ndarray) -> np.ndarray:
-    """``alphas`` clipped to the feasible interval; AlphaOutOfRange for
-    any value (NaN included) outside it by more than the slack."""
-    a_lo, a_hi = alpha_range(spec)
-    slack = _RANGE_SLACK * (a_hi - a_lo)
-    if not np.all((a_lo - slack <= alphas) & (alphas <= a_hi + slack)):
+def _invert_alpha(spec: QuadSpec, alphas: np.ndarray) -> np.ndarray:
+    """Diagonals realizing the angle sums ``alphas``, in closed form;
+    AlphaOutOfRange for any value (NaN included) outside the feasible
+    interval by more than the slack.  Values past an end map to its diagonal."""
+    lo, hi = alpha_range(spec)
+    slack = _RANGE_SLACK * (hi - lo)
+    if not np.all((lo - slack <= alphas) & (alphas <= hi + slack)):
         raise AlphaOutOfRange(
-            f"alpha {alphas} outside [{a_lo}, {a_hi}] for sides "
+            f"alpha {alphas} outside [{lo}, {hi}] for sides "
             f"({spec.p}, {spec.q}, {spec.r}, {spec.s})"
         )
-    return np.clip(alphas, a_lo, a_hi)
-
-
-def _invert_alpha(spec: QuadSpec, alphas: np.ndarray) -> np.ndarray:
-    """Diagonals realizing the given angle sums, by vectorized bisection."""
-    d_lo = spec.diagonal_min
-    d_hi = spec.diagonal_max
-    a_lo, a_hi = alpha_range(spec)
-    lo = np.full_like(alphas, d_lo)
-    hi = np.full_like(alphas, d_hi)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = _angle_sum(spec, mid) < alphas
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    d = 0.5 * (lo + hi)
-    # Endpoint shortcuts keep the extremes exact.
-    d = np.where(alphas <= a_lo, d_lo, d)
-    d = np.where(alphas >= a_hi, d_hi, d)
-    return d
+    p, q, r, s = spec.p, spec.q, spec.r, spec.s
+    a = 2.0 * p * q - 2.0 * r * s * np.cos(alphas)
+    b = 2.0 * r * s * np.sin(alphas)
+    radius = np.hypot(a, b)  # 0 only at an end, where the ratio is 0 / 0
+    ratio = np.divide(p**2 + q**2 - r**2 - s**2, radius,
+                      out=np.zeros_like(radius), where=radius > 0.0)
+    theta_x = np.arccos(np.clip(ratio, -1.0, 1.0)) - np.arctan2(b, a)
+    theta_y = alphas - theta_x
+    dx = np.sqrt((p - q) ** 2 + 4.0 * p * q * np.sin(0.5 * theta_x) ** 2)
+    dy = np.sqrt((r - s) ** 2 + 4.0 * r * s * np.sin(0.5 * theta_y) ** 2)
+    d = np.where(p * q * np.sin(theta_x) <= r * s * np.sin(theta_y), dx, dy)
+    d = np.clip(d, spec.diagonal_min, spec.diagonal_max)
+    return np.where(alphas <= lo, spec.diagonal_min, np.where(alphas >= hi, spec.diagonal_max, d))
 
 
 def diagonal_from_alpha(spec: QuadSpec, alpha: float) -> HingeState:
@@ -157,13 +154,13 @@ def diagonal_from_alpha(spec: QuadSpec, alpha: float) -> HingeState:
     Raises
     ------
     InvalidInput
-        If ``alpha`` is not a real number.
+        If ``spec`` is not a QuadSpec or ``alpha`` not a real number.
     AlphaOutOfRange
         If ``alpha`` lies outside the feasible interval by more than a
         relative 1e-9 slack.  Values inside the slack are clamped.
     """
     _check("alpha", alpha, _is_number(alpha, finite=False), "a real number")
-    d = float(_invert_alpha(spec, _clamped(spec, np.array([alpha], dtype=float)))[0])
+    d = float(_invert_alpha(spec, np.array([alpha], dtype=float))[0])
     ax, ay = _angles(spec, np.float64(d))
     return HingeState(
         spec=spec,
@@ -196,7 +193,7 @@ def area_curve(spec: QuadSpec, alphas) -> tuple[np.ndarray, np.ndarray]:
     array = _real_array(alphas)
     if array is None:
         raise InvalidInput(f"alphas must be real numbers, got {alphas!r}")
-    d = _invert_alpha(spec, _clamped(spec, array))
+    d = _invert_alpha(spec, array)
     ax, ay = _angles(spec, d)
     return d, _area(spec, ax, ay)
 
@@ -224,8 +221,10 @@ def embed_planar(state: HingeState) -> np.ndarray:
     Rows are a, x, b, y with the hinge [a, b] on the x-axis, apex x at
     distance p from a and q from b above it, apex y at distance r from
     a and s from b below it.  When the diagonal collapses to zero the
-    hinge endpoints coincide at the origin.
+    hinge endpoints coincide at the origin.  InvalidInput unless ``state``
+    is a HingeState.
     """
+    _check("state", state, isinstance(state, HingeState), "a HingeState")
     p, q, r, s = state.spec.p, state.spec.q, state.spec.r, state.spec.s
     d = state.diagonal
     if d == 0.0:

@@ -15,6 +15,7 @@ from discmin import (
     OptimizerConfig,
     PolyhedralDisc,
     QuadSpec,
+    alpha_range,
     area_curve,
     area_of_alpha,
     brute_force_cutting_direction,
@@ -28,11 +29,13 @@ from discmin import (
     dumps_obj,
     edge_length_area_derivative,
     edge_length_area_gradient,
+    embed_planar,
     flat_convex_check,
     flat_convex_quad,
     flip,
     flip_pass,
     hinge_from_points,
+    loads_obj,
     make_tent,
     measure_hinge,
     minimize,
@@ -180,6 +183,13 @@ BAD_ARGUMENTS = {
     "string alpha for the area": lambda: area_of_alpha(UNIT, "x"),
     "string alpha for the slope": lambda: d_area_d_alpha(UNIT, "x"),
     "string alphas for the curve": lambda: area_curve(UNIT, ["x"]),
+    # unchecked, each of these raised AttributeError on the missing spec or state
+    "range of a tuple of sides": lambda: alpha_range((1, 1, 1, 1)),
+    "diagonal of a string spec": lambda: diagonal_from_alpha("x", 1.0),
+    "area of a tuple of sides": lambda: area_of_alpha((1, 1, 1, 1), 1.0),
+    "curve of a spec None": lambda: area_curve(None, [1.0]),
+    "slope of a tuple of sides": lambda: d_area_d_alpha((1, 1, 1, 1), 1.0),
+    "embedding of a spec": lambda: embed_planar(UNIT),
     "string tent height": lambda: make_tent(height="a"),
     "tent height None": lambda: make_tent(height=None),
     "tent height True": lambda: make_tent(height=True),
@@ -207,6 +217,10 @@ BAD_ARGUMENTS = {
     "edge gradient of None": lambda: edge_length_area_gradient(None, 6),
     "edge derivative of a string": lambda: edge_length_area_derivative("x", (0, 6)),
     "OBJ text of None": lambda: dumps_obj(None),
+    # unchecked, the first two raised AttributeError and bytes raised TypeError
+    "OBJ text an integer": lambda: loads_obj(123),
+    "OBJ text None": lambda: loads_obj(None),
+    "OBJ text as bytes": lambda: loads_obj(b"v 0 0 0\n"),
     # refused before the file is opened
     "OBJ file of a string": lambda: save_obj("x", os.devnull),
     # unchecked, a negative id wraps: this one read as the area of (0, 1, 2)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from discmin import (
     embed_planar,
 )
 from discmin.errors import AlphaOutOfRange, InvalidSpec
+from discmin.quad import _angles
 
 UNIT = QuadSpec(1, 1, 1, 1)
 
@@ -62,6 +64,69 @@ def test_sides_at_the_bounds_give_a_finite_curve(side):
         assert np.isfinite([lo, hi]).all() and lo < hi
         assert np.isfinite(diagonals).all() and np.isfinite(areas).all()
         assert math.isfinite(d_area_d_alpha(spec, math.pi))
+
+
+def wide_specs(count, seed):
+    """Seeded specs with sides log-uniform over e^-5 to e^5, side ratios up
+    to e^10, and the specs at the side bounds 1e-75 and 1e75."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for side, inward in ((1e-75, 1.5), (1e75, 2.0 / 3.0)):
+        specs += [QuadSpec(side, side, side, side),
+                  QuadSpec(side, side * inward, side, side * inward**2)]
+    while len(specs) < count:
+        spec = specs_or_none(*np.exp(rng.uniform(-5.0, 5.0, 4)).tolist())
+        if spec is not None:
+            specs.append(spec)
+    return specs
+
+
+def bisected_diagonals(specs, alphas):
+    """Oracle: at each row of ``alphas``, its spec's strictly increasing map
+    d -> alpha(d) bisected to the last bit, all rows at once."""
+    p, q, r, s, lo, hi = (
+        np.array([[getattr(spec, name)] for spec in specs]) + 0.0 * alphas
+        for name in ("p", "q", "r", "s", "diagonal_min", "diagonal_max")
+    )
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        cx = np.clip((p * p + q * q - mid * mid) / (2.0 * p * q), -1.0, 1.0)
+        cy = np.clip((r * r + s * s - mid * mid) / (2.0 * r * s), -1.0, 1.0)
+        below = np.arccos(cx) + np.arccos(cy) < alphas
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_inversion_holds_across_wide_side_ratios():
+    specs = wide_specs(1000, seed=36)
+    alphas, inner = [], []
+    for spec in specs:
+        row = np.linspace(*alpha_range(spec), 101)
+        diagonals, _ = area_curve(spec, row)
+        assert np.all(np.diff(diagonals) >= 0.0)
+        assert diagonals[0] == spec.diagonal_min and diagonals[-1] == spec.diagonal_max
+        ax, ay = _angles(spec, diagonals[1:-1])
+        assert np.max(np.abs(ax + ay - row[1:-1])) <= 1e-9
+        alphas.append(row[1:-1])
+        inner.append(diagonals[1:-1])
+    # d taken from theta_x (or theta_y) whichever triangle is smaller strays
+    # up to 1.4e-12 (9.6e-13) d_max from the oracle on these specs
+    oracle = bisected_diagonals(specs, np.array(alphas))
+    d_max = np.array([[spec.diagonal_max] for spec in specs])
+    assert np.all(np.abs(np.array(inner) - oracle) <= 2e-13 * d_max)
+
+
+def test_the_zero_radius_ends_raise_no_warning():
+    # 2pq - 2rs cos alpha and 2rs sin alpha both vanish at these ends, so the
+    # closed form's ratio is 0 / 0 there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert diagonal_from_alpha(UNIT, 0.0).diagonal == 0.0
+        spec = QuadSpec(1, 2, 1, 2)
+        lo, hi = alpha_range(spec)
+        assert lo == 0.0 and diagonal_from_alpha(spec, lo).diagonal == 1.0
+        diagonals, areas = area_curve(UNIT, [0.0, math.pi])
+        assert diagonals[0] == 0.0 and areas[0] == 0.0
 
 
 def test_alpha_range_anchors():
