@@ -18,14 +18,15 @@ encloses is deleted and the flat triangle put in its place, which
 never increases area either (project the region onto the triangle's
 plane).
 
-Every edit of the triangle list lives here.  ``flip`` and ``flip_pass``
-share one edit of a mutable edge table and assemble the flipped disc
-from it (see ``_assembled``); ``build_from_triangles`` checks each
-reduction's topology, and ``reduce_fan`` derives its geometry.
+Every edit of the triangle list lives here, and none rebuilds the
+complex.  ``flip`` and ``flip_pass`` share one edit of a mutable edge
+table and assemble the flipped disc from it (see ``_assembled``);
+``reduce_fan`` renumbers the old complex's arrays and patches the cut.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -43,7 +44,7 @@ from .errors import (
     _check_tolerance,
     _is_number,
 )
-from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, build_from_triangles, edge_key
+from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, edge_key
 from .mesh import _MAX_COORDINATE, _ZERO, _area, _directed_edges, _real_array, _triangle, area_rows
 from .mesh import _check_disc, canonical_triangle, cross_rows, row_norms
 
@@ -500,22 +501,49 @@ class FanReduction:
     vertex_map: dict[int, int]
 
 
+def _enclosed(cx: DiscComplex, t: Triangle, sides: tuple[list, list]) -> tuple[int, set]:
+    """The side that the cycle ``t`` bounds, as its index into ``sides``
+    (the faces along the cycle on either side) and its faces.  The sides
+    are flooded a face at a time in turn, never across the cycle; one that
+    meets a boundary edge, or has no face, lies outside, and the first to
+    close is the bounded one, so no more faces outside the cycle are
+    visited than inside it.  CycleBoundsBoundary when both sides meet one."""
+    a, b, c = t
+    cut, edges, edge_faces = ((a, b), (a, c), (b, c)), cx.edges, cx.edge_face_array.tolist()
+    floods = [(set(seeds), list(seeds)) for seeds in sides]
+    open_sides = [k for k in (0, 1) if sides[k]]
+    while open_sides:
+        for k in tuple(open_sides):
+            seen, stack = floods[k]
+            if not stack:
+                return k, seen
+            f = stack.pop()
+            for u, w in _directed_edges(cx.triangles[f]):
+                if (e := edge_key(u, w)) not in cut:
+                    g = sum(edge_faces[bisect_left(edges, e)]) - f  # the face across, or -1
+                    if g < 0:
+                        open_sides.remove(k)
+                        break
+                    if g not in seen:
+                        seen.add(g)
+                        stack.append(g)
+    raise CycleBoundsBoundary(f"cycle {t} bounds no face the boundary cannot reach")
+
+
 def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReduction]:
     """Cut along the empty triangle ``triple``.
 
-    The cycle separates the disc.  A flood from the boundary, seeded
-    with the face of every boundary edge off the cycle and never
-    crossing a cycle edge, reaches each piece outside the cycle, as
-    each keeps a boundary edge of its own; the faces it cannot reach
-    are the bounded side.  They are replaced by the flat triangle on
-    the cycle's vertices.  When the flood reaches nothing, the cycle is
-    the whole boundary, and the stored boundary cycle replaces the
-    disc, keeping its direction.  Surviving vertices are renumbered
-    compactly, preserving their relative order.
-
-    ``build_from_triangles`` validates the reduced topology; the kept
-    faces keep their areas and the floor carries over
-    (``PolyhedralDisc._derived``), so only the flat triangle is checked.
+    The cycle separates the disc.  The faces on the side it bounds
+    (``_enclosed``) are replaced by the flat triangle on the cycle's
+    vertices, running the cycle as they do; when the other side has no
+    face, the cycle is the whole boundary.  Surviving vertices and faces
+    are renumbered compactly in their order, the flat triangle last.
+    That keeps the edge rows sorted and each triangle's rotation and
+    untouched ring's start, so the reduced complex is assembled from the
+    old one's arrays, not rebuilt: only the cycle's edges, which take the
+    flat face, and its vertices' rings, which lose their arc inside it,
+    are patched.  The kept faces keep their areas and the floor carries
+    over (``PolyhedralDisc._derived``): only the flat triangle is checked.
 
     Raises
     ------
@@ -524,54 +552,80 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
     NotAViolation
         ``triple`` is not an empty triangle of the complex.
     CycleBoundsBoundary
-        The flood reached every face, so the cycle bounds nothing.
+        Both sides of the cycle meet the boundary, so it bounds nothing.
         Unreachable for genuine violations of a valid disc; kept as a
         defensive check.
     DegenerateTriangle
         The flat triangle's area is below the disc's floor.
     InvariantViolation
-        The reduced disc has another boundary cycle, or more area than
-        the input (a defect, never expected).
+        The cut would remove a boundary vertex, or add area (a defect,
+        never expected).
     """
     _check_disc(disc)
-    t = tuple(sorted(_triangle(triple)))
+    t = a, b, c = tuple(sorted(_triangle(triple)))
     cx = disc.complex
-    cycle_edges = (edge_key(t[0], t[1]), edge_key(t[0], t[2]), edge_key(t[1], t[2]))
-    for e in cycle_edges:
-        try:
-            if sum(t) - sum(e) in cx.opposite_vertices(e)[1]:
-                raise NotAViolation(f"{t} spans a face")
-        except InvalidInput:
-            raise NotAViolation(f"{t} is missing edge {e}") from None
-
-    table = _edge_table(cx)
-    outside = {f for e, ((f, _), (g, _)) in table.items() if g < 0 and e not in cycle_edges}
-    stack = list(outside)
-    while stack:
-        for a, b in _directed_edges(cx.triangles[stack.pop()]):
-            e = edge_key(a, b)
-            if e not in cycle_edges:
-                for g, _ in table[e]:
-                    if g >= 0 and g not in outside:
-                        outside.add(g)
-                        stack.append(g)
-    if len(outside) == len(cx.triangles):
-        raise CycleBoundsBoundary(f"cycle {t} bounds no face the boundary cannot reach")
-    area_before = disc.total_area()
-    new_tris = [cx.triangles[i] for i in sorted(outside)]
-    new_tris.append(t if outside else cx.boundary_cycle)
-
-    keep = sorted({v for tri in new_tris for v in tri})
-    vertex_map = {old: new for new, old in enumerate(keep)}
-    new_complex = build_from_triangles([tuple(vertex_map[v] for v in tri) for tri in new_tris])
-    if new_complex.boundary_cycle != tuple(vertex_map.get(v) for v in cx.boundary_cycle):
+    cut = ((a, b), (a, c), (b, c))
+    rows = [bisect_left(cx.edges, e) for e in cut]
+    for e, i in zip(cut, rows):
+        if cx.edges[i:i + 1] != (e,):
+            raise NotAViolation(f"{t} is missing edge {e}")
+        if a + b + c - sum(e) in cx.opposite_array[i].tolist():
+            raise NotAViolation(f"{t} spans a face")
+    face_pairs, opposite_pairs = cx.edge_face_array.copy(), cx.opposite_array.copy()
+    sides = ([], [])  # the faces along the cycle that run it a -> b -> c, and the others
+    for (u, w), faces in zip(((a, b), (c, a), (b, c)), face_pairs[rows].tolist()):
+        for f in faces:
+            if f >= 0:
+                tri = cx.triangles[f]
+                sides[tri[tri.index(u) - 2] != w].append(f)
+    side, inside = _enclosed(cx, t, sides)
+    flat, inside, count = [a, b, c] if side == 0 else [a, c, b], list(inside), len(cx.triangles)
+    keep, kept = np.ones(cx.vertex_count, bool), np.ones(count, bool)
+    keep[cx.triangle_array[inside]] = kept[inside] = False
+    keep[flat] = True
+    if not keep[list(cx.boundary_cycle)].all():
         raise InvariantViolation(f"fan reduction along {t} changed the boundary cycle")
-    positions, flat = disc.positions[keep], new_complex.triangles[-1]
-    area = _area(*positions[list(flat)].tolist())
+    # old ids to new and -1 to -1; the flat face is numbered ``count`` until renumbered last
+    vertex_ids = np.append(np.cumsum(keep) - 1, -1)
+    face_ids = np.append(np.cumsum(kept) - 1, (count - len(inside), -1))
+    area = _area(*disc.positions[flat].tolist())
     if area < disc._floor:
-        raise DegenerateTriangle(f"triangle {flat} has area {area:.6e}, "
-                                 f"below the floor {disc._floor:.6e}")
-    new_disc = disc._derived(new_complex, positions, np.append(disc._areas[sorted(outside)], area))
+        raise DegenerateTriangle(f"triangle {tuple(vertex_ids[flat].tolist())} has area "
+                                 f"{area:.6e}, below the floor {disc._floor:.6e}")
+
+    # each cycle edge trades its inside face for the flat one, last in face order
+    for i, e in zip(rows, cut):
+        (f, g), (x, y) = face_pairs[i].tolist(), opposite_pairs[i].tolist()
+        f, x = (f, x) if kept[f] else (g, y)  # the outside face, or -1
+        order = 1 if f >= 0 else -1  # -1 second
+        face_pairs[i], opposite_pairs[i] = (f, count)[::order], (x, a + b + c - sum(e))[::order]
+    # a cycle vertex keeps its ring from its predecessor p on the flat triangle to its
+    # successor s, whose slot takes the flat face, and loses the arc from s to p
+    ring_vertices, ring_faces = cx.ring_vertices.copy(), cx.ring_faces.copy()
+    slots = np.repeat(keep, np.diff(cx.ring_offsets))
+    for v, s, p in zip(flat, flat[1:] + flat[:1], flat[2:] + flat[:2]):
+        lo, hi = cx.ring_offsets[v:v + 2].tolist()
+        old, faces = ring_vertices[lo:hi].tolist(), ring_faces[lo:hi].tolist()
+        m = (old.index(s) - (j := old.index(p))) % (hi - lo) + 1
+        ring, faces = (old[j:] + old[:j])[:m], (faces[j:] + faces[:j])[:m - 1] + [count]
+        j = ring.index(old[0] if v in cx.boundary_vertices else min(ring))
+        ring_vertices[lo:lo + m], ring_faces[lo:lo + m] = ring[j:] + ring[:j], faces[j:] + faces[:j]
+        slots[lo + m:hi] = False
+    edge_rows = keep[cx.edge_array].all(axis=1)
+    edge_array = vertex_ids[cx.edge_array[edge_rows]]
+    triangle_array = vertex_ids[np.append(cx.triangle_array[kept], [flat], axis=0)]
+    arrays = (triangle_array, edge_array, vertex_ids[opposite_pairs[edge_rows]],
+              face_ids[face_pairs[edge_rows]],
+              np.concatenate((_ZERO, np.add.accumulate(np.bincount(edge_array.ravel())))),
+              vertex_ids[ring_vertices[slots]], face_ids[ring_faces[slots]])
+    for array in arrays:
+        array.setflags(write=False)
+    survivors = np.flatnonzero(keep).tolist()
+    cycle = tuple(vertex_ids[list(cx.boundary_cycle)].tolist())
+    reduced = DiscComplex(len(survivors), tuple(map(tuple, triangle_array.tolist())),
+                          tuple(map(tuple, edge_array.tolist())), cycle, frozenset(cycle), *arrays)
+    area_before = disc.total_area()
+    new_disc = disc._derived(reduced, disc.positions[keep], np.append(disc._areas[kept], area))
 
     area_after = new_disc.total_area()
     decrease = area_before - area_after
@@ -579,14 +633,5 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
     # raise area (orthogonal projection onto the triangle's plane).
     if decrease < -1e-9 * area_before:
         raise InvariantViolation(f"fan reduction along {t} increased area by {-decrease}")
-
-    record = FanReduction(
-        triple=t,
-        removed_triangles=len(cx.triangles) + 1 - len(new_tris),
-        removed_vertices=cx.vertex_count - len(keep),
-        area_before=area_before,
-        area_after=area_after,
-        area_decrease=decrease,
-        vertex_map=vertex_map,
-    )
-    return new_disc, record
+    return new_disc, FanReduction(t, len(inside), cx.vertex_count - len(survivors), area_before,
+                                  area_after, decrease, dict(zip(survivors, range(len(survivors)))))

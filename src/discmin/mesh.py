@@ -9,8 +9,8 @@ boundary polygon's bounding box: every move of the library pins the
 boundary, so a moved interior vertex leaves the floor as it was, and
 only the faces of its star need checking again.
 
-``build_from_triangles`` validates every triangle list into a
-``DiscComplex`` (flips edit theirs, see ``flips``).  It runs the checks
+``build_from_triangles`` validates every input triangle list into a
+``DiscComplex``; the moves of ``flips`` edit theirs.  It runs the checks
 in a fixed order so the raised error names the first property that fails:
 
 1. well-formed input              -> InvalidInput
@@ -255,7 +255,7 @@ def _directed_edges(tri: Triangle):
 class DiscComplex:
     """A validated triangulation of a disc.
 
-    Do not construct directly; use :func:`build_from_triangles` or a flip.
+    Do not construct directly; use :func:`build_from_triangles`, a flip or a fan reduction.
     Triangles are stored in input order, rotated so the smallest vertex
     comes first, and are consistently oriented; ``triangle_array`` holds
     them once more as a read-only (F, 3) index array.  ``edge_array``

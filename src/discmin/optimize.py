@@ -3,7 +3,8 @@
 Each outer iteration runs three passes:
 
 1. fan reductions: cut along empty triangles while any can be cut; the
-   scan for them reads only the topology and runs once per complex;
+   scan for them reads only the topology and runs once per complex that
+   a cut did not make, as a cut carries the list over (``_carried``);
 2. flips, unless ``enable_flips`` is false: ``flips.flip_pass`` flips
    hinges whose adjacent angle sum is below pi, first eligible edge in
    sorted order after every flip;
@@ -582,6 +583,16 @@ def position_area_gradient(disc: PolyhedralDisc, v: int) -> np.ndarray:
 # =====================================================================
 
 
+def _carried(violations: list, record: FanReduction) -> list:
+    """The empty triangles after the cut ``record``: those before it, but
+    its own and those that lost a vertex, renumbered.  A cut adds no edge
+    among kept vertices and no face but its triple, and renumbers in
+    order, so this is the sorted scan of the reduced complex."""
+    ids = record.vertex_map
+    return [tuple(map(ids.__getitem__, u)) for u in violations
+            if u != record.triple and all(map(ids.__contains__, u))]
+
+
 def minimize(
     disc: PolyhedralDisc, config: Optional[OptimizerConfig] = None
 ) -> tuple[PolyhedralDisc, OptimizationTrace]:
@@ -635,7 +646,8 @@ def minimize(
                     unresolved += 1
                     continue
                 reductions.append(record)
-                break  # vertex ids changed, rescan
+                scanned, violations = disc.complex, _carried(violations, record)
+                break  # vertex ids changed: start over on the carried list
             else:
                 break
 

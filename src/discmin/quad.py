@@ -106,10 +106,11 @@ def _area(spec: QuadSpec, ax, ay):
 
 
 def _angles(spec: QuadSpec, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Law of cosines both sides of the hinge; clamp for roundoff at the
-    # collapsed and stretched ends of the interval.
-    cx = (spec.p**2 + spec.q**2 - d**2) / (2.0 * spec.p * spec.q)
-    cy = (spec.r**2 + spec.s**2 - d**2) / (2.0 * spec.r * spec.s)
+    # Law of cosines both sides of the hinge, squares as products (``**``
+    # takes pow for a numpy scalar, a multiply for an array); clamp for
+    # roundoff at the collapsed and stretched ends of the interval.
+    cx = (spec.p * spec.p + spec.q * spec.q - d * d) / (2.0 * spec.p * spec.q)
+    cy = (spec.r * spec.r + spec.s * spec.s - d * d) / (2.0 * spec.r * spec.s)
     return np.arccos(np.clip(cx, -1.0, 1.0)), np.arccos(np.clip(cy, -1.0, 1.0))
 
 

@@ -454,6 +454,13 @@ def assert_same_complex(got: DiscComplex, expected: DiscComplex) -> None:
         assert not g.flags.writeable, name
 
 
+def assert_assembled_as_rebuilt(disc: PolyhedralDisc) -> None:
+    """The complex of ``disc``, which a flip or fan reduction assembled from
+    edited arrays, equals ``build_from_triangles`` of its triangles, field
+    for field."""
+    assert_same_complex(disc.complex, build_from_triangles(list(disc.complex.triangles)))
+
+
 def flip_pass_by_rebuild(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None) -> FlipPassResult:
     """Oracle for ``flip_pass``: rescan every interior hinge with one
     ``bulk_hinges`` call and rebuild and validate the whole disc through

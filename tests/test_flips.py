@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     angle_between,
+    assert_assembled_as_rebuilt,
     assert_edge_table,
     assert_same_complex,
     assert_rings,
@@ -343,8 +345,16 @@ def test_flat_convex_quad_matches_corner_oracle():
 
 
 def test_reduce_reports_a_changed_boundary_cycle(monkeypatch, tmp_path, capsys):
-    build = flips.build_from_triangles
-    monkeypatch.setattr(flips, "build_from_triangles", lambda tris: build([t[::-1] for t in tris]))
+    """A flood that took the outside of the cycle for its inside would cut
+    away the hexagon's rim vertices 1, 3 and 5: the cut is refused as a
+    defect, and the CLI command that makes it exits 4."""
+    enclosed = flips._enclosed
+
+    def outside(cx, t, sides):
+        side, inside = enclosed(cx, t, sides)
+        return 1 - side, set(range(len(cx.triangles))) - inside
+
+    monkeypatch.setattr(flips, "_enclosed", outside)
     disc = hexagon_with_violation()
     with pytest.raises(InvariantViolation, match="boundary cycle"):
         reduce_fan(disc, (0, 2, 4))
@@ -482,12 +492,28 @@ def test_reduce_lobe_with_one_boundary_edge():
     assert out.complex.no_triangle_violations() == []
 
 
-def test_reduce_subdivided_ear_with_two_boundary_edges():
+def subdivided_ear() -> PolyhedralDisc:
+    """A unit square whose ear (0, 1, 2), two of its edges on the rim, is
+    subdivided by the lifted vertex 4."""
     tris = [(0, 1, 4), (1, 2, 4), (0, 4, 2), (0, 2, 3)]
     positions = np.array(
         [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.6, 0.3, 0.4]], dtype=float
     )
-    disc = PolyhedralDisc(build_from_triangles(tris), positions)
+    return PolyhedralDisc(build_from_triangles(tris), positions)
+
+
+def mid_strip() -> PolyhedralDisc:
+    """A pentagon whose empty triangle (0, 2, 4) touches the rim at three
+    vertices and one edge, around the lifted vertex 5."""
+    tris = [(0, 1, 2), (2, 3, 4), (0, 2, 5), (2, 4, 5), (4, 0, 5)]
+    positions = np.zeros((6, 3))
+    positions[:5] = regular_polygon(5)
+    positions[5] = [0.0, 0.0, 0.5]
+    return PolyhedralDisc(build_from_triangles(tris), positions)
+
+
+def test_reduce_subdivided_ear_with_two_boundary_edges():
+    disc = subdivided_ear()
     assert disc.complex.no_triangle_violations() == [(0, 1, 2)]
     out, rec = reduce_fan(disc, (0, 1, 2))
     assert len(out.complex.triangles) == 2
@@ -497,11 +523,7 @@ def test_reduce_subdivided_ear_with_two_boundary_edges():
 
 
 def test_reduce_mid_strip():
-    tris = [(0, 1, 2), (2, 3, 4), (0, 2, 5), (2, 4, 5), (4, 0, 5)]
-    positions = np.zeros((6, 3))
-    positions[:5] = regular_polygon(5)
-    positions[5] = [0.0, 0.0, 0.5]
-    disc = PolyhedralDisc(build_from_triangles(tris), positions)
+    disc = mid_strip()
     out, rec = reduce_fan(disc, (0, 2, 4))
     assert len(out.complex.triangles) == 3
     assert rec.area_decrease > 0
@@ -562,6 +584,29 @@ def test_a_reduced_disc_is_the_disc_its_validation_builds():
                 except CycleBoundsBoundary:
                     continue
     assert checked == reduced and len(reduced) == 3 + 12 * 8
+
+
+REDUCTION_DISCS = {
+    "hexagon": hexagon_with_violation(), "whole-boundary": tetra_cap(),
+    "lobe": double_interior_disc(), "ear": subdivided_ear(), "mid-strip": mid_strip(),
+    **{f"grid{n}-{seed}": perturbed_grid_disc(n, seed, subdivisions=8)
+       for n in (3, 4, 5) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("disc", REDUCTION_DISCS.values(), ids=list(REDUCTION_DISCS))
+def test_reductions_assemble_what_a_rebuild_builds(disc):
+    """Every reduction of the disc assembles, from the old complex's
+    arrays, the complex that ``build_from_triangles`` builds from its
+    triangles, field for field, and reads no edge table."""
+    triples = disc.complex.no_triangle_violations()
+    assert triples
+    with mock.patch.object(flips, "_edge_table", wraps=flips._edge_table) as edge_table:
+        for triple in triples:
+            out, rec = reduce_fan(disc, triple)
+            assert_assembled_as_rebuilt(out)
+            assert len(out.complex.triangles) == len(disc.complex.triangles) + 1 - rec.removed_triangles
+    assert edge_table.call_count == 0
 
 
 def test_a_degenerate_flat_triangle_is_refused_as_validation_refuses_it():

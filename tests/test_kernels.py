@@ -20,7 +20,7 @@ import pytest
 
 from bench.workloads import grid_disc
 from conftest import (
-    assert_same_complex,
+    assert_assembled_as_rebuilt,
     checked_discs_match_validation,
     fan_disc,
     flip_pass_sorting_every_hinge,
@@ -192,11 +192,6 @@ def test_a_pass_with_no_eligible_hinge_builds_no_table():
         assert edge_table.call_count == 1
 
 
-def assert_assembled_as_rebuilt(disc):
-    """The complex of ``disc`` equals ``build_from_triangles`` of its triangles, field for field."""
-    assert_same_complex(disc.complex, build_from_triangles(list(disc.complex.triangles)))
-
-
 @pytest.mark.parametrize("disc", DISCS.values(), ids=list(DISCS))
 def test_flipped_complexes_equal_a_rebuild_field_for_field(disc):
     """The complex of a flip pass, capped and not, and of every flip the
@@ -214,18 +209,19 @@ def test_flipped_complexes_equal_a_rebuild_field_for_field(disc):
 @pytest.mark.parametrize("name", ["c4_fan3", "grid_n6", "perturbed4", "rough15"])
 def test_a_pass_of_k_flips_measures_k_plus_one_times_and_builds_nothing(name):
     """The first scan and one re-measurement per flip are the kernel
-    calls, capped or not; no flip pass calls ``build_from_triangles``,
-    while a fan reduction still builds once."""
-    disc = DISCS[name]
+    calls, capped or not; neither a flip pass nor a fan reduction calls
+    ``build_from_triangles``, which ``flips`` does not even bind."""
+    disc, hexagon = DISCS[name], hexagon_with_violation()
     with mock.patch.object(flips, "_hinge_rows", wraps=flips._hinge_rows) as kernel, \
-            mock.patch.object(flips, "build_from_triangles", wraps=build_from_triangles) as build:
+            mock.patch.object(mesh, "build_from_triangles", wraps=build_from_triangles) as build:
         for cap in (None, 2):
             kernel.reset_mock()
             result = flip_pass(disc, cap=cap)
             assert result.flips and kernel.call_count == len(result.flips) + 1
         assert build.call_count == 0
-        reduce_fan(hexagon_with_violation(), (0, 2, 4))
-        assert build.call_count == 1
+        reduce_fan(hexagon, (0, 2, 4))
+        assert build.call_count == 0
+    assert not hasattr(flips, "build_from_triangles")
 
 
 def test_the_trial_at_the_cap_leaves_the_tables_unchanged():

@@ -1180,6 +1180,34 @@ def test_a_run_validates_a_disc_in_full_only_at_the_jitter(disc, monkeypatch):
     assert any(rec.reductions for rec in trace.iterations)
 
 
+PLANAR_GRIDS = [perturbed_grid_disc(4 + s % 3, seed=s, subdivisions=s % 5) for s in range(60)]
+
+
+@pytest.mark.parametrize("disc", [*PLANAR_GRIDS, *WORKLOAD_GRIDS.values()],
+                         ids=[*(f"planar{s}" for s in range(60)),
+                              *(f"workload{n}" for n in WORKLOAD_GRIDS)])
+def test_the_carried_violations_are_the_scan_of_the_reduced_complex(disc, monkeypatch):
+    """After each fan reduction of a run, the empty triangles that
+    ``minimize`` carries over equal a fresh scan of the reduced complex."""
+    reduce, carry, reduced, carried = optimize.reduce_fan, optimize._carried, [], []
+
+    def recorded(disc, triple):
+        out = reduce(disc, triple)
+        reduced.append(out[0])
+        return out
+
+    def compared(violations, record):
+        carried.append(carry(violations, record))
+        assert carried[-1] == reduced[-1].complex.no_triangle_violations()
+        return carried[-1]
+
+    monkeypatch.setattr(optimize, "reduce_fan", recorded)
+    monkeypatch.setattr(optimize, "_carried", compared)
+    _, trace = minimize(disc, OptimizerConfig(max_outer_iterations=12))
+    reductions = [r for rec in trace.iterations for r in rec.reductions]
+    assert reductions and len(carried) == len(reduced) == len(reductions)
+
+
 SWEEP_STARS = optimize._sweep_stars
 
 

@@ -129,6 +129,19 @@ def test_the_zero_radius_ends_raise_no_warning():
         assert diagonals[0] == 0.0 and areas[0] == 0.0
 
 
+def test_a_scalar_and_an_array_diagonal_give_the_same_angles():
+    """``_angles`` squares by products, so a numpy scalar and an array
+    give the same bits.  Where the r-s triangle collapses at d_max, the
+    one ulp that ``**`` once put between them (pow against a multiply)
+    became 2.1e-8 of angle sum, and the array's sum fell outside
+    ``alpha_range``."""
+    spec = QuadSpec(1.6377816873454762, 2.041299773530519, 1.8771147568098185, 0.5639590567469366)
+    d = spec.diagonal_max
+    scalar, array = (np.add(*_angles(spec, x)) for x in (np.float64(d), np.array([d])))
+    assert scalar.tobytes() == array[0].tobytes() and float(scalar) == alpha_range(spec)[1]
+    assert diagonal_from_alpha(spec, float(array[0])).diagonal == d
+
+
 def test_alpha_range_anchors():
     lo, hi = alpha_range(UNIT)
     assert abs(lo) <= 1e-12 and abs(hi - 2 * math.pi) <= 1e-12
