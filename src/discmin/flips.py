@@ -45,7 +45,7 @@ from .errors import (
     _is_number,
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, edge_key
-from .mesh import _MAX_COORDINATE, _ZERO, _area, _directed_edges, _real_array, _triangle, area_rows
+from .mesh import _MAX_COORDINATE, _ZERO, _areas, _directed_edges, _real_array, _triangle, area_rows
 from .mesh import _check_disc, canonical_triangle, cross_rows, row_norms
 
 
@@ -243,7 +243,7 @@ def _flip_edit(triangles: list[Triangle], table: dict, edge: Edge, points: list,
     t = triangles[f]
     forward, backward, p, q = (f, g, x, y) if t[t.index(a) - 2] == b else (g, f, y, x)
     new = (canonical_triangle((p, a, q)), canonical_triangle((q, b, p)))
-    new_areas = [_area(*map(points.__getitem__, t)) for t in new]
+    new_areas = _areas(points, new)
     for t, area in zip(new, new_areas):
         if area < floor:
             raise DegenerateTriangle(
@@ -352,9 +352,13 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
 
 @dataclass(frozen=True)
 class FlipRecord:
+    """One flip of a pass: the hinge ``edge``, its sigma and area decrease
+    before the flip, and the ``diagonal`` that replaced it, both sorted."""
+
     edge: tuple[int, int]
     sigma: float
     area_decrease: float
+    diagonal: tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,9 +425,9 @@ def flip_pass(
             if at_cap:
                 cap_exceeded = True
             else:
-                records.append(FlipRecord(e, *eligible.pop(e)))
-                a, b = e
-                touched = [edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))]
+                diagonal, (a, b) = edge_key(x, y), e
+                records.append(FlipRecord(e, *eligible.pop(e), diagonal))
+                touched = [diagonal, *(edge_key(u, w) for u in (a, b) for w in (x, y))]
                 rows = [(*h, o1, o2) for h in touched for (_, o1), (g, o2) in [table[h]] if g >= 0]
                 _, sigma, gain = _hinge_rows(p[np.array(rows, dtype=np.intp).T])
                 for row, s, g in zip(rows, sigma.tolist(), gain.tolist()):
@@ -588,7 +592,7 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
     # old ids to new and -1 to -1; the flat face is numbered ``count`` until renumbered last
     vertex_ids = np.append(np.cumsum(keep) - 1, -1)
     face_ids = np.append(np.cumsum(kept) - 1, (count - len(inside), -1))
-    area = _area(*disc.positions[flat].tolist())
+    (area,) = _areas(disc.positions[flat].tolist(), ((0, 1, 2),))
     if area < disc._floor:
         raise DegenerateTriangle(f"triangle {tuple(vertex_ids[flat].tolist())} has area "
                                  f"{area:.6e}, below the floor {disc._floor:.6e}")

@@ -159,12 +159,18 @@ def area_rows(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     return 0.5 * row_norms(cross_rows(p1 - p0, p2 - p0))
 
 
-def _area(p0, p1, p2) -> float:
-    """Area of one triangle, in the operations ``area_rows`` performs."""
-    u0, u1, u2 = p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2]
-    w0, w1, w2 = p2[0] - p0[0], p2[1] - p0[1], p2[2] - p0[2]
-    c0, c1, c2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
-    return 0.5 * math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+def _areas(points, triangles) -> list[float]:
+    """Areas of ``triangles`` (vertex id triples) at ``points``, the
+    positions as Python floats, in one loop and the operations
+    ``area_rows`` performs."""
+    areas = []
+    for i, j, k in triangles:
+        (x0, x1, x2), (a0, a1, a2), (b0, b1, b2) = points[i], points[j], points[k]
+        u0, u1, u2 = a0 - x0, a1 - x1, a2 - x2
+        w0, w1, w2 = b0 - x0, b1 - x1, b2 - x2
+        c0, c1, c2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+        areas.append(0.5 * math.sqrt(c0 * c0 + c1 * c1 + c2 * c2))
+    return areas
 
 
 def _triangle_areas(positions: np.ndarray, triangles: np.ndarray) -> np.ndarray:

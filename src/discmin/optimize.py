@@ -3,8 +3,8 @@
 Each outer iteration runs three passes:
 
 1. fan reductions: cut along empty triangles while any can be cut; the
-   scan for them reads only the topology and runs once per complex that
-   a cut did not make, as a cut carries the list over (``_carried``);
+   topology is scanned for them once, before the first iteration, and
+   cuts and flip passes carry the list over (``_carried``, ``_flipped``);
 2. flips, unless ``enable_flips`` is false: ``flips.flip_pass`` flips
    hinges whose adjacent angle sum is below pi, first eligible edge in
    sorted order after every flip;
@@ -23,20 +23,20 @@ changes another star's floor either.  Each class takes its Newton steps
 from one call of the star kernel and one stacked solve, a multicolour
 Gauss-Seidel sweep (Adams, SC 2001).
 
-The sweep works on one mutable state: a positions array, and the
-positions and triangle areas as Python floats.  A line-search trial is
-scored and checked on the moved vertex's star alone, on Python floats,
-under the checks a ``PolyhedralDisc`` makes: the coordinate bound, and
-the disc's degeneracy floor, which no interior move changes; a trial
-failing them is refused as None.  An accepted trial is written into the
-state, and its disc is built from the state, unvalidated, when the sweep
-ends; fan reductions check only their flat triangle, so a run validates
-a disc in full only at the jitter.  Every float is formed in the
-operations the numpy rows of ``mesh`` use, so a run is bit-identical to
-one that validated a disc per trial.
-The kernel gives each star the bits it gives that star alone, so a run
-is also bit-identical to one that sweeps in the same order a vertex at
-a time.
+The sweep works on one mutable state: the positions and triangle areas
+as Python floats, and a positions array whose moved rows are set in one
+assignment when it is read.  A line-search trial is scored and checked
+on the moved vertex's star alone, on Python floats, under the checks a
+``PolyhedralDisc`` makes: the coordinate bound, and the disc's
+degeneracy floor, which no interior move changes; a trial failing them
+is refused as None.  An accepted trial is written into the state, and
+its disc is built from the state, unvalidated, when the sweep ends; fan
+reductions check only their flat triangle, so a run validates a disc in
+full only at the jitter.  Every float is formed in the operations the
+numpy rows of ``mesh`` use, so a run is bit-identical to one that
+validated a disc per trial.  The kernel gives each star the bits it
+gives that star alone, so a run is also bit-identical to one that
+sweeps in the same order a vertex at a time.
 
 The loop exits in one of three ways, which the trace records as its
 ``stop_reason``.  *stationary*: an iteration whose reductions and flips
@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -99,7 +100,7 @@ from .errors import (
 )
 from .flips import EPS_FLIP, FanReduction, FlipPassResult, FlipRecord
 from .flips import flip_pass, reduce_fan
-from .mesh import _MAX_COORDINATE, PolyhedralDisc, _area, _check_disc, _check_index, area_rows
+from .mesh import _MAX_COORDINATE, PolyhedralDisc, _areas, _check_disc, _check_index, area_rows
 from .mesh import edge_key, row_norms
 from .saddle import EPS_SADDLE, SaddleCertificate, VertexVerdict, _vertex_verdicts, certify_saddle
 
@@ -339,12 +340,12 @@ def _star_terms(points: list, stars: _Stars, r0: int, r1: int) -> tuple[np.ndarr
 
 class _Sweep:
     """The working state of one vertex sweep: a disc's complex, the
-    ``_Stars`` it sweeps, a writable copy of its positions (also as
-    Python floats) and its triangle areas as Python floats, always as
-    valid as a PolyhedralDisc of them.  It keeps the disc it was built
-    from as ``source``, whose floor (``PolyhedralDisc._floor``) every
-    trial is checked against and every built disc inherits, as the
-    sweep moves only interior vertices.
+    ``_Stars`` it sweeps, its positions and triangle areas as Python
+    floats, always as valid as a PolyhedralDisc of them, and a writable
+    copy of its positions, brought up to date when read (:attr:`positions`).
+    It keeps the disc it was built from as ``source``, whose floor
+    (``PolyhedralDisc._floor``) every trial is checked against and every
+    built disc inherits, as the sweep moves only interior vertices.
 
     A line-search trial moves the vertex of one row and is scored and
     checked on its star alone (:meth:`trial`); an accepted trial is
@@ -357,10 +358,18 @@ class _Sweep:
 
     def __init__(self, disc: PolyhedralDisc, stars: _Stars):
         self.source, self.complex, self.stars = disc, disc.complex, stars
-        self.positions = np.array(disc.positions)
-        self.points = self.positions.tolist()
+        self._positions, self._moved = np.array(disc.positions), set()
+        self.points = self._positions.tolist()
         self.areas = disc._areas.tolist()
         self._newton: Optional[tuple] = None
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The positions array, the rows moved since the last read set from ``points``."""
+        if self._moved:
+            moved, self._moved = list(self._moved), set()
+            self._positions[moved] = list(map(self.points.__getitem__, moved))
+        return self._positions
 
     def newton(self, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
         """The gradients g of the star areas of rows ``r0`` to ``r1`` and
@@ -380,27 +389,27 @@ class _Sweep:
         the bound, or a star area below the floor of ``source``, which the
         move leaves as it is, with every face outside the star.
         """
-        if not all(abs(c) <= _MAX_COORDINATE for c in point):
+        if not (abs(point[0]) <= _MAX_COORDINATE and abs(point[1]) <= _MAX_COORDINATE
+                and abs(point[2]) <= _MAX_COORDINATE):
             return None
         stars, v, points = self.stars, self.stars.vertices[r], self.points
         start, points[v] = points[v], point  # the star's faces, with v at the trial point
-        areas = [_area(points[i], points[j], points[k])
-                 for i, j, k in stars.corners[stars.bounds[r]:stars.bounds[r + 1]]]
+        areas = _areas(points, stars.corners[stars.bounds[r]:stars.bounds[r + 1]])
         points[v] = start
         return areas if min(areas) >= self.source._floor else None
 
     def apply(self, r: int, trial) -> tuple[float, float, float]:
         """Move the vertex of row ``r`` as the accepted ``trial`` (point,
-        star areas) says, dropping the kept Newton steps; returns the
-        displacement."""
-        point, areas = trial
+        star areas) says, in the Python floats, dropping the kept Newton
+        steps; returns the displacement."""
+        (p0, p1, p2), areas = trial
         v, stars = self.stars.vertices[r], self.stars
-        start = self.points[v]
-        self.positions[v] = self.points[v] = list(point)
+        (q0, q1, q2), self.points[v] = self.points[v], [p0, p1, p2]
+        self._moved.add(v)
         for f, area in zip(stars.faces[stars.bounds[r]:stars.bounds[r + 1]], areas):
             self.areas[f] = area
         self._newton = None
-        return tuple(p - q for p, q in zip(point, start))
+        return p0 - q0, p1 - q1, p2 - q2
 
     def disc(self) -> PolyhedralDisc:
         return self.source._derived(self.complex, self.positions.copy(), np.array(self.areas))
@@ -429,21 +438,21 @@ def _line_search(
     ``blocked`` true when ``_Sweep.trial`` refused every trial made.
     """
     stars, v = sweep.stars, sweep.stars.vertices[r]
-    x = sweep.points[v]
+    x0, x1, x2 = sweep.points[v]
     if scale is not None:
         neighbors = sweep.positions[list(sweep.complex.vertex_star(v))]
         lengths = row_norms(neighbors - sweep.positions[v])
         first = _STEP * scale * float(lengths.min()) * first
     slope = -float(gradient @ first)
-    before = sum(sweep.areas[f] for f in stars.faces[stars.bounds[r]:stars.bounds[r + 1]])
-    direction = first.tolist()
+    before = sum(map(sweep.areas.__getitem__, stars.faces[stars.bounds[r]:stars.bounds[r + 1]]))
+    d0, d1, d2 = first.tolist()
     tried = nondegenerate = False
     step = 1.0
     for _ in range(_MAX_BACKTRACKS + 1):
         if step * slope <= min_gain:
             break
         tried = True
-        point = tuple(c + step * d for c, d in zip(x, direction))
+        point = (x0 + step * d0, x1 + step * d1, x2 + step * d2)
         areas = sweep.trial(r, point)
         if areas is not None:
             nondegenerate = True
@@ -593,6 +602,27 @@ def _carried(violations: list, record: FanReduction) -> list:
             if u != record.triple and all(map(ids.__contains__, u))]
 
 
+def _flipped(violations: list, flipped: FlipPassResult) -> list:
+    """The empty triangles after the flip pass ``flipped``: those before it
+    that still are, and each recorded diagonal still an edge with each common
+    neighbour of its ends but its two opposite vertices.  A flip changes the
+    edges or faces of no other triangles, so this is the sorted scan."""
+    cx = flipped.disc.complex
+    ring, offsets = cx.ring_vertices.tolist(), cx.ring_offsets.tolist()
+
+    def opposite(u, v):  # the vertices opposite the edge (u, v), u < v; [] for no edge
+        i = bisect_left(cx.edges, (u, v))
+        return cx.opposite_array[i].tolist() if cx.edges[i:i + 1] == ((u, v),) else []
+
+    found = {(u, v, w) for u, v, w in violations
+             if (o := opposite(u, v)) and w not in o and opposite(u, w) and opposite(v, w)}
+    for x, y in {r.diagonal for r in flipped.flips}:
+        around = set(ring[offsets[x]:offsets[x + 1]]).intersection(ring[offsets[y]:offsets[y + 1]])
+        if len(around) > 2 and y in ring[offsets[x]:offsets[x + 1]]:  # 2: its opposite vertices
+            found.update(tuple(sorted((x, y, w))) for w in around.difference(opposite(x, y)))
+    return sorted(found)
+
+
 def minimize(
     disc: PolyhedralDisc, config: Optional[OptimizerConfig] = None
 ) -> tuple[PolyhedralDisc, OptimizationTrace]:
@@ -628,7 +658,7 @@ def minimize(
 
     iterations: list[IterationRecord] = []
     stop_reason = "iteration_cap"
-    scanned, violations = None, []
+    violations = disc.complex.no_triangle_violations()  # cuts and flip passes carry it over
     swept = stars = None
     for index in range(1, cfg.max_outer_iterations + 1):
         area_start = disc.total_area()
@@ -636,9 +666,7 @@ def minimize(
         moves: list[MoveRecord] = []
 
         while True:
-            if disc.complex is not scanned:  # the scan reads only the topology
-                scanned, violations = disc.complex, disc.complex.no_triangle_violations()
-            unresolved = 0  # the refusals of the last scan, which cut nothing
+            unresolved = 0  # the refusals of the last pass over the list, which cut nothing
             for triple in violations:
                 try:
                     disc, record = reduce_fan(disc, triple)
@@ -646,13 +674,15 @@ def minimize(
                     unresolved += 1
                     continue
                 reductions.append(record)
-                scanned, violations = disc.complex, _carried(violations, record)
+                violations = _carried(violations, record)
                 break  # vertex ids changed: start over on the carried list
             else:
                 break
 
         flipped = (flip_pass(disc, EPS_FLIP) if cfg.enable_flips
                    else FlipPassResult(disc, (), False))
+        if flipped.flips:  # the pass carries the list over, as a cut does
+            violations = _flipped(violations, flipped)
         disc = flipped.disc
 
         if disc.complex is not swept:  # the colouring reads only the topology

@@ -30,7 +30,7 @@ from discmin.errors import (
 from discmin.flips import FlipPassResult, FlipRecord, bulk_hinges, can_flip
 from discmin.mesh import (
     DiscComplex,
-    _area,
+    _areas,
     _directed_edges,
     _triangle,
     angle_rows,
@@ -488,7 +488,8 @@ def flip_pass_by_rebuild(disc: PolyhedralDisc, eps_flip: float = 1e-9, cap=None)
                 cap_exceeded = True
                 break
             disc = flipped
-            records.append(FlipRecord(e, float(sigma[k]), float(gain[k])))
+            records.append(FlipRecord(e, float(sigma[k]), float(gain[k]),
+                                      edge_key(*cx.opposite_vertices(e)[1])))
             progressed = True
             break
         if not progressed:
@@ -600,8 +601,8 @@ def flip_edit_by_gather(triangles, edge_faces, edge, positions, floor):
     if (a, b) not in _directed_edges(triangles[forward]):
         forward, backward, p, q = backward, forward, y, x
     new = (canonical_triangle((p, a, q)), canonical_triangle((q, b, p)))
-    corners = positions[np.array(new, dtype=np.intp)].tolist()
-    for t, area in zip(new, (_area(*c) for c in corners)):
+    corners = positions[np.array(new, dtype=np.intp)].reshape(6, 3).tolist()
+    for t, area in zip(new, _areas(corners, ((0, 1, 2), (3, 4, 5)))):
         if area < floor:
             raise DegenerateTriangle(f"flip of {edge}: triangle {t} has area {area:.6e}")
     triangles[forward], triangles[backward] = new
@@ -649,7 +650,7 @@ def flip_pass_sorting_every_hinge(disc: PolyhedralDisc, eps_flip: float = 1e-9, 
             if at_cap:
                 cap_exceeded = True
             else:
-                records.append(FlipRecord(e, *hinges.pop(e)))
+                records.append(FlipRecord(e, *hinges.pop(e), edge_key(x, y)))
                 a, b = e
                 touched = [edge_key(x, y), *(edge_key(u, w) for u in (a, b) for w in (x, y))]
                 rows = [(*h, *opposite_by_sums(triangles, edge_faces, h))

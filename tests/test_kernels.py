@@ -96,6 +96,19 @@ def test_triangle_areas_match_the_per_column_form(disc):
                          triangle_areas_by_columns(positions, triangles))
 
 
+def test_the_one_loop_areas_match_area_rows():
+    """``mesh._areas``, the loop behind a trial's star, a flip's two new
+    faces and a fan reduction's flat face, gives the floats of
+    ``area_rows`` bit for bit, on seeded triangles at scales from 1e-60 to 1e60."""
+    rng = np.random.default_rng(38)
+    triangles = rng.integers(0, 50, (500, 3))
+    for scale in 10.0 ** np.arange(-60, 61, 5):
+        positions = scale * rng.normal(size=(50, 3))
+        corners = positions[triangles]
+        expected = mesh.area_rows(corners[:, 0], corners[:, 1], corners[:, 2])
+        assert same_bits(mesh._areas(positions.tolist(), triangles.tolist()), expected)
+
+
 def assert_newton_steps(sweep, r0, r1, g, step):
     """The gradients and steps of rows ``r0`` to ``r1`` of ``sweep``
     against the numpy oracle and ``newton_step_reference``, star by star;
@@ -129,13 +142,14 @@ def test_a_zero_gradient_has_no_newton_step():
 
 def assert_flip_pass_matches_sorting(disc, *args, **kwargs):
     """``flip_pass`` against ``flip_pass_sorting_every_hinge``: the same
-    triangles and cap flag, and the same records (edge, sigma, gain)
-    bit for bit.  Returns the result."""
+    triangles and cap flag, and the same records (edge, diagonal, and
+    sigma and gain bit for bit).  Returns the result."""
     result = flip_pass(disc, *args, **kwargs)
     expected = flip_pass_sorting_every_hinge(disc, *args, **kwargs)
     assert result.disc.complex.triangles == expected.disc.complex.triangles
     assert result.cap_exceeded == expected.cap_exceeded
-    assert [r.edge for r in result.flips] == [r.edge for r in expected.flips]
+    assert [(r.edge, r.diagonal) for r in result.flips] == [(r.edge, r.diagonal)
+                                                            for r in expected.flips]
     for field in ("sigma", "area_decrease"):
         assert same_bits([getattr(r, field) for r in result.flips],
                          [getattr(r, field) for r in expected.flips])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -27,10 +28,12 @@ from conftest import (
     position_gradient_by_faces,
     random_rotation,
     regular_polygon,
+    same_bits,
     shoelace,
     stalled_at_rest,
     star_area_by_arrays,
     trial_by_rebuild,
+    verdict_bits,
 )
 from discmin import (
     OptimizerConfig,
@@ -50,7 +53,8 @@ from discmin import (
     reduce_fan,
     vertex_descent_step,
 )
-from discmin import flips, optimize
+from discmin import edge_key, flips, optimize
+from discmin.flips import FlipPassResult, FlipRecord
 from discmin.errors import (
     DegenerateTriangle,
     DegenerationBlocked,
@@ -58,7 +62,8 @@ from discmin.errors import (
     InvalidInput,
     NotCuttable,
 )
-from discmin.mesh import row_norms
+from discmin.mesh import DiscComplex, row_norms
+from discmin.saddle import EPS_SADDLE, _vertex_verdicts
 
 ASYM = dict(a=(0, 0, 0), b=(1, 1, 0), x=(0.6, 0.4, 0.3), y=(0, 1, 0))
 # six seeded perturbed grids and the 20 acceptance-c4 fans
@@ -564,14 +569,14 @@ def test_flip_pass_cap():
 
 def assert_flip_pass_matches_rebuild(disc, *args, **kwargs):
     """``flip_pass`` against ``flip_pass_by_rebuild``: the same cap flag,
-    the same records with sigma and gain equal bit for bit, and the
+    the same records (edge, diagonal, and sigma and gain bit for bit), and the
     assembled complex equal to the rebuilt one field for field."""
     result, expected = flip_pass(disc, *args, **kwargs), flip_pass_by_rebuild(disc, *args, **kwargs)
     assert_same_complex(result.disc.complex, expected.disc.complex)
     assert result.cap_exceeded == expected.cap_exceeded
 
     def bits(records):
-        return [(r.edge, r.sigma.hex(), r.area_decrease.hex()) for r in records]
+        return [(r.edge, r.diagonal, r.sigma.hex(), r.area_decrease.hex()) for r in records]
 
     assert bits(result.flips) == bits(expected.flips)
     # the oracle's disc comes from ``flip`` after each flip
@@ -1117,6 +1122,53 @@ def test_a_move_drops_the_newton_steps_of_its_star():
         assert got.tobytes() != kept[s0:s1].tobytes()  # the moves reached this class's stars
 
 
+def test_every_reader_sees_the_sweeps_current_positions():
+    """A move writes its point into the sweep's Python floats only; the
+    positions array that the vertex test, a scaled line search and the
+    built disc read then holds it bit for bit, as the validated disc of
+    the moved state does, and ``vertex_descent_step`` returns the moved disc."""
+    disc = WORKLOAD_GRIDS[4]
+    stars = optimize._sweep_stars(disc.complex)
+    start = optimize._Sweep(disc, stars)
+    _, steps = start.newton(0, len(stars.vertices))
+    v = stars.vertices[0]
+    point = tuple((disc.positions[v] + steps[0]).tolist())
+    areas = start.trial(0, point)
+    assert areas is not None
+    moved = disc.moved(v, point)
+
+    def moved_sweep():
+        sweep = optimize._Sweep(disc, stars)
+        sweep.apply(0, (point, areas))
+        return sweep
+
+    def bits(verdicts):
+        return [verdict_bits(dataclasses.astuple(verdict)) for verdict in verdicts]
+
+    vertices = [v, *(u for u in disc.complex.neighbors(v) if u in stars.vertices)]
+    assert len(vertices) > 1
+    assert bits(_vertex_verdicts(moved_sweep(), vertices, EPS_SADDLE)) == bits(
+        _vertex_verdicts(moved, vertices, EPS_SADDLE))
+    g, _ = optimize._Sweep(moved, stars).newton(0, len(stars.vertices))
+    for u in vertices:  # the moved vertex's row, and rows whose star holds it
+        r = stars.vertices.index(u)
+        searches = [optimize._line_search(sweep, r, -g[r] / np.linalg.norm(g[r]), g[r], 0.0,
+                                          scale=1.0)
+                    for sweep in (moved_sweep(), optimize._Sweep(moved, stars))]
+        (trial, decrease, _), expected = searches
+        assert trial is not None
+        assert [[c.hex() for c in trial[0]], [a.hex() for a in trial[1]], decrease.hex()] == [
+            [c.hex() for c in expected[0][0]], [a.hex() for a in expected[0][1]],
+            expected[1].hex()]
+    built = moved_sweep().disc()
+    assert same_bits(built.positions, moved.positions) and same_bits(built._areas, moved._areas)
+
+    fan = fan_disc(12, apex=(0.0, 0.0, 0.6))
+    out, decrease = vertex_descent_step(fan, 12)
+    assert decrease > 0.0 and out.positions[12, 2] < 0.6
+    assert same_bits(out._areas, PolyhedralDisc(out.complex, out.positions)._areas)
+
+
 def assert_colour_classes(cx) -> None:
     """The classes of ``_sweep_stars`` partition the interior vertices of
     ``cx`` into runs of rows, each largest degree first and ties by
@@ -1183,13 +1235,16 @@ def test_a_run_validates_a_disc_in_full_only_at_the_jitter(disc, monkeypatch):
 PLANAR_GRIDS = [perturbed_grid_disc(4 + s % 3, seed=s, subdivisions=s % 5) for s in range(60)]
 
 
-@pytest.mark.parametrize("disc", [*PLANAR_GRIDS, *WORKLOAD_GRIDS.values()],
+@pytest.mark.parametrize("disc", [*PLANAR_GRIDS, *WORKLOAD_GRIDS.values(), *C4_FANS],
                          ids=[*(f"planar{s}" for s in range(60)),
-                              *(f"workload{n}" for n in WORKLOAD_GRIDS)])
+                              *(f"workload{n}" for n in WORKLOAD_GRIDS),
+                              *(f"c4_fan{s}" for s in range(20))])
 def test_the_carried_violations_are_the_scan_of_the_reduced_complex(disc, monkeypatch):
-    """After each fan reduction of a run, the empty triangles that
-    ``minimize`` carries over equal a fresh scan of the reduced complex."""
-    reduce, carry, reduced, carried = optimize.reduce_fan, optimize._carried, [], []
+    """After each fan reduction and each flip pass that flips in a run,
+    the empty triangles that ``minimize`` carries over equal a fresh scan
+    of the reduced or flipped complex, and the run itself scans once."""
+    reduce, carry, carry_flips = optimize.reduce_fan, optimize._carried, optimize._flipped
+    scan, scans, reduced, carried, flipped = DiscComplex.no_triangle_violations, [], [], [], []
 
     def recorded(disc, triple):
         out = reduce(disc, triple)
@@ -1198,14 +1253,63 @@ def test_the_carried_violations_are_the_scan_of_the_reduced_complex(disc, monkey
 
     def compared(violations, record):
         carried.append(carry(violations, record))
-        assert carried[-1] == reduced[-1].complex.no_triangle_violations()
+        assert carried[-1] == scan(reduced[-1].complex)
         return carried[-1]
+
+    def compared_flips(violations, result):
+        flipped.append(carry_flips(violations, result))
+        assert flipped[-1] == scan(result.disc.complex)
+        return flipped[-1]
+
+    def counted(cx):
+        scans.append(cx)
+        return scan(cx)
 
     monkeypatch.setattr(optimize, "reduce_fan", recorded)
     monkeypatch.setattr(optimize, "_carried", compared)
+    monkeypatch.setattr(optimize, "_flipped", compared_flips)
+    monkeypatch.setattr(DiscComplex, "no_triangle_violations", counted)
     _, trace = minimize(disc, OptimizerConfig(max_outer_iterations=12))
     reductions = [r for rec in trace.iterations for r in rec.reductions]
-    assert reductions and len(carried) == len(reduced) == len(reductions)
+    assert len(carried) == len(reduced) == len(reductions)
+    assert len(flipped) == sum(bool(rec.flips) for rec in trace.iterations)
+    assert reductions or any(disc is fan for fan in C4_FANS)  # a fan has nothing to cut
+    assert len(scans) == 1
+
+
+def hand_built_pass(disc, edges) -> FlipPassResult:
+    """The flip pass that flips ``edges`` of ``disc`` in turn, recorded as
+    ``flip_pass`` records its flips."""
+    records = []
+    for e in edges:
+        m = measure_hinge(disc, e)
+        records.append(FlipRecord(m.edge, m.sigma, m.gain, edge_key(*m.opposite)))
+        disc = flip(disc, e)
+    return FlipPassResult(disc, tuple(records), False)
+
+
+def test_violations_carried_over_hand_built_flip_passes():
+    """On a five-spoke fan, the first pass flips (0, 5) to (1, 4), then
+    (1, 5), which leaves the apex three spokes and the empty triangle
+    (2, 3, 4) on the new diagonal (2, 4), then (1, 4) away again.  A
+    second pass flips (2, 4), so the carried triangle is empty no more.
+    On the hexagon, a pass flips the chord (0, 2) of the empty triangle
+    (0, 2, 4) and then (4, 6) to (0, 2) again, making (0, 2, 4) a face."""
+    disc = fan_disc(5)
+    first = hand_built_pass(disc, [(0, 5), (1, 5), (1, 4)])
+    assert [r.diagonal for r in first.flips] == [(1, 4), (2, 4), (0, 2)]
+    carried = optimize._flipped(disc.complex.no_triangle_violations(), first)
+    assert carried == first.disc.complex.no_triangle_violations() == [(2, 3, 4)]
+    second = hand_built_pass(first.disc, [(2, 4)])
+    again = optimize._flipped(carried, second)
+    assert again == second.disc.complex.no_triangle_violations()
+    assert (2, 3, 4) not in again
+    hexagon = hexagon_with_violation()
+    assert hexagon.complex.no_triangle_violations() == [(0, 2, 4)]
+    refaced = hand_built_pass(hexagon, [(0, 2), (4, 6)])
+    assert [r.diagonal for r in refaced.flips] == [(1, 6), (0, 2)]
+    assert optimize._flipped([(0, 2, 4)], refaced) == [(0, 1, 2)]
+    assert refaced.disc.complex.no_triangle_violations() == [(0, 1, 2)]
 
 
 SWEEP_STARS = optimize._sweep_stars
