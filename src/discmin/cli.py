@@ -36,7 +36,10 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 def _cmd_optimize(args) -> int:
     disc = load_obj(args.input)
-    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    try:
+        data = json.loads(Path(args.config).read_text()) if args.config else {}
+    except RecursionError:
+        raise InvalidInput(f"config {args.config} nests deeper than the JSON reader can go") from None
     result, trace = minimize(disc, OptimizerConfig.from_dict(data))
     if args.output:
         save_obj(result, args.output)

@@ -20,13 +20,13 @@ plane).
 
 Every edit of the triangle list lives here, and none rebuilds the
 complex.  ``flip`` and ``flip_pass`` share one edit of a mutable edge
-table and assemble the flipped disc from it (see ``_assembled``);
-``reduce_fan`` renumbers the old complex's arrays and patches the cut.
+table and of the four rings a flip changes, and assemble the flipped
+disc from them (see ``_assembled``); ``reduce_fan`` renumbers the old
+complex's arrays and patches the cut.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -45,8 +45,8 @@ from .errors import (
     _is_number,
 )
 from .mesh import DiscComplex, Edge, PolyhedralDisc, Triangle, edge_key
-from .mesh import _MAX_COORDINATE, _ZERO, _areas, _directed_edges, _real_array, _triangle, area_rows
-from .mesh import _check_disc, canonical_triangle, cross_rows, row_norms
+from .mesh import _MAX_COORDINATE, _ZERO, _areas, _complex, _directed_edges, _real_array, _triangle
+from .mesh import _check_disc, area_rows, canonical_triangle, cross_rows, row_norms
 
 
 # =====================================================================
@@ -166,6 +166,18 @@ def _edge_table(cx: DiscComplex) -> dict[Edge, tuple[tuple[int, int], tuple[int,
     return dict(zip(cx.edges, zip(zip(faces[0], opposite[0]), zip(faces[1], opposite[1]))))
 
 
+class _Rings(dict):
+    """The rings (see ``mesh``) that flips splice, by vertex, each read off
+    the complex ``cx`` into a list the first time a flip touches it."""
+
+    def __init__(self, cx: DiscComplex):
+        self.offsets, self.vertices = cx.ring_offsets.tolist(), cx.ring_vertices.tolist()
+
+    def __missing__(self, v: int) -> list[int]:
+        ring = self[v] = self.vertices[self.offsets[v]:self.offsets[v + 1]]
+        return ring
+
+
 def _hinge_vertices(disc: PolyhedralDisc, edge) -> tuple[int, int, int, int]:
     _check_disc(disc)
     e, opposite = disc.complex.opposite_vertices(edge)
@@ -217,7 +229,7 @@ def can_flip(disc: PolyhedralDisc, edge) -> FlipCheck:
 
 
 def _flip_edit(triangles: list[Triangle], table: dict, edge: Edge, points: list, floor: float,
-               areas: np.ndarray | None = None, anchors: dict | None = None) -> tuple[int, int]:
+               areas: np.ndarray | None = None, rings: _Rings | None = None) -> tuple[int, int]:
     """Flip the interior hinge ``edge`` (a sorted key) in mutable tables.
 
     The triangles abx, aby become axy, bxy in the same two slots,
@@ -225,13 +237,14 @@ def _flip_edit(triangles: list[Triangle], table: dict, edge: Edge, points: list,
     ``build_from_triangles`` stores them.  ``table`` (``_edge_table``'s
     layout) loses the hinge, gains the diagonal, and gives each quad side
     its new face and opposite vertex; ``areas``, if given, takes the two
-    new areas, from ``points``, the positions as Python floats, and
-    ``anchors`` each of the four vertices' ``_ring`` start.  Returns the
-    opposite vertices (x, y) in face-index order.
+    new areas, from ``points``, the positions as Python floats, and in
+    ``rings`` a and b drop each other, and x and y each gain the other
+    between a and b.  Returns the opposite vertices (x, y) in face-index order.
 
     Raises FlipForbidden when x and y are already joined, and
-    DegenerateTriangle when a new triangle's area falls below
-    ``floor``; a refused flip edits nothing.
+    DegenerateTriangle when a new triangle's area falls below ``floor``;
+    a refused flip edits nothing.  InvariantViolation (a defect) when the
+    splice cannot find a or b.
     """
     a, b = edge
     (f, x), (g, y) = table[edge]
@@ -260,74 +273,50 @@ def _flip_edit(triangles: list[Triangle], table: dict, edge: Edge, points: list,
         first, second = table[side := edge_key(u, w)]
         first, second = (pair, second) if first[0] == old else (first, pair)
         table[side] = (first, second) if second[0] < 0 or first[0] < second[0] else (second, first)
-    if anchors is not None:
-        anchors.update({a: (p, forward), b: (q, backward), p: (q, forward), q: (p, backward)})
+    if rings is not None:
+        # p's ring runs a, b (the face a -> b -> p) and q's b, a: each gains the other there
+        sides = ((rings[p], a, b, q), (rings[q], b, a, p))
+        if not (b in rings[a] and a in rings[b]
+                and all(w in ring and ring[ring.index(w) - 1] == u for ring, u, w, _ in sides)):
+            raise InvariantViolation(f"flip of {edge}: a ring to splice lacks a or b")
+        rings[a].remove(b)
+        rings[b].remove(a)
+        for ring, _, w, new in sides:
+            ring.insert(ring.index(w), new)
     return x, y
 
 
-def _ring(table: dict, v: int, start: tuple[int, int], degree: int) -> tuple[list, list]:
-    """The ``degree`` neighbours of ``v`` and faces of its ring (see
-    ``mesh``) read off ``table`` from ``start``: a neighbour w and the
-    face right of v -> w, -1 for the boundary successor.  The face left
-    of v -> w is the other face of its edge, and its opposite vertex is
-    next.  InvariantViolation (a defect) unless the ring closes: each
-    edge holds the face it is reached through, and ``degree`` distinct
-    neighbours end back at w or, on the boundary, at face -1."""
-    (w, right), ring, faces = start, [], []
-    for _ in range(degree):
-        (f, x), (g, y) = table.get((v, w) if v < w else (w, v), ((-1, -1), (-1, -1)))
-        if f == right:
-            f, x = g, y
-        elif g != right:
-            break
-        ring.append(w)
-        faces.append(f)
-        if f < 0:
-            break
-        w, right = x, f
-    boundary = start[1] < 0
-    if not (0 < len(set(ring)) == len(ring) == degree and (faces[-1] < 0) == boundary
-            and (boundary or w == ring[0])):
-        raise InvariantViolation(f"the flipped ring of vertex {v} does not close")
-    k = 0 if boundary else ring.index(min(ring))
-    return ring[k:] + ring[:k], faces[k:] + faces[:k]
-
-
-def _assembled(disc: PolyhedralDisc, triangles: list[Triangle], table: dict, anchors: dict,
+def _assembled(disc: PolyhedralDisc, triangles: list[Triangle], table: dict, rings: _Rings,
                areas: np.ndarray) -> PolyhedralDisc:
-    """``disc`` flipped into the edited ``triangles`` and ``table``,
-    without a rebuild: flips keep V, E, F and the boundary cycle, so the
-    edge, opposite and face arrays come from the sorted table, and only
-    the rings of the flipped vertices, the keys of ``anchors``, are walked
-    again by ``_ring``; every other ring slice is copied.  The positions
-    and the floor carry over (``PolyhedralDisc._derived``), with the
-    ``areas`` the edits checked."""
+    """``disc`` flipped into the edited ``triangles``, ``table`` and
+    ``rings``, without a rebuild: flips keep V, E, F and the boundary cycle,
+    so the edge, opposite and face arrays come from the sorted table.  Each
+    spliced ring replaces its slice, an interior one turned back to start
+    at its smallest neighbour, and every other slice is copied;
+    InvariantViolation (a defect) unless its length is its degree in the
+    table.  The positions and the floor carry over
+    (``PolyhedralDisc._derived``), with the ``areas`` the edits checked."""
     cx = disc.complex
     edges = sorted(table)
     pairs = chain.from_iterable(chain.from_iterable(map(table.__getitem__, edges)))
     pairs = np.fromiter(pairs, np.intp, 4 * len(edges)).reshape(-1, 2, 2)
     edge_array = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
     ring_offsets = np.concatenate((_ZERO, np.add.accumulate(np.bincount(edge_array.ravel()))))
-    old, new = cx.ring_offsets.tolist(), ring_offsets.tolist()
-    vertices, faces = cx.ring_vertices.tolist(), cx.ring_faces.tolist()
-    ring_vertices, ring_faces, copied = [], [], 0
-    for v in sorted(anchors):
+    old, new, vertices = rings.offsets, ring_offsets.tolist(), rings.vertices
+    ring_vertices, copied = [], 0
+    for v in sorted(rings):
+        ring = rings[v]
+        if len(ring) != new[v + 1] - new[v]:
+            raise InvariantViolation(f"the spliced ring of vertex {v} is not its degree long")
+        k = 0 if v in cx.boundary_vertices else ring.index(min(ring))
         ring_vertices += vertices[old[copied]:old[v]]
-        ring_faces += faces[old[copied]:old[v]]
-        start = (vertices[old[v]], -1) if v in cx.boundary_vertices else anchors[v]
-        ring, left = _ring(table, v, start, new[v + 1] - new[v])
-        ring_vertices += ring
-        ring_faces += left
+        ring_vertices += ring[k:] + ring[:k]
         copied = v + 1
     ring_vertices += vertices[old[copied]:]
-    ring_faces += faces[old[copied]:]
     triangle_array = np.fromiter(chain.from_iterable(triangles), np.intp, 3 * len(triangles))
-    arrays = (triangle_array.reshape(-1, 3), edge_array, pairs[..., 1].copy(), pairs[..., 0].copy(),
-              ring_offsets, np.fromiter(ring_vertices, np.intp), np.fromiter(ring_faces, np.intp))
-    for array in arrays:
-        array.setflags(write=False)
-    flipped = DiscComplex(cx.vertex_count, tuple(triangles), tuple(edges), cx.boundary_cycle,
-                          cx.boundary_vertices, *arrays)
+    flipped = _complex(cx.boundary_cycle, triangle_array.reshape(-1, 3), edge_array,
+                       pairs[..., 1].copy(), pairs[..., 0].copy(), ring_offsets,
+                       np.fromiter(ring_vertices, np.intp, len(ring_vertices)))
     return disc._derived(flipped, disc.positions, areas)
 
 
@@ -336,18 +325,19 @@ def flip(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
 
     The two new triangles occupy the old face slots, every other
     triangle is untouched, and the boundary cycle is preserved.  The
-    complex is assembled from the edited edge table, not rebuilt.
+    complex is assembled from the edited edge table and the four spliced
+    rings, not rebuilt.
 
     Raises BoundaryEdge or FlipForbidden when the combinatorial
     precondition fails, DegenerateTriangle when the flipped geometry
-    falls below the area floor, and InvariantViolation if a flipped
-    vertex's ring does not close (a defect, never expected).
+    falls below the area floor, and InvariantViolation if the splice of
+    a flipped vertex's ring fails (a defect, never expected).
     """
     a, b, _, _ = _hinge_vertices(disc, edge)
     cx = disc.complex
-    triangles, table, anchors, areas = list(cx.triangles), _edge_table(cx), {}, disc._areas.copy()
-    _flip_edit(triangles, table, (a, b), disc.positions.tolist(), disc._floor, areas, anchors)
-    return _assembled(disc, triangles, table, anchors, areas)
+    triangles, table, rings, areas = list(cx.triangles), _edge_table(cx), _Rings(cx), disc._areas.copy()
+    _flip_edit(triangles, table, (a, b), disc.positions.tolist(), disc._floor, areas, rings)
+    return _assembled(disc, triangles, table, rings, areas)
 
 
 @dataclass(frozen=True)
@@ -388,7 +378,7 @@ def flip_pass(
     made.  Flips that ``flip`` would refuse (opposite vertices already
     joined, or a new triangle below the area floor) are skipped.  The
     returned disc is assembled once, at the end, from the edited tables
-    by ``_assembled``, and carries over the geometry the pass checked.
+    and rings by ``_assembled``, and carries over the geometry the pass checked.
     ``eps_flip`` must be a finite number >= 0, ``cap`` an integer >= 0.
     """
     _check_disc(disc)
@@ -408,7 +398,7 @@ def flip_pass(
                         zip(sigma[kept].tolist(), gain[kept].tolist())))
     if cap is None:
         cap = 100 * len(cx.edges)
-    triangles, table, anchors, areas = list(cx.triangles), _edge_table(cx), {}, disc._areas.copy()
+    triangles, table, rings, areas = list(cx.triangles), _edge_table(cx), _Rings(cx), disc._areas.copy()
     points, floor = p.tolist(), disc._floor
     records: list[FlipRecord] = []
     cap_exceeded = False
@@ -417,7 +407,7 @@ def flip_pass(
             # at the cap, a flip is only tried, on shallow copies of the tables, writing no area
             at_cap = len(records) >= cap
             edit = ((list(triangles), dict(table), e, points, floor) if at_cap
-                    else (triangles, table, e, points, floor, areas, anchors))
+                    else (triangles, table, e, points, floor, areas, rings))
             try:
                 x, y = _flip_edit(*edit)
             except (FlipForbidden, DegenerateTriangle):
@@ -438,7 +428,7 @@ def flip_pass(
         else:
             break
     if records:
-        disc = _assembled(disc, triangles, table, anchors, areas)
+        disc = _assembled(disc, triangles, table, rings, areas)
     return FlipPassResult(disc=disc, flips=tuple(records), cap_exceeded=cap_exceeded)
 
 
@@ -513,7 +503,7 @@ def _enclosed(cx: DiscComplex, t: Triangle, sides: tuple[list, list]) -> tuple[i
     close is the bounded one, so no more faces outside the cycle are
     visited than inside it.  CycleBoundsBoundary when both sides meet one."""
     a, b, c = t
-    cut, edges, edge_faces = ((a, b), (a, c), (b, c)), cx.edges, cx.edge_face_array.tolist()
+    cut, edge_faces = ((a, b), (a, c), (b, c)), cx.edge_face_array.tolist()
     floods = [(set(seeds), list(seeds)) for seeds in sides]
     open_sides = [k for k in (0, 1) if sides[k]]
     while open_sides:
@@ -524,7 +514,7 @@ def _enclosed(cx: DiscComplex, t: Triangle, sides: tuple[list, list]) -> tuple[i
             f = stack.pop()
             for u, w in _directed_edges(cx.triangles[f]):
                 if (e := edge_key(u, w)) not in cut:
-                    g = sum(edge_faces[bisect_left(edges, e)]) - f  # the face across, or -1
+                    g = sum(edge_faces[cx._edge_row(e)]) - f  # the face across, or -1
                     if g < 0:
                         open_sides.remove(k)
                         break
@@ -545,8 +535,8 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
     That keeps the edge rows sorted and each triangle's rotation and
     untouched ring's start, so the reduced complex is assembled from the
     old one's arrays, not rebuilt: only the cycle's edges, which take the
-    flat face, and its vertices' rings, which lose their arc inside it,
-    are patched.  The kept faces keep their areas and the floor carries
+    flat face, and its vertices' rings, which lose their neighbours inside
+    it, are patched.  The kept faces keep their areas and the floor carries
     over (``PolyhedralDisc._derived``): only the flat triangle is checked.
 
     Raises
@@ -569,9 +559,9 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
     t = a, b, c = tuple(sorted(_triangle(triple)))
     cx = disc.complex
     cut = ((a, b), (a, c), (b, c))
-    rows = [bisect_left(cx.edges, e) for e in cut]
+    rows = list(map(cx._edge_row, cut))
     for e, i in zip(cut, rows):
-        if cx.edges[i:i + 1] != (e,):
+        if i < 0:
             raise NotAViolation(f"{t} is missing edge {e}")
         if a + b + c - sum(e) in cx.opposite_array[i].tolist():
             raise NotAViolation(f"{t} spans a face")
@@ -605,29 +595,24 @@ def reduce_fan(disc: PolyhedralDisc, triple) -> tuple[PolyhedralDisc, FanReducti
         face_pairs[i], opposite_pairs[i] = (f, count)[::order], (x, a + b + c - sum(e))[::order]
     # a cycle vertex keeps its ring from its predecessor p on the flat triangle to its
     # successor s, whose slot takes the flat face, and loses the arc from s to p
-    ring_vertices, ring_faces = cx.ring_vertices.copy(), cx.ring_faces.copy()
+    ring_vertices = cx.ring_vertices.copy()
     slots = np.repeat(keep, np.diff(cx.ring_offsets))
     for v, s, p in zip(flat, flat[1:] + flat[:1], flat[2:] + flat[:2]):
         lo, hi = cx.ring_offsets[v:v + 2].tolist()
-        old, faces = ring_vertices[lo:hi].tolist(), ring_faces[lo:hi].tolist()
+        old = ring_vertices[lo:hi].tolist()
         m = (old.index(s) - (j := old.index(p))) % (hi - lo) + 1
-        ring, faces = (old[j:] + old[:j])[:m], (faces[j:] + faces[:j])[:m - 1] + [count]
+        ring = (old[j:] + old[:j])[:m]
         j = ring.index(old[0] if v in cx.boundary_vertices else min(ring))
-        ring_vertices[lo:lo + m], ring_faces[lo:lo + m] = ring[j:] + ring[:j], faces[j:] + faces[:j]
+        ring_vertices[lo:lo + m] = ring[j:] + ring[:j]
         slots[lo + m:hi] = False
     edge_rows = keep[cx.edge_array].all(axis=1)
     edge_array = vertex_ids[cx.edge_array[edge_rows]]
-    triangle_array = vertex_ids[np.append(cx.triangle_array[kept], [flat], axis=0)]
-    arrays = (triangle_array, edge_array, vertex_ids[opposite_pairs[edge_rows]],
-              face_ids[face_pairs[edge_rows]],
-              np.concatenate((_ZERO, np.add.accumulate(np.bincount(edge_array.ravel())))),
-              vertex_ids[ring_vertices[slots]], face_ids[ring_faces[slots]])
-    for array in arrays:
-        array.setflags(write=False)
+    reduced = _complex(vertex_ids[list(cx.boundary_cycle)].tolist(),
+                       vertex_ids[np.append(cx.triangle_array[kept], [flat], axis=0)], edge_array,
+                       vertex_ids[opposite_pairs[edge_rows]], face_ids[face_pairs[edge_rows]],
+                       np.concatenate((_ZERO, np.add.accumulate(np.bincount(edge_array.ravel())))),
+                       vertex_ids[ring_vertices[slots]])
     survivors = np.flatnonzero(keep).tolist()
-    cycle = tuple(vertex_ids[list(cx.boundary_cycle)].tolist())
-    reduced = DiscComplex(len(survivors), tuple(map(tuple, triangle_array.tolist())),
-                          tuple(map(tuple, edge_array.tolist())), cycle, frozenset(cycle), *arrays)
     area_before = disc.total_area()
     new_disc = disc._derived(reduced, disc.positions[keep], np.append(disc._areas[kept], area))
 

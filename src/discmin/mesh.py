@@ -10,8 +10,9 @@ boundary, so a moved interior vertex leaves the floor as it was, and
 only the faces of its star need checking again.
 
 ``build_from_triangles`` validates every input triangle list into a
-``DiscComplex``; the moves of ``flips`` edit theirs.  It runs the checks
-in a fixed order so the raised error names the first property that fails:
+``DiscComplex``; the moves of ``flips`` edit theirs, and ``_complex``
+makes each.  The builder runs the checks in a fixed order so the raised
+error names the first property that fails:
 
 1. well-formed input              -> InvalidInput
 2. every edge in at most 2 faces  -> NonManifoldEdge
@@ -41,13 +42,14 @@ arrays: ``edge_array``, the edges in sorted order, ``opposite_array``,
 the vertex opposite each edge in each of its faces in face order, and
 ``edge_face_array``, those faces; the last two hold -1 where a
 boundary edge has no second face.  Every edge query reads this one
-table, through ``DiscComplex.opposite_vertices``.
+table, through ``DiscComplex._edge_row``.
 
 Each star is decided once, in a read-only CSR ring table: slots
-``ring_offsets[v]`` to ``ring_offsets[v + 1]`` of ``ring_vertices`` and
-``ring_faces`` hold w and the face left of each edge v -> w, in cyclic
-order from v's smallest neighbour, or from its boundary successor to its
-predecessor, whose face is -1.  Pointer doubling places every slot at once.
+``ring_offsets[v]`` to ``ring_offsets[v + 1]`` of ``ring_vertices`` hold
+v's neighbours in cyclic order, each w followed by the third corner of
+the face left of v -> w, from v's smallest neighbour, or from its
+boundary successor to its predecessor.  Pointer doubling places every
+slot at once; a flip or a cut splices just the rings it changes.
 
 No orientation check is needed: a connected, edge-manifold complex
 that cannot be oriented fails step 4 or 5.  Splitting its pinched
@@ -269,10 +271,10 @@ class DiscComplex:
     edge, ascending, and ``opposite_array`` the vertex opposite the edge
     in each of those faces, each with -1 where a boundary edge has no
     second face; all three are read-only (E, 2) index arrays, and
-    :meth:`opposite_vertices` looks an edge up in them.  The boundary
-    cycle is directed the way the oriented triangles induce it and
-    starts at the smallest boundary vertex.  ``ring_offsets``, ``ring_vertices``
-    and ``ring_faces`` are the module docstring's read-only ring table.
+    :meth:`_edge_row` finds an edge's row.  The boundary cycle is
+    directed the way the oriented triangles induce it and starts at the
+    smallest boundary vertex.  ``ring_offsets`` and ``ring_vertices`` are
+    the module docstring's read-only ring table.
     """
 
     vertex_count: int
@@ -286,7 +288,6 @@ class DiscComplex:
     edge_face_array: np.ndarray = field(compare=False, repr=False)
     ring_offsets: np.ndarray = field(compare=False, repr=False)
     ring_vertices: np.ndarray = field(compare=False, repr=False)
-    ring_faces: np.ndarray = field(compare=False, repr=False)
 
     # -- basic queries -------------------------------------------------
 
@@ -301,11 +302,17 @@ class DiscComplex:
         Raises InvalidInput unless ``edge`` is two integer vertex ids
         joined by an edge of the complex."""
         e = _edge(edge)
-        i = bisect_left(self.edges, e)
-        if i == len(self.edges) or self.edges[i] != e:
+        i = self._edge_row(e)
+        if i < 0:
             raise InvalidInput(f"{e} is not an edge of the complex")
         x, y = self.opposite_array[i].tolist()
         return e, ((x, y) if y >= 0 else (x,))
+
+    def _edge_row(self, e: Edge) -> int:
+        """The row of the sorted edge ``e`` in the edge table, or -1 when
+        it is not an edge."""
+        i = bisect_left(self.edges, e)
+        return i if i < len(self.edges) and self.edges[i] == e else -1
 
     def is_interior_edge(self, u: int, v: int) -> bool:
         return len(self.opposite_vertices((u, v))[1]) == 2
@@ -527,26 +534,21 @@ def build_from_triangles(triples: Iterable[Sequence[int]]) -> DiscComplex:
     ring_vertices = np.empty(2 * len(edge_array) + 1, np.intp)  # one slot spare
     ring_vertices[slot + 1] = thirds  # kept only after a boundary ring's last face
     ring_vertices[slot] = heads
-    ring_faces = np.full(len(ring_vertices), -1, np.intp)
-    ring_faces[slot] = half // 3
-    for array in (triangle_array, edge_array, opposite_array, edge_face_array,
-                  ring_offsets, ring_vertices, ring_faces):
-        array.setflags(write=False)
+    return _complex(cycle, triangle_array, edge_array, opposite_array, edge_face_array,
+                    ring_offsets, ring_vertices[:-1])
 
-    return DiscComplex(
-        vertex_count=vertex_count,
-        triangles=tuple(map(tuple, triangle_array.tolist())),
-        edges=tuple(map(tuple, edge_array.tolist())),
-        boundary_cycle=tuple(cycle),
-        boundary_vertices=frozenset(cycle),
-        triangle_array=triangle_array,
-        edge_array=edge_array,
-        opposite_array=opposite_array,
-        edge_face_array=edge_face_array,
-        ring_offsets=ring_offsets,
-        ring_vertices=ring_vertices[:-1],
-        ring_faces=ring_faces[:-1],
-    )
+
+def _complex(cycle, *arrays: np.ndarray) -> DiscComplex:
+    """The ``DiscComplex`` of the boundary ``cycle`` and the checked index
+    ``arrays``, in field order; the one place that makes one.  It makes
+    the arrays read-only and derives the vertex count, ``triangles``,
+    ``edges`` and boundary set."""
+    for array in arrays:
+        array.setflags(write=False)
+    triangle_array, edge_array, _, _, ring_offsets, _ = arrays
+    cycle = tuple(cycle)
+    return DiscComplex(len(ring_offsets) - 1, tuple(map(tuple, triangle_array.tolist())),
+                       tuple(map(tuple, edge_array.tolist())), cycle, frozenset(cycle), *arrays)
 
 
 # =====================================================================

@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -252,12 +251,13 @@ class _Stars:
 
     def __init__(self, cx, vertices, classes=()):
         self.vertices, self.classes = list(vertices), classes
-        offsets, ring = cx.ring_offsets.tolist(), cx.ring_faces.tolist()
+        # a stable sort of the corners lists each vertex's faces (corner // 3) ascending
+        corners = cx.triangle_array.ravel()
+        star = (corners.argsort(kind="stable") // 3).tolist()
+        offsets = [0, *itertools.accumulate(np.bincount(corners).tolist())]
         self.faces, self.xab, self.bounds = [], [], [0]
         for v in self.vertices:
-            faces = sorted(ring[offsets[v]:offsets[v + 1]])
-            if faces[0] < 0:  # a boundary vertex's last ring slot has no face
-                del faces[0]
+            faces = star[offsets[v]:offsets[v + 1]]
             self.faces += faces
             self.bounds.append(len(self.faces))
             for t in map(cx.triangles.__getitem__, faces):
@@ -611,8 +611,8 @@ def _flipped(violations: list, flipped: FlipPassResult) -> list:
     ring, offsets = cx.ring_vertices.tolist(), cx.ring_offsets.tolist()
 
     def opposite(u, v):  # the vertices opposite the edge (u, v), u < v; [] for no edge
-        i = bisect_left(cx.edges, (u, v))
-        return cx.opposite_array[i].tolist() if cx.edges[i:i + 1] == ((u, v),) else []
+        i = cx._edge_row((u, v))
+        return cx.opposite_array[i].tolist() if i >= 0 else []
 
     found = {(u, v, w) for u, v, w in violations
              if (o := opposite(u, v)) and w not in o and opposite(u, w) and opposite(v, w)}

@@ -80,15 +80,12 @@ def vertex_star_by_succ_walk(triangles, boundary, v: int) -> tuple:
     once made over the faces of ``v``.  Each face (v, a, b), turned to
     start at ``v``, sends a to b; an interior star starts at the smallest
     neighbour, a boundary star (``v`` in ``boundary``) at the neighbour no
-    face sends to.  Returns the star and, for each of its neighbours u,
-    the face (v, u, next) or -1 after the last neighbour of a boundary
-    star."""
-    succ, face = {}, {}
-    for i, t in enumerate(triangles):
+    face sends to."""
+    succ = {}
+    for t in triangles:
         if v in t:
             k = t.index(v)
             succ[t[(k + 1) % 3]] = t[(k + 2) % 3]
-            face[t[(k + 1) % 3]] = i
     if v in boundary:
         (cur,) = set(succ) - set(succ.values())
     else:
@@ -99,25 +96,21 @@ def vertex_star_by_succ_walk(triangles, boundary, v: int) -> tuple:
         if cur == order[0]:
             break
         order.append(cur)
-    return tuple(order), tuple(face.get(u, -1) for u in order)
+    return tuple(order)
 
 
 def assert_rings(cx: DiscComplex) -> None:
-    """``ring_offsets``, ``ring_vertices`` and ``ring_faces`` of ``cx``
-    against ``vertex_star_by_succ_walk`` at every vertex, -1 exactly in
-    each boundary vertex's last slot; the arrays read-only intp, and
-    ``vertex_star`` the ring's vertices."""
+    """``ring_offsets`` and ``ring_vertices`` of ``cx`` against
+    ``vertex_star_by_succ_walk`` at every vertex; the arrays read-only
+    intp, and ``vertex_star`` the ring's vertices."""
     offsets = cx.ring_offsets.tolist()
     assert offsets[0] == 0 and len(offsets) == cx.vertex_count + 1
-    assert offsets[-1] == 2 * len(cx.edges) == len(cx.ring_vertices) == len(cx.ring_faces)
+    assert offsets[-1] == 2 * len(cx.edges) == len(cx.ring_vertices)
     for v in range(cx.vertex_count):
-        star, faces = vertex_star_by_succ_walk(cx.triangles, cx.boundary_vertices, v)
+        star = vertex_star_by_succ_walk(cx.triangles, cx.boundary_vertices, v)
         lo, hi = offsets[v], offsets[v + 1]
         assert tuple(cx.ring_vertices[lo:hi].tolist()) == star == cx.vertex_star(v)
-        assert tuple(cx.ring_faces[lo:hi].tolist()) == faces
-        assert (faces[-1] == -1) == (v in cx.boundary_vertices)
-        assert -1 not in faces[:-1]
-    for array in (cx.ring_offsets, cx.ring_vertices, cx.ring_faces):
+    for array in (cx.ring_offsets, cx.ring_vertices):
         assert array.dtype == np.intp and array.ndim == 1
         assert not array.flags.writeable
 
@@ -294,16 +287,15 @@ def build_from_triangles_by_conflict_walk(triples) -> DiscComplex:
     triangle_array, edge_array, opposite_array, edge_face_array = (
         np.array(a, dtype=np.intp).reshape(len(a), -1) for a in arrays
     )
-    ring_offsets, ring_vertices, ring_faces = (
+    ring_offsets, ring_vertices = (
         np.array(a, dtype=np.intp)
         for a in (
-            [0, *itertools.accumulate(len(star) for star, _ in rings)],
-            [u for star, _ in rings for u in star],
-            [f for _, faces in rings for f in faces],
+            [0, *itertools.accumulate(map(len, rings))],
+            [u for star in rings for u in star],
         )
     )
     for array in (triangle_array, edge_array, opposite_array, edge_face_array,
-                  ring_offsets, ring_vertices, ring_faces):
+                  ring_offsets, ring_vertices):
         array.setflags(write=False)
     return DiscComplex(
         vertex_count=vertex_count,
@@ -317,7 +309,6 @@ def build_from_triangles_by_conflict_walk(triples) -> DiscComplex:
         edge_face_array=edge_face_array,
         ring_offsets=ring_offsets,
         ring_vertices=ring_vertices,
-        ring_faces=ring_faces,
     )
 
 
@@ -441,14 +432,14 @@ def flip_by_rebuild(disc: PolyhedralDisc, edge) -> PolyhedralDisc:
 
 
 def assert_same_complex(got: DiscComplex, expected: DiscComplex) -> None:
-    """``got`` equals ``expected`` in all twelve fields of a complex: the
+    """``got`` equals ``expected`` in all eleven fields of a complex: the
     vertex count, triangles, edges, boundary cycle and boundary vertices,
-    and each of the seven index arrays, read-only and of the same dtype,
+    and each of the six index arrays, read-only and of the same dtype,
     shape and entries."""
     for name in ("vertex_count", "triangles", "edges", "boundary_cycle", "boundary_vertices"):
         assert getattr(got, name) == getattr(expected, name), name
     for name in ("triangle_array", "edge_array", "opposite_array", "edge_face_array",
-                 "ring_offsets", "ring_vertices", "ring_faces"):
+                 "ring_offsets", "ring_vertices"):
         g, e = getattr(got, name), getattr(expected, name)
         assert g.dtype == e.dtype and g.shape == e.shape and np.array_equal(g, e), name
         assert not g.flags.writeable, name

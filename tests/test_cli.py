@@ -322,6 +322,20 @@ def test_error_exit_codes(tmp_path, capsys):
     assert main(["certify", "--in", str(huge)]) == 4
 
 
+def test_a_config_nested_past_the_recursion_limit_exits_4(tmp_path, capsys):
+    """JSON nested deeper than the reader can recurse, as an array or an
+    object, is bad input: optimize exits 4 with one error line."""
+    good, cfg = tmp_path / "good.obj", tmp_path / "deep.json"
+    save_obj(fan_disc(6), good)
+    for text in ("[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000):
+        cfg.write_text(text)
+        assert main(["optimize", "--in", str(good), "--config", str(cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "nests deeper" in captured.err
+
+
 FUZZ_TOKENS = ["nan", "1e400", "-1", "1/2", "0", "7", str(10**30), "1" + "0" * 400,
                "9" * 5000, "1e200", "1e-200", "v", "f", "vt", "usemtl", "#", "x",
                # float() reads these, the OBJ reader refuses them

@@ -34,7 +34,6 @@ from discmin import (
     build_from_triangles,
     bulk_hinges,
     can_flip,
-    edge_key,
     flat_convex_check,
     flat_convex_quad,
     flip,
@@ -364,55 +363,52 @@ def test_reduce_reports_a_changed_boundary_cycle(monkeypatch, tmp_path, capsys):
     assert "boundary cycle" in capsys.readouterr().err
 
 
-def with_swapped_diagonal(table, x, y):
-    """A copy of the edge ``table`` whose diagonal (x, y) has the
-    opposite vertices of its two faces swapped."""
-    (f, a), (g, b) = table[edge_key(x, y)]
-    return {**table, edge_key(x, y): ((f, b), (g, a))}
+@pytest.mark.parametrize("corruption, message", [
+    ("a lost b", "lacks a or b"),
+    ("x and y lost a", "lacks a or b"),
+    ("x gained b", "not its degree"),
+])
+def test_a_corrupted_splice_is_a_defect(monkeypatch, tmp_path, capsys, corruption, message):
+    """Flips whose rings are corrupted around the splice fail as a
+    defect: a splice that cannot find a or b in a ring it edits, and a
+    spliced ring longer than its vertex's degree in the edited table.
+    That holds for every flip a grid disc admits, and the CLI command
+    that flips the hinge exits 4 with the message."""
+    edit = flips._flip_edit
 
+    def corrupted(triangles, table, edge, points, floor, areas=None, rings=None):
+        (a, b), ((_, x), (_, y)) = edge, table[edge]
+        if rings is not None and corruption == "a lost b":
+            rings[a].remove(b)
+        if rings is not None and corruption == "x and y lost a":
+            rings[x].remove(a)
+            rings[y].remove(a)
+        out = edit(triangles, table, edge, points, floor, areas, rings)
+        if rings is not None and corruption == "x gained b":
+            rings[x].append(b)
+        return out
 
-def test_flip_reports_a_ring_that_does_not_close(monkeypatch, tmp_path, capsys):
-    """A flip whose edited table is corrupted before the assembly, with
-    the CLI command that makes it."""
-    assembled = flips._assembled
-    monkeypatch.setattr(flips, "_assembled", lambda disc, triangles, table, anchors, areas: (
-        assembled(disc, triangles, with_swapped_diagonal(table, 2, 3), anchors, areas)))
+    monkeypatch.setattr(flips, "_flip_edit", corrupted)
+    grid = perturbed_grid_disc(5, seed=1, subdivisions=2)
+    raised = 0
+    for e in grid.complex.interior_edges():
+        try:
+            flip(grid, e)
+        except (FlipForbidden, DegenerateTriangle):
+            continue
+        except InvariantViolation as err:
+            assert message in str(err)
+            raised += 1
+        else:
+            pytest.fail(f"the flip of {e} assembled a corrupted splice")
+    assert raised > 10
     disc = hinge_disc(**ASYM)
-    with pytest.raises(InvariantViolation, match="does not close"):
+    with pytest.raises(InvariantViolation, match=message):
         flip(disc, (0, 1))
     path = tmp_path / "hinge.obj"
     save_obj(disc, path)
     assert main(["flip-pass", "--in", str(path)]) == 4
-    assert "does not close" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("n, seed, subdivisions", [(4, 0, 0), (5, 1, 2), (6, 3, 4)])
-def test_a_corrupted_table_fails_the_assembly(n, seed, subdivisions):
-    """After each flip the disc admits, a table with the new diagonal's
-    opposite vertices swapped, or with a quad side missing, fails the
-    re-walk of the flipped rings; the uncorrupted table assembles the
-    disc a rebuild gives."""
-    disc = perturbed_grid_disc(n, seed=seed, subdivisions=subdivisions)
-    cx = disc.complex
-    floor = disc._floor
-    flipped = 0
-    for e in cx.interior_edges():
-        triangles, table, anchors = list(cx.triangles), flips._edge_table(cx), {}
-        areas = disc._areas.copy()
-        try:
-            x, y = flips._flip_edit(triangles, table, e, disc.positions.tolist(), floor, areas,
-                                    anchors)
-        except (FlipForbidden, DegenerateTriangle):
-            continue
-        missing = dict(table)
-        del missing[edge_key(e[0], x)]
-        for corrupted in (with_swapped_diagonal(table, x, y), missing):
-            with pytest.raises(InvariantViolation, match="does not close"):
-                flips._assembled(disc, triangles, corrupted, anchors, areas)
-        out = flips._assembled(disc, triangles, table, anchors, areas)
-        assert_same_complex(out.complex, build_from_triangles(triangles))
-        flipped += 1
-    assert flipped > 10
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-5])

@@ -290,7 +290,7 @@ def build_outcome(build, triples):
         return type(err), str(err)
     views = (cx.boundary_vertices,)
     arrays = (cx.triangle_array, cx.edge_array, cx.opposite_array, cx.edge_face_array,
-              cx.ring_offsets, cx.ring_vertices, cx.ring_faces)
+              cx.ring_offsets, cx.ring_vertices)
     return cx, views, [(a.dtype, a.shape, a.tolist(), a.flags.writeable) for a in arrays]
 
 

@@ -219,7 +219,7 @@ def parse_outcome(parse, text: str):
         return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
     cx = disc.complex
     arrays = (cx.triangle_array, cx.edge_array, cx.opposite_array, cx.edge_face_array,
-              cx.ring_offsets, cx.ring_vertices, cx.ring_faces)
+              cx.ring_offsets, cx.ring_vertices)
     views = [a.tolist() for a in arrays]
     return cx, views, disc.positions.tobytes()
 

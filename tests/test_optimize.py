@@ -62,7 +62,7 @@ from discmin.errors import (
     InvalidInput,
     NotCuttable,
 )
-from discmin.mesh import DiscComplex, row_norms
+from discmin.mesh import DiscComplex, canonical_triangle, row_norms
 from discmin.saddle import EPS_SADDLE, _vertex_verdicts
 
 ASYM = dict(a=(0, 0, 0), b=(1, 1, 0), x=(0.6, 0.4, 0.3), y=(0, 1, 0))
@@ -1378,6 +1378,25 @@ def test_a_star_row_does_not_depend_on_the_other_rows(disc):
     for stars, r0, r1 in calls:
         for v, *terms in zip(stars.vertices[r0:r1], *optimize._star_terms(points, stars, r0, r1)):
             assert [t.tobytes() for t in terms] == [t.tobytes() for t in alone[v]]
+
+
+@pytest.mark.parametrize("disc", [*WORKLOAD_GRIDS.values(), *ACCEPTANCE_FANS],
+                         ids=[*(f"workload{n}" for n in WORKLOAD_GRIDS),
+                              *(f"c4_fan{s}" for s in range(len(ACCEPTANCE_FANS)))])
+def test_a_star_row_lists_the_faces_of_its_vertex_ascending(disc):
+    """Each row of ``_Stars`` holds exactly the faces that contain its
+    vertex, ascending, for every interior and boundary vertex, in any row
+    order; each rotated corner triple starts at the row's vertex."""
+    cx = disc.complex
+    vertices = np.random.default_rng(cx.vertex_count).permutation(cx.vertex_count).tolist()
+    stars = optimize._Stars(cx, vertices)
+    assert any(v in cx.boundary_vertices for v in vertices)
+    for r, v in enumerate(vertices):
+        lo, hi = stars.bounds[r:r + 2]
+        assert stars.faces[lo:hi] == faces_of(cx, v)
+        assert stars.corners[lo:hi] == [cx.triangles[f] for f in faces_of(cx, v)]
+        assert all(t[0] == v and canonical_triangle(t) == cx.triangles[f]
+                   for t, f in zip(stars.xab[lo:hi], stars.faces[lo:hi]))
 
 
 def boundary_ring(disc, start=None):
